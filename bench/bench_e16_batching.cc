@@ -1,10 +1,9 @@
-// E16 — vectorized batch execution: throughput of the registered
-// pipelines from E11 as a function of the engine batch size, single
-// engine and sharded. batch_size=1 is the tuple-at-a-time baseline;
-// larger sizes amortize the per-tuple virtual dispatch (and, sharded,
-// the MPSC queue crossings) without changing output bytes. The CI
-// bench gate (tools/bench_gate.py) tracks a subset of these series
-// against bench/baseline.json.
+// E16 — route batching: sharded Example 1 dedup throughput as a function
+// of ShardedEngineOptions::route_batch_size. Size 1 enqueues every tuple
+// on its own; larger sizes carry a run of same-stream tuples bound for
+// one shard in a single MPSC queue item, without changing output bytes.
+// Shard engines always process tuple-at-a-time. The CI bench gate
+// (tools/bench_gate.py) tracks these series against bench/baseline.json.
 
 #include "bench/bench_util.h"
 #include "core/sharded_engine.h"
@@ -12,80 +11,9 @@
 namespace eslev {
 namespace {
 
-EngineOptions BatchOptions(int64_t batch_size) {
-  EngineOptions options;
-  options.batch_size = static_cast<size_t>(batch_size);
-  // The bench sweeps the knob explicitly; do not let the environment
-  // silently override every series to the same value.
-  options.honor_batch_env = false;
-  return options;
-}
-
-// Example 1 dedup (filter + windowed NOT EXISTS) — the batch-native
-// fast path: columnar predicate eval plus bulk window insert/expire.
-void BM_DedupBatchSize(benchmark::State& state) {
-  rfid::DuplicateWorkloadOptions options;
-  options.num_distinct = 5000;
-  options.duplicates_per_read = 3;
-  auto workload = rfid::MakeDuplicateWorkload(options);
-  for (auto _ : state) {
-    state.PauseTiming();
-    Engine engine(BatchOptions(state.range(0)));
-    bench::CheckOk(engine.ExecuteScript(R"sql(
-      CREATE STREAM readings(reader_id, tag_id, read_time);
-      CREATE STREAM cleaned_readings(reader_id, tag_id, read_time);
-      INSERT INTO cleaned_readings
-      SELECT * FROM readings AS r1
-      WHERE NOT EXISTS
-        (SELECT * FROM TABLE( readings OVER
-            (RANGE 1 seconds PRECEDING CURRENT)) AS r2
-         WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id);
-    )sql"),
-                   "setup");
-    state.ResumeTiming();
-    bench::Feed(&engine, workload);
-    bench::CheckOk(engine.FlushBatches(), "flush");
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          workload.events.size());
-}
-BENCHMARK(BM_DedupBatchSize)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-
-// Example 7 chronicle SEQ — batched history append/scan; the join-side
-// state machine still walks tuple runs, so gains here bound what pure
-// dispatch amortization buys a stateful operator.
-void BM_SeqChronicleBatchSize(benchmark::State& state) {
-  rfid::PackingWorkloadOptions options;
-  options.num_cases = 2000;
-  auto workload = rfid::MakePackingWorkload(options);
-  for (auto _ : state) {
-    state.PauseTiming();
-    Engine engine(BatchOptions(state.range(0)));
-    bench::CheckOk(engine.ExecuteScript(R"sql(
-      CREATE STREAM R1(readerid, tagid, tagtime);
-      CREATE STREAM R2(readerid, tagid, tagtime);
-    )sql"),
-                   "ddl");
-    auto q = engine.RegisterQuery(R"sql(
-      SELECT FIRST(R1*).tagtime, COUNT(R1*), R2.tagid, R2.tagtime
-      FROM R1, R2
-      WHERE SEQ(R1*, R2) MODE CHRONICLE
-        AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS
-        AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS
-    )sql");
-    bench::CheckOk(q.status(), "query");
-    state.ResumeTiming();
-    bench::Feed(&engine, workload);
-    bench::CheckOk(engine.FlushBatches(), "flush");
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          workload.events.size());
-}
-BENCHMARK(BM_SeqChronicleBatchSize)->Arg(1)->Arg(64)->Arg(1024);
-
-// Sharded Example 1 — route-level batching: the front end buffers
-// per-shard sub-batches so each MPSC enqueue carries batch_size tuples
-// instead of one. Fixed 4 shards, sweeping the batch knob.
+// Sharded Example 1 — the front end buffers per-shard runs so each MPSC
+// enqueue carries route_batch_size tuples instead of one. Fixed 4
+// shards, sweeping the route batch size.
 void BM_ShardedDedupBatchSize(benchmark::State& state) {
   rfid::DuplicateWorkloadOptions options;
   options.num_distinct = 5000;
@@ -95,7 +23,7 @@ void BM_ShardedDedupBatchSize(benchmark::State& state) {
     state.PauseTiming();
     ShardedEngineOptions sharded_options;
     sharded_options.num_shards = 4;
-    sharded_options.engine = BatchOptions(state.range(0));
+    sharded_options.route_batch_size = static_cast<size_t>(state.range(0));
     ShardedEngine engine(sharded_options);
     bench::CheckOk(engine.ExecuteScript(R"sql(
       CREATE STREAM readings(reader_id, tag_id, read_time);
@@ -119,47 +47,6 @@ void BM_ShardedDedupBatchSize(benchmark::State& state) {
 }
 BENCHMARK(BM_ShardedDedupBatchSize)->Arg(1)->Arg(64)->Arg(1024)
     ->MeasureProcessCPUTime()->UseRealTime();
-
-// Caller-formed batches: one PushBatch crossing per batch regardless of
-// the engine knob — the upper bound on dispatch amortization.
-void BM_ExplicitPushBatch(benchmark::State& state) {
-  rfid::DuplicateWorkloadOptions options;
-  options.num_distinct = 5000;
-  options.duplicates_per_read = 3;
-  auto workload = rfid::MakeDuplicateWorkload(options);
-  const size_t chunk = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    Engine engine;  // batch_size=1: crossings come only from PushBatch
-    bench::CheckOk(engine.ExecuteScript(R"sql(
-      CREATE STREAM readings(reader_id, tag_id, read_time);
-      CREATE STREAM cleaned_readings(reader_id, tag_id, read_time);
-      INSERT INTO cleaned_readings
-      SELECT * FROM readings AS r1
-      WHERE NOT EXISTS
-        (SELECT * FROM TABLE( readings OVER
-            (RANGE 1 seconds PRECEDING CURRENT)) AS r2
-         WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id);
-    )sql"),
-                   "setup");
-    TupleBatch batch;
-    batch.Reserve(chunk);
-    state.ResumeTiming();
-    for (const auto& e : workload.events) {
-      batch.Add(e.tuple);
-      if (batch.size() >= chunk) {
-        bench::CheckOk(engine.PushBatch(e.stream, batch), "push-batch");
-        batch.Clear();
-      }
-    }
-    if (!batch.empty()) {
-      bench::CheckOk(engine.PushBatch("readings", batch), "push-batch");
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          workload.events.size());
-}
-BENCHMARK(BM_ExplicitPushBatch)->Arg(64)->Arg(1024);
 
 }  // namespace
 }  // namespace eslev

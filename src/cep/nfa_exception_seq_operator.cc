@@ -326,6 +326,8 @@ Status NfaExceptionSeqOperator::RestoreState(BinaryDecoder* dec) {
     if (ntuples == 0) {
       return Status::IoError("EXCEPTION_SEQ checkpoint: empty position group");
     }
+    ESLEV_RETURN_NOT_OK(
+        dec->CheckCount(ntuples, BinaryDecoder::kMinTupleBytes));
     std::vector<Tuple> group;
     group.reserve(ntuples);
     for (uint32_t j = 0; j < ntuples; ++j) {

@@ -55,9 +55,6 @@ class NfaSeqOperator : public SeqOperatorBase {
 
   /// \brief Port == position index.
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
-  /// \brief Native batch path: columnar arrival-filter pre-pass, then
-  /// per-tuple in-order run maintenance (DESIGN.md §13).
-  Status ProcessBatch(size_t port, const TupleBatch& batch) override;
   Status ProcessHeartbeat(Timestamp now) override;
 
   size_t history_size() const override;
@@ -131,7 +128,6 @@ class NfaSeqOperator : public SeqOperatorBase {
   const Group* PrevChosen(const std::vector<const Group*>& chosen,
                           int pos) const;
 
-  Status ProcessArrival(size_t port, const Tuple& tuple, uint64_t seq);
   // Returns the affected group; `created` reports whether a fresh group
   // started (as opposed to extending an open star group).
   Result<GroupPtr> StoreArrival(size_t pos, const Tuple& tuple, uint64_t seq,
@@ -148,7 +144,6 @@ class NfaSeqOperator : public SeqOperatorBase {
   // EmitMatch applies (mirroring the history matcher's search guards).
   Result<bool> ValidChosen(const std::vector<const Group*>& chosen);
   Status EmitMatch(const std::vector<const Group*>& chosen);
-  Status EmitOut(const Tuple& tuple);
 
   Status MatchUnrestricted(const Group& trigger);
   Status MatchRecent(const Group& trigger);
@@ -184,8 +179,6 @@ class NfaSeqOperator : public SeqOperatorBase {
   uint64_t runs_purged_ = 0;
   uint64_t shared_prefixes_ = 0;
   RowScratch scratch_;
-  TupleBatch* batch_out_ = nullptr;
-  std::vector<unsigned char> batch_selection_;
 };
 
 }  // namespace eslev

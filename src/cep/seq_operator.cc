@@ -198,11 +198,6 @@ Status SeqOperator::ProcessTuple(size_t port, const Tuple& tuple) {
   const uint64_t seq = arrival_seq_++;
   ESLEV_ASSIGN_OR_RETURN(bool pass, PassesArrivalFilter(port, tuple));
   if (!pass) return Status::OK();
-  return ProcessArrival(port, tuple, seq);
-}
-
-Status SeqOperator::ProcessArrival(size_t port, const Tuple& tuple,
-                                   uint64_t seq) {
   EvictByWindow(tuple.ts());
 
   if (config_.positions[port].negated &&
@@ -252,46 +247,6 @@ Status SeqOperator::ProcessArrival(size_t port, const Tuple& tuple,
     PurgeRecent();
   }
   return Status::OK();
-}
-
-Status SeqOperator::ProcessBatch(size_t port, const TupleBatch& batch) {
-  if (port >= n_) {
-    return Status::ExecutionError("SEQ port out of range");
-  }
-  // Columnar pre-pass: arrival filters are pure single-position
-  // predicates, so evaluating one expression tree across the whole run
-  // up front accepts exactly the tuples the inline check would.
-  batch_selection_.assign(batch.size(), 1);
-  if (config_.arrival_filters[port]) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      ESLEV_ASSIGN_OR_RETURN(bool pass, PassesArrivalFilter(port, batch[i]));
-      if (!pass) batch_selection_[i] = 0;
-    }
-  }
-  // History mutation and matching are order-dependent: run them per tuple
-  // in arrival order, collecting emissions into one output batch.
-  // Rejected tuples still consume an arrival sequence number, exactly as
-  // in ProcessTuple.
-  TupleBatch out;
-  batch_out_ = &out;
-  Status st = Status::OK();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const uint64_t seq = arrival_seq_++;
-    if (!batch_selection_[i]) continue;
-    st = ProcessArrival(port, batch[i], seq);
-    if (!st.ok()) break;
-  }
-  batch_out_ = nullptr;
-  ESLEV_RETURN_NOT_OK(st);
-  return EmitBatch(out);
-}
-
-Status SeqOperator::EmitOut(const Tuple& tuple) {
-  if (batch_out_ != nullptr) {
-    batch_out_->Add(tuple);
-    return Status::OK();
-  }
-  return Emit(tuple);
 }
 
 size_t SeqOperator::open_star_length() const {
@@ -630,7 +585,7 @@ Status SeqOperator::EmitMatch(const std::vector<const Entry*>& chosen) {
     }
     ESLEV_ASSIGN_OR_RETURN(
         Tuple out, MakeTuple(config_.out_schema, std::move(values), out_ts));
-    return EmitOut(out);
+    return Emit(out);
   };
 
   if (config_.per_tuple_star >= 0) {
@@ -755,6 +710,8 @@ Status SeqOperator::RestoreState(BinaryDecoder* dec) {
     if (ntuples == 0) {
       return Status::IoError("SEQ checkpoint: empty history entry");
     }
+    ESLEV_RETURN_NOT_OK(
+        dec->CheckCount(ntuples, BinaryDecoder::kMinTupleBytes));
     e->tuples.reserve(ntuples);
     for (uint32_t i = 0; i < ntuples; ++i) {
       ESLEV_ASSIGN_OR_RETURN(Tuple t, dec->GetTuple());

@@ -50,11 +50,6 @@ class SeqOperator : public SeqOperatorBase {
 
   /// \brief Port == position index.
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
-  /// \brief Native batch path (DESIGN.md §13): a columnar arrival-filter
-  /// pre-pass over the run, per-tuple in-order history/matching (the
-  /// joint history is order-dependent), and match emissions collected
-  /// into one output batch.
-  Status ProcessBatch(size_t port, const TupleBatch& batch) override;
   Status ProcessHeartbeat(Timestamp now) override;
 
   /// \brief Total tuples retained across all positions — the state-size
@@ -124,11 +119,6 @@ class SeqOperator : public SeqOperatorBase {
 
   Status EnumerateFrom(int pos, std::vector<const Entry*>* chosen);
   Status EmitMatch(const std::vector<const Entry*>& chosen);
-  // Emit() or, under ProcessBatch, append to the pending output batch.
-  Status EmitOut(const Tuple& tuple);
-  // ProcessTuple minus port check, seq assignment, and arrival filter —
-  // the shared tail of the tuple and batch paths.
-  Status ProcessArrival(size_t port, const Tuple& tuple, uint64_t seq);
 
   Status StoreArrival(size_t pos, const Tuple& tuple, uint64_t seq);
   void EvictByWindow(Timestamp now);
@@ -156,8 +146,6 @@ class SeqOperator : public SeqOperatorBase {
   uint64_t tuples_stored_ = 0;
   uint64_t tuples_purged_ = 0;
   RowScratch scratch_;
-  TupleBatch* batch_out_ = nullptr;            // non-null inside ProcessBatch
-  std::vector<unsigned char> batch_selection_;  // arrival-filter pre-pass
 };
 
 }  // namespace eslev

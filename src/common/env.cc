@@ -51,16 +51,4 @@ Result<std::optional<size_t>> GetEnvChoice(
                          accepted);
 }
 
-Result<size_t> ResolveBatchSize(size_t configured) {
-  if (configured < 1 || configured > static_cast<size_t>(kMaxBatchSize)) {
-    return Status::Invalid("batch_size=" + std::to_string(configured) +
-                           " is out of range; accepted range is [1, " +
-                           std::to_string(kMaxBatchSize) + "]");
-  }
-  auto env = GetEnvInt64(kBatchSizeEnvVar, 1, kMaxBatchSize);
-  if (!env.ok()) return env.status();
-  if (env->has_value()) return static_cast<size_t>(**env);
-  return configured;
-}
-
 }  // namespace eslev

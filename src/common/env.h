@@ -31,18 +31,6 @@ Result<std::optional<int64_t>> GetEnvInt64(const char* name,
 Result<std::optional<size_t>> GetEnvChoice(
     const char* name, const std::vector<std::string>& allowed);
 
-/// \brief The batch-size knob: ESLEV_BATCH_SIZE overrides `configured`
-/// when set (DESIGN.md §13). Accepts 1..1048576; 0, negatives, and
-/// garbage are rejected — batch size 1 *is* tuple-at-a-time execution,
-/// so there is no "disabled" spelling to accept.
-Result<size_t> ResolveBatchSize(size_t configured);
-
-/// \brief Name of the batch-size environment variable (tests, docs).
-inline constexpr const char* kBatchSizeEnvVar = "ESLEV_BATCH_SIZE";
-
-/// \brief Upper bound accepted by ResolveBatchSize.
-inline constexpr int64_t kMaxBatchSize = 1 << 20;
-
 }  // namespace eslev
 
 #endif  // ESLEV_COMMON_ENV_H_

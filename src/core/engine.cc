@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include "analysis/analyzer.h"
-#include "common/env.h"
 #include "common/string_util.h"
 #include "expr/sql_uda.h"
 #include "plan/snapshot_executor.h"
@@ -9,35 +8,17 @@
 namespace eslev {
 
 Engine::Engine(EngineOptions options) : options_(options) {
-  // Resolve the batch knob up front; a constructor cannot return a
-  // Status, so a bad value (option out of range, malformed
-  // ESLEV_BATCH_SIZE) parks the engine in an error state surfaced by the
-  // first API call instead of being silently ignored.
-  if (options_.honor_batch_env) {
-    auto resolved = ResolveBatchSize(options_.batch_size);
-    if (!resolved.ok()) {
-      init_error_ = resolved.status();
-      return;
-    }
-    batch_size_ = *resolved;
-  } else {
-    if (options_.batch_size < 1 ||
-        options_.batch_size > static_cast<size_t>(kMaxBatchSize)) {
-      init_error_ = Status::Invalid(
-          "batch_size=" + std::to_string(options_.batch_size) +
-          " is out of range; accepted range is [1, " +
-          std::to_string(kMaxBatchSize) + "]");
-      return;
-    }
-    batch_size_ = options_.batch_size;
-  }
+  // Resolve the knobs up front; a constructor cannot return a Status, so
+  // a bad value (malformed ESLEV_SEQ_BACKEND or ESLEV_INGEST_*) parks the
+  // engine in an error state surfaced by the first API call instead of
+  // being silently ignored.
   auto backend = ResolveSeqBackend(options_.seq_backend);
   if (!backend.ok()) {
     init_error_ = backend.status();
     return;
   }
   seq_backend_ = *backend;
-  // Ingest knobs (DESIGN.md §15), validated exactly like the batch knob.
+  // Ingest knobs (DESIGN.md §15), validated exactly like the backend.
   if (options_.honor_ingest_env) {
     auto ingest = ResolveIngestOptions(options_.ingest);
     if (!ingest.ok()) {
@@ -61,14 +42,7 @@ Engine::Engine(EngineOptions options) : options_(options) {
           if (s == nullptr) {
             return Status::IoError("ingest delivery for unknown port");
           }
-          return DeliverTuple(s, ingest_->port_name(port), t);
-        },
-        [this](size_t port, const TupleBatch& batch) {
-          Stream* s = IngestPortStream(port);
-          if (s == nullptr) {
-            return Status::IoError("ingest delivery for unknown port");
-          }
-          return DeliverBatch(s, batch);
+          return DeliverTuple(s, t);
         },
         [this](Timestamp now) { return DeliverHeartbeat(now); });
   }
@@ -164,9 +138,6 @@ Result<QueryInfo> Engine::RegisterQuery(const std::string& sql) {
 }
 
 Result<QueryInfo> Engine::RegisterParsed(const Statement& stmt) {
-  // Topology changes are batch boundaries: a pipeline must never observe
-  // tuples pushed before it was registered.
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   Planner planner(this, seq_backend_);
   ESLEV_ASSIGN_OR_RETURN(PlannedQuery planned, planner.Plan(stmt));
 
@@ -202,14 +173,11 @@ Result<QueryInfo> Engine::RegisterParsed(const Statement& stmt) {
     sub.stream->Subscribe(sub.op, sub.port);
   }
   queries_.push_back(std::move(planned));
-  RecomputeBatchSafety();
   return info;
 }
 
 Status Engine::UnregisterQuery(int id) {
   ESLEV_RETURN_NOT_OK(init_error_);
-  // Topology changes are batch boundaries, exactly like registration.
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   size_t index = queries_.size();
   for (size_t i = 0; i < queries_.size(); ++i) {
     if (queries_[i].query_id == id) {
@@ -273,7 +241,6 @@ Status Engine::UnregisterQuery(int id) {
                                 : other.target;
     derived_[AsciiToLower(out)] = true;
   }
-  RecomputeBatchSafety();
   return Status::OK();
 }
 
@@ -294,55 +261,7 @@ Status Engine::SetNextQueryId(int id) {
   return Status::OK();
 }
 
-void Engine::RecomputeBatchSafety() {
-  // Batching preserves each subscription's emission sequence only when
-  // pipelines do not couple through shared mutable state or mixed
-  // raw/derived inputs (DESIGN.md §13). Disable it — the engine silently
-  // runs tuple-at-a-time — when any registered query:
-  //   1. writes a table (readable mid-batch by other pipelines),
-  //   2. joins a derived stream with another stream (tuple mode
-  //      interleaves source and derived arrivals; batch mode delivers
-  //      them as separate runs),
-  //   3. shares its output stream with another query (producer
-  //      interleaving into the shared stream would change), or
-  //   4. subscribes to the same stream on several ports (per-tuple
-  //      port alternation would become per-run).
-  batching_safe_ = true;
-  std::map<std::string, int> producers;
-  for (const PlannedQuery& q : queries_) {
-    if (q.target_is_table) {
-      batching_safe_ = false;
-      return;
-    }
-    if (!q.target.empty()) {
-      if (++producers[AsciiToLower(q.target)] > 1) {
-        batching_safe_ = false;
-        return;
-      }
-    }
-    bool any_derived = false;
-    std::map<std::string, int> per_stream_ports;
-    std::map<std::string, bool> distinct;
-    for (const auto& sub : q.subscriptions) {
-      const std::string key = AsciiToLower(sub.stream->name());
-      distinct[key] = true;
-      if (derived_.count(key)) any_derived = true;
-      if (++per_stream_ports[key] > 1) {
-        batching_safe_ = false;
-        return;
-      }
-    }
-    if (any_derived && distinct.size() > 1) {
-      batching_safe_ = false;
-      return;
-    }
-  }
-}
-
 Result<std::vector<Tuple>> Engine::ExecuteSnapshot(const std::string& sql) {
-  // Snapshots read tables and retained history: make pending effects
-  // visible first.
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   ESLEV_ASSIGN_OR_RETURN(StatementPtr stmt, ParseStatement(sql));
   if (stmt->kind != StatementKind::kSelect) {
     return Status::Invalid("snapshot queries must be SELECT statements");
@@ -352,8 +271,6 @@ Result<std::vector<Tuple>> Engine::ExecuteSnapshot(const std::string& sql) {
 }
 
 Result<std::string> Engine::Explain(const std::string& sql) {
-  // EXPLAIN ANALYZE reads live counters: settle pending batches first.
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   ESLEV_ASSIGN_OR_RETURN(StatementPtr stmt, ParseStatement(sql));
   if (stmt->kind == StatementKind::kExplain) {
     const auto& explain = static_cast<const ExplainStmt&>(*stmt);
@@ -422,11 +339,6 @@ std::string OperatorCounters(const Operator& op) {
   std::string out = "  [tuples_in=" + std::to_string(op.tuples_in()) +
                     " tuples_out=" + std::to_string(op.tuples_emitted()) +
                     " heartbeats=" + std::to_string(op.heartbeats_in());
-  if (op.batches_in() > 0) {
-    out += " batches_in=" + std::to_string(op.batches_in()) +
-           " batch_fallback_tuples=" +
-           std::to_string(op.batch_fallback_tuples());
-  }
   OperatorStatList extras;
   op.AppendStats(&extras);
   for (const auto& [name, value] : extras) {
@@ -506,9 +418,6 @@ MetricsSnapshot Engine::Metrics() const {
       snap.counters[prefix + "tuples_in"] = op->tuples_in();
       snap.counters[prefix + "tuples_out"] = op->tuples_emitted();
       snap.counters[prefix + "heartbeats"] = op->heartbeats_in();
-      snap.counters[prefix + "batches_in"] = op->batches_in();
-      snap.counters[prefix + "batch_fallback_tuples"] =
-          op->batch_fallback_tuples();
       OperatorStatList extras;
       op->AppendStats(&extras);
       for (const auto& [name, value] : extras) {
@@ -523,30 +432,6 @@ MetricsSnapshot Engine::Metrics() const {
     }
   }
   snap.gauges["seq.backend"] = static_cast<int64_t>(seq_backend_);
-  // Vectorized execution (DESIGN.md §13).
-  snap.gauges["batch.size"] = static_cast<int64_t>(batch_size_);
-  snap.gauges["batch.safe"] = batching_safe_ ? 1 : 0;
-  snap.gauges["batch.pending"] = static_cast<int64_t>(pending_batch_.size());
-  snap.counters["batch.batches_dispatched"] = batches_dispatched_;
-  snap.counters["batch.tuples_batched"] = tuples_batched_;
-  snap.gauges["batch.avg_fill_x100"] =
-      batches_dispatched_ == 0
-          ? 0
-          : static_cast<int64_t>(tuples_batched_ * 100 / batches_dispatched_);
-  uint64_t fallback = 0;
-  for (const PlannedQuery& q : queries_) {
-    for (const Operator* op : q.note_ops) {
-      if (op != nullptr) fallback += op->batch_fallback_tuples();
-    }
-  }
-  if (ingest_ != nullptr) {
-    // Ingest stages sit upstream of every query; they count against the
-    // same fallback budget so a per-tuple ingest path is visible here.
-    for (const Operator* op : ingest_->stages()) {
-      fallback += op->batch_fallback_tuples();
-    }
-  }
-  snap.counters["batch.fallback_tuples"] = fallback;
   // Ingest (DESIGN.md §15).
   if (ingest_ != nullptr) {
     snap.gauges["ingest.input_clock"] =
@@ -582,8 +467,6 @@ MetricsSnapshot Engine::Metrics() const {
 }
 
 Status Engine::Subscribe(const std::string& stream, TupleCallback callback) {
-  // A new callback must observe only future tuples.
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   Stream* s = FindStream(stream);
   if (s == nullptr) return Status::NotFound("stream not found: " + stream);
   s->SubscribeCallback(std::move(callback));
@@ -637,61 +520,20 @@ Status Engine::PushTuple(const std::string& stream, const Tuple& tuple) {
         " is before the engine clock " + FormatTimestamp(clock_) +
         " (the joint tuple history is totally ordered)");
   }
-  // Write-ahead: the input is durable before any of its effects — and
-  // before it is buffered, so a crash with a pending batch loses nothing.
+  // Write-ahead: the input is durable before any of its effects.
   if (wal_ != nullptr && !replaying_) {
     ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(s->name(), tuple));
     (void)lsn;
   }
-  return DeliverTuple(s, key, tuple);
+  return DeliverTuple(s, tuple);
 }
 
-Status Engine::DeliverTuple(Stream* s, const std::string& key,
-                            const Tuple& tuple) {
+Status Engine::DeliverTuple(Stream* s, const Tuple& tuple) {
   clock_ = std::max(clock_, tuple.ts());
-  if (batch_size_ <= 1 || !batching_safe_) {
-    return s->Push(tuple);
-  }
-  // Direct pushes into a derived stream must not be reordered relative
-  // to pipeline emissions into it: settle pending work, then deliver
-  // immediately.
-  if (derived_.count(key)) {
-    ESLEV_RETURN_NOT_OK(FlushBatches());
-    return s->Push(tuple);
-  }
-  // Auto-batching: a batch is a run of consecutive same-stream pushes,
-  // so switching streams is a batch boundary (cross-stream arrival order
-  // — e.g. a SEQ joint history — is preserved exactly).
-  if (pending_stream_ != nullptr && pending_stream_ != s) {
-    ESLEV_RETURN_NOT_OK(FlushBatches());
-  }
-  pending_stream_ = s;
-  if (pending_batch_.empty()) pending_batch_.Reserve(batch_size_);
-  pending_batch_.Add(tuple);
-  if (pending_batch_.size() >= batch_size_) {
-    return FlushBatches();
-  }
-  return Status::OK();
-}
-
-Status Engine::DeliverBatch(Stream* s, const TupleBatch& batch) {
-  ESLEV_RETURN_NOT_OK(FlushBatches());
-  clock_ = std::max(clock_, batch.back_ts());
-  if (!batching_safe_) {
-    for (const Tuple& t : batch.tuples()) {
-      ESLEV_RETURN_NOT_OK(s->Push(t));
-    }
-    return Status::OK();
-  }
-  ++batches_dispatched_;
-  tuples_batched_ += batch.size();
-  return s->PushBatch(batch);
+  return s->Push(tuple);
 }
 
 Status Engine::DeliverHeartbeat(Timestamp now) {
-  // The ingest release frontier only moves forward, but deliver pending
-  // batches before the tick so expirations observe them (§13).
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   clock_ = std::max(clock_, now);
   for (auto& [key, stream] : streams_) {
     if (derived_.count(key)) continue;  // reached through the pipelines
@@ -726,90 +568,6 @@ Status Engine::SetIngestLateHandler(
   return Status::OK();
 }
 
-Status Engine::PushBatch(const std::string& stream, const TupleBatch& batch) {
-  ESLEV_RETURN_NOT_OK(init_error_);
-  if (batch.empty()) return Status::OK();
-  Stream* s = FindStream(stream);
-  if (s == nullptr) return Status::NotFound("stream not found: " + stream);
-  ESLEV_RETURN_NOT_OK(FlushBatches());
-  const std::string key = AsciiToLower(stream);
-  if (ingest_ != nullptr && derived_.count(key) == 0) {
-    const bool check_order = ingest_options_.lateness_bound == 0 &&
-                             options_.enforce_monotonic_time;
-    Timestamp prev = ingest_input_clock_;
-    for (const Tuple& t : batch.tuples()) {
-      if (check_order && t.ts() < prev) {
-        return Status::OutOfRange(
-            "out-of-order tuple in batch: ts " + FormatTimestamp(t.ts()) +
-            " is before " + FormatTimestamp(prev) +
-            " (configure ingest.lateness_bound for disordered input)");
-      }
-      prev = std::max(prev, t.ts());
-      if (wal_ != nullptr && !replaying_) {
-        ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(s->name(), t));
-        (void)lsn;
-      }
-    }
-    ingest_input_clock_ = std::max(ingest_input_clock_, prev);
-    const size_t port = ingest_->PortFor(key);
-    if (port >= ingest_port_streams_.size()) {
-      ingest_port_streams_.resize(port + 1, nullptr);
-    }
-    ingest_port_streams_[port] = s;
-    return ingest_->OfferBatch(port, batch);
-  }
-  Timestamp prev = clock_;
-  for (const Tuple& t : batch.tuples()) {
-    if (options_.enforce_monotonic_time && t.ts() < prev) {
-      return Status::OutOfRange(
-          "out-of-order tuple in batch: ts " + FormatTimestamp(t.ts()) +
-          " is before " + FormatTimestamp(prev) +
-          " (the joint tuple history is totally ordered)");
-    }
-    prev = std::max(prev, t.ts());
-    if (wal_ != nullptr && !replaying_) {
-      ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(s->name(), t));
-      (void)lsn;
-    }
-  }
-  clock_ = std::max(clock_, batch.back_ts());
-  // A topology the safety analysis flagged (RecomputeBatchSafety) must
-  // not see a multi-tuple crossing even from a pre-formed batch — the
-  // sharded routing layer hands those to its shard engines regardless of
-  // what queries they registered.
-  if (!batching_safe_) {
-    for (const Tuple& t : batch.tuples()) {
-      ESLEV_RETURN_NOT_OK(s->Push(t));
-    }
-    return Status::OK();
-  }
-  ++batches_dispatched_;
-  tuples_batched_ += batch.size();
-  return s->PushBatch(batch);
-}
-
-Status Engine::FlushBatches() {
-  if (pending_stream_ == nullptr || pending_batch_.empty()) {
-    return Status::OK();
-  }
-  Stream* s = pending_stream_;
-  // Detach before dispatch so re-entrant pushes from user callbacks
-  // start a fresh batch instead of corrupting the in-flight one.
-  TupleBatch batch = std::move(pending_batch_);
-  pending_batch_.Clear();
-  pending_stream_ = nullptr;
-  ++batches_dispatched_;
-  tuples_batched_ += batch.size();
-  Status st = s->PushBatch(batch);
-  // Donate the heap capacity back for the next run (unless a re-entrant
-  // push already started buffering into a fresh batch).
-  if (pending_batch_.empty()) {
-    batch.Clear();
-    std::swap(pending_batch_, batch);
-  }
-  return st;
-}
-
 Status Engine::AdvanceTime(Timestamp now) {
   ESLEV_RETURN_NOT_OK(init_error_);
   // Ingest path: the tick is recorded raw, then drives the reorder /
@@ -830,20 +588,11 @@ Status Engine::AdvanceTime(Timestamp now) {
   if (options_.enforce_monotonic_time && now < clock_) {
     return Status::OutOfRange("time cannot move backwards");
   }
-  // Heartbeats are batch boundaries (DESIGN.md §13): deliver pending
-  // tuples before the clock tick so expirations fire exactly as in
-  // tuple-at-a-time mode.
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   if (wal_ != nullptr && !replaying_) {
     ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat("", now));
     (void)lsn;
   }
-  clock_ = std::max(clock_, now);
-  for (auto& [key, stream] : streams_) {
-    if (derived_.count(key)) continue;  // reached through the pipelines
-    ESLEV_RETURN_NOT_OK(stream->Heartbeat(now));
-  }
-  return Status::OK();
+  return DeliverHeartbeat(now);
 }
 
 }  // namespace eslev

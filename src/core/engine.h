@@ -38,7 +38,6 @@
 #include "plan/planner.h"
 #include "recovery/wal.h"
 #include "sql/parser.h"
-#include "types/tuple_batch.h"
 
 namespace eslev {
 
@@ -50,16 +49,6 @@ struct EngineOptions {
   /// history is totally ordered). When false, out-of-order tuples are
   /// accepted and processed in arrival order.
   bool enforce_monotonic_time = true;
-  /// Vectorized execution (DESIGN.md §13): consecutive PushTuple calls
-  /// to the same stream accumulate into a TupleBatch dispatched as one
-  /// pipeline crossing. 1 (the default) is tuple-at-a-time execution.
-  /// Output is byte-identical per subscription at any batch size.
-  size_t batch_size = 1;
-  /// When true, ESLEV_BATCH_SIZE in the environment overrides
-  /// `batch_size` (validated; invalid values surface as an error from
-  /// the first API call). Embedded engines — shard workers, standbys —
-  /// set this false so the knob applies once at the front end.
-  bool honor_batch_env = true;
   /// Which matcher executes SEQ / EXCEPTION_SEQ predicates (DESIGN.md
   /// §14). ESLEV_SEQ_BACKEND in the environment overrides this
   /// (validated; malformed values surface as an error from the first API
@@ -70,9 +59,9 @@ struct EngineOptions {
   /// default (all bounds 0) — input must arrive in timestamp order.
   IngestOptions ingest;
   /// When true, ESLEV_INGEST_* environment variables override `ingest`
-  /// (validated like ESLEV_BATCH_SIZE). Embedded engines — shard
-  /// workers, standbys — set this false; ingest applies once at the
-  /// front end.
+  /// (validated; invalid values surface as an error from the first API
+  /// call). Embedded engines — shard workers, standbys — set this false;
+  /// ingest applies once at the front end.
   bool honor_ingest_env = true;
 };
 
@@ -205,20 +194,6 @@ class Engine : public Catalog {
               Timestamp ts);
   Status PushTuple(const std::string& stream, const Tuple& tuple);
 
-  /// \brief Append an ordered run of tuples to one stream and dispatch
-  /// it as a single pipeline crossing, regardless of the batch-size knob
-  /// (never buffered). Timestamps must be non-decreasing; the write-ahead
-  /// log still records each tuple individually.
-  Status PushBatch(const std::string& stream, const TupleBatch& batch);
-
-  /// \brief Dispatch any buffered partial batch now. Called implicitly
-  /// by AdvanceTime, snapshot queries, checkpointing, subscription and
-  /// query registration; explicit calls are only needed when reading
-  /// side effects between pushes without advancing time.
-  Status FlushBatches();
-
-  /// \brief The resolved batch size (option + ESLEV_BATCH_SIZE override).
-  size_t batch_size() const { return batch_size_; }
   /// \brief The resolved ingest options (option + ESLEV_INGEST_*
   /// overrides).
   const IngestOptions& ingest_options() const { return ingest_options_; }
@@ -235,16 +210,9 @@ class Engine : public Catalog {
   /// \brief The resolved SEQ backend (option + ESLEV_SEQ_BACKEND
   /// override).
   SeqBackend seq_backend() const { return seq_backend_; }
-  /// \brief False when the registered topology couples pipelines in ways
-  /// batching could reorder (table targets, raw+derived joins, multiple
-  /// producers into one stream); the engine then runs tuple-at-a-time
-  /// regardless of the knob (DESIGN.md §13).
-  bool batching_safe() const { return batching_safe_; }
 
   /// \brief Advance application time without a tuple: fires window
-  /// expirations (active expiration) across all pipelines. Flushes any
-  /// pending batch first — heartbeats are batch boundaries, so
-  /// expiration timing is identical in batch and tuple mode.
+  /// expirations (active expiration) across all pipelines.
   Status AdvanceTime(Timestamp now);
 
   Timestamp current_time() const { return clock_; }
@@ -310,13 +278,9 @@ class Engine : public Catalog {
   Result<ReplayStats> ReplayRecords(const std::vector<WalRecord>& records,
                                     const ReplayOptions& options);
 
-  void RecomputeBatchSafety();
-
-  // Post-ingest delivery into the pipelines: the tail of PushTuple /
-  // PushBatch (clock advance, auto-batching, dispatch). `key` is the
-  // lower-cased catalog key of `s`.
-  Status DeliverTuple(Stream* s, const std::string& key, const Tuple& tuple);
-  Status DeliverBatch(Stream* s, const TupleBatch& batch);
+  // Post-ingest delivery into the pipelines: the tail of PushTuple
+  // (clock advance, dispatch).
+  Status DeliverTuple(Stream* s, const Tuple& tuple);
   Status DeliverHeartbeat(Timestamp now);
   Stream* IngestPortStream(size_t port);
 
@@ -337,15 +301,8 @@ class Engine : public Catalog {
   std::vector<Stream*> ingest_port_streams_;  // port -> stream cache
   Timestamp ingest_input_clock_ = kMinTimestamp;  // max ts offered to ingest
 
-  // Vectorized execution (DESIGN.md §13).
   Status init_error_ = Status::OK();  // invalid knob, surfaced lazily
-  size_t batch_size_ = 1;
   SeqBackend seq_backend_ = SeqBackend::kHistory;
-  bool batching_safe_ = true;
-  Stream* pending_stream_ = nullptr;
-  TupleBatch pending_batch_;
-  uint64_t batches_dispatched_ = 0;
-  uint64_t tuples_batched_ = 0;
 
   // Durability state (core/engine_checkpoint.cc).
   std::unique_ptr<WalWriter> wal_;

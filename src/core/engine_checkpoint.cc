@@ -72,10 +72,6 @@ Result<std::pair<std::string, std::string>> DecodeNamedFrame(
 
 Status Engine::Checkpoint(const std::string& dir) {
   const auto start = std::chrono::steady_clock::now();
-  // A checkpoint captures fully-processed state only: deliver any
-  // pending batch first so the saved counters and operator state agree
-  // with the WAL position (DESIGN.md §13).
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
@@ -166,7 +162,6 @@ Status Engine::Checkpoint(const std::string& dir) {
 }
 
 Status Engine::Restore(const std::string& dir) {
-  ESLEV_RETURN_NOT_OK(FlushBatches());
   const std::string path = dir + "/" + kCheckpointFileName;
   ESLEV_ASSIGN_OR_RETURN(std::string bytes, ReadFileAll(path));
   ESLEV_ASSIGN_OR_RETURN(FrameScanResult frames,
@@ -392,20 +387,13 @@ Result<ReplayStats> Engine::ReplayRecords(const std::vector<WalRecord>& records,
         status = Status::IoError("WAL heartbeat for unknown stream '" +
                                  record.stream + "'");
       } else {
-        // Heartbeats are batch boundaries during replay too.
-        status = FlushBatches();
-        if (status.ok()) {
-          clock_ = std::max(clock_, record.ts);
-          status = s->Heartbeat(record.ts);
-        }
+        clock_ = std::max(clock_, record.ts);
+        status = s->Heartbeat(record.ts);
       }
     }
     if (!status.ok()) break;
     ++stats.records_replayed;
   }
-  // Deliver any tail batch before un-muting, so the resume thresholds
-  // below see the true per-stream push counts.
-  if (status.ok()) status = FlushBatches();
   replaying_ = false;
   // Un-mute: deliveries resume with the next live emission.
   for (Stream* stream : muted) {

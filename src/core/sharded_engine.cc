@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.h"
 #include "common/string_util.h"
 #include "plan/partitioning.h"
 #include "sql/parser.h"
@@ -12,24 +11,12 @@ namespace eslev {
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(options) {
   if (options_.num_shards == 0) options_.num_shards = 1;
-  // The batch knob applies once, at the routing layer; shard engines run
-  // tuple-at-a-time (batches arrive pre-formed through PushBatch), so
-  // Flush()/WaitIdle() never race a shard-side partial buffer.
-  if (options_.engine.honor_batch_env) {
-    Result<size_t> resolved = ResolveBatchSize(options_.engine.batch_size);
-    if (resolved.ok()) {
-      route_batch_size_ = *resolved;
-    } else {
-      init_error_ = resolved.status();
-    }
-  } else if (options_.engine.batch_size < 1 ||
-             options_.engine.batch_size > static_cast<size_t>(kMaxBatchSize)) {
+  if (options_.route_batch_size < 1 ||
+      options_.route_batch_size > kMaxRouteBatchSize) {
     init_error_ = Status::Invalid(
-        "EngineOptions::batch_size must be in [1, " +
-        std::to_string(kMaxBatchSize) + "], got " +
-        std::to_string(options_.engine.batch_size));
-  } else {
-    route_batch_size_ = options_.engine.batch_size;
+        "route_batch_size=" + std::to_string(options_.route_batch_size) +
+        " is out of range; accepted range is [1, " +
+        std::to_string(kMaxRouteBatchSize) + "]");
   }
   // Ingest runs once, at the routing layer, ahead of hash partitioning
   // (per-shard reordering could not restore cross-shard input order, and
@@ -62,15 +49,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
                                    : nullptr,
                                t);
         },
-        [this](size_t port, const TupleBatch& batch) {
-          const StreamRoute* route = port < ingest_port_routes_.size()
-                                         ? ingest_port_routes_[port]
-                                         : nullptr;
-          for (const Tuple& t : batch.tuples()) {
-            ESLEV_RETURN_NOT_OK(RouteReleased(route, t));
-          }
-          return Status::OK();
-        },
         [this](Timestamp now) {
           ingest_fanned_hb_.store(now, std::memory_order_release);
           FanHeartbeat(now);
@@ -78,8 +56,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
         });
   }
   EngineOptions shard_options = options_.engine;
-  shard_options.batch_size = 1;
-  shard_options.honor_batch_env = false;
   shard_options.ingest = IngestOptions{};
   shard_options.honor_ingest_env = false;
   pending_.resize(options_.num_shards);
@@ -104,44 +80,30 @@ ShardedEngine::~ShardedEngine() {
 void ShardedEngine::WorkerLoop(Shard* shard) {
   std::vector<Item> batch;
   Engine& engine = *shard->engine;
+  // Clamp forward to the shard clock (ConcurrentEngine's rule): queue
+  // order is the shard's serialization order.
+  const auto push = [&](const std::string& stream, const Tuple& tuple) {
+    Status st;
+    if (tuple.ts() < engine.current_time()) {
+      Tuple clamped = tuple;
+      clamped.set_ts(engine.current_time());
+      st = engine.PushTuple(stream, clamped);
+    } else {
+      st = engine.PushTuple(stream, tuple);
+    }
+    if (!st.ok()) RecordError(shard, st);
+  };
   while (shard->queue.PopAll(&batch)) {
     for (Item& item : batch) {
       switch (item.kind) {
-        case Item::Kind::kTuple: {
-          // Clamp forward to the shard clock (ConcurrentEngine's rule):
-          // queue order is the shard's serialization order.
-          Status st;
-          if (item.tuple.ts() < engine.current_time()) {
-            Tuple clamped = item.tuple;
-            clamped.set_ts(engine.current_time());
-            st = engine.PushTuple(*item.stream, clamped);
-          } else {
-            st = engine.PushTuple(*item.stream, item.tuple);
-          }
-          if (!st.ok()) RecordError(shard, st);
+        case Item::Kind::kTuple:
+          push(*item.stream, item.tuple);
           break;
-        }
-        case Item::Kind::kBatch: {
-          // Same clamp rule as kTuple, applied with a running clock so
-          // the batch stays a non-decreasing run before one PushBatch
-          // crossing (byte-identical to pushing its tuples one by one).
-          Timestamp clock = engine.current_time();
-          TupleBatch clamped;
-          clamped.Reserve(item.batch.size());
-          for (const Tuple& t : item.batch.tuples()) {
-            if (t.ts() < clock) {
-              Tuple c = t;
-              c.set_ts(clock);
-              clamped.Add(std::move(c));
-            } else {
-              clock = t.ts();
-              clamped.Add(t);
-            }
-          }
-          Status st = engine.PushBatch(*item.stream, clamped);
-          if (!st.ok()) RecordError(shard, st);
+        case Item::Kind::kBatch:
+          // A route batch is only a cheaper queue crossing: its tuples
+          // enter the shard engine exactly as separate kTuple items would.
+          for (const Tuple& t : item.batch) push(*item.stream, t);
           break;
-        }
         case Item::Kind::kHeartbeat: {
           if (item.ts < engine.current_time()) break;  // stale tick
           Status st = engine.AdvanceTime(item.ts);
@@ -277,7 +239,7 @@ Status ShardedEngine::UnregisterQuery(int id) {
   ESLEV_RETURN_NOT_OK(init_error_);
   // Quiesce: every shard must have processed all routed tuples before
   // the topology changes, so the cut lands at the same stream position
-  // on every shard (mirrors Engine::UnregisterQuery's FlushBatches).
+  // on every shard.
   ESLEV_RETURN_NOT_OK(Flush());
   ESLEV_RETURN_NOT_OK(RunOnAllShards(
       [id](Engine& engine) { return engine.UnregisterQuery(id); }));
@@ -453,8 +415,8 @@ Status ShardedEngine::RouteTuple(const std::string& stream, const Tuple& tuple,
   }
   const size_t shard = ShardOf(*route, tuple);
   shards_[shard]->tuples_routed.fetch_add(1, std::memory_order_relaxed);
-  if (route_batch_size_ > 1) {
-    // Route-level batching: buffer into the shard's pending same-stream
+  if (options_.route_batch_size > 1) {
+    // Route batching: buffer into the shard's pending same-stream
     // run instead of enqueueing one item per tuple. The WAL append still
     // happens per tuple, before buffering and under the same mutex as
     // the buffer append, so per-shard enqueue order (== buffer order)
@@ -520,7 +482,7 @@ Status ShardedEngine::RouteReleased(const StreamRoute* route,
   }
   const size_t shard = ShardOf(*route, tuple);
   shards_[shard]->tuples_routed.fetch_add(1, std::memory_order_relaxed);
-  if (route_batch_size_ > 1) {
+  if (options_.route_batch_size > 1) {
     BufferRouted(shard, &route->name, tuple);
     return Status::OK();
   }
@@ -547,21 +509,21 @@ void ShardedEngine::BufferRouted(size_t shard, const std::string* stream,
   // returns the same node for the same stream.
   if (p.stream != nullptr && p.stream != stream) FlushShardLocked(shard);
   p.stream = stream;
-  p.batch.Add(tuple);
-  if (p.batch.size() >= route_batch_size_) FlushShardLocked(shard);
+  p.tuples.push_back(tuple);
+  if (p.tuples.size() >= options_.route_batch_size) FlushShardLocked(shard);
 }
 
 void ShardedEngine::FlushShardLocked(size_t shard) {
   PendingBatch& p = pending_[shard];
-  if (p.batch.empty()) {
+  if (p.tuples.empty()) {
     p.stream = nullptr;
     return;
   }
   Item item;
   item.kind = Item::Kind::kBatch;
   item.stream = p.stream;
-  item.batch = std::move(p.batch);
-  p.batch.Clear();
+  item.batch = std::move(p.tuples);
+  p.tuples.clear();
   p.stream = nullptr;
   route_batches_enqueued_.fetch_add(1, std::memory_order_relaxed);
   route_tuples_batched_.fetch_add(item.batch.size(),
@@ -571,12 +533,12 @@ void ShardedEngine::FlushShardLocked(size_t shard) {
 
 void ShardedEngine::DropRoutePending(size_t shard) {
   std::lock_guard<std::mutex> lock(pending_mu_);
-  pending_[shard].batch.Clear();
+  pending_[shard].tuples.clear();
   pending_[shard].stream = nullptr;
 }
 
 void ShardedEngine::FlushRouteBatches() {
-  if (route_batch_size_ <= 1) return;
+  if (options_.route_batch_size <= 1) return;
   std::lock_guard<std::mutex> lock(pending_mu_);
   for (size_t i = 0; i < pending_.size(); ++i) FlushShardLocked(i);
 }
@@ -763,9 +725,9 @@ Result<MetricsSnapshot> ShardedEngine::Metrics() {
     snap.gauges[prefix + "alive"] =
         shards_[i]->alive.load(std::memory_order_acquire) ? 1 : 0;
   }
-  // Routing-layer batching (DESIGN.md §13).
+  // Route batching (DESIGN.md §8).
   snap.gauges["sharded.batch.route_batch_size"] =
-      static_cast<int64_t>(route_batch_size_);
+      static_cast<int64_t>(options_.route_batch_size);
   snap.counters["sharded.batch.batches_enqueued"] =
       route_batches_enqueued_.load(std::memory_order_relaxed);
   snap.counters["sharded.batch.tuples_batched"] =
@@ -774,7 +736,7 @@ Result<MetricsSnapshot> ShardedEngine::Metrics() {
     std::lock_guard<std::mutex> pending_lock(pending_mu_);
     int64_t pending = 0;
     for (const PendingBatch& p : pending_) {
-      pending += static_cast<int64_t>(p.batch.size());
+      pending += static_cast<int64_t>(p.tuples.size());
     }
     snap.gauges["sharded.batch.pending"] = pending;
   }

@@ -54,15 +54,18 @@ struct ShardedEngineOptions {
   /// Number of worker-owned Engine instances. 1 degenerates to a
   /// single-threaded engine behind a queue.
   size_t num_shards = 4;
-  /// Options applied to every shard engine. `engine.batch_size` (and the
-  /// ESLEV_BATCH_SIZE override, when `engine.honor_batch_env` is set) is
-  /// consumed by the *routing layer*: consecutive same-stream tuples
-  /// bound for the same shard accumulate into one queue item, so each
-  /// MPSC crossing amortizes over many events. Shard engines themselves
-  /// are pinned to tuple-at-a-time (batches arrive pre-formed via
-  /// Engine::PushBatch), keeping Flush()/WaitIdle() exact.
+  /// Options applied to every shard engine.
   EngineOptions engine;
+  /// Route batching (DESIGN.md §8): consecutive same-stream tuples bound
+  /// for the same shard accumulate into one queue item of up to this
+  /// many tuples, so each MPSC crossing amortizes over many events. 1
+  /// (the default) enqueues every tuple on its own. Values outside
+  /// [1, kMaxRouteBatchSize] are an error from the first API call.
+  size_t route_batch_size = 1;
 };
+
+/// \brief Upper bound accepted for ShardedEngineOptions::route_batch_size.
+inline constexpr size_t kMaxRouteBatchSize = size_t{1} << 20;
 
 class ShardedEngine {
  public:
@@ -194,9 +197,9 @@ class ShardedEngine {
   /// it would see in the single-engine run.
   bool ingest_enabled() const { return front_ingest_ != nullptr; }
   const IngestOptions& ingest_options() const { return ingest_options_; }
-  /// \brief The resolved routing-layer batch size (option +
-  /// ESLEV_BATCH_SIZE override); 1 means tuple-at-a-time enqueueing.
-  size_t route_batch_size() const { return route_batch_size_; }
+  /// \brief The routing-layer batch size; 1 means tuple-at-a-time
+  /// enqueueing.
+  size_t route_batch_size() const { return options_.route_batch_size; }
   Timestamp low_watermark() const { return watermark_.low_watermark(); }
   /// \brief How far the fanned-out low watermark trails the fastest
   /// producer clock (0 when no producer registered yet).
@@ -224,9 +227,9 @@ class ShardedEngine {
     // kTuple / kBatch: pre-resolved stream name (stable; owned by routes_).
     const std::string* stream = nullptr;
     Tuple tuple;
-    // kBatch: an ordered same-stream run, dispatched to the shard engine
-    // as one Engine::PushBatch call (DESIGN.md §13).
-    TupleBatch batch;
+    // kBatch: an ordered same-stream run, pushed into the shard engine
+    // one tuple at a time.
+    std::vector<Tuple> batch;
     // kHeartbeat
     Timestamp ts = 0;
     // kCommand: executed on the worker thread with exclusive engine
@@ -335,17 +338,15 @@ class ShardedEngine {
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Route-level batching (DESIGN.md §13): one pending same-stream run
-  // per shard, enqueued as a single Item::Kind::kBatch when full or at
-  // any batch boundary. `route_batch_size_` is the resolved knob;
-  // `init_error_` holds a bad ESLEV_BATCH_SIZE, surfaced lazily (the
-  // constructor cannot return a Status).
+  // Route batching (DESIGN.md §8): one pending same-stream run per
+  // shard, enqueued as a single Item::Kind::kBatch when full or at any
+  // batch boundary. `init_error_` holds an invalid option, surfaced
+  // lazily (the constructor cannot return a Status).
   struct PendingBatch {
     const std::string* stream = nullptr;  // owned by routes_
-    TupleBatch batch;
+    std::vector<Tuple> tuples;
   };
   Status init_error_ = Status::OK();
-  size_t route_batch_size_ = 1;
   std::mutex pending_mu_;
   std::vector<PendingBatch> pending_;  // one slot per shard
   std::atomic<uint64_t> route_batches_enqueued_{0};

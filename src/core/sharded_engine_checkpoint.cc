@@ -239,6 +239,7 @@ Status ShardedEngine::Restore(const std::string& dir) {
 }
 
 Status ShardedEngine::EnableWal(const std::string& path, WalOptions options) {
+  ESLEV_RETURN_NOT_OK(init_error_);
   std::lock_guard<std::mutex> wal_lock(wal_mu_);
   if (wal_ != nullptr) {
     return Status::Invalid("WAL already enabled at " + wal_->path());

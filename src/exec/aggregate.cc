@@ -234,6 +234,8 @@ Status AggregateOperator::RestoreState(BinaryDecoder* dec) {
   std::map<GroupKey, Group> groups;
   for (uint32_t g = 0; g < ngroups; ++g) {
     ESLEV_ASSIGN_OR_RETURN(uint32_t nparts, dec->GetU32());
+    ESLEV_RETURN_NOT_OK(
+        dec->CheckCount(nparts, BinaryDecoder::kMinStringBytes));
     GroupKey key;
     key.reserve(nparts);
     for (uint32_t i = 0; i < nparts; ++i) {
@@ -249,6 +251,8 @@ Status AggregateOperator::RestoreState(BinaryDecoder* dec) {
     group.states.reserve(nstates);
     for (uint32_t i = 0; i < nstates; ++i) {
       ESLEV_ASSIGN_OR_RETURN(uint32_t nvals, dec->GetU32());
+      ESLEV_RETURN_NOT_OK(
+          dec->CheckCount(nvals, BinaryDecoder::kMinValueBytes));
       std::vector<Value> values;
       values.reserve(nvals);
       for (uint32_t j = 0; j < nvals; ++j) {

@@ -27,23 +27,9 @@ class FilterOperator : public Operator {
     return Status::OK();
   }
 
-  // Native batch path: columnar conjunct-at-a-time predicate evaluation,
-  // then one compacted survivor batch to the sinks.
-  Status ProcessBatch(size_t, const TupleBatch& batch) override {
-    ESLEV_RETURN_NOT_OK(
-        EvalPredicateBatch(*predicate_, batch, 0, &scratch_, &selection_));
-    TupleBatch out;
-    out.Reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (selection_[i]) out.Add(batch[i]);
-    }
-    return EmitBatch(out);
-  }
-
  private:
   BoundExprPtr predicate_;
   RowScratch scratch_;
-  std::vector<unsigned char> selection_;
 };
 
 /// \brief Projects each input tuple (slot 0) through bound expressions
@@ -69,29 +55,6 @@ class ProjectOperator : public Operator {
     return Emit(out);
   }
 
-  // Native batch path: expression-at-a-time over the batch (one tree walk
-  // per expression, rows scanned sequentially), one output batch.
-  Status ProcessBatch(size_t, const TupleBatch& batch) override {
-    const size_t n = batch.size();
-    std::vector<std::vector<Value>> rows(n);
-    for (auto& r : rows) r.reserve(exprs_.size());
-    for (const auto& e : exprs_) {
-      for (size_t i = 0; i < n; ++i) {
-        scratch_.SetTuple(0, &batch[i]);
-        ESLEV_ASSIGN_OR_RETURN(Value v, e->Eval(scratch_.Row()));
-        rows[i].push_back(std::move(v));
-      }
-    }
-    TupleBatch out;
-    out.Reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      ESLEV_ASSIGN_OR_RETURN(
-          Tuple t, MakeTuple(out_schema_, std::move(rows[i]), batch[i].ts()));
-      out.Add(std::move(t));
-    }
-    return EmitBatch(out);
-  }
-
  private:
   std::vector<BoundExprPtr> exprs_;
   SchemaPtr out_schema_;
@@ -109,11 +72,6 @@ class CallbackOperator : public Operator {
     return Status::OK();
   }
 
-  Status ProcessBatch(size_t, const TupleBatch& batch) override {
-    for (const Tuple& t : batch.tuples()) fn_(t);
-    return Status::OK();
-  }
-
  private:
   std::function<void(const Tuple&)> fn_;
 };
@@ -123,12 +81,6 @@ class CollectOperator : public Operator {
  public:
   Status ProcessTuple(size_t, const Tuple& tuple) override {
     tuples_.push_back(tuple);
-    return Status::OK();
-  }
-
-  Status ProcessBatch(size_t, const TupleBatch& batch) override {
-    tuples_.insert(tuples_.end(), batch.tuples().begin(),
-                   batch.tuples().end());
     return Status::OK();
   }
 

@@ -42,39 +42,6 @@ Status WindowedNotExistsOperator::ProcessTuple(size_t port, const Tuple& tuple) 
   return ProcessInner(tuple);
 }
 
-Status WindowedNotExistsOperator::ProcessBatch(size_t port,
-                                               const TupleBatch& batch) {
-  // Pure inner-side delivery (no FOLLOWING pendings to cancel, nothing to
-  // emit): bulk-append the run into the window buffer — one eviction pass,
-  // and no probe interleaves with the appends.
-  if (!same_stream_ && port == 1 && !has_following_) {
-    if (has_preceding_) {
-      buffer_.AddBatch(batch.tuples().begin(), batch.tuples().end());
-    }
-    return Status::OK();
-  }
-  // General case: the evict→probe→add→flush cycle is order-dependent, so
-  // run it per tuple, but collect emissions into one output batch.
-  TupleBatch out;
-  batch_out_ = &out;
-  Status st = Status::OK();
-  for (const Tuple& t : batch.tuples()) {
-    st = ProcessTuple(port, t);
-    if (!st.ok()) break;
-  }
-  batch_out_ = nullptr;
-  ESLEV_RETURN_NOT_OK(st);
-  return EmitBatch(out);
-}
-
-Status WindowedNotExistsOperator::EmitOut(const Tuple& tuple) {
-  if (batch_out_ != nullptr) {
-    batch_out_->Add(tuple);
-    return Status::OK();
-  }
-  return Emit(tuple);
-}
-
 Status WindowedNotExistsOperator::ProcessOuter(const Tuple& tuple) {
   if (outer_predicate_) {
     scratch_.SetTuple(0, nullptr);
@@ -94,7 +61,7 @@ Status WindowedNotExistsOperator::ProcessOuter(const Tuple& tuple) {
     pending_.push_back({tuple, tuple.ts() + window_.length});
     return Status::OK();
   }
-  return EmitOut(tuple);
+  return Emit(tuple);
 }
 
 Status WindowedNotExistsOperator::ProcessInner(const Tuple& tuple) {
@@ -121,7 +88,7 @@ Status WindowedNotExistsOperator::FlushPending(Timestamp now) {
   while (!pending_.empty() && pending_.front().deadline < now) {
     Tuple out = pending_.front().outer;
     pending_.pop_front();
-    ESLEV_RETURN_NOT_OK(EmitOut(out));
+    ESLEV_RETURN_NOT_OK(Emit(out));
   }
   return Status::OK();
 }

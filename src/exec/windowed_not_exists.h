@@ -41,7 +41,6 @@ class WindowedNotExistsOperator : public Operator {
                             BoundExprPtr outer_predicate = nullptr);
 
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
-  Status ProcessBatch(size_t port, const TupleBatch& batch) override;
   Status ProcessHeartbeat(Timestamp now) override;
 
   /// \brief The window this anti-join runs (cost model, DESIGN.md §16).
@@ -73,9 +72,6 @@ class WindowedNotExistsOperator : public Operator {
   Status ProcessInner(const Tuple& tuple);
   Status FlushPending(Timestamp now);
   Result<bool> Matches(const Tuple& inner, const Tuple& outer);
-  // Emit() or, under ProcessBatch, append to the pending output batch so
-  // the whole batch leaves in one sink crossing (order preserved).
-  Status EmitOut(const Tuple& tuple);
 
   WindowSpec window_;
   BoundExprPtr inner_predicate_;
@@ -87,7 +83,6 @@ class WindowedNotExistsOperator : public Operator {
   std::deque<Pending> pending_;   // outer tuples awaiting FOLLOWING close
   uint64_t probe_comparisons_ = 0;
   RowScratch scratch_;
-  TupleBatch* batch_out_ = nullptr;  // non-null only inside ProcessBatch
 };
 
 }  // namespace eslev

@@ -14,47 +14,6 @@ Result<bool> EvalPredicate(const BoundExpr& expr, const EvalRow& row) {
   return v.bool_value();
 }
 
-namespace {
-
-// Flatten top-level AND nodes into a conjunct list (tree order, so the
-// evaluation order matches the scalar short-circuit walk).
-void CollectConjuncts(const BoundExpr& expr,
-                      std::vector<const BoundExpr*>* out) {
-  const auto* binary = dynamic_cast<const BoundBinary*>(&expr);
-  if (binary != nullptr && binary->op() == BinaryOp::kAnd) {
-    CollectConjuncts(binary->lhs(), out);
-    CollectConjuncts(binary->rhs(), out);
-    return;
-  }
-  out->push_back(&expr);
-}
-
-}  // namespace
-
-Status EvalPredicateBatch(const BoundExpr& expr, const TupleBatch& batch,
-                          size_t slot, RowScratch* scratch,
-                          std::vector<unsigned char>* selection) {
-  selection->assign(batch.size(), 1);
-  std::vector<const BoundExpr*> conjuncts;
-  CollectConjuncts(expr, &conjuncts);
-  // Conjunct-at-a-time with selection narrowing: each pass touches one
-  // expression tree while scanning rows sequentially, and rows already
-  // rejected skip the remaining conjuncts exactly as the scalar
-  // evaluator's short-circuit AND would. (Sole divergence: after a NULL
-  // conjunct the scalar path still evaluates the next operand, so an
-  // error lurking there surfaces scalar-only; acceptance never differs.)
-  for (const BoundExpr* conjunct : conjuncts) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!(*selection)[i]) continue;
-      scratch->SetTuple(slot, &batch[i]);
-      ESLEV_ASSIGN_OR_RETURN(bool pass,
-                             EvalPredicate(*conjunct, scratch->Row()));
-      if (!pass) (*selection)[i] = 0;
-    }
-  }
-  return Status::OK();
-}
-
 Result<Value> BoundColumnRef::Eval(const EvalRow& row) const {
   if (slot_ >= row.num_slots) {
     return Status::ExecutionError("slot out of range for " + name_);

@@ -12,7 +12,6 @@
 #include "expr/eval_row.h"
 #include "expr/function_registry.h"
 #include "sql/ast.h"
-#include "types/tuple_batch.h"
 #include "types/value.h"
 
 namespace eslev {
@@ -27,17 +26,6 @@ using BoundExprPtr = std::unique_ptr<BoundExpr>;
 
 /// \brief WHERE-clause truth: TRUE is accepted; FALSE and NULL reject.
 Result<bool> EvalPredicate(const BoundExpr& expr, const EvalRow& row);
-
-/// \brief Columnar WHERE evaluation over a batch whose tuples bind to a
-/// single slot (DESIGN.md §13). Splits `expr` into top-level AND
-/// conjuncts and evaluates conjunct-at-a-time over the still-selected
-/// rows, narrowing `selection` (resized to batch.size(), 1 = accepted)
-/// after each conjunct — the batch analogue of the scalar evaluator's
-/// short-circuit AND. Accepts exactly the rows EvalPredicate accepts;
-/// `scratch` is refilled per row and must have slot < num_slots.
-Status EvalPredicateBatch(const BoundExpr& expr, const TupleBatch& batch,
-                          size_t slot, RowScratch* scratch,
-                          std::vector<unsigned char>* selection);
 
 // ---------------------------------------------------------------------------
 // Node types (exposed for tests; constructed by the Binder)
@@ -109,11 +97,6 @@ class BoundBinary : public BoundExpr {
   BoundBinary(BinaryOp op, BoundExprPtr lhs, BoundExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
   Result<Value> Eval(const EvalRow& row) const override;
-
-  // Structure accessors for conjunct splitting (EvalPredicateBatch).
-  BinaryOp op() const { return op_; }
-  const BoundExpr& lhs() const { return *lhs_; }
-  const BoundExpr& rhs() const { return *rhs_; }
 
  private:
   BinaryOp op_;

@@ -121,53 +121,26 @@ Status CleaningStage::Absorb(size_t port, const Tuple& tuple) {
   return Status::OK();
 }
 
-Status CleaningStage::ReleasePending(bool batched) {
+Status CleaningStage::ReleasePending() {
   const Timestamp threshold = ReleaseThreshold();
-  if (threshold == kMinTimestamp || pending_.empty()) return Status::OK();
-
-  if (!batched) {
-    while (!pending_.empty() && pending_.begin()->first.first <= threshold) {
-      auto [port, tuple] = std::move(pending_.begin()->second);
-      pending_.erase(pending_.begin());
-      ESLEV_RETURN_NOT_OK(Forward(port, tuple));
-    }
-    return Status::OK();
-  }
-
-  TupleBatch run;
-  size_t run_port = 0;
+  if (threshold == kMinTimestamp) return Status::OK();
   while (!pending_.empty() && pending_.begin()->first.first <= threshold) {
     auto [port, tuple] = std::move(pending_.begin()->second);
     pending_.erase(pending_.begin());
-    if (!run.empty() && port != run_port) {
-      ESLEV_RETURN_NOT_OK(ForwardBatch(run_port, run));
-      run.Clear();
-    }
-    run_port = port;
-    run.Add(std::move(tuple));
-  }
-  if (!run.empty()) {
-    ESLEV_RETURN_NOT_OK(ForwardBatch(run_port, run));
+    ESLEV_RETURN_NOT_OK(Forward(port, tuple));
   }
   return Status::OK();
 }
 
 Status CleaningStage::ProcessTuple(size_t port, const Tuple& tuple) {
   ESLEV_RETURN_NOT_OK(Absorb(port, tuple));
-  return ReleasePending(/*batched=*/false);
-}
-
-Status CleaningStage::ProcessBatch(size_t port, const TupleBatch& batch) {
-  for (const Tuple& t : batch.tuples()) {
-    ESLEV_RETURN_NOT_OK(Absorb(port, t));
-  }
-  return ReleasePending(/*batched=*/true);
+  return ReleasePending();
 }
 
 Status CleaningStage::ProcessHeartbeat(Timestamp now) {
   frontier_ = std::max(frontier_, now);
   ESLEV_RETURN_NOT_OK(CloseGroups());
-  ESLEV_RETURN_NOT_OK(ReleasePending(/*batched=*/false));
+  ESLEV_RETURN_NOT_OK(ReleasePending());
   const Timestamp threshold = ReleaseThreshold();
   if (threshold != kMinTimestamp && threshold > hb_out_) {
     hb_out_ = threshold;

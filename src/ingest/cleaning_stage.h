@@ -60,9 +60,6 @@ class CleaningStage : public IngestStage {
 
  protected:
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
-  /// Native batch path: runs the same per-tuple grouping, then releases
-  /// the closed emissions as per-port runs in one pass.
-  Status ProcessBatch(size_t port, const TupleBatch& batch) override;
   Status ProcessHeartbeat(Timestamp now) override;
 
  private:
@@ -93,7 +90,7 @@ class CleaningStage : public IngestStage {
   /// Queue one emission into the hold-back buffer.
   void QueueEmission(size_t port, Tuple tuple);
   /// Release held-back emissions at or below frontier - window - horizon.
-  Status ReleasePending(bool batched);
+  Status ReleasePending();
   Timestamp ReleaseThreshold() const {
     if (frontier_ == kMinTimestamp) return kMinTimestamp;
     return frontier_ - window_ - horizon_;

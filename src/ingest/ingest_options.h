@@ -1,8 +1,8 @@
 // Ingest subsystem knobs (DESIGN.md §15): the bounded reorder stage and
 // the RFID cleaning stage that sit between stream sources and the
-// engine's pipelines. Every knob has an ESLEV_INGEST_* environment
-// override validated like ESLEV_BATCH_SIZE — malformed values surface as
-// an error from the first engine API call instead of being ignored.
+// engine's pipelines. Every knob has a validated ESLEV_INGEST_*
+// environment override — malformed values surface as an error from the
+// first engine API call instead of being ignored.
 
 #ifndef ESLEV_INGEST_INGEST_OPTIONS_H_
 #define ESLEV_INGEST_INGEST_OPTIONS_H_

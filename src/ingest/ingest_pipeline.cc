@@ -60,14 +60,6 @@ size_t IngestPipeline::buffered() const {
   return n;
 }
 
-std::vector<const Operator*> IngestPipeline::stages() const {
-  std::vector<const Operator*> out;
-  if (reorder_ != nullptr) out.push_back(reorder_.get());
-  if (cleaning_ != nullptr) out.push_back(cleaning_.get());
-  out.push_back(&delivery_);
-  return out;
-}
-
 void IngestPipeline::AppendMetrics(MetricsSnapshot* snap) const {
   snap->gauges["ingest.enabled"] = 1;
   snap->gauges["ingest.lateness_us"] = options_.lateness_bound;

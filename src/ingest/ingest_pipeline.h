@@ -26,18 +26,14 @@
 namespace eslev {
 
 /// \brief Terminal adapter: hands ordered, cleaned tuples (and held-back
-/// heartbeats) to the embedding engine through callbacks. Has a native
-/// batch path — released runs reach the engine as whole batches, so the
-/// ingest chain never inflates batch.fallback_tuples.
+/// heartbeats) to the embedding engine through callbacks.
 class IngestDelivery : public Operator {
  public:
   using TupleFn = std::function<Status(size_t port, const Tuple&)>;
-  using BatchFn = std::function<Status(size_t port, const TupleBatch&)>;
   using HeartbeatFn = std::function<Status(Timestamp now)>;
 
-  void Bind(TupleFn on_tuple, BatchFn on_batch, HeartbeatFn on_heartbeat) {
+  void Bind(TupleFn on_tuple, HeartbeatFn on_heartbeat) {
     tuple_fn_ = std::move(on_tuple);
-    batch_fn_ = std::move(on_batch);
     heartbeat_fn_ = std::move(on_heartbeat);
   }
 
@@ -45,16 +41,12 @@ class IngestDelivery : public Operator {
   Status ProcessTuple(size_t port, const Tuple& tuple) override {
     return tuple_fn_ ? tuple_fn_(port, tuple) : Status::OK();
   }
-  Status ProcessBatch(size_t port, const TupleBatch& batch) override {
-    return batch_fn_ ? batch_fn_(port, batch) : Status::OK();
-  }
   Status ProcessHeartbeat(Timestamp now) override {
     return heartbeat_fn_ ? heartbeat_fn_(now) : Status::OK();
   }
 
  private:
   TupleFn tuple_fn_;
-  BatchFn batch_fn_;
   HeartbeatFn heartbeat_fn_;
 };
 
@@ -74,10 +66,8 @@ class IngestPipeline {
 
   /// \brief Engine-side delivery of ordered, cleaned output.
   void BindDelivery(IngestDelivery::TupleFn on_tuple,
-                    IngestDelivery::BatchFn on_batch,
                     IngestDelivery::HeartbeatFn on_heartbeat) {
-    delivery_.Bind(std::move(on_tuple), std::move(on_batch),
-                   std::move(on_heartbeat));
+    delivery_.Bind(std::move(on_tuple), std::move(on_heartbeat));
   }
 
   /// \brief Side channel for events beyond the lateness bound
@@ -88,9 +78,6 @@ class IngestPipeline {
   Status Offer(size_t port, const Tuple& tuple) {
     return head_->OnTuple(port, tuple);
   }
-  Status OfferBatch(size_t port, const TupleBatch& batch) {
-    return head_->OnBatch(port, batch);
-  }
   Status Heartbeat(Timestamp now) { return head_->OnHeartbeat(now); }
 
   /// \brief Tuples currently buffered inside the ingest chain.
@@ -98,8 +85,6 @@ class IngestPipeline {
 
   const ReorderStage* reorder() const { return reorder_.get(); }
   const CleaningStage* cleaning() const { return cleaning_.get(); }
-  /// \brief Active stages + delivery, for batch-fallback accounting.
-  std::vector<const Operator*> stages() const;
 
   /// \brief ingest.* counters and gauges (DESIGN.md §15).
   void AppendMetrics(MetricsSnapshot* snap) const;

@@ -11,76 +11,35 @@ void ReorderStage::AppendStats(OperatorStatList* out) const {
   out->push_back({"reorder_released", static_cast<int64_t>(released_)});
 }
 
-Result<bool> ReorderStage::Insert(size_t port, const Tuple& tuple) {
-  if (max_seen_ != kMinTimestamp && tuple.ts() < max_seen_) {
-    max_disorder_us_ = std::max(max_disorder_us_, max_seen_ - tuple.ts());
-  }
-  if (tuple.ts() < EffectiveFrontier()) {
-    ++late_dropped_;
-    if (late_handler_) {
-      ESLEV_RETURN_NOT_OK(late_handler_(port, tuple));
-    }
-    return false;
-  }
-  max_seen_ = std::max(max_seen_, tuple.ts());
-  buffer_.emplace(std::make_pair(tuple.ts(), next_seq_++),
-                  Entry{port, tuple});
-  return true;
-}
-
-Status ReorderStage::Release(bool batched) {
+Status ReorderStage::Release() {
   const Timestamp threshold = EffectiveFrontier();
   frontier_ = std::max(frontier_, threshold);
-  if (buffer_.empty()) return Status::OK();
-
-  if (!batched) {
-    while (!buffer_.empty() && buffer_.begin()->first.first <= threshold) {
-      Entry entry = std::move(buffer_.begin()->second);
-      buffer_.erase(buffer_.begin());
-      ++released_;
-      ESLEV_RETURN_NOT_OK(Forward(entry.port, entry.tuple));
-    }
-    return Status::OK();
-  }
-
-  // Batch path: forward runs of consecutive same-port releases as one
-  // crossing each, preserving the exact per-tuple release order.
-  TupleBatch run;
-  size_t run_port = 0;
   while (!buffer_.empty() && buffer_.begin()->first.first <= threshold) {
     Entry entry = std::move(buffer_.begin()->second);
     buffer_.erase(buffer_.begin());
     ++released_;
-    if (!run.empty() && entry.port != run_port) {
-      ESLEV_RETURN_NOT_OK(ForwardBatch(run_port, run));
-      run.Clear();
-    }
-    run_port = entry.port;
-    run.Add(std::move(entry.tuple));
-  }
-  if (!run.empty()) {
-    ESLEV_RETURN_NOT_OK(ForwardBatch(run_port, run));
+    ESLEV_RETURN_NOT_OK(Forward(entry.port, entry.tuple));
   }
   return Status::OK();
 }
 
 Status ReorderStage::ProcessTuple(size_t port, const Tuple& tuple) {
-  ESLEV_ASSIGN_OR_RETURN(bool buffered, Insert(port, tuple));
-  if (!buffered) return Status::OK();
-  return Release(/*batched=*/false);
-}
-
-Status ReorderStage::ProcessBatch(size_t port, const TupleBatch& batch) {
-  for (const Tuple& t : batch.tuples()) {
-    ESLEV_ASSIGN_OR_RETURN(bool buffered, Insert(port, t));
-    (void)buffered;
+  if (max_seen_ != kMinTimestamp && tuple.ts() < max_seen_) {
+    max_disorder_us_ = std::max(max_disorder_us_, max_seen_ - tuple.ts());
   }
-  return Release(/*batched=*/true);
+  if (tuple.ts() < EffectiveFrontier()) {
+    ++late_dropped_;
+    return late_handler_ ? late_handler_(port, tuple) : Status::OK();
+  }
+  max_seen_ = std::max(max_seen_, tuple.ts());
+  buffer_.emplace(std::make_pair(tuple.ts(), next_seq_++),
+                  Entry{port, tuple});
+  return Release();
 }
 
 Status ReorderStage::ProcessHeartbeat(Timestamp now) {
   max_seen_ = std::max(max_seen_, now);
-  ESLEV_RETURN_NOT_OK(Release(/*batched=*/false));
+  ESLEV_RETURN_NOT_OK(Release());
   const Timestamp frontier = EffectiveFrontier();
   if (frontier != kMinTimestamp && frontier > hb_out_) {
     hb_out_ = frontier;

@@ -46,12 +46,6 @@ class ReorderStage : public IngestStage {
 
  protected:
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
-  /// Native batch path (DESIGN.md §13): inserts the whole run, then does
-  /// one release pass forwarding per-port runs as batches. Byte-identical
-  /// to per-tuple processing — the late check uses the running effective
-  /// frontier, so mid-batch frontier advances drop exactly the same
-  /// events either way.
-  Status ProcessBatch(size_t port, const TupleBatch& batch) override;
   Status ProcessHeartbeat(Timestamp now) override;
 
  private:
@@ -68,11 +62,8 @@ class ReorderStage : public IngestStage {
     return std::max(frontier_, max_seen_ - bound_);
   }
 
-  /// Late-check + buffer insert; no release. Returns true when buffered.
-  Result<bool> Insert(size_t port, const Tuple& tuple);
-  /// Release all buffered events at or below the effective frontier,
-  /// forwarding per-tuple (tuple path) or as per-port runs (batch path).
-  Status Release(bool batched);
+  /// Release all buffered events at or below the effective frontier.
+  Status Release();
 
   Duration bound_;
   LateHandler late_handler_;

@@ -26,9 +26,6 @@ class IngestStage : public Operator {
   Status Forward(size_t port, const Tuple& tuple) {
     return next_ == nullptr ? Status::OK() : next_->OnTuple(port, tuple);
   }
-  Status ForwardBatch(size_t port, const TupleBatch& batch) {
-    return next_ == nullptr ? Status::OK() : next_->OnBatch(port, batch);
-  }
   Status ForwardHeartbeat(Timestamp now) {
     return next_ == nullptr ? Status::OK() : next_->OnHeartbeat(now);
   }

@@ -131,6 +131,16 @@ Status BinaryDecoder::Need(size_t n) const {
   return Status::OK();
 }
 
+Status BinaryDecoder::CheckCount(uint64_t count, size_t min_bytes) const {
+  if (count > remaining() / min_bytes) {
+    return Status::IoError("decoded count " + std::to_string(count) +
+                           " needs at least " + std::to_string(min_bytes) +
+                           " bytes each, have " +
+                           std::to_string(remaining()) + " bytes");
+  }
+  return Status::OK();
+}
+
 Result<uint8_t> BinaryDecoder::GetU8() {
   ESLEV_RETURN_NOT_OK(Need(1));
   return static_cast<uint8_t>(data_[pos_++]);
@@ -227,6 +237,8 @@ Result<SchemaPtr> BinaryDecoder::GetSchema() {
     }
     case kSchemaInline: {
       ESLEV_ASSIGN_OR_RETURN(uint32_t nfields, GetU32());
+      // A field is a name string plus a u8 type tag.
+      ESLEV_RETURN_NOT_OK(CheckCount(nfields, kMinStringBytes + 1));
       std::vector<Field> fields;
       fields.reserve(nfields);
       for (uint32_t i = 0; i < nfields; ++i) {
@@ -252,6 +264,7 @@ Result<Tuple> BinaryDecoder::GetTuple() {
   ESLEV_ASSIGN_OR_RETURN(SchemaPtr schema, GetSchema());
   ESLEV_ASSIGN_OR_RETURN(int64_t ts, GetI64());
   ESLEV_ASSIGN_OR_RETURN(uint32_t arity, GetU32());
+  ESLEV_RETURN_NOT_OK(CheckCount(arity, kMinValueBytes));
   std::vector<Value> values;
   values.reserve(arity);
   for (uint32_t i = 0; i < arity; ++i) {

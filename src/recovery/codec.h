@@ -94,6 +94,19 @@ class BinaryDecoder {
   bool AtEnd() const { return pos_ == size_; }
   size_t remaining() const { return size_ - pos_; }
 
+  /// \brief Fail with an IoError unless `count` items of at least
+  /// `min_bytes` encoded bytes each fit in the remaining input. Call
+  /// before reserving storage for a decoded count, so a corrupt count
+  /// cannot demand an allocation larger than the input.
+  Status CheckCount(uint64_t count, size_t min_bytes) const;
+
+  /// Smallest encodings, for CheckCount: a string is at least its u32
+  /// length, a value its type tag, a tuple a null-schema marker + i64 ts
+  /// + u32 arity.
+  static constexpr size_t kMinStringBytes = 4;
+  static constexpr size_t kMinValueBytes = 1;
+  static constexpr size_t kMinTupleBytes = 13;
+
  private:
   Status Need(size_t n) const;
 

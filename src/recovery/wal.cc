@@ -130,6 +130,9 @@ Result<WalManifest> ReadWalManifest(const std::string& wal_path) {
   BinaryDecoder dec(frames.payloads[1]);
   ESLEV_ASSIGN_OR_RETURN(manifest.next_segment_id, dec.GetU64());
   ESLEV_ASSIGN_OR_RETURN(uint32_t count, dec.GetU32());
+  // A segment entry is four u64 fields plus the file name string.
+  ESLEV_RETURN_NOT_OK(dec.CheckCount(
+      count, 4 * sizeof(uint64_t) + BinaryDecoder::kMinStringBytes));
   manifest.segments.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     WalSegmentInfo seg;

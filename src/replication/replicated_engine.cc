@@ -19,7 +19,8 @@ ReplicatedShardedEngine::ReplicatedShardedEngine(
       ckpt_dir_(options_.dir + "/checkpoint"),
       standby_wal_path_(options_.dir + "/standby/" + kWalFileName),
       standby_ckpt_dir_(options_.dir + "/standby/checkpoint"),
-      primary_({options_.num_shards, options_.engine}),
+      primary_({options_.num_shards, options_.engine,
+                options_.route_batch_size}),
       standbys_(primary_.num_shards()) {}
 
 Result<std::unique_ptr<ReplicatedShardedEngine>> ReplicatedShardedEngine::Open(

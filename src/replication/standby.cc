@@ -15,13 +15,7 @@ namespace eslev {
 StandbyShard::StandbyShard(StandbyShardOptions options)
     : options_(std::move(options)), sink_(std::make_shared<Sink>()) {
   if (options_.num_shards == 0) options_.num_shards = 1;
-  // Standbys replay shipped WAL records one by one and must mirror the
-  // primary's shard engines, which are pinned tuple-at-a-time (the batch
-  // knob applies once, at the primary's routing layer — DESIGN.md §13).
-  EngineOptions engine_options = options_.engine;
-  engine_options.batch_size = 1;
-  engine_options.honor_batch_env = false;
-  engine_ = std::make_unique<Engine>(engine_options);
+  engine_ = std::make_unique<Engine>(options_.engine);
 }
 
 Status StandbyShard::ExecuteScript(const std::string& sql) {

@@ -226,9 +226,13 @@ Result<Workload> LoadTraceBinary(
   }
   ESLEV_ASSIGN_OR_RETURN(uint64_t count, header.GetU64());
 
+  // The count comes from the header but the events live in the body: an
+  // event is a stream name plus a tuple.
+  BinaryDecoder body(frames.payloads[1]);
+  ESLEV_RETURN_NOT_OK(body.CheckCount(
+      count, BinaryDecoder::kMinStringBytes + BinaryDecoder::kMinTupleBytes));
   Workload workload;
   workload.events.reserve(count);
-  BinaryDecoder body(frames.payloads[1]);
   for (uint64_t i = 0; i < count; ++i) {
     ESLEV_ASSIGN_OR_RETURN(std::string stream, body.GetString());
     ESLEV_ASSIGN_OR_RETURN(Tuple decoded, body.GetTuple());

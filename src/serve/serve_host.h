@@ -40,7 +40,7 @@ class ServeHost {
                       Timestamp ts) = 0;
   virtual Status PushTuple(const std::string& stream, const Tuple& tuple) = 0;
   virtual Status AdvanceTime(Timestamp now) = 0;
-  /// \brief Settle all in-flight work (pending batches / shard queues).
+  /// \brief Settle all in-flight work (route batches / shard queues).
   virtual Status Flush() = 0;
   /// \brief Deliver buffered emissions to subscription callbacks on the
   /// calling thread; returns the count. Engines that dispatch
@@ -91,7 +91,7 @@ class EngineHost : public ServeHost {
   Status AdvanceTime(Timestamp now) override {
     return engine_->AdvanceTime(now);
   }
-  Status Flush() override { return engine_->FlushBatches(); }
+  Status Flush() override { return Status::OK(); }
   size_t DrainEmissions() override { return 0; }
   Status Checkpoint(const std::string& dir) override {
     return engine_->Checkpoint(dir);

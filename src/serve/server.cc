@@ -24,7 +24,6 @@ EngineOptions ShadowOptions() {
   EngineOptions options;
   // The shadow never sees data and must not diverge from the host under
   // environment knobs that only apply to front-end engines.
-  options.honor_batch_env = false;
   options.honor_ingest_env = false;
   return options;
 }

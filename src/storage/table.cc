@@ -116,6 +116,7 @@ Status Table::RestoreState(BinaryDecoder* dec) {
     indexed_column = col;
   }
   ESLEV_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
+  ESLEV_RETURN_NOT_OK(dec->CheckCount(n, BinaryDecoder::kMinTupleBytes));
   std::vector<Tuple> rows;
   rows.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -28,7 +28,6 @@
 #include "common/result.h"
 #include "recovery/codec.h"
 #include "types/tuple.h"
-#include "types/tuple_batch.h"
 
 namespace eslev {
 
@@ -47,19 +46,6 @@ class Operator {
   Status OnTuple(size_t port, const Tuple& tuple) {
     tuples_in_.fetch_add(1, std::memory_order_relaxed);
     return ProcessTuple(port, tuple);
-  }
-
-  /// \brief Process an ordered run of tuples from one stream arriving on
-  /// `port` (DESIGN.md §13). Non-virtual: counts the batch and its
-  /// tuples, then dispatches to ProcessBatch. Must be observationally
-  /// identical to calling OnTuple once per element in order — the default
-  /// ProcessBatch guarantees this by looping, and native overrides are
-  /// held to it by the differential sweeps.
-  Status OnBatch(size_t port, const TupleBatch& batch) {
-    if (batch.empty()) return Status::OK();
-    tuples_in_.fetch_add(batch.size(), std::memory_order_relaxed);
-    batches_in_.fetch_add(1, std::memory_order_relaxed);
-    return ProcessBatch(port, batch);
   }
 
   /// \brief Advance wall-clock/application time without a tuple.
@@ -81,17 +67,6 @@ class Operator {
   uint64_t heartbeats_in() const {
     return heartbeats_in_.load(std::memory_order_relaxed);
   }
-  uint64_t batches_in() const {
-    return batches_in_.load(std::memory_order_relaxed);
-  }
-  /// \brief Tuples that arrived inside a batch but were processed through
-  /// the per-tuple fallback because this operator has no native batch
-  /// path. batches_in() > 0 with batch_fallback_tuples() == 0 means the
-  /// operator ran natively vectorized.
-  uint64_t batch_fallback_tuples() const {
-    return batch_fallback_tuples_.load(std::memory_order_relaxed);
-  }
-
   /// \brief Short display name used in metrics keys and EXPLAIN ANALYZE
   /// (set by the planner, e.g. "SeqOperator"). Empty when the operator
   /// was constructed outside a plan.
@@ -135,18 +110,6 @@ class Operator {
   /// \brief Subclass hook for tuple processing.
   virtual Status ProcessTuple(size_t port, const Tuple& tuple) = 0;
 
-  /// \brief Subclass hook for batch processing. Default: per-tuple
-  /// fallback — every existing operator keeps working under batched
-  /// delivery with unchanged semantics. Calls ProcessTuple directly (not
-  /// OnTuple) because OnBatch already counted the tuples in.
-  virtual Status ProcessBatch(size_t port, const TupleBatch& batch) {
-    batch_fallback_tuples_.fetch_add(batch.size(), std::memory_order_relaxed);
-    for (const Tuple& t : batch.tuples()) {
-      ESLEV_RETURN_NOT_OK(ProcessTuple(port, t));
-    }
-    return Status::OK();
-  }
-
   /// \brief Subclass hook for heartbeats. Default: propagate to sinks so
   /// expirations cascade.
   virtual Status ProcessHeartbeat(Timestamp now) { return EmitHeartbeat(now); }
@@ -156,18 +119,6 @@ class Operator {
     tuples_out_.fetch_add(1, std::memory_order_relaxed);
     for (const Sink& s : sinks_) {
       ESLEV_RETURN_NOT_OK(s.op->OnTuple(s.port, tuple));
-    }
-    return Status::OK();
-  }
-
-  /// \brief Forward a derived batch to all sinks in one crossing. The
-  /// batch must list emissions in the order Emit() would have produced
-  /// them tuple-at-a-time.
-  Status EmitBatch(const TupleBatch& batch) {
-    if (batch.empty()) return Status::OK();
-    tuples_out_.fetch_add(batch.size(), std::memory_order_relaxed);
-    for (const Sink& s : sinks_) {
-      ESLEV_RETURN_NOT_OK(s.op->OnBatch(s.port, batch));
     }
     return Status::OK();
   }
@@ -189,8 +140,6 @@ class Operator {
   std::atomic<uint64_t> tuples_in_{0};
   std::atomic<uint64_t> tuples_out_{0};
   std::atomic<uint64_t> heartbeats_in_{0};
-  std::atomic<uint64_t> batches_in_{0};
-  std::atomic<uint64_t> batch_fallback_tuples_{0};
 };
 
 }  // namespace eslev

@@ -24,39 +24,6 @@ Status Stream::Push(const Tuple& tuple) {
   return Status::OK();
 }
 
-Status Stream::PushBatch(const TupleBatch& batch) {
-  if (batch.empty()) return Status::OK();
-  for (const Tuple& t : batch.tuples()) {
-    if (t.size() != schema_->num_fields()) {
-      return Status::Invalid("tuple arity " + std::to_string(t.size()) +
-                             " does not match stream '" + name_ + "' arity " +
-                             std::to_string(schema_->num_fields()));
-    }
-  }
-  const uint64_t base = tuples_pushed_;
-  tuples_pushed_ += batch.size();
-  if (retention_ > 0) {
-    retained_.insert(retained_.end(), batch.tuples().begin(),
-                     batch.tuples().end());
-    TrimRetention(batch.back_ts());
-  }
-  for (const Subscriber& s : subscribers_) {
-    ESLEV_RETURN_NOT_OK(s.op->OnBatch(s.port, batch));
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    // Same suppression rule as Push: lifetime sequence of tuple i is
-    // base + i + 1.
-    if (base + i + 1 <= deliver_after_seq_) {
-      callbacks_suppressed_ += callbacks_.empty() ? 0 : 1;
-      continue;
-    }
-    for (const TupleCallback& cb : callbacks_) {
-      cb(batch[i]);
-    }
-  }
-  return Status::OK();
-}
-
 Status Stream::Heartbeat(Timestamp now) {
   // Watermark fan-out (ShardedEngine) can redeliver a tick a shard has
   // already seen; heartbeats older than the last one are no-ops for every

@@ -62,12 +62,6 @@ class Stream {
   /// \brief Append a tuple: validates arity, retains, and fans out.
   Status Push(const Tuple& tuple);
 
-  /// \brief Append an ordered batch: one subscriber crossing (OnBatch)
-  /// instead of one per tuple; retention trims once at the last
-  /// timestamp; per-tuple callback delivery and replay suppression are
-  /// unchanged (DESIGN.md §13).
-  Status PushBatch(const TupleBatch& batch);
-
   /// \brief Propagate a heartbeat to subscribers and trim retention.
   Status Heartbeat(Timestamp now);
 
@@ -119,10 +113,6 @@ class StreamInsertOperator : public Operator {
  protected:
   Status ProcessTuple(size_t, const Tuple& tuple) override {
     return stream_->Push(tuple);
-  }
-
-  Status ProcessBatch(size_t, const TupleBatch& batch) override {
-    return stream_->PushBatch(batch);
   }
 
   Status ProcessHeartbeat(Timestamp now) override {

@@ -28,17 +28,6 @@ class WindowBuffer {
     EvictAt(tuple.ts());
   }
 
-  /// \brief Bulk append with one eviction pass at the last timestamp.
-  /// Final contents are identical to per-tuple Add() — eviction is
-  /// monotone in the watermark, so only the deepest cut matters — which
-  /// is only valid when nothing probes the buffer mid-batch.
-  template <typename Iter>
-  void AddBatch(Iter first, Iter last) {
-    if (first == last) return;
-    tuples_.insert(tuples_.end(), first, last);
-    EvictAt(tuples_.back().ts());
-  }
-
   /// \brief Evict expired tuples as of `now` (heartbeats).
   void EvictAt(Timestamp now) {
     if (row_based_) {

@@ -1,7 +1,7 @@
-// GetEnvInt64 / GetEnvChoice / ResolveBatchSize / ResolveSeqBackend:
-// every environment knob goes through one validated parser — 0,
-// negatives, garbage, and out-of-range values must be rejected with an
-// error naming the variable, not silently coerced (DESIGN.md §13, §14).
+// GetEnvInt64 / GetEnvChoice / ResolveSeqBackend: every environment
+// knob goes through one validated parser — 0, negatives, garbage, and
+// out-of-range values must be rejected with an error naming the
+// variable, not silently coerced (DESIGN.md §14).
 
 #include "common/env.h"
 
@@ -15,8 +15,8 @@
 namespace eslev {
 namespace {
 
-// Scoped setter so a failing assertion cannot leak ESLEV_BATCH_SIZE into
-// later tests (the batch knob is process-global).
+// Scoped setter so a failing assertion cannot leak a variable into later
+// tests (the environment is process-global).
 class ScopedEnv {
  public:
   ScopedEnv(const char* name, const char* value) : name_(name) {
@@ -87,52 +87,6 @@ TEST(GetEnvInt64Test, RejectsOutOfRange) {
     auto r = GetEnvInt64(kVar, 1, 100);
     EXPECT_FALSE(r.ok()) << "accepted '" << bad << "'";
   }
-}
-
-TEST(ResolveBatchSizeTest, ConfiguredValueWithoutOverride) {
-  ScopedEnv env(kBatchSizeEnvVar, nullptr);
-  auto r = ResolveBatchSize(64);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, 64u);
-}
-
-TEST(ResolveBatchSizeTest, EnvOverridesConfigured) {
-  ScopedEnv env(kBatchSizeEnvVar, "256");
-  auto r = ResolveBatchSize(1);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, 256u);
-}
-
-TEST(ResolveBatchSizeTest, RejectsZeroConfigured) {
-  ScopedEnv env(kBatchSizeEnvVar, nullptr);
-  EXPECT_FALSE(ResolveBatchSize(0).ok());
-}
-
-TEST(ResolveBatchSizeTest, RejectsOversizedConfigured) {
-  ScopedEnv env(kBatchSizeEnvVar, nullptr);
-  EXPECT_FALSE(
-      ResolveBatchSize(static_cast<size_t>(kMaxBatchSize) + 1).ok());
-}
-
-TEST(ResolveBatchSizeTest, RejectsBadEnvValues) {
-  for (const char* bad : {"0", "-4", "garbage", "64k", ""}) {
-    ScopedEnv env(kBatchSizeEnvVar, bad);
-    auto r = ResolveBatchSize(1);
-    if (std::string(bad).empty()) {
-      // Empty counts as unset: fall back to the configured value.
-      ASSERT_TRUE(r.ok()) << r.status();
-      EXPECT_EQ(*r, 1u);
-    } else {
-      EXPECT_FALSE(r.ok()) << "accepted ESLEV_BATCH_SIZE='" << bad << "'";
-    }
-  }
-}
-
-TEST(ResolveBatchSizeTest, AcceptsMaxBatchSize) {
-  ScopedEnv env(kBatchSizeEnvVar, "1048576");
-  auto r = ResolveBatchSize(1);
-  ASSERT_TRUE(r.ok()) << r.status();
-  EXPECT_EQ(*r, static_cast<size_t>(kMaxBatchSize));
 }
 
 TEST(GetEnvChoiceTest, UnsetAndEmptyReturnNullopt) {

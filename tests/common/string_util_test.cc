@@ -1,5 +1,7 @@
 #include "common/string_util.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace eslev {
@@ -57,6 +59,14 @@ struct LikeCase {
   const char* pattern;
   bool match;
 };
+
+// Prints each case as the SQL predicate it checks. gtest names the
+// parameterized tests after this text, so it must not depend on the
+// addresses of the string literals.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "'" << c.text << "' " << (c.match ? "LIKE" : "NOT LIKE") << " '"
+      << c.pattern << "'";
+}
 
 class LikeMatchTest : public ::testing::TestWithParam<LikeCase> {};
 

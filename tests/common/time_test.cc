@@ -1,5 +1,7 @@
 #include "common/time.h"
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 namespace eslev {
@@ -19,6 +21,12 @@ struct UnitCase {
   const char* name;
   Duration expected;
 };
+
+// gtest names the parameterized tests after this text, so it must not
+// depend on the address of the unit-name literal.
+void PrintTo(const UnitCase& c, std::ostream* os) {
+  *os << "'" << c.name << "' = " << c.expected << "us";
+}
 
 class ParseTimeUnitTest : public ::testing::TestWithParam<UnitCase> {};
 

@@ -1,17 +1,17 @@
-// Vectorized execution (DESIGN.md §13): auto-batching must be
-// observationally identical to tuple-at-a-time — same emissions in the
-// same order — while the batch.* metrics, EXPLAIN ANALYZE counters, and
-// safety gating expose what the engine actually did.
+// Route batching (DESIGN.md §8): ShardedEngine may carry a run of
+// same-stream tuples bound for one shard as a single queue item. That
+// must be observationally identical to enqueueing them one by one — same
+// emissions in the same drain order — while the sharded.batch.* metrics
+// expose what the routing layer actually did.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
-#include "common/env.h"
-#include "core/engine.h"
-#include "stream/stream.h"
+#include "core/sharded_engine.h"
+#include "replication/replicated_engine.h"
 
 namespace eslev {
 namespace {
@@ -27,16 +27,24 @@ constexpr char kDedupScript[] = R"sql(
      WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id);
 )sql";
 
-Engine MakeEngine(size_t batch_size) {
-  EngineOptions options;
-  options.batch_size = batch_size;
-  options.honor_batch_env = false;  // isolate tests from the environment
-  return Engine(options);
+ShardedEngineOptions RouteOptions(size_t num_shards, size_t route_batch_size) {
+  ShardedEngineOptions options;
+  options.num_shards = num_shards;
+  options.route_batch_size = route_batch_size;
+  return options;
 }
 
-// Feed the dedup pipeline a fixed trace and collect emissions in order.
-std::vector<std::string> RunDedup(size_t batch_size) {
-  Engine engine = MakeEngine(batch_size);
+Status PushReading(ShardedEngine& engine, const std::string& tag,
+                   Timestamp ts) {
+  return engine.Push("readings",
+                     {Value::String("r1"), Value::String(tag), Value::Time(ts)},
+                     ts);
+}
+
+// Feed the dedup pipeline a fixed trace and collect emissions in drain
+// order.
+std::vector<std::string> RunDedup(size_t route_batch_size) {
+  ShardedEngine engine(RouteOptions(2, route_batch_size));
   EXPECT_TRUE(engine.ExecuteScript(kDedupScript).ok());
   std::vector<std::string> rows;
   EXPECT_TRUE(engine
@@ -46,99 +54,99 @@ std::vector<std::string> RunDedup(size_t batch_size) {
   int sec = 1;
   for (int round = 0; round < 10; ++round) {
     for (const char* tag : {"a", "b", "a", "c", "b", "a"}) {
-      EXPECT_TRUE(engine
-                      .Push("readings",
-                            {Value::String("r1"), Value::String(tag),
-                             Value::Time(Seconds(sec))},
-                            Seconds(sec))
-                      .ok());
+      EXPECT_TRUE(PushReading(engine, tag, Seconds(sec)).ok());
       sec += (round % 3 == 0) ? 1 : 0;  // mix duplicates and fresh reads
     }
     ++sec;
   }
   EXPECT_TRUE(engine.AdvanceTime(Seconds(sec + 60)).ok());
+  EXPECT_TRUE(engine.Flush().ok());
+  engine.DrainOutputs();
   return rows;
 }
 
 TEST(BatchPipelineTest, DedupByteIdenticalAcrossBatchSizes) {
   const std::vector<std::string> reference = RunDedup(1);
   ASSERT_FALSE(reference.empty());
-  for (size_t batch_size : {2u, 3u, 7u, 64u, 1024u}) {
-    EXPECT_EQ(RunDedup(batch_size), reference)
-        << "divergence at batch_size=" << batch_size;
+  for (size_t route_batch_size : {2u, 3u, 7u, 64u, 1024u}) {
+    EXPECT_EQ(RunDedup(route_batch_size), reference)
+        << "divergence at route_batch_size=" << route_batch_size;
   }
 }
 
 TEST(BatchPipelineTest, PendingBatchFlushesOnHeartbeat) {
-  Engine engine = MakeEngine(8);
+  ShardedEngine engine(RouteOptions(1, 8));
   ASSERT_TRUE(engine.ExecuteScript(kDedupScript).ok());
-  std::vector<std::string> rows;
-  ASSERT_TRUE(engine
-                  .Subscribe("cleaned",
-                             [&](const Tuple& t) { rows.push_back(t.ToString()); })
-                  .ok());
+  std::vector<Timestamp> emitted;
+  ASSERT_TRUE(
+      engine.Subscribe("cleaned", [&](const Tuple& t) { emitted.push_back(t.ts()); })
+          .ok());
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine
-                    .Push("readings",
-                          {Value::String("r1"), Value::String("t" + std::to_string(i)),
-                           Value::Time(Seconds(i + 1))},
-                          Seconds(i + 1))
-                    .ok());
+    ASSERT_TRUE(
+        PushReading(engine, "t" + std::to_string(i), Seconds(i + 1)).ok());
   }
-  // Below the batch size: buffered, nothing emitted yet.
-  EXPECT_TRUE(rows.empty());
-  EXPECT_EQ(engine.Metrics().gauges.at("batch.pending"), 3);
-  // Heartbeats are batch boundaries.
+  // Below the route size: held at the router, never enqueued.
+  EXPECT_EQ(engine.DrainOutputs(), 0u);
+  // The heartbeat enqueues the pending run ahead of the tick, so the
+  // shard sees the tuples first and none is clamped forward to 10s.
   ASSERT_TRUE(engine.AdvanceTime(Seconds(10)).ok());
-  EXPECT_EQ(rows.size(), 3u);
-  EXPECT_EQ(engine.Metrics().gauges.at("batch.pending"), 0);
+  ASSERT_TRUE(engine.Flush().ok());
+  engine.DrainOutputs();
+  EXPECT_EQ(emitted,
+            (std::vector<Timestamp>{Seconds(1), Seconds(2), Seconds(3)}));
 }
 
 TEST(BatchPipelineTest, ExplicitFlushDeliversPendingBatch) {
-  Engine engine = MakeEngine(100);
+  ShardedEngine engine(RouteOptions(1, 100));
   ASSERT_TRUE(engine.ExecuteScript(kDedupScript).ok());
   size_t emitted = 0;
   ASSERT_TRUE(
       engine.Subscribe("cleaned", [&](const Tuple&) { ++emitted; }).ok());
-  ASSERT_TRUE(engine
-                  .Push("readings",
-                        {Value::String("r"), Value::String("x"),
-                         Value::Time(Seconds(1))},
-                        Seconds(1))
-                  .ok());
-  EXPECT_EQ(emitted, 0u);
-  ASSERT_TRUE(engine.FlushBatches().ok());
+  ASSERT_TRUE(PushReading(engine, "x", Seconds(1)).ok());
+  EXPECT_EQ(engine.DrainOutputs(), 0u);
+  ASSERT_TRUE(engine.Flush().ok());
+  EXPECT_EQ(engine.DrainOutputs(), 1u);
   EXPECT_EQ(emitted, 1u);
 }
 
 TEST(BatchPipelineTest, StreamSwitchIsABatchBoundary) {
-  Engine engine = MakeEngine(100);
+  ShardedEngine engine(RouteOptions(1, 100));
   ASSERT_TRUE(engine.ExecuteScript(R"sql(
     CREATE STREAM a(v, t_time);
     CREATE STREAM b(v, t_time);
   )sql")
                   .ok());
-  auto qa = engine.RegisterQuery("SELECT v FROM a");
-  ASSERT_TRUE(qa.ok()) << qa.status();
-  size_t emitted = 0;
-  ASSERT_TRUE(
-      engine.Subscribe(qa->output_stream, [&](const Tuple&) { ++emitted; })
-          .ok());
+  auto q = engine.RegisterQuery(
+      "SELECT a.v, b.v FROM a, b WHERE SEQ(a, b) MODE CHRONICLE");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<std::string> rows;
   ASSERT_TRUE(engine
-                  .Push("a", {Value::String("1"), Value::Time(Seconds(1))},
-                        Seconds(1))
+                  .Subscribe(q->output_stream,
+                             [&](const Tuple& t) { rows.push_back(t.ToString()); })
                   .ok());
-  EXPECT_EQ(emitted, 0u);  // buffered
-  // Switching streams flushes the pending run before the new tuple.
-  ASSERT_TRUE(engine
-                  .Push("b", {Value::String("2"), Value::Time(Seconds(2))},
-                        Seconds(2))
-                  .ok());
-  EXPECT_EQ(emitted, 1u);
+  int sec = 1;
+  for (const char* stream : {"a", "b", "a", "b"}) {
+    ASSERT_TRUE(engine
+                    .Push(stream,
+                          {Value::String(std::to_string(sec)),
+                           Value::Time(Seconds(sec))},
+                          Seconds(sec))
+                    .ok());
+    ++sec;
+  }
+  ASSERT_TRUE(engine.Flush().ok());
+  engine.DrainOutputs();
+  // Each switch closed the previous run, so the shard saw the joint
+  // history in arrival order and paired every a with the next b.
+  ASSERT_EQ(rows.size(), 2u);
+  auto snap = engine.Metrics();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->counters.at("sharded.batch.batches_enqueued"), 4u);
+  EXPECT_EQ(snap->counters.at("sharded.batch.tuples_batched"), 4u);
 }
 
 TEST(BatchPipelineTest, BatchMetricsAndAnalyzeCounters) {
-  Engine engine = MakeEngine(4);
+  ShardedEngine engine(RouteOptions(1, 4));
   ASSERT_TRUE(engine.ExecuteScript(R"sql(
     CREATE STREAM readings(reader_id, tid, read_time);
   )sql")
@@ -155,24 +163,24 @@ TEST(BatchPipelineTest, BatchMetricsAndAnalyzeCounters) {
                           Seconds(i + 1))
                     .ok());
   }
-  ASSERT_TRUE(engine.FlushBatches().ok());
+  ASSERT_TRUE(engine.Flush().ok());
 
-  MetricsSnapshot snap = engine.Metrics();
-  EXPECT_EQ(snap.gauges.at("batch.size"), 4);
-  EXPECT_EQ(snap.gauges.at("batch.safe"), 1);
-  EXPECT_EQ(snap.counters.at("batch.batches_dispatched"), 2u);
-  EXPECT_EQ(snap.counters.at("batch.tuples_batched"), 8u);
-  EXPECT_EQ(snap.gauges.at("batch.avg_fill_x100"), 400);
-  // Filter and projection run native batch paths: no fallback tuples.
-  EXPECT_EQ(snap.counters.at("batch.fallback_tuples"), 0u);
+  auto snap = engine.Metrics();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->gauges.at("sharded.batch.route_batch_size"), 4);
+  EXPECT_EQ(snap->counters.at("sharded.batch.batches_enqueued"), 2u);
+  EXPECT_EQ(snap->counters.at("sharded.batch.tuples_batched"), 8u);
+  EXPECT_EQ(snap->gauges.at("sharded.batch.pending"), 0);
 
+  // The shard's operators saw every tuple of both route batches.
   auto analyzed = engine.Explain("EXPLAIN ANALYZE " + sql);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-  EXPECT_NE(analyzed->find("batches_in="), std::string::npos) << *analyzed;
+  EXPECT_NE(analyzed->find("tuples_in=8 tuples_out=4"), std::string::npos)
+      << *analyzed;
 }
 
 TEST(BatchPipelineTest, TupleModeAnalyzeOmitsBatchCounters) {
-  Engine engine = MakeEngine(1);
+  ShardedEngine engine(RouteOptions(1, 1));
   ASSERT_TRUE(engine.ExecuteScript(R"sql(
     CREATE STREAM readings(reader_id, tid, read_time);
   )sql")
@@ -186,182 +194,35 @@ TEST(BatchPipelineTest, TupleModeAnalyzeOmitsBatchCounters) {
                          Value::Time(Seconds(1))},
                         Seconds(1))
                   .ok());
+  ASSERT_TRUE(engine.Flush().ok());
+  auto snap = engine.Metrics();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->gauges.at("sharded.batch.route_batch_size"), 1);
+  EXPECT_EQ(snap->counters.at("sharded.batch.batches_enqueued"), 0u);
   auto analyzed = engine.Explain("EXPLAIN ANALYZE " + sql);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-  EXPECT_EQ(analyzed->find("batches_in="), std::string::npos) << *analyzed;
-}
-
-TEST(BatchPipelineTest, FallbackOperatorCountsFallbackTuples) {
-  // A running aggregate has no native batch path: the default
-  // ProcessBatch loops the per-tuple path and counts what it deferred.
-  Engine engine = MakeEngine(4);
-  ASSERT_TRUE(engine.ExecuteScript(R"sql(
-    CREATE STREAM readings(reader_id, tid, read_time);
-  )sql")
-                  .ok());
-  auto q = engine.RegisterQuery("SELECT count(tid) FROM readings");
-  ASSERT_TRUE(q.ok()) << q.status();
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(engine
-                    .Push("readings",
-                          {Value::String("r"), Value::String("t"),
-                           Value::Time(Seconds(i + 1))},
-                          Seconds(i + 1))
-                    .ok());
-  }
-  MetricsSnapshot snap = engine.Metrics();
-  EXPECT_GT(snap.counters.at("batch.fallback_tuples"), 0u);
-}
-
-TEST(BatchPipelineTest, IngestStagesRunNativeBatchPaths) {
-  // The ingest chain (reorder -> clean -> delivery) has native
-  // ProcessBatch overrides: a batched, disordered, duplicated run must
-  // not inflate batch.fallback_tuples (DESIGN.md §15).
-  EngineOptions options;
-  options.batch_size = 4;
-  options.honor_batch_env = false;
-  options.honor_ingest_env = false;
-  options.ingest.lateness_bound = Seconds(2);
-  options.ingest.smoothing_window = Milliseconds(5);
-  options.ingest.min_read_count = 1;
-  Engine engine(options);
-  ASSERT_TRUE(engine.ExecuteScript(R"sql(
-    CREATE STREAM readings(reader_id, tid, read_time);
-  )sql")
-                  .ok());
-  auto q = engine.RegisterQuery("SELECT reader_id, tid FROM readings");
-  ASSERT_TRUE(q.ok()) << q.status();
-  SchemaPtr schema = engine.FindStream("readings")->schema();
-  TupleBatch batch;
-  for (Timestamp ts : {Seconds(3), Seconds(1), Seconds(1), Seconds(2)}) {
-    auto t = MakeTuple(schema,
-                       {Value::String("r"), Value::String("t"), Value::Time(ts)},
-                       ts);
-    ASSERT_TRUE(t.ok()) << t.status();
-    batch.Add(*t);
-  }
-  ASSERT_TRUE(engine.PushBatch("readings", batch).ok());
-  ASSERT_TRUE(engine.AdvanceTime(Seconds(60)).ok());
-
-  MetricsSnapshot snap = engine.Metrics();
-  EXPECT_EQ(snap.gauges.at("ingest.enabled"), 1);
-  EXPECT_EQ(snap.counters.at("batch.fallback_tuples"), 0u);
-  // The stages really saw batched crossings, not just single tuples.
-  uint64_t ingest_batches = 0;
-  for (const Operator* op : engine.ingest_pipeline()->stages()) {
-    ingest_batches += op->batches_in();
-    EXPECT_EQ(op->batch_fallback_tuples(), 0u) << op->label();
-  }
-  EXPECT_GT(ingest_batches, 0u);
-}
-
-TEST(BatchPipelineTest, TableTargetDisablesBatching) {
-  Engine engine = MakeEngine(64);
-  ASSERT_TRUE(engine.ExecuteScript(R"sql(
-    CREATE STREAM tag_locations(readerid, tid, tagtime, loc);
-    CREATE TABLE object_movement(tagid, location, start_time);
-    INSERT INTO object_movement
-    SELECT tid, loc, tagtime
-    FROM tag_locations WHERE NOT EXISTS
-      (SELECT tagid FROM object_movement
-       WHERE tagid = tid AND location = loc);
-  )sql")
-                  .ok());
-  EXPECT_FALSE(engine.batching_safe());
-  // Pushes run tuple-at-a-time: table contents are current immediately.
-  ASSERT_TRUE(engine
-                  .Push("tag_locations",
-                        {Value::String("r"), Value::String("t1"),
-                         Value::Time(Seconds(1)), Value::String("dock")},
-                        Seconds(1))
-                  .ok());
-  MetricsSnapshot snap = engine.Metrics();
-  EXPECT_EQ(snap.gauges.at("batch.safe"), 0);
-  EXPECT_EQ(snap.gauges.at("batch.pending"), 0);
-  EXPECT_EQ(snap.counters.at("batch.batches_dispatched"), 0u);
-}
-
-TEST(BatchPipelineTest, MultipleProducersIntoOneStreamDisableBatching) {
-  Engine engine = MakeEngine(64);
-  ASSERT_TRUE(engine.ExecuteScript(R"sql(
-    CREATE STREAM a(v, t_time);
-    CREATE STREAM b(v, t_time);
-    CREATE STREAM merged(v, t_time);
-    INSERT INTO merged SELECT * FROM a;
-  )sql")
-                  .ok());
-  EXPECT_TRUE(engine.batching_safe());
-  ASSERT_TRUE(engine.ExecuteScript("INSERT INTO merged SELECT * FROM b;").ok());
-  EXPECT_FALSE(engine.batching_safe());
-}
-
-TEST(BatchPipelineTest, PushBatchDispatchesOneCrossing) {
-  Engine engine = MakeEngine(1);  // knob off: PushBatch is explicit
-  ASSERT_TRUE(engine.ExecuteScript(R"sql(
-    CREATE STREAM readings(reader_id, tid, read_time);
-  )sql")
-                  .ok());
-  auto q = engine.RegisterQuery("SELECT reader_id, tid FROM readings");
-  ASSERT_TRUE(q.ok()) << q.status();
-  std::vector<std::string> rows;
-  ASSERT_TRUE(engine
-                  .Subscribe(q->output_stream,
-                             [&](const Tuple& t) { rows.push_back(t.ToString()); })
-                  .ok());
-  SchemaPtr schema = engine.FindStream("readings")->schema();
-  TupleBatch batch;
-  for (int i = 0; i < 5; ++i) {
-    auto t = MakeTuple(schema,
-                       {Value::String("r"), Value::String("t" + std::to_string(i)),
-                        Value::Time(Seconds(i + 1))},
-                       Seconds(i + 1));
-    ASSERT_TRUE(t.ok()) << t.status();
-    batch.Add(*t);
-  }
-  ASSERT_TRUE(engine.PushBatch("readings", batch).ok());
-  EXPECT_EQ(rows.size(), 5u);
-  EXPECT_EQ(engine.Metrics().counters.at("batch.batches_dispatched"), 1u);
-}
-
-TEST(BatchPipelineTest, PushBatchRejectsOutOfOrderRun) {
-  Engine engine = MakeEngine(1);
-  ASSERT_TRUE(
-      engine.ExecuteScript("CREATE STREAM s(v, t_time);").ok());
-  SchemaPtr schema = engine.FindStream("s")->schema();
-  TupleBatch batch;
-  for (Timestamp ts : {Seconds(5), Seconds(3)}) {
-    auto t = MakeTuple(schema, {Value::String("1"), Value::Time(ts)}, ts);
-    ASSERT_TRUE(t.ok());
-    batch.Add(*t);
-  }
-  EXPECT_FALSE(engine.PushBatch("s", batch).ok());
-}
-
-TEST(BatchPipelineTest, InvalidEnvKnobSurfacesFromFirstCall) {
-  ::setenv(kBatchSizeEnvVar, "not-a-number", 1);
-  EngineOptions options;  // honor_batch_env defaults to true
-  Engine engine(options);
-  ::unsetenv(kBatchSizeEnvVar);
-  Status st = engine.ExecuteScript("CREATE STREAM s(v, t_time);");
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find(kBatchSizeEnvVar), std::string::npos) << st;
-}
-
-TEST(BatchPipelineTest, EnvKnobOverridesConfiguredSize) {
-  ::setenv(kBatchSizeEnvVar, "16", 1);
-  EngineOptions options;
-  options.batch_size = 2;
-  Engine engine(options);
-  ::unsetenv(kBatchSizeEnvVar);
-  EXPECT_EQ(engine.batch_size(), 16u);
+  EXPECT_NE(analyzed->find("tuples_in=1"), std::string::npos) << *analyzed;
+  EXPECT_EQ(analyzed->find("batch"), std::string::npos) << *analyzed;
 }
 
 TEST(BatchPipelineTest, InvalidConfiguredSizeRejected) {
-  EngineOptions options;
-  options.batch_size = 0;
-  options.honor_batch_env = false;
-  Engine engine(options);
-  EXPECT_FALSE(engine.ExecuteScript("CREATE STREAM s(v, t_time);").ok());
+  for (size_t bad : {size_t{0}, kMaxRouteBatchSize + 1}) {
+    ShardedEngine engine(RouteOptions(2, bad));
+    Status st = engine.ExecuteScript("CREATE STREAM s(v, t_time);");
+    EXPECT_FALSE(st.ok()) << "accepted route_batch_size=" << bad;
+    EXPECT_NE(st.message().find("route_batch_size"), std::string::npos) << st;
+
+    ReplicatedShardedEngineOptions replicated;
+    replicated.num_shards = 2;
+    replicated.route_batch_size = bad;
+    replicated.dir = ::testing::TempDir() + "batch_pipeline_invalid";
+    std::filesystem::remove_all(replicated.dir);
+    EXPECT_FALSE(ReplicatedShardedEngine::Open(replicated).ok())
+        << "accepted route_batch_size=" << bad;
+    std::filesystem::remove_all(replicated.dir);
+  }
+  ShardedEngine largest(RouteOptions(2, kMaxRouteBatchSize));
+  EXPECT_TRUE(largest.ExecuteScript("CREATE STREAM s(v, t_time);").ok());
 }
 
 }  // namespace

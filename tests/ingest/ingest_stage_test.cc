@@ -47,12 +47,6 @@ void BindSink(IngestDelivery* sink, Collected* out) {
         out->tuples.emplace_back(port, t);
         return Status::OK();
       },
-      [out](size_t port, const TupleBatch& batch) {
-        for (const Tuple& t : batch.tuples()) {
-          out->tuples.emplace_back(port, t);
-        }
-        return Status::OK();
-      },
       [out](Timestamp now) {
         out->heartbeats.push_back(now);
         return Status::OK();
@@ -141,29 +135,6 @@ TEST(ReorderStageTest, HeartbeatForwardsHeldBackFrontier) {
   // Stale tick does not move the output heartbeat backwards.
   ASSERT_TRUE(stage.OnHeartbeat(1400).ok());
   EXPECT_EQ(out.heartbeats.size(), 1u);
-}
-
-TEST(ReorderStageTest, BatchAndTupleDropsAgree) {
-  // The late check uses the running effective frontier in both paths: a
-  // batch carrying (2000, 500) must drop 500 exactly as two OnTuple
-  // calls would.
-  for (const bool batched : {false, true}) {
-    Collected out;
-    IngestDelivery sink;
-    BindSink(&sink, &out);
-    ReorderStage stage(100);
-    stage.set_next(&sink);
-    if (batched) {
-      TupleBatch batch;
-      batch.Add(Read("r", "a", 2000));
-      batch.Add(Read("r", "late", 500));
-      ASSERT_TRUE(stage.OnBatch(0, batch).ok());
-    } else {
-      ASSERT_TRUE(stage.OnTuple(0, Read("r", "a", 2000)).ok());
-      ASSERT_TRUE(stage.OnTuple(0, Read("r", "late", 500)).ok());
-    }
-    EXPECT_EQ(stage.late_dropped(), 1u) << "batched=" << batched;
-  }
 }
 
 TEST(ReorderStageTest, StateRoundTripsMidBuffer) {
@@ -439,10 +410,6 @@ TEST(IngestPipelineTest, ReorderFeedsCleaningFeedsDelivery) {
   pipeline.BindDelivery(
       [&](size_t port, const Tuple& t) {
         out.tuples.emplace_back(port, t);
-        return Status::OK();
-      },
-      [&](size_t port, const TupleBatch& batch) {
-        for (const Tuple& t : batch.tuples()) out.tuples.emplace_back(port, t);
         return Status::OK();
       },
       [&](Timestamp now) {

@@ -1,11 +1,10 @@
-// Batch-mode differential sweep (DESIGN.md §13 acceptance): on seeded
-// random traces, the engine must emit byte-identical output at every
-// batch size — 1 (tuple-at-a-time), 7, 64, 1024 — in the same order,
-// across dedup, SEQ pairing modes, windows, and trailing stars; the
-// same holds for ShardedEngine routing-layer batching at 1/2/4 shards,
-// and for a crash with a partially filled batch (the WAL is written
-// before buffering, so recovery regenerates exactly the undelivered
-// tail).
+// Route-batching differential sweep (DESIGN.md §8): on seeded random
+// traces, ShardedEngine at 1/2/4 shards must emit the single-engine
+// output, and at every route batch size — 7, 64, 1024 — exactly the
+// drain sequence it emits at route size 1, across dedup, SEQ pairing
+// modes, windows, and trailing stars. The same holds for a crash with
+// tuples still in a pending route batch: the WAL is written before
+// buffering, so recovery at another route size regenerates them.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +21,7 @@
 namespace eslev {
 namespace {
 
-const size_t kBatchSizes[] = {1, 7, 64, 1024};
+const size_t kRouteBatchSizes[] = {1, 7, 64, 1024};
 
 struct Event {
   std::string stream;
@@ -54,14 +53,8 @@ struct Scenario {
   std::vector<std::string> single_shard_streams;  // empty: partitioned
 };
 
-EngineOptions BatchOptions(size_t batch_size) {
-  EngineOptions options;
-  options.batch_size = batch_size;
-  options.honor_batch_env = false;  // the sweep matrix is explicit
-  return options;
-}
-
-void PushEvent(Engine& engine, const Event& e) {
+template <typename EngineT>
+void PushEvent(EngineT& engine, const Event& e) {
   ASSERT_TRUE(engine
                   .Push(e.stream,
                         {Value::String("r"), Value::String(e.tag),
@@ -70,11 +63,10 @@ void PushEvent(Engine& engine, const Event& e) {
                   .ok());
 }
 
-// Unsorted: single-engine equivalence is exact, including emission order.
+// Sorted: a sharded run emits the same set, merged across shards.
 std::vector<std::string> RunSingle(const Scenario& scenario,
-                                   const std::vector<Event>& events,
-                                   size_t batch_size) {
-  Engine engine(BatchOptions(batch_size));
+                                   const std::vector<Event>& events) {
+  Engine engine;
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
   EXPECT_TRUE(q.ok()) << q.status();
@@ -86,16 +78,24 @@ std::vector<std::string> RunSingle(const Scenario& scenario,
           .ok());
   for (const Event& e : events) PushEvent(engine, e);
   EXPECT_TRUE(engine.AdvanceTime(events.back().ts + Minutes(10)).ok());
+  std::sort(rows.begin(), rows.end());
   return rows;
 }
 
-std::vector<std::string> RunSharded(const Scenario& scenario,
-                                    const std::vector<Event>& events,
-                                    size_t num_shards, size_t batch_size) {
+ShardedEngineOptions RouteOptions(size_t num_shards, size_t route_batch_size) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.engine = BatchOptions(batch_size);
-  ShardedEngine engine(options);
+  options.route_batch_size = route_batch_size;
+  return options;
+}
+
+// Unsorted: the drain order of one shard count does not depend on the
+// route batch size.
+std::vector<std::string> RunSharded(const Scenario& scenario,
+                                    const std::vector<Event>& events,
+                                    size_t num_shards,
+                                    size_t route_batch_size) {
+  ShardedEngine engine(RouteOptions(num_shards, route_batch_size));
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
   EXPECT_TRUE(q.ok()) << q.status();
@@ -108,42 +108,31 @@ std::vector<std::string> RunSharded(const Scenario& scenario,
           .Subscribe(q->output_stream,
                      [&](const Tuple& t) { rows.push_back(t.ToString()); })
           .ok());
-  for (const Event& e : events) {
-    EXPECT_TRUE(engine
-                    .Push(e.stream,
-                          {Value::String("r"), Value::String(e.tag),
-                           Value::Time(e.ts)},
-                          e.ts)
-                    .ok());
-  }
+  for (const Event& e : events) PushEvent(engine, e);
   EXPECT_TRUE(engine.AdvanceTime(events.back().ts + Minutes(10)).ok());
   EXPECT_TRUE(engine.Flush().ok());
   engine.DrainOutputs();
-  std::sort(rows.begin(), rows.end());
   return rows;
 }
 
 void ExpectBatchEquivalence(const Scenario& scenario, uint32_t seed,
                             size_t num_events, int num_tags) {
   const auto events = MakeTrace(seed, num_events, scenario.streams, num_tags);
-  const auto reference = RunSingle(scenario, events, 1);
-  for (size_t batch_size : kBatchSizes) {
-    if (batch_size == 1) continue;
-    EXPECT_EQ(RunSingle(scenario, events, batch_size), reference)
-        << "seed " << seed << " batch_size " << batch_size;
-  }
-  auto sorted_reference = reference;
-  std::sort(sorted_reference.begin(), sorted_reference.end());
+  const auto reference = RunSingle(scenario, events);
   std::mt19937 rng(seed * 2246822519u + 3);
-  for (size_t shards : {2u, 4u}) {
-    // One randomized batch size per shard count keeps the sweep cheap
+  for (size_t shards : {1u, 2u, 4u}) {
+    const auto unbatched = RunSharded(scenario, events, shards, 1);
+    auto sorted = unbatched;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, reference) << "seed " << seed << " shards " << shards;
+    // One randomized route size per shard count keeps the sweep cheap
     // while still crossing sharding with batching on every run.
-    const size_t batch_size =
-        kBatchSizes[std::uniform_int_distribution<size_t>(0, 3)(rng)];
-    EXPECT_EQ(RunSharded(scenario, events, shards, batch_size),
-              sorted_reference)
-        << "seed " << seed << " shards " << shards << " batch_size "
-        << batch_size;
+    const size_t route_batch_size =
+        kRouteBatchSizes[std::uniform_int_distribution<size_t>(1, 3)(rng)];
+    EXPECT_EQ(RunSharded(scenario, events, shards, route_batch_size),
+              unbatched)
+        << "seed " << seed << " shards " << shards << " route_batch_size "
+        << route_batch_size;
   }
 }
 
@@ -239,28 +228,27 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-// Crash mid-batch: the engine dies with tuples sitting in the pending
-// batch — WAL-appended (durability precedes buffering) but with none of
-// their emissions delivered. The consumer passes the count of emissions
-// it durably received as `deliver_after`, so recovery re-delivers
-// exactly the lost tail; the concatenation must equal the uninterrupted
-// tuple-mode run, byte for byte.
+// Crash mid-batch: the sharded engine dies with tuples in a pending
+// route batch — WAL-appended (durability precedes buffering) but never
+// enqueued to their shard. The consumer acknowledged everything up to
+// the checkpoint, so recovery at another route size re-delivers every
+// emission after the cut, the never-enqueued tuples' included; the
+// concatenation must equal the uninterrupted single-engine run.
 std::vector<std::string> RunKilledMidBatch(const Scenario& scenario,
                                            const std::vector<Event>& events,
-                                           size_t batch_size, size_t ckpt_at,
-                                           size_t kill_at,
-                                           size_t recover_batch_size,
+                                           size_t num_shards,
+                                           size_t route_batch_size,
+                                           size_t ckpt_at, size_t kill_at,
+                                           size_t recover_route_batch_size,
                                            const std::string& dir) {
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;  // every append durable at the kill
   std::vector<std::string> rows;
-  std::string output_stream;
   {
-    Engine a(BatchOptions(batch_size));
+    ShardedEngine a(RouteOptions(num_shards, route_batch_size));
     EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
     auto qa = a.RegisterQuery(scenario.query);
     EXPECT_TRUE(qa.ok()) << qa.status();
-    output_stream = qa->output_stream;
     EXPECT_TRUE(
         a.Subscribe(qa->output_stream,
                     [&](const Tuple& t) { rows.push_back(t.ToString()); })
@@ -268,14 +256,13 @@ std::vector<std::string> RunKilledMidBatch(const Scenario& scenario,
     EXPECT_TRUE(a.EnableWal(dir + "/" + kWalFileName, wal_options).ok());
     for (size_t i = 0; i < ckpt_at; ++i) PushEvent(a, events[i]);
     EXPECT_TRUE(a.Checkpoint(dir).ok());
+    a.DrainOutputs();  // the consumer's last acknowledged position
+    // No flush and no drain: each shard's last run usually stays pending
+    // at the router when the engine dies.
     for (size_t i = ckpt_at; i < kill_at; ++i) PushEvent(a, events[i]);
-    // No flush: with batch_size > 1 the engine usually dies holding a
-    // partial batch here.
   }  // crash
 
-  ReplayOptions replay;
-  replay.deliver_after[output_stream] = rows.size();
-  Engine b(BatchOptions(recover_batch_size));
+  ShardedEngine b(RouteOptions(num_shards, recover_route_batch_size));
   EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
   auto qb = b.RegisterQuery(scenario.query);
   EXPECT_TRUE(qb.ok()) << qb.status();
@@ -283,10 +270,15 @@ std::vector<std::string> RunKilledMidBatch(const Scenario& scenario,
       b.Subscribe(qb->output_stream,
                   [&](const Tuple& t) { rows.push_back(t.ToString()); })
           .ok());
+  ReplayOptions replay;
+  replay.deliver_callbacks = true;
   Status recovered = b.RecoverFrom(dir, replay);
   EXPECT_TRUE(recovered.ok()) << recovered;
   for (size_t i = kill_at; i < events.size(); ++i) PushEvent(b, events[i]);
   EXPECT_TRUE(b.AdvanceTime(events.back().ts + Minutes(10)).ok());
+  EXPECT_TRUE(b.Flush().ok());
+  b.DrainOutputs();
+  std::sort(rows.begin(), rows.end());
   return rows;
 }
 
@@ -294,25 +286,29 @@ TEST_P(BatchDifferentialTest, KillRecoverMidBatch) {
   const uint32_t seed = GetParam();
   const Scenario scenario = SeqScenario(" MODE CHRONICLE", "");
   const auto events = MakeTrace(seed + 59, 200, scenario.streams, 4);
-  const auto reference = RunSingle(scenario, events, 1);
+  const auto reference = RunSingle(scenario, events);
   std::mt19937 rng(seed * 40503u + 11);
-  for (int round = 0; round < 3; ++round) {
-    const size_t batch_size =
-        kBatchSizes[std::uniform_int_distribution<size_t>(1, 3)(rng)];
-    const size_t recover_batch_size =
-        kBatchSizes[std::uniform_int_distribution<size_t>(0, 3)(rng)];
+  int round = 0;
+  for (size_t shards : {1u, 2u, 4u}) {
+    const size_t pick = std::uniform_int_distribution<size_t>(1, 3)(rng);
+    const size_t route_batch_size = kRouteBatchSizes[pick];
+    // Recover at a different route size, tuple-at-a-time included.
+    const size_t recover_route_batch_size =
+        kRouteBatchSizes[(pick + std::uniform_int_distribution<size_t>(
+                                     1, 3)(rng)) % 4];
     const size_t ckpt_at =
-        std::uniform_int_distribution<size_t>(0, events.size() - 1)(rng);
+        std::uniform_int_distribution<size_t>(0, events.size() - 2)(rng);
     const size_t kill_at =
-        std::uniform_int_distribution<size_t>(ckpt_at, events.size())(rng);
+        std::uniform_int_distribution<size_t>(ckpt_at + 1, events.size())(rng);
     const std::string dir = FreshDir("kill_s" + std::to_string(seed) + "_r" +
-                                     std::to_string(round));
+                                     std::to_string(round++));
     const auto killed =
-        RunKilledMidBatch(scenario, events, batch_size, ckpt_at, kill_at,
-                          recover_batch_size, dir);
+        RunKilledMidBatch(scenario, events, shards, route_batch_size, ckpt_at,
+                          kill_at, recover_route_batch_size, dir);
     EXPECT_EQ(killed, reference)
-        << "seed " << seed << " batch " << batch_size << " recover_batch "
-        << recover_batch_size << " ckpt_at " << ckpt_at << " kill_at "
+        << "seed " << seed << " shards " << shards << " route_batch "
+        << route_batch_size << " recover_route_batch "
+        << recover_route_batch_size << " ckpt_at " << ckpt_at << " kill_at "
         << kill_at;
     std::filesystem::remove_all(dir);
   }

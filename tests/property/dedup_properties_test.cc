@@ -52,9 +52,6 @@ TEST_P(DedupPropertyTest, Invariants) {
                    e.tuple.value(1).string_value(), e.tuple.ts()});
     ASSERT_TRUE(engine.PushTuple(e.stream, e.tuple).ok());
   }
-  // Deliver any pending partial batch before reading the output (no-op
-  // in tuple-at-a-time mode; see ESLEV_BATCH_SIZE).
-  ASSERT_TRUE(engine.FlushBatches().ok());
 
   // P1: no two output readings with the same key within the threshold.
   std::map<std::pair<std::string, std::string>, Timestamp> last_kept;

@@ -72,9 +72,6 @@ TEST_P(ExceptionPartitionTest, ClevelCompletionsMatchConsecutiveSeq) {
                           ts)
                     .ok());
   }
-  // Deliver any pending partial batch before reading the counters (no-op
-  // in tuple-at-a-time mode; see ESLEV_BATCH_SIZE).
-  ASSERT_TRUE(engine.FlushBatches().ok());
 
   // Both definitions of "completed adjacent A1,A2,A3 run" must agree.
   EXPECT_EQ(n_complete, n_consecutive);

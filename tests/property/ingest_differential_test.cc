@@ -3,8 +3,8 @@
 // spurious-injected, pushed through an ingest-enabled engine, must
 // produce byte-identical output to the clean, in-order run with ingest
 // disabled — across the four SEQ pairing modes, both SEQ backends,
-// batch sizes {1, 7, 64}, 1/2/4 shards, and a kill/recover mid-stream
-// with the reorder buffer non-empty.
+// 1/2/4 shards at route batch sizes drawn from {1, 7, 64}, and a
+// kill/recover mid-stream with the reorder buffer non-empty.
 //
 // Noise construction (rfid::InjectNoise): every clean event gains
 // exactly one identical duplicate copy (duplicate_rate 1.0, one copy),
@@ -39,7 +39,7 @@ using rfid::Workload;
 
 const Duration kMaxShift = Milliseconds(400);
 const Duration kSmoothing = Milliseconds(1);
-const size_t kBatchSizes[] = {1, 7, 64};
+const size_t kRouteBatchSizes[] = {1, 7, 64};
 
 struct Scenario {
   std::string ddl;
@@ -90,17 +90,15 @@ Workload MakeNoisy(const Workload& clean, uint32_t seed, NoiseStats* stats) {
   return noisy;
 }
 
-EngineOptions CleanOptions(size_t batch_size, SeqBackend backend) {
+EngineOptions CleanOptions(SeqBackend backend) {
   EngineOptions options;
-  options.batch_size = batch_size;
-  options.honor_batch_env = false;
   options.seq_backend = backend;
   options.honor_ingest_env = false;  // the sweep matrix is explicit
   return options;
 }
 
-EngineOptions NoisyOptions(size_t batch_size, SeqBackend backend) {
-  EngineOptions options = CleanOptions(batch_size, backend);
+EngineOptions NoisyOptions(SeqBackend backend) {
+  EngineOptions options = CleanOptions(backend);
   options.ingest.lateness_bound = kMaxShift;
   options.ingest.smoothing_window = kSmoothing;
   options.ingest.min_read_count = 2;
@@ -146,11 +144,12 @@ std::vector<std::string> RunSingle(const Scenario& scenario,
 
 std::vector<std::string> RunSharded(const Scenario& scenario,
                                     const Workload& w, size_t num_shards,
-                                    size_t batch_size, bool with_ingest) {
+                                    size_t route_batch_size, bool with_ingest) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.engine = with_ingest ? NoisyOptions(batch_size, SeqBackend::kHistory)
-                               : CleanOptions(batch_size, SeqBackend::kHistory);
+  options.engine = with_ingest ? NoisyOptions(SeqBackend::kHistory)
+                               : CleanOptions(SeqBackend::kHistory);
+  options.route_batch_size = route_batch_size;
   ShardedEngine engine(options);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
@@ -183,14 +182,11 @@ void ExpectIngestEquivalence(const Scenario& scenario, uint32_t seed,
   const Workload noisy = MakeNoisy(clean, seed * 2654435761u + 1, &stats);
 
   const auto reference =
-      RunSingle(scenario, clean, CleanOptions(1, SeqBackend::kHistory));
-  for (size_t batch_size : kBatchSizes) {
-    EXPECT_EQ(RunSingle(scenario, noisy,
-                        NoisyOptions(batch_size, SeqBackend::kHistory)),
-              reference)
-        << "seed " << seed << " batch_size " << batch_size << " history";
-  }
-  EXPECT_EQ(RunSingle(scenario, noisy, NoisyOptions(1, SeqBackend::kNfa)),
+      RunSingle(scenario, clean, CleanOptions(SeqBackend::kHistory));
+  EXPECT_EQ(RunSingle(scenario, noisy, NoisyOptions(SeqBackend::kHistory)),
+            reference)
+      << "seed " << seed << " history";
+  EXPECT_EQ(RunSingle(scenario, noisy, NoisyOptions(SeqBackend::kNfa)),
             reference)
       << "seed " << seed << " nfa";
 
@@ -198,13 +194,13 @@ void ExpectIngestEquivalence(const Scenario& scenario, uint32_t seed,
   std::sort(sorted_reference.begin(), sorted_reference.end());
   std::mt19937 rng(seed * 2246822519u + 7);
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t batch_size =
-        kBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
-    EXPECT_EQ(RunSharded(scenario, noisy, shards, batch_size,
+    const size_t route_batch_size =
+        kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
+    EXPECT_EQ(RunSharded(scenario, noisy, shards, route_batch_size,
                          /*with_ingest=*/true),
               sorted_reference)
-        << "seed " << seed << " shards " << shards << " batch_size "
-        << batch_size;
+        << "seed " << seed << " shards " << shards << " route_batch_size "
+        << route_batch_size;
   }
 }
 
@@ -300,15 +296,14 @@ std::string FreshDir(const std::string& name) {
 // deliveries must equal the clean uninterrupted run byte for byte.
 std::vector<std::string> RunKilledMidIngest(const Scenario& scenario,
                                             const Workload& noisy,
-                                            size_t batch_size, size_t ckpt_at,
-                                            size_t kill_at,
+                                            size_t ckpt_at, size_t kill_at,
                                             const std::string& dir) {
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;  // every append durable at the kill
   std::vector<std::string> rows;
   std::string output_stream;
   {
-    Engine a(NoisyOptions(batch_size, SeqBackend::kHistory));
+    Engine a(NoisyOptions(SeqBackend::kHistory));
     EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
     auto qa = a.RegisterQuery(scenario.query);
     EXPECT_TRUE(qa.ok()) << qa.status();
@@ -339,7 +334,7 @@ std::vector<std::string> RunKilledMidIngest(const Scenario& scenario,
 
   ReplayOptions replay;
   replay.deliver_after[output_stream] = rows.size();
-  Engine b(NoisyOptions(batch_size, SeqBackend::kHistory));
+  Engine b(NoisyOptions(SeqBackend::kHistory));
   EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
   auto qb = b.RegisterQuery(scenario.query);
   EXPECT_TRUE(qb.ok()) << qb.status();
@@ -366,22 +361,20 @@ TEST_P(IngestDifferentialTest, KillRecoverWithBufferedReorder) {
   NoiseStats stats;
   const Workload noisy = MakeNoisy(clean, seed * 40503u + 13, &stats);
   const auto reference =
-      RunSingle(scenario, clean, CleanOptions(1, SeqBackend::kHistory));
+      RunSingle(scenario, clean, CleanOptions(SeqBackend::kHistory));
   std::mt19937 rng(seed * 40503u + 11);
   for (int round = 0; round < 3; ++round) {
-    const size_t batch_size =
-        kBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
     const size_t ckpt_at = std::uniform_int_distribution<size_t>(
         1, noisy.events.size() - 1)(rng);
     const size_t kill_at = std::uniform_int_distribution<size_t>(
         ckpt_at, noisy.events.size())(rng);
     const std::string dir = FreshDir("kill_s" + std::to_string(seed) + "_r" +
                                      std::to_string(round));
-    const auto killed = RunKilledMidIngest(scenario, noisy, batch_size,
-                                           ckpt_at, kill_at, dir);
+    const auto killed =
+        RunKilledMidIngest(scenario, noisy, ckpt_at, kill_at, dir);
     EXPECT_EQ(killed, reference)
-        << "seed " << seed << " batch " << batch_size << " ckpt_at "
-        << ckpt_at << " kill_at " << kill_at;
+        << "seed " << seed << " ckpt_at " << ckpt_at << " kill_at "
+        << kill_at;
     std::filesystem::remove_all(dir);
   }
 }
@@ -392,12 +385,14 @@ TEST_P(IngestDifferentialTest, KillRecoverWithBufferedReorder) {
 std::vector<std::string> RunShardedKilledMidIngest(const Scenario& scenario,
                                                    const Workload& noisy,
                                                    size_t num_shards,
+                                                   size_t route_batch_size,
                                                    size_t ckpt_at,
                                                    size_t kill_at,
                                                    const std::string& dir) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.engine = NoisyOptions(1, SeqBackend::kHistory);
+  options.engine = NoisyOptions(SeqBackend::kHistory);
+  options.route_batch_size = route_batch_size;
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;
   std::vector<std::string> rows;
@@ -453,21 +448,25 @@ TEST_P(IngestDifferentialTest, ShardedKillRecoverWithIngest) {
   NoiseStats stats;
   const Workload noisy = MakeNoisy(clean, seed * 69621u + 29, &stats);
   auto reference =
-      RunSingle(scenario, clean, CleanOptions(1, SeqBackend::kHistory));
+      RunSingle(scenario, clean, CleanOptions(SeqBackend::kHistory));
   std::sort(reference.begin(), reference.end());
   std::mt19937 rng(seed * 69621u + 31);
+  std::mt19937 route_rng(seed * 2246822519u + 7);
   for (size_t shards : {2u, 4u}) {
+    const size_t route_batch_size =
+        kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(route_rng)];
     const size_t ckpt_at = std::uniform_int_distribution<size_t>(
         1, noisy.events.size() - 1)(rng);
     const size_t kill_at = std::uniform_int_distribution<size_t>(
         ckpt_at, noisy.events.size())(rng);
     const std::string dir = FreshDir("shard_s" + std::to_string(seed) + "_n" +
                                      std::to_string(shards));
-    const auto killed = RunShardedKilledMidIngest(scenario, noisy, shards,
-                                                  ckpt_at, kill_at, dir);
+    const auto killed = RunShardedKilledMidIngest(
+        scenario, noisy, shards, route_batch_size, ckpt_at, kill_at, dir);
     EXPECT_EQ(killed, reference)
-        << "seed " << seed << " shards " << shards << " ckpt_at " << ckpt_at
-        << " kill_at " << kill_at;
+        << "seed " << seed << " shards " << shards << " route_batch_size "
+        << route_batch_size << " ckpt_at " << ckpt_at << " kill_at "
+        << kill_at;
     std::filesystem::remove_all(dir);
   }
 }

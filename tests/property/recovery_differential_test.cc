@@ -5,7 +5,8 @@
 // and post-recovery emissions to be byte-identical to an uninterrupted
 // run — across all four pairing modes, windowed SEQ, the trailing-star
 // extension, EXCEPTION_SEQ deadline anchors, and ShardedEngine at
-// 1/2/4 shards.
+// 1/2/4 shards. Every sharded and replicated run draws its route batch
+// size from 1/7/64.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,14 @@
 
 namespace eslev {
 namespace {
+
+const size_t kRouteBatchSizes[] = {1, 7, 64};
+
+// Route sizes come from their own generator, so drawing them leaves the
+// checkpoint and kill points of every seed unchanged.
+size_t DrawRouteBatchSize(std::mt19937& rng) {
+  return kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
+}
 
 struct Event {
   std::string stream;
@@ -129,11 +138,9 @@ std::vector<std::string> RunKilled(const Scenario& scenario,
                   [&](const Tuple& t) { rows.push_back(t.ToString()); })
           .ok());
   // The consumer durably received rows.size() emissions before the
-  // crash; replay re-delivers exactly the lost tail. In tuple-at-a-time
-  // mode the tail is empty (every emission was delivered synchronously);
-  // in batch mode (ESLEV_BATCH_SIZE) the engine can die holding a
-  // partial batch whose emissions were never delivered, and this is how
-  // an exactly-once consumer recovers them (DESIGN.md §13).
+  // crash; replay re-delivers exactly the lost tail — empty here, since
+  // every emission was delivered synchronously — which is how an
+  // exactly-once consumer resumes.
   ReplayOptions replay;
   replay.deliver_after[output_stream] = rows.size();
   Status recovered = b.RecoverFrom(dir, replay);
@@ -246,9 +253,10 @@ TEST_P(RecoveryDifferentialTest, ExceptionSeqDeadlinesSurviveTheCrash) {
 
 std::vector<std::string> RunShardedUninterrupted(
     const Scenario& scenario, const std::vector<Event>& events,
-    size_t num_shards) {
+    size_t num_shards, size_t route_batch_size) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
+  options.route_batch_size = route_batch_size;
   ShardedEngine engine(options);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
@@ -276,11 +284,13 @@ std::vector<std::string> RunShardedUninterrupted(
 
 std::vector<std::string> RunShardedKilled(const Scenario& scenario,
                                           const std::vector<Event>& events,
-                                          size_t num_shards, size_t ckpt_at,
-                                          size_t kill_at,
+                                          size_t num_shards,
+                                          size_t route_batch_size,
+                                          size_t ckpt_at, size_t kill_at,
                                           const std::string& dir) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
+  options.route_batch_size = route_batch_size;
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;
   std::vector<std::string> rows;
@@ -334,9 +344,11 @@ TEST_P(RecoveryDifferentialTest, ShardedKillReplayAt124Shards) {
   const Scenario scenario = SeqScenario(" MODE CHRONICLE", "");
   const auto events = MakeTrace(seed + 53, 160, scenario.streams, 4);
   std::mt19937 rng(seed * 40503u + 3);
+  std::mt19937 route_rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
+    const size_t route_batch_size = DrawRouteBatchSize(route_rng);
     const auto reference =
-        RunShardedUninterrupted(scenario, events, shards);
+        RunShardedUninterrupted(scenario, events, shards, route_batch_size);
     const size_t ckpt_at =
         std::uniform_int_distribution<size_t>(0, events.size() - 1)(rng);
     const size_t kill_at =
@@ -344,11 +356,13 @@ TEST_P(RecoveryDifferentialTest, ShardedKillReplayAt124Shards) {
     const std::string dir =
         FreshDir("sharded_s" + std::to_string(seed) + "_n" +
                  std::to_string(shards));
-    const auto killed = RunShardedKilled(scenario, events, shards, ckpt_at,
-                                         kill_at, dir);
+    const auto killed = RunShardedKilled(scenario, events, shards,
+                                         route_batch_size, ckpt_at, kill_at,
+                                         dir);
     EXPECT_EQ(killed, reference)
-        << shards << " shards, seed " << seed << " ckpt_at " << ckpt_at
-        << " kill_at " << kill_at;
+        << shards << " shards, route_batch_size " << route_batch_size
+        << ", seed " << seed << " ckpt_at " << ckpt_at << " kill_at "
+        << kill_at;
     std::filesystem::remove_all(dir);
   }
 }
@@ -366,10 +380,12 @@ TEST_P(RecoveryDifferentialTest, ShardedKillReplayAt124Shards) {
 // be byte-identical to the failure-free sharded run.
 std::vector<std::string> RunReplicatedKillPromote(
     const Scenario& scenario, const std::vector<Event>& events,
-    size_t num_shards, size_t ckpt_at, size_t kill_at, size_t resume_at,
-    size_t shard_to_kill, const std::string& dir) {
+    size_t num_shards, size_t route_batch_size, size_t ckpt_at,
+    size_t kill_at, size_t resume_at, size_t shard_to_kill,
+    const std::string& dir) {
   ReplicatedShardedEngineOptions options;
   options.num_shards = num_shards;
+  options.route_batch_size = route_batch_size;
   options.dir = dir;
   options.wal.group_commit_bytes = 0;  // every append durable at the kill
   options.wal.segment_bytes = 2048;    // rotate mid-trace: sealed + live ship
@@ -428,8 +444,11 @@ void ExpectKillPromoteEquivalence(const Scenario& scenario, uint32_t seed,
                                   const std::string& tag) {
   const auto events = MakeTrace(seed, num_events, scenario.streams, num_tags);
   std::mt19937 rng(seed * 69621u + 5);
+  std::mt19937 route_rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const auto reference = RunShardedUninterrupted(scenario, events, shards);
+    const size_t route_batch_size = DrawRouteBatchSize(route_rng);
+    const auto reference =
+        RunShardedUninterrupted(scenario, events, shards, route_batch_size);
     const size_t ckpt_at =
         std::uniform_int_distribution<size_t>(1, num_events / 2)(rng);
     const size_t kill_at =
@@ -442,10 +461,11 @@ void ExpectKillPromoteEquivalence(const Scenario& scenario, uint32_t seed,
         FreshDir("promote_" + tag + "_s" + std::to_string(seed) + "_n" +
                  std::to_string(shards));
     const auto promoted = RunReplicatedKillPromote(
-        scenario, events, shards, ckpt_at, kill_at, resume_at, shard_to_kill,
-        dir);
+        scenario, events, shards, route_batch_size, ckpt_at, kill_at,
+        resume_at, shard_to_kill, dir);
     EXPECT_EQ(promoted, reference)
-        << tag << " shards " << shards << " seed " << seed << " ckpt_at "
+        << tag << " shards " << shards << " route_batch_size "
+        << route_batch_size << " seed " << seed << " ckpt_at "
         << ckpt_at << " kill_at " << kill_at << " resume_at " << resume_at
         << " victim " << shard_to_kill;
     std::filesystem::remove_all(dir);

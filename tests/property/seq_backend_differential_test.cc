@@ -3,8 +3,8 @@
 // must emit byte-identical output to the history matcher — same rows,
 // same order — across all four pairing modes, windowed SEQ, trailing
 // stars, negation, and EXCEPTION_SEQ deadlines (with heartbeat-driven
-// active expiration), at batch sizes 1/7/64 and on 1/2/4 shards, and
-// across a kill-recover cycle. The backend is forced per engine through
+// active expiration), on one engine and on 1/2/4 shards at route batch
+// sizes drawn from 1/7/64, and across a kill-recover cycle. The backend is forced per engine through
 // ESLEV_SEQ_BACKEND so the sweep stays meaningful when CI pins the
 // variable globally; each run asserts the engine actually resolved the
 // requested backend.
@@ -26,7 +26,7 @@
 namespace eslev {
 namespace {
 
-const size_t kBatchSizes[] = {1, 7, 64};
+const size_t kRouteBatchSizes[] = {1, 7, 64};
 
 // Scoped setter: the backend knob is process-global, so a failing
 // assertion must not leak a forced value into later tests.
@@ -83,10 +83,8 @@ struct Scenario {
   std::vector<std::string> single_shard_streams;  // empty: partitioned
 };
 
-EngineOptions BackendOptions(SeqBackend backend, size_t batch_size) {
+EngineOptions BackendOptions(SeqBackend backend) {
   EngineOptions options;
-  options.batch_size = batch_size;
-  options.honor_batch_env = false;  // the sweep matrix is explicit
   options.seq_backend = backend;
   return options;
 }
@@ -108,9 +106,9 @@ void PushEvent(EngineT& engine, const Event& e) {
 // Unsorted: single-engine equivalence is exact, including emission order.
 std::vector<std::string> RunSingle(const Scenario& scenario,
                                    const std::vector<Event>& events,
-                                   SeqBackend backend, size_t batch_size) {
+                                   SeqBackend backend) {
   ScopedEnv env(kSeqBackendEnvVar, SeqBackendToString(backend));
-  Engine engine(BackendOptions(backend, batch_size));
+  Engine engine(BackendOptions(backend));
   EXPECT_EQ(engine.seq_backend(), backend);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
@@ -129,11 +127,12 @@ std::vector<std::string> RunSingle(const Scenario& scenario,
 std::vector<std::string> RunSharded(const Scenario& scenario,
                                     const std::vector<Event>& events,
                                     SeqBackend backend, size_t num_shards,
-                                    size_t batch_size) {
+                                    size_t route_batch_size) {
   ScopedEnv env(kSeqBackendEnvVar, SeqBackendToString(backend));
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.engine = BackendOptions(backend, batch_size);
+  options.engine = BackendOptions(backend);
+  options.route_batch_size = route_batch_size;
   ShardedEngine engine(options);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
@@ -167,32 +166,28 @@ std::vector<std::string> RunSharded(const Scenario& scenario,
 }
 
 // The full matrix for one scenario: the NFA backend against the history
-// reference at batch sizes 1/7/64 (exact order) and on 1/2/4 shards
-// (sorted — shard interleaving is nondeterministic).
+// reference on one engine (exact order) and on 1/2/4 shards at a drawn
+// route batch size (sorted — shard interleaving is nondeterministic).
 void ExpectBackendEquivalence(const Scenario& scenario, uint32_t seed,
                               size_t num_events, int num_tags,
                               bool with_heartbeats = false) {
   const auto events = MakeTrace(seed, num_events, scenario.streams, num_tags,
                                 with_heartbeats);
-  const auto reference =
-      RunSingle(scenario, events, SeqBackend::kHistory, 1);
-  for (size_t batch_size : kBatchSizes) {
-    EXPECT_EQ(RunSingle(scenario, events, SeqBackend::kNfa, batch_size),
-              reference)
-        << "seed " << seed << " batch_size " << batch_size << "\n"
-        << scenario.query;
-  }
+  const auto reference = RunSingle(scenario, events, SeqBackend::kHistory);
+  EXPECT_EQ(RunSingle(scenario, events, SeqBackend::kNfa), reference)
+      << "seed " << seed << "\n"
+      << scenario.query;
   auto sorted_reference = reference;
   std::sort(sorted_reference.begin(), sorted_reference.end());
   std::mt19937 rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t batch_size =
-        kBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
-    EXPECT_EQ(
-        RunSharded(scenario, events, SeqBackend::kNfa, shards, batch_size),
-        sorted_reference)
-        << "seed " << seed << " shards " << shards << " batch_size "
-        << batch_size << "\n"
+    const size_t route_batch_size =
+        kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
+    EXPECT_EQ(RunSharded(scenario, events, SeqBackend::kNfa, shards,
+                         route_batch_size),
+              sorted_reference)
+        << "seed " << seed << " shards " << shards << " route_batch_size "
+        << route_batch_size << "\n"
         << scenario.query;
   }
 }
@@ -499,7 +494,7 @@ std::vector<std::string> RunKilledNfa(const Scenario& scenario,
   std::vector<std::string> rows;
   std::string output_stream;
   {
-    Engine a(BackendOptions(SeqBackend::kNfa, 1));
+    Engine a(BackendOptions(SeqBackend::kNfa));
     EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
     auto qa = a.RegisterQuery(scenario.query);
     EXPECT_TRUE(qa.ok()) << qa.status();
@@ -516,7 +511,7 @@ std::vector<std::string> RunKilledNfa(const Scenario& scenario,
 
   ReplayOptions replay;
   replay.deliver_after[output_stream] = rows.size();
-  Engine b(BackendOptions(SeqBackend::kNfa, 1));
+  Engine b(BackendOptions(SeqBackend::kNfa));
   EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
   auto qb = b.RegisterQuery(scenario.query);
   EXPECT_TRUE(qb.ok()) << qb.status();
@@ -545,7 +540,7 @@ TEST_P(SeqBackendDifferentialTest, KillRecoverMatchesHistoryReference) {
                                   scenario.streams, 4,
                                   /*with_heartbeats=*/false);
     const auto reference =
-        RunSingle(scenario, events, SeqBackend::kHistory, 1);
+        RunSingle(scenario, events, SeqBackend::kHistory);
     const size_t ckpt_at =
         std::uniform_int_distribution<size_t>(0, events.size() - 1)(rng);
     const size_t kill_at =

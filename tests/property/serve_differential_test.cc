@@ -2,8 +2,9 @@
 // random traces, every (tenant, query) registered through QueryServer
 // must receive output byte-identical to a dedicated single-tenant
 // Engine running the same query alone — across shared-plan-cache
-// on/off, Engine and ShardedEngine hosts, queries registered mid-stream
-// and, for the single-engine host, across a crash with checkpoint +
+// on/off, Engine and ShardedEngine hosts (each sharded run at a route
+// batch size drawn from 1/7/64), queries registered mid-stream and, for
+// the single-engine host, across a crash with checkpoint +
 // WAL recovery of the session registry.
 
 #include <gtest/gtest.h>
@@ -209,17 +210,23 @@ TEST_P(ServeDifferentialTest, EngineHostMatchesDedicatedEngines) {
 TEST_P(ServeDifferentialTest, ShardedHostMatchesDedicatedEngines) {
   const auto events = MakeTrace(GetParam() ^ 0x5bd1e995u, 250);
   const auto regs = Workload();
+  const size_t kRouteBatchSizes[] = {1, 7, 64};
+  std::mt19937 rng(GetParam() * 2246822519u + 3);
   for (bool share : {true, false}) {
     for (size_t shards : {2u, 4u}) {
       ShardedEngineOptions options;
       options.num_shards = shards;
+      options.route_batch_size =
+          kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
       ShardedEngine engine(options);
       ShardedHost host(&engine);
       ServedOutputs served;
       RunServed(&host, share, events, regs, &served);
-      ExpectMatchesDedicated(served, events, regs,
-                             (share ? "sharded/shared/" : "sharded/unshared/") +
-                                 std::to_string(shards));
+      ExpectMatchesDedicated(
+          served, events, regs,
+          (share ? "sharded/shared/" : "sharded/unshared/") +
+              std::to_string(shards) + "/route" +
+              std::to_string(options.route_batch_size));
     }
   }
 }

@@ -1,7 +1,7 @@
 // Differential property sweep: on seeded random traces, a ShardedEngine
-// at 1, 2 and 4 shards must emit byte-identical output (after a
-// timestamp-stable sort) to a single Engine, across pairing modes and
-// windows. Tag-partitionable SEQ queries run fully sharded; CONSECUTIVE
+// at 1, 2 and 4 shards, each run at a route batch size drawn from
+// 1/7/64, must emit byte-identical output (after a timestamp-stable
+// sort) to a single Engine, across pairing modes and windows. Tag-partitionable SEQ queries run fully sharded; CONSECUTIVE
 // and star-group queries depend on cross-tag adjacency in the joint
 // history, so their source streams use the single-shard fallback.
 
@@ -17,6 +17,8 @@
 
 namespace eslev {
 namespace {
+
+const size_t kRouteBatchSizes[] = {1, 7, 64};
 
 struct Event {
   std::string stream;
@@ -78,9 +80,11 @@ std::vector<std::string> RunSingle(const Scenario& scenario,
 
 std::vector<std::string> RunSharded(const Scenario& scenario,
                                     const std::vector<Event>& events,
-                                    size_t num_shards) {
+                                    size_t num_shards,
+                                    size_t route_batch_size) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
+  options.route_batch_size = route_batch_size;
   ShardedEngine engine(options);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
@@ -114,12 +118,17 @@ void ExpectDifferentialEquivalence(const Scenario& scenario, uint32_t seed,
                                    size_t num_events, int num_tags) {
   const auto events = MakeTrace(seed, num_events, scenario.streams, num_tags);
   const auto reference = RunSingle(scenario, events);
+  std::mt19937 rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const auto sharded = RunSharded(scenario, events, shards);
+    const size_t route_batch_size =
+        kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
+    const auto sharded = RunSharded(scenario, events, shards, route_batch_size);
     ASSERT_EQ(sharded.size(), reference.size())
-        << "seed " << seed << " at " << shards << " shards";
+        << "seed " << seed << " at " << shards << " shards, route_batch_size "
+        << route_batch_size;
     EXPECT_EQ(sharded, reference)
-        << "seed " << seed << " at " << shards << " shards";
+        << "seed " << seed << " at " << shards << " shards, route_batch_size "
+        << route_batch_size;
   }
 }
 

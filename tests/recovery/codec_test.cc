@@ -116,6 +116,18 @@ TEST(BinaryCodecTest, DecodePastEndFailsCleanly) {
   EXPECT_TRUE(dec.GetU64().status().IsIoError());
 }
 
+TEST(BinaryCodecTest, CheckCountBoundsCountByRemainingBytes) {
+  BinaryEncoder enc;
+  enc.PutU32(1);
+  enc.PutU64(2);
+  BinaryDecoder dec(enc.buffer());
+  ASSERT_TRUE(dec.GetU32().ok());  // 8 bytes remain
+  EXPECT_TRUE(dec.CheckCount(0, 13).ok());
+  EXPECT_TRUE(dec.CheckCount(2, 4).ok());
+  EXPECT_TRUE(dec.CheckCount(3, 4).IsIoError());
+  EXPECT_TRUE(dec.CheckCount(UINT64_MAX, 1).IsIoError());
+}
+
 TEST(BinaryCodecTest, TruncatedStringFailsCleanly) {
   BinaryEncoder enc;
   enc.PutU32(1000);  // declared length far past the end

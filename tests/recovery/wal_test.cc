@@ -421,6 +421,44 @@ TEST_F(WalTest, NonMonotonicLsnsAreRejected) {
   EXPECT_TRUE(ReadWal(path_).status().IsIoError());
 }
 
+// Crafted CRC-valid frames whose decoded counts claim far more items
+// than the frame holds. Reserving storage for such a count before
+// reading any item ended the process with std::bad_alloc; the reader
+// must return an IoError instead.
+TEST_F(WalTest, InlineSchemaFieldCountBeyondFrameIsAnError) {
+  BinaryEncoder payload;
+  payload.PutU8(static_cast<uint8_t>(WalRecordKind::kTuple));
+  payload.PutU64(1);            // lsn
+  payload.PutString("");        // stream
+  payload.PutU8(0);             // inline schema definition
+  payload.PutU32(0xFFFFFFFFu);  // field count
+  payload.PutString("rid");     // the only field actually present
+  payload.PutU8(static_cast<uint8_t>(TypeId::kString));
+  std::string frame;
+  AppendFrame(payload.buffer(), &frame);
+  ASSERT_EQ(frame.size(), 34u);
+  ASSERT_TRUE(WriteFileAtomic(path_, frame).ok());
+  EXPECT_TRUE(ReadWal(path_).status().IsIoError());
+  EXPECT_TRUE(ReadWalChain(path_).status().IsIoError());
+}
+
+TEST_F(WalTest, TupleArityBeyondFrameIsAnError) {
+  BinaryEncoder payload;
+  payload.PutU8(static_cast<uint8_t>(WalRecordKind::kTuple));
+  payload.PutU64(1);                       // lsn
+  payload.PutString("");                   // stream
+  payload.PutSchema(nullptr);              // no schema
+  payload.PutI64(10);                      // ts
+  payload.PutU32(0xFFFFFFFFu);             // arity
+  payload.PutValue(Value::String("abc"));  // the only value actually present
+  std::string frame;
+  AppendFrame(payload.buffer(), &frame);
+  ASSERT_EQ(frame.size(), 42u);
+  ASSERT_TRUE(WriteFileAtomic(path_, frame).ok());
+  EXPECT_TRUE(ReadWal(path_).status().IsIoError());
+  EXPECT_TRUE(ReadWalChain(path_).status().IsIoError());
+}
+
 TEST_F(WalTest, DestructorFlushesPending) {
   {
     WalOptions options;

@@ -17,12 +17,12 @@ Modes:
                bench_e16_batching bench_e6_pairing_modes bench_e9_seq_vs_join \
                bench_e17_ingest bench_e18_serving
              mkdir -p /tmp/bench-json
-             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e11_end_to_end --benchmark_min_time=0.2s
-             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e16_batching --benchmark_min_time=0.2s
-             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e6_pairing_modes --benchmark_filter='BM_(Nfa)?Mode' --benchmark_min_time=0.2s
-             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e9_seq_vs_join --benchmark_filter='BM_Seq(Star|Chronicle)' --benchmark_min_time=0.2s
-             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e17_ingest --benchmark_min_time=0.2s
-             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e18_serving --benchmark_min_time=0.2s
+             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e11_end_to_end --benchmark_min_time=0.2
+             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e16_batching --benchmark_min_time=0.2
+             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e6_pairing_modes --benchmark_filter='BM_(Nfa)?Mode' --benchmark_min_time=0.2
+             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e9_seq_vs_join --benchmark_filter='BM_Seq(Star|Chronicle)' --benchmark_min_time=0.2
+             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e17_ingest --benchmark_min_time=0.2
+             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e18_serving --benchmark_min_time=0.2
              python3 tools/bench_gate.py refresh --json-dir /tmp/bench-json
 
 Only benchmarks present in the baseline gate the build; new benchmarks
