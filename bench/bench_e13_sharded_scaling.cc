@@ -7,10 +7,8 @@
 // producers the engines' forward-clamping rewrites timestamps in
 // scheduler-dependent ways, so the two configurations would process
 // different effective histories and the comparison would be meaningless.
-// Partitioning wins twice: shards run in parallel, and each shard's
-// NOT-EXISTS window scan covers only its partition's slice of the
-// 1-second window (the scan is O(window) per tuple, so the speedup
-// holds even on a single core).
+// The NOT EXISTS probe walks one key bucket whatever the window holds
+// (DESIGN.md §5), so the speedup comes from shards running in parallel.
 //
 // A separate equivalence "benchmark" verifies — outside of timing — that
 // the sharded match set is byte-identical to a single Engine's output on

@@ -207,6 +207,15 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
   const PartitionVerdict verdict =
       ClassifyPartitioning(*catalog_, *select, conjuncts, seqs);
 
+  // Distinct keys of the NOT EXISTS sub-query's stream, which a keyed
+  // window probe divides its buffer by.
+  double anti_keys = params_.default_distinct_keys;
+  for (const Expr* c : conjuncts) {
+    if (c->kind != ExprKind::kExists) continue;
+    const SelectStmt& sub = *static_cast<const ExistsExpr&>(*c).subquery;
+    if (!sub.from.empty()) anti_keys = keys_of(sub.from[0].name);
+  }
+
   bool filter_applied = false;
   for (Operator* op : plan.note_ops) {
     if (op == nullptr) continue;
@@ -279,8 +288,12 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
         row.out_rate *= filter_selectivity;
         filter_applied = true;
       }
-      // Each arrival probes the retained buffer and pending set.
-      row.cpu_cost = current + current * row.state.tuples;
+      // Each arrival probes the retained buffer and pending set; a keyed
+      // probe evaluates its predicate only on its key's share of them.
+      const double probed =
+          wne->keyed() ? row.state.tuples / std::max(anti_keys, 1.0)
+                       : row.state.tuples;
+      row.cpu_cost = current + current * probed;
     } else if (auto* agg = dynamic_cast<AggregateOperator*>(op)) {
       row.op = "Aggregate";
       row.state_gauges = {"groups", "window_buffer"};

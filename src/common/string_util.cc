@@ -15,7 +15,7 @@ std::string AsciiToUpper(std::string_view s) {
 std::string AsciiToLower(std::string_view s) {
   std::string out(s);
   for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
   }
   return out;
 }

@@ -484,9 +484,12 @@ Status Engine::Push(const std::string& stream, std::vector<Value> values,
 
 Status Engine::PushTuple(const std::string& stream, const Tuple& tuple) {
   ESLEV_RETURN_NOT_OK(init_error_);
-  Stream* s = FindStream(stream);
-  if (s == nullptr) return Status::NotFound("stream not found: " + stream);
   const std::string key = AsciiToLower(stream);
+  const auto found = streams_.find(key);
+  if (found == streams_.end()) {
+    return Status::NotFound("stream not found: " + stream);
+  }
+  Stream* s = found->second.get();
   // Ingest path (DESIGN.md §15): source-stream pushes go through the
   // reorder/cleaning pipeline; it re-enters DeliverTuple with ordered,
   // cleaned output. Direct pushes into derived streams bypass ingest.

@@ -2,12 +2,25 @@
 
 namespace eslev {
 
+namespace {
+
+std::vector<size_t> KeyColumns(
+    const std::vector<WindowedNotExistsOperator::Key>& keys) {
+  std::vector<size_t> columns;
+  columns.reserve(keys.size());
+  for (const auto& k : keys) columns.push_back(k.inner_column);
+  return columns;
+}
+
+}  // namespace
+
 WindowedNotExistsOperator::WindowedNotExistsOperator(
-    WindowSpec window, BoundExprPtr inner_predicate, bool same_stream,
-    BoundExprPtr outer_predicate)
+    WindowSpec window, BoundExprPtr residual, bool same_stream,
+    BoundExprPtr outer_predicate, std::vector<Key> keys)
     : window_(window),
-      inner_predicate_(std::move(inner_predicate)),
+      residual_(std::move(residual)),
       outer_predicate_(std::move(outer_predicate)),
+      keys_(std::move(keys)),
       same_stream_(same_stream),
       has_preceding_(window.direction == WindowDirection::kPreceding ||
                      window.direction ==
@@ -15,7 +28,7 @@ WindowedNotExistsOperator::WindowedNotExistsOperator(
       has_following_(window.direction == WindowDirection::kFollowing ||
                      window.direction ==
                          WindowDirection::kPrecedingAndFollowing),
-      buffer_(window.row_based, window.length),
+      buffer_(window.row_based, window.length, KeyColumns(keys_)),
       scratch_(2) {}
 
 void WindowedNotExistsOperator::AppendStats(OperatorStatList* out) const {
@@ -25,24 +38,48 @@ void WindowedNotExistsOperator::AppendStats(OperatorStatList* out) const {
       {"probe_comparisons", static_cast<int64_t>(probe_comparisons_)});
 }
 
-Result<bool> WindowedNotExistsOperator::Matches(const Tuple& inner,
-                                                const Tuple& outer) {
+Status WindowedNotExistsOperator::EvalKey(const Tuple& outer,
+                                          std::vector<Value>* key) {
+  key->clear();
+  scratch_.SetTuple(0, nullptr);
+  scratch_.SetTuple(1, &outer);
+  for (const Key& k : keys_) {
+    ESLEV_ASSIGN_OR_RETURN(Value v, k.outer_expr->Eval(scratch_.Row()));
+    key->push_back(std::move(v));
+  }
+  return Status::OK();
+}
+
+Result<bool> WindowedNotExistsOperator::Matches(
+    const Tuple& inner, const Tuple& outer,
+    const std::vector<Value>& outer_key) {
   ++probe_comparisons_;
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    if (!inner.value(keys_[i].inner_column).KeyEquals(outer_key[i])) {
+      return false;
+    }
+  }
+  if (!residual_) return true;
   scratch_.SetTuple(0, &inner);
   scratch_.SetTuple(1, &outer);
-  return EvalPredicate(*inner_predicate_, scratch_.Row());
+  return EvalPredicate(*residual_, scratch_.Row());
 }
 
 Status WindowedNotExistsOperator::ProcessTuple(size_t port, const Tuple& tuple) {
   if (same_stream_) {
-    ESLEV_RETURN_NOT_OK(ProcessOuter(tuple));
-    return ProcessInner(tuple);
+    bool held = false;
+    ESLEV_RETURN_NOT_OK(ProcessOuter(tuple, &held));
+    return ProcessInner(tuple, held);
   }
-  if (port == 0) return ProcessOuter(tuple);
-  return ProcessInner(tuple);
+  if (port == 0) {
+    bool held = false;
+    return ProcessOuter(tuple, &held);
+  }
+  return ProcessInner(tuple, false);
 }
 
-Status WindowedNotExistsOperator::ProcessOuter(const Tuple& tuple) {
+Status WindowedNotExistsOperator::ProcessOuter(const Tuple& tuple,
+                                               bool* held) {
   if (outer_predicate_) {
     scratch_.SetTuple(0, nullptr);
     scratch_.SetTuple(1, &tuple);
@@ -50,32 +87,53 @@ Status WindowedNotExistsOperator::ProcessOuter(const Tuple& tuple) {
                            EvalPredicate(*outer_predicate_, scratch_.Row()));
     if (!pass) return Status::OK();
   }
-  if (has_preceding_) {
-    buffer_.EvictAt(tuple.ts());
-    for (const Tuple& inner : buffer_.tuples()) {
-      ESLEV_ASSIGN_OR_RETURN(bool m, Matches(inner, tuple));
-      if (m) return Status::OK();  // EXISTS -> NOT EXISTS fails
-    }
+  if (has_preceding_) buffer_.EvictAt(tuple.ts());
+  // The key values are evaluated only when something can be compared
+  // with them: a buffered tuple, or a later arrival on the FOLLOWING side.
+  bool have_key = false;
+  if (buffer_.size() > 0) {
+    ESLEV_RETURN_NOT_OK(EvalKey(tuple, &probe_key_));
+    have_key = true;
+    bool found = false;
+    Status status;
+    buffer_.ForEachInBucket(
+        KeyedWindowBuffer::ProbeHash(probe_key_), [&](const Tuple& inner) {
+          Result<bool> m = Matches(inner, tuple, probe_key_);
+          if (!m.ok()) {
+            status = m.status();
+            return false;
+          }
+          found = *m;
+          return !found;
+        });
+    ESLEV_RETURN_NOT_OK(status);
+    if (found) return Status::OK();  // EXISTS -> NOT EXISTS fails
   }
   if (has_following_) {
-    pending_.push_back({tuple, tuple.ts() + window_.length});
+    if (!have_key) ESLEV_RETURN_NOT_OK(EvalKey(tuple, &probe_key_));
+    pending_.push_back({tuple, tuple.ts() + window_.length, probe_key_});
+    *held = true;
     return Status::OK();
   }
   return Emit(tuple);
 }
 
-Status WindowedNotExistsOperator::ProcessInner(const Tuple& tuple) {
+Status WindowedNotExistsOperator::ProcessInner(const Tuple& tuple,
+                                               bool skip_last_pending) {
   // Cancel pendings whose FOLLOWING window covers this arrival.
   if (has_following_ && !pending_.empty()) {
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (tuple.ts() >= it->outer.ts() && tuple.ts() <= it->deadline) {
-        ESLEV_ASSIGN_OR_RETURN(bool m, Matches(tuple, it->outer));
+    size_t n = pending_.size() - (skip_last_pending ? 1 : 0);
+    for (size_t i = 0; i < n;) {
+      const Pending& p = pending_[i];
+      if (tuple.ts() >= p.outer.ts() && tuple.ts() <= p.deadline) {
+        ESLEV_ASSIGN_OR_RETURN(bool m, Matches(tuple, p.outer, p.key));
         if (m) {
-          it = pending_.erase(it);
+          pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+          --n;
           continue;
         }
       }
-      ++it;
+      ++i;
     }
   }
   if (has_preceding_) buffer_.Add(tuple);
@@ -117,6 +175,12 @@ Status WindowedNotExistsOperator::RestoreState(BinaryDecoder* dec) {
   std::deque<Tuple> buffered;
   for (uint32_t i = 0; i < nbuffered; ++i) {
     ESLEV_ASSIGN_OR_RETURN(Tuple t, dec->GetTuple());
+    for (const Key& k : keys_) {
+      if (k.inner_column >= t.size()) {
+        return Status::IoError(
+            "checkpointed window tuple lacks a key column");
+      }
+    }
     buffered.push_back(std::move(t));
   }
   buffer_.Assign(std::move(buffered));
@@ -126,6 +190,7 @@ Status WindowedNotExistsOperator::RestoreState(BinaryDecoder* dec) {
     Pending p;
     ESLEV_ASSIGN_OR_RETURN(p.outer, dec->GetTuple());
     ESLEV_ASSIGN_OR_RETURN(p.deadline, dec->GetI64());
+    ESLEV_RETURN_NOT_OK(EvalKey(p.outer, &p.key));
     pending_.push_back(std::move(p));
   }
   return Status::OK();

@@ -9,8 +9,16 @@
 // Ports: 0 = outer stream, 1 = inner stream. When the sub-query reads the
 // *same* stream as the outer query (both paper examples do), construct
 // with `same_stream=true` and feed only port 0: each arrival is processed
-// as the outer tuple first (so a tuple never anti-joins against itself),
-// then added to the inner window buffer.
+// as the outer tuple first, then as an inner tuple, and a tuple never
+// anti-joins against itself (it is not yet in the PRECEDING buffer when
+// it probes, and it cannot cancel its own FOLLOWING pending entry).
+//
+// Keys: the planner splits the sub-query's WHERE into key pairs
+// `inner.col = <expression over the outer tuple>` and a residual. The
+// PRECEDING buffer is chained by the key columns' SQL-equality hash, so
+// an outer tuple walks only its own bucket, compares the key columns
+// natively, and runs only the residual through the interpreter. Without
+// key pairs every buffered tuple shares one bucket.
 //
 // FOLLOWING semantics: an outer tuple cannot be emitted before its
 // following-window closes, so it is held *pending* and either cancelled
@@ -23,6 +31,7 @@
 
 #include <deque>
 #include <memory>
+#include <vector>
 
 #include "expr/bound_expr.h"
 #include "sql/ast.h"
@@ -33,12 +42,23 @@ namespace eslev {
 
 class WindowedNotExistsOperator : public Operator {
  public:
-  /// `outer_predicate` (optional, slot 1 only) gates which arrivals play
-  /// the outer role; in same-stream mode it cannot be applied upstream
-  /// because the inner side must still observe every tuple.
-  WindowedNotExistsOperator(WindowSpec window, BoundExprPtr inner_predicate,
+  /// \brief One key pair of the sub-query's WHERE: the inner tuple's
+  /// column `inner_column` must be SQL-equal to `outer_expr`, which reads
+  /// only the outer tuple (slot 1).
+  struct Key {
+    size_t inner_column;
+    BoundExprPtr outer_expr;
+  };
+
+  /// `residual` is the rest of the sub-query's WHERE (slots 0 and 1;
+  /// null means TRUE). `outer_predicate` (optional, slot 1 only) gates
+  /// which arrivals play the outer role; in same-stream mode it cannot be
+  /// applied upstream because the inner side must still observe every
+  /// tuple.
+  WindowedNotExistsOperator(WindowSpec window, BoundExprPtr residual,
                             bool same_stream,
-                            BoundExprPtr outer_predicate = nullptr);
+                            BoundExprPtr outer_predicate = nullptr,
+                            std::vector<Key> keys = {});
 
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
   Status ProcessHeartbeat(Timestamp now) override;
@@ -46,13 +66,17 @@ class WindowedNotExistsOperator : public Operator {
   /// \brief The window this anti-join runs (cost model, DESIGN.md §16).
   const WindowSpec& window() const { return window_; }
   bool same_stream() const { return same_stream_; }
+  /// \brief True when the probe walks one key bucket instead of the
+  /// whole window.
+  bool keyed() const { return !keys_.empty(); }
 
   /// \brief Number of outer tuples currently held for their FOLLOWING
   /// window to close (observability for tests/benches).
   size_t pending_count() const { return pending_.size(); }
   size_t buffered_count() const { return buffer_.size(); }
   /// \brief Inner tuples compared against an outer tuple's NOT EXISTS
-  /// probe (PRECEDING-side scans plus FOLLOWING-side pending checks).
+  /// probe (PRECEDING-side bucket walks plus FOLLOWING-side pending
+  /// checks).
   uint64_t probe_comparisons() const { return probe_comparisons_; }
 
   void AppendStats(OperatorStatList* out) const override;
@@ -66,21 +90,31 @@ class WindowedNotExistsOperator : public Operator {
   struct Pending {
     Tuple outer;
     Timestamp deadline;
+    std::vector<Value> key;  // the outer's key values (not checkpointed)
   };
 
-  Status ProcessOuter(const Tuple& tuple);
-  Status ProcessInner(const Tuple& tuple);
+  /// Processes `tuple` as the outer tuple; sets `*held` when it was
+  /// added to pending_.
+  Status ProcessOuter(const Tuple& tuple, bool* held);
+  /// Processes `tuple` as an inner tuple; the last pending entry is not
+  /// checked when `skip_last_pending` (the arrival's own entry).
+  Status ProcessInner(const Tuple& tuple, bool skip_last_pending);
   Status FlushPending(Timestamp now);
-  Result<bool> Matches(const Tuple& inner, const Tuple& outer);
+  /// Evaluates the outer key expressions over `outer` into `*key`.
+  Status EvalKey(const Tuple& outer, std::vector<Value>* key);
+  Result<bool> Matches(const Tuple& inner, const Tuple& outer,
+                       const std::vector<Value>& outer_key);
 
   WindowSpec window_;
-  BoundExprPtr inner_predicate_;
+  BoundExprPtr residual_;
   BoundExprPtr outer_predicate_;
+  std::vector<Key> keys_;
   bool same_stream_;
   bool has_preceding_;
   bool has_following_;
-  WindowBuffer buffer_;           // inner history for the PRECEDING side
+  KeyedWindowBuffer buffer_;      // inner history for the PRECEDING side
   std::deque<Pending> pending_;   // outer tuples awaiting FOLLOWING close
+  std::vector<Value> probe_key_;  // the current outer tuple's key values
   uint64_t probe_comparisons_ = 0;
   RowScratch scratch_;
 };

@@ -238,44 +238,59 @@ Result<Projection> BuildProjection(const SelectStmt& select,
   return out;
 }
 
-// Find an equality conjunct usable as a hash-index probe: inner-table
-// column == expression over the outer tuple only.
-struct ProbeSpec {
-  std::string column;
+// The sub-query WHERE split for a keyed probe. Key pairs are the
+// top-level conjuncts `inner.col = <expression over the outer tuple
+// only>` (either side); every other conjunct is residual.
+struct ProbeKey {
+  std::string column;  // as named in the inner schema
+  size_t column_index;
   const Expr* outer_expr;
 };
+struct ProbeSplit {
+  std::vector<ProbeKey> keys;
+  std::vector<const Expr*> residual;
+};
 
-Result<std::optional<ProbeSpec>> FindProbe(const Expr* where,
-                                           const BindScope& scope,
-                                           const SchemaPtr& inner_schema) {
-  std::optional<ProbeSpec> probe;
-  if (where == nullptr) return probe;
+std::optional<ProbeKey> AsProbeKey(const Expr* c, const BindScope& scope,
+                                   const SchemaPtr& inner_schema) {
+  if (c->kind != ExprKind::kBinary) return std::nullopt;
+  const auto& b = static_cast<const BinaryExpr&>(*c);
+  if (b.op != BinaryOp::kEq) return std::nullopt;
+  for (bool flip : {false, true}) {
+    const Expr* maybe_col = flip ? b.rhs.get() : b.lhs.get();
+    const Expr* other = flip ? b.lhs.get() : b.rhs.get();
+    if (maybe_col->kind != ExprKind::kColumnRef) continue;
+    const auto& col = static_cast<const ColumnRefExpr&>(*maybe_col);
+    // Must resolve to the inner entry (slot 0).
+    ExprRefs col_refs;
+    col_refs.slots.assign(scope.size(), false);
+    if (!CollectRefsInto(*maybe_col, scope, &col_refs).ok()) continue;
+    if (col_refs.SingleSlot() != 0 || col_refs.has_previous) continue;
+    const int index = inner_schema->FindField(col.column);
+    if (index < 0) continue;
+    ExprRefs other_refs;
+    other_refs.slots.assign(scope.size(), false);
+    if (!CollectRefsInto(*other, scope, &other_refs).ok()) continue;
+    if (other_refs.slots[0]) continue;  // must not read the inner row
+    return ProbeKey{inner_schema->field(static_cast<size_t>(index)).name,
+                    static_cast<size_t>(index), other};
+  }
+  return std::nullopt;
+}
+
+ProbeSplit FindProbe(const Expr* where, const BindScope& scope,
+                     const SchemaPtr& inner_schema) {
+  ProbeSplit split;
   std::vector<const Expr*> conjuncts;
   FlattenConjuncts(where, &conjuncts);
   for (const Expr* c : conjuncts) {
-    if (c->kind != ExprKind::kBinary) continue;
-    const auto& b = static_cast<const BinaryExpr&>(*c);
-    if (b.op != BinaryOp::kEq) continue;
-    for (bool flip : {false, true}) {
-      const Expr* maybe_col = flip ? b.rhs.get() : b.lhs.get();
-      const Expr* other = flip ? b.lhs.get() : b.rhs.get();
-      if (maybe_col->kind != ExprKind::kColumnRef) continue;
-      const auto& col = static_cast<const ColumnRefExpr&>(*maybe_col);
-      // Must resolve to the inner entry (slot 0).
-      ExprRefs col_refs;
-      col_refs.slots.assign(scope.size(), false);
-      if (!CollectRefsInto(*maybe_col, scope, &col_refs).ok()) continue;
-      if (col_refs.SingleSlot() != 0) continue;
-      if (inner_schema->FindField(col.column) < 0) continue;
-      ExprRefs other_refs;
-      other_refs.slots.assign(scope.size(), false);
-      if (!CollectRefsInto(*other, scope, &other_refs).ok()) continue;
-      if (other_refs.slots[0]) continue;  // must not read the inner row
-      probe = ProbeSpec{col.column, other};
-      return probe;
+    if (auto key = AsProbeKey(c, scope, inner_schema)) {
+      split.keys.push_back(*key);
+    } else {
+      split.residual.push_back(c);
     }
   }
-  return probe;
+  return split;
 }
 
 // AND-combine bound conjuncts (nullptr when empty).
@@ -444,11 +459,20 @@ Result<PlannedQuery> Planner::PlanStreamPipeline(
       scope.AddEntry({inner.alias, inner_stream->schema(), 0, false});
       scope.AddEntry({ref.alias, stream->schema(), 1, false});
       Binder binder(&scope, &registry);
-      BoundExprPtr inner_pred;
-      if (sub.where) {
-        ESLEV_ASSIGN_OR_RETURN(inner_pred, binder.Bind(*sub.where));
-      } else {
-        inner_pred = std::make_unique<BoundLiteral>(Value::Bool(true));
+      const ProbeSplit split =
+          FindProbe(sub.where.get(), scope, inner_stream->schema());
+      std::vector<WindowedNotExistsOperator::Key> keys;
+      std::string key_names;
+      for (const ProbeKey& k : split.keys) {
+        ESLEV_ASSIGN_OR_RETURN(BoundExprPtr outer_expr,
+                               binder.Bind(*k.outer_expr));
+        keys.push_back({k.column_index, std::move(outer_expr)});
+        key_names += (key_names.empty() ? "" : ", ") + k.column;
+      }
+      std::vector<BoundExprPtr> residual;
+      for (const Expr* c : split.residual) {
+        ESLEV_ASSIGN_OR_RETURN(BoundExprPtr b, binder.Bind(*c));
+        residual.push_back(std::move(b));
       }
       const bool same_stream = inner_stream == stream;
       BoundExprPtr outer_pred;
@@ -464,8 +488,8 @@ Result<PlannedQuery> Planner::PlanStreamPipeline(
         plain_consumed = true;
       }
       auto op = std::make_unique<WindowedNotExistsOperator>(
-          *inner.window, std::move(inner_pred), same_stream,
-          std::move(outer_pred));
+          *inner.window, CombineAnd(std::move(residual)), same_stream,
+          std::move(outer_pred), std::move(keys));
       if (!same_stream) {
         subs.push_back({inner_stream, op.get(), 1});
       }
@@ -482,7 +506,8 @@ Result<PlannedQuery> Planner::PlanStreamPipeline(
       append(std::move(op),
              std::string("WindowedNotExists: anti-join vs ") + inner.name +
                  " OVER " + inner.window->ToString() +
-                 (same_stream ? " (same stream, self-anti-join)" : ""));
+                 (same_stream ? " (same stream, self-anti-join)" : "") +
+                 (key_names.empty() ? "" : " keyed on (" + key_names + ")"));
     } else if (Table* table = catalog_->FindTable(inner.name)) {
       BindScope scope;
       scope.AddEntry({inner.alias, table->schema(), 0, false});
@@ -496,10 +521,10 @@ Result<PlannedQuery> Planner::PlanStreamPipeline(
       }
       auto op = std::make_unique<TableNotExistsOperator>(table,
                                                          std::move(pred));
-      ESLEV_ASSIGN_OR_RETURN(auto probe,
-                             FindProbe(sub.where.get(), scope,
-                                       table->schema()));
-      if (probe) {
+      const ProbeSplit split =
+          FindProbe(sub.where.get(), scope, table->schema());
+      const ProbeKey* probe = split.keys.empty() ? nullptr : &split.keys[0];
+      if (probe != nullptr) {
         ESLEV_ASSIGN_OR_RETURN(BoundExprPtr pe,
                                binder.Bind(*probe->outer_expr));
         ESLEV_RETURN_NOT_OK(op->SetProbe(probe->column, std::move(pe)));
@@ -694,13 +719,12 @@ Result<PlannedQuery> Planner::PlanStreamTableJoin(
   auto op = std::make_unique<StreamTableJoinOperator>(
       table, std::move(pred), std::move(proj.exprs), proj.schema);
   // Probe optimization on the join predicate.
-  if (select.where) {
-    ESLEV_ASSIGN_OR_RETURN(auto probe, FindProbe(select.where.get(), scope,
-                                                 table->schema()));
-    if (probe) {
-      ESLEV_ASSIGN_OR_RETURN(BoundExprPtr pe, binder.Bind(*probe->outer_expr));
-      ESLEV_RETURN_NOT_OK(op->SetProbe(probe->column, std::move(pe)));
-    }
+  const ProbeSplit split = FindProbe(select.where.get(), scope,
+                                    table->schema());
+  if (!split.keys.empty()) {
+    const ProbeKey& probe = split.keys[0];
+    ESLEV_ASSIGN_OR_RETURN(BoundExprPtr pe, binder.Bind(*probe.outer_expr));
+    ESLEV_RETURN_NOT_OK(op->SetProbe(probe.column, std::move(pe)));
   }
   pq.AddNote("Source: stream " + stream_ref->name);
   pq.AddNote("StreamTableJoin: context retrieval vs table " + table_ref->name,

@@ -15,7 +15,7 @@ Status Table::InsertTuple(const Tuple& tuple) {
   }
   rows_.push_back(tuple);
   if (indexed_column_) {
-    index_.emplace(tuple.value(*indexed_column_).Hash(), rows_.size() - 1);
+    index_.emplace(tuple.value(*indexed_column_).KeyHash(), rows_.size() - 1);
   }
   return Status::OK();
 }
@@ -43,15 +43,15 @@ Status Table::ScanEq(const std::string& column, const Value& v,
                      const std::function<void(const Tuple&)>& visit) const {
   ESLEV_ASSIGN_OR_RETURN(size_t col, schema_->FieldIndex(column));
   if (indexed_column_ && *indexed_column_ == col) {
-    auto range = index_.equal_range(v.Hash());
+    auto range = index_.equal_range(v.KeyHash());
     for (auto it = range.first; it != range.second; ++it) {
       const Tuple& row = rows_[it->second];
-      if (row.value(col) == v) visit(row);
+      if (row.value(col).KeyEquals(v)) visit(row);
     }
     return Status::OK();
   }
   for (const Tuple& row : rows_) {
-    if (row.value(col) == v) visit(row);
+    if (row.value(col).KeyEquals(v)) visit(row);
   }
   return Status::OK();
 }
@@ -137,7 +137,7 @@ void Table::ReindexAll() {
   index_.clear();
   if (!indexed_column_) return;
   for (size_t i = 0; i < rows_.size(); ++i) {
-    index_.emplace(rows_[i].value(*indexed_column_).Hash(), i);
+    index_.emplace(rows_[i].value(*indexed_column_).KeyHash(), i);
   }
 }
 

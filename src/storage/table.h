@@ -43,7 +43,8 @@ class Table {
   bool Any(const std::function<bool(const Tuple&)>& pred) const;
 
   /// \brief Index-accelerated equality probe on `column`; falls back to a
-  /// scan when no index exists. Visits every row whose column equals `v`.
+  /// scan when no index exists. Visits every row whose column is SQL-equal
+  /// to `v` (Value::KeyEquals: `5` matches `5.0`, NULL matches nothing).
   Status ScanEq(const std::string& column, const Value& v,
                 const std::function<void(const Tuple&)>& visit) const;
 
@@ -75,7 +76,7 @@ class Table {
   std::vector<Tuple> rows_;
   // column index -> (value hash map -> row ids)
   std::optional<size_t> indexed_column_;
-  std::unordered_multimap<size_t, size_t> index_;  // value hash -> row id
+  std::unordered_multimap<size_t, size_t> index_;  // KeyHash -> row id
 };
 
 }  // namespace eslev

@@ -82,7 +82,14 @@ Result<int64_t> Value::AsInt64() const {
 }
 
 namespace {
-int Spaceship(double a, double b) { return a < b ? -1 : (a > b ? 1 : 0); }
+// PostgreSQL's float order: NaN equals NaN and sorts above every number,
+// so `=` is an equivalence and ORDER BY gets a strict weak ordering.
+int Spaceship(double a, double b) {
+  const bool a_nan = std::isnan(a);
+  const bool b_nan = std::isnan(b);
+  if (a_nan || b_nan) return static_cast<int>(a_nan) - static_cast<int>(b_nan);
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
 int Spaceship(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
 }  // namespace
 
@@ -124,6 +131,34 @@ Result<int> Value::Compare(const Value& other) const {
     default:
       return Status::TypeError("unsupported comparison");
   }
+}
+
+bool Value::KeyEquals(const Value& other) const {
+  if (is_null() || other.is_null()) return false;
+  const Result<int> cmp = Compare(other);
+  return cmp.ok() && *cmp == 0;
+}
+
+size_t Value::KeyHash() const {
+  // Compare() falls back to doubles across the numeric family, so values
+  // it calls equal always share their double image.
+  double d = 0;
+  switch (type()) {
+    case TypeId::kInt64:
+      d = static_cast<double>(int_value());
+      break;
+    case TypeId::kDouble:
+      d = double_value();
+      break;
+    case TypeId::kTimestamp:
+      d = static_cast<double>(time_value());
+      break;
+    default:
+      return Hash();
+  }
+  if (std::isnan(d)) return 0x7ff8000000000000ULL;
+  if (d == 0) d = 0;  // -0.0 == 0.0
+  return std::hash<double>{}(d);
 }
 
 bool Value::operator==(const Value& other) const {

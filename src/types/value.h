@@ -32,9 +32,10 @@ Result<TypeId> ParseTypeName(const std::string& name);
 /// \brief A dynamically typed scalar. SQL NULL is TypeId::kNull.
 ///
 /// Comparison follows SQL-ish rules restricted to what the engine needs:
-/// numeric types compare across kInt64/kDouble; other cross-type
-/// comparisons are a TypeError at evaluation time (caught by the binder
-/// in well-typed plans).
+/// numeric types compare across kInt64/kDouble/kTimestamp; other
+/// cross-type comparisons are a TypeError at evaluation time. Doubles
+/// follow PostgreSQL's total order: NaN equals NaN and sorts above every
+/// number (DESIGN.md §5).
 class Value {
  public:
   Value() : repr_(std::monostate{}) {}
@@ -68,6 +69,15 @@ class Value {
   /// order for container use; SQL NULL predicate semantics are handled
   /// by the expression evaluator, not here).
   Result<int> Compare(const Value& other) const;
+
+  /// \brief SQL `=` as a two-valued key match: false when either side is
+  /// NULL or the two types are incomparable, else `Compare() == 0`.
+  bool KeyEquals(const Value& other) const;
+
+  /// \brief Hash that agrees with KeyEquals: INT, DOUBLE and TIMESTAMP
+  /// hash by numeric value (NaN and -0.0 canonicalized), so `5`, `5.0`
+  /// and the timestamp 5 share a hash.
+  size_t KeyHash() const;
 
   /// \brief Exact structural equality (NULL == NULL is true here).
   bool operator==(const Value& other) const;

@@ -247,6 +247,30 @@ TEST_F(CostModelEngineTest, DeclaredStreamStatsOverrideDefaults) {
   EXPECT_DOUBLE_EQ(report.operators[0].state.tuples, 10 * 5 + 1);
 }
 
+TEST_F(CostModelEngineTest, KeyedNotExistsProbeDividesByDistinctKeys) {
+  StreamStats stats;
+  stats.rate_per_sec = 100;
+  stats.distinct_keys = 50;
+  ASSERT_TRUE(engine_.DeclareStreamStats("R1", stats).ok());
+  const auto anti_join_cost = [&](const std::string& where) {
+    const QueryCostReport report = Analyze(
+        "SELECT * FROM R1 AS a WHERE NOT EXISTS (SELECT * FROM R1 AS b "
+        "OVER [1 SECONDS PRECEDING] WHERE " +
+        where + ");");
+    for (const OperatorCost& row : report.operators) {
+      if (row.op == "WindowedNotExists") return row;
+    }
+    ADD_FAILURE() << "no WindowedNotExists row";
+    return OperatorCost{};
+  };
+  // Buffer r*W+1 = 101 tuples; a keyed probe covers 101 / 50 of them.
+  const OperatorCost keyed = anti_join_cost("b.tagid = a.tagid");
+  EXPECT_DOUBLE_EQ(keyed.state.tuples, 101);
+  EXPECT_DOUBLE_EQ(keyed.cpu_cost, 100 + 100 * 101 / 50.0);
+  const OperatorCost scan = anti_join_cost("b.tagid = a.tagid OR 1 = 0");
+  EXPECT_DOUBLE_EQ(scan.cpu_cost, 100 + 100 * 101);
+}
+
 TEST_F(CostModelEngineTest, DeclareStreamStatsRejectsUnknownStream) {
   EXPECT_FALSE(engine_.DeclareStreamStats("nosuch", StreamStats{}).ok());
 }

@@ -40,7 +40,22 @@ TEST_F(ExplainTest, DedupPipeline) {
   EXPECT_NE(plan.find("Source: stream readings"), std::string::npos);
   EXPECT_NE(plan.find("WindowedNotExists"), std::string::npos);
   EXPECT_NE(plan.find("same stream"), std::string::npos);
+  EXPECT_NE(plan.find("keyed on (reader_id, tag_id)"), std::string::npos)
+      << plan;
   EXPECT_NE(plan.find("-> stream cleaned"), std::string::npos) << plan;
+}
+
+TEST_F(ExplainTest, UnkeyedAntiJoinPrintsNoKeys) {
+  // An OR hides the equalities from the key split: one bucket.
+  std::string plan = Explain(R"sql(
+    SELECT * FROM readings AS r1
+    WHERE NOT EXISTS
+      (SELECT * FROM TABLE( readings OVER
+          (RANGE 1 seconds PRECEDING CURRENT)) AS r2
+       WHERE (r2.tag_id = r1.tag_id) OR 1 = 0)
+  )sql");
+  EXPECT_NE(plan.find("WindowedNotExists"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("keyed on"), std::string::npos) << plan;
 }
 
 TEST_F(ExplainTest, SeqPipeline) {

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/engine.h"
 #include "exec/basic_ops.h"
 #include "expr/binder.h"
+#include "recovery/codec.h"
 #include "sql/parser.h"
 
 namespace eslev {
@@ -83,6 +85,70 @@ TEST_F(DedupTest, ChainedDuplicatesStaySuppressed) {
     ASSERT_TRUE(op.OnTuple(0, Reading("rd", "A", i * Milliseconds(500))).ok());
   }
   EXPECT_EQ(out.tuples().size(), 1u);
+}
+
+TEST_F(DedupTest, KeyedProbeWalksOnlyItsBucket) {
+  // The planner's split of Example 1: two key pairs, no residual.
+  WindowSpec w;
+  w.length = Seconds(1);
+  w.direction = WindowDirection::kPreceding;
+  std::vector<WindowedNotExistsOperator::Key> keys;
+  keys.push_back({0, Bind("r1.reader_id")});
+  keys.push_back({1, Bind("r1.tag_id")});
+  WindowedNotExistsOperator op(w, nullptr, /*same_stream=*/true, nullptr,
+                               std::move(keys));
+  EXPECT_TRUE(op.keyed());
+  CollectOperator out;
+  op.AddSink(&out);
+  // 50 distinct tags inside one window, then a duplicate of the last.
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(op.OnTuple(0, Reading("rd1", "T" + std::to_string(i),
+                                      Milliseconds(i)))
+                    .ok());
+  }
+  ASSERT_TRUE(op.OnTuple(0, Reading("rd1", "T49", Milliseconds(60))).ok());
+  EXPECT_EQ(out.tuples().size(), 50u);
+  EXPECT_EQ(op.buffered_count(), 51u);
+  // Key collisions in a load <= 1 table plus the one true match; a scan
+  // of the window would compare 1 + 2 + ... + 50 = 1275 times.
+  EXPECT_LT(op.probe_comparisons(), 100u);
+
+  // Checkpoint and restore rebuild the chains.
+  BinaryEncoder enc;
+  ASSERT_TRUE(op.SaveState(&enc).ok());
+  std::vector<WindowedNotExistsOperator::Key> keys2;
+  keys2.push_back({0, Bind("r1.reader_id")});
+  keys2.push_back({1, Bind("r1.tag_id")});
+  WindowedNotExistsOperator restored(w, nullptr, true, nullptr,
+                                     std::move(keys2));
+  CollectOperator out2;
+  restored.AddSink(&out2);
+  BinaryDecoder dec(enc.buffer());
+  ASSERT_TRUE(restored.RestoreState(&dec).ok());
+  ASSERT_TRUE(
+      restored.OnTuple(0, Reading("rd1", "T7", Milliseconds(70))).ok());
+  ASSERT_TRUE(
+      restored.OnTuple(0, Reading("rd2", "T7", Milliseconds(80))).ok());
+  ASSERT_EQ(out2.tuples().size(), 1u);
+  EXPECT_EQ(out2.tuples()[0].value(0).string_value(), "rd2");
+}
+
+TEST_F(DedupTest, RestoreRejectsTupleWithoutKeyColumn) {
+  // A crafted checkpoint whose buffered tuple is too short to hash.
+  WindowSpec w;
+  w.length = Seconds(1);
+  w.direction = WindowDirection::kPreceding;
+  std::vector<WindowedNotExistsOperator::Key> keys;
+  keys.push_back({1, Bind("r1.tag_id")});
+  WindowedNotExistsOperator op(w, nullptr, true, nullptr, std::move(keys));
+  const SchemaPtr narrow = Schema::Make({{"reader_id", TypeId::kString}});
+  BinaryEncoder enc;
+  enc.PutU64(0);
+  enc.PutU32(1);
+  enc.PutTuple(*MakeTuple(narrow, {Value::String("rd1")}, 0));
+  enc.PutU32(0);
+  BinaryDecoder dec(enc.buffer());
+  EXPECT_TRUE(op.RestoreState(&dec).IsIoError());
 }
 
 TEST_F(DedupTest, TwoStreamMode) {
@@ -219,6 +285,66 @@ TEST_F(TheftTest, OnePersonCoversMultipleItems) {
   ASSERT_TRUE(op->OnHeartbeat(Seconds(500)).ok());
   EXPECT_TRUE(out.tuples().empty());
 }
+
+// A same-stream FOLLOWING anti-join must not cancel an arrival's own
+// pending entry: isolated reads survive every window form, while a
+// second read of the same tag inside the window still cancels.
+class SelfFollowingTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  std::vector<Timestamp> Run(
+      const std::vector<std::pair<std::string, Timestamp>>& reads) {
+    Engine engine;
+    EXPECT_TRUE(engine
+                    .ExecuteScript(
+                        "CREATE STREAM readings(reader_id, tag_id, read_time);")
+                    .ok());
+    auto q = engine.RegisterQuery(
+        std::string("SELECT * FROM readings AS r1 WHERE NOT EXISTS "
+                    "(SELECT * FROM readings AS r2 OVER [") +
+        GetParam() + " r1] WHERE r2.tag_id = r1.tag_id)");
+    EXPECT_TRUE(q.ok()) << q.status();
+    std::vector<Timestamp> out;
+    EXPECT_TRUE(engine
+                    .Subscribe(q->output_stream,
+                               [&out](const Tuple& t) { out.push_back(t.ts()); })
+                    .ok());
+    for (const auto& [tag, ts] : reads) {
+      EXPECT_TRUE(engine
+                      .Push("readings",
+                            {Value::String("rd"), Value::String(tag),
+                             Value::Time(ts)},
+                            ts)
+                      .ok());
+    }
+    EXPECT_TRUE(engine.AdvanceTime(Seconds(60)).ok());
+    return out;
+  }
+};
+
+TEST_P(SelfFollowingTest, IsolatedReadsAreEmitted) {
+  EXPECT_EQ(Run({{"A", Seconds(1)}, {"B", Seconds(5)}}),
+            (std::vector<Timestamp>{Seconds(1), Seconds(5)}));
+}
+
+TEST_P(SelfFollowingTest, FollowingReadOfSameTagCancels) {
+  const std::vector<Timestamp> out =
+      Run({{"A", Seconds(1)}, {"A", Milliseconds(1500)}, {"C", Seconds(5)}});
+  const std::string form = GetParam();
+  if (form == "1 SECONDS PRECEDING") {
+    EXPECT_EQ(out, (std::vector<Timestamp>{Seconds(1), Seconds(5)}));
+  } else if (form == "1 SECONDS FOLLOWING") {
+    EXPECT_EQ(out, (std::vector<Timestamp>{Milliseconds(1500), Seconds(5)}));
+  } else {  // both directions: each A sees the other
+    EXPECT_EQ(out, (std::vector<Timestamp>{Seconds(5)}));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WindowForms, SelfFollowingTest,
+    ::testing::Values("1 SECONDS FOLLOWING",
+                      "1 SECONDS PRECEDING AND FOLLOWING",
+                      "1 SECONDS FOLLOWING AND PRECEDING",
+                      "1 SECONDS PRECEDING"));
 
 }  // namespace
 }  // namespace eslev

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "expr/binder.h"
 #include "sql/parser.h"
 
@@ -229,6 +231,36 @@ TEST_F(BinderEvalTest, PreviousReferenceOnStarGroup) {
   // First tuple of a group: previous is NULL -> predicate is UNKNOWN.
   scratch.SetPrevious(0, nullptr);
   EXPECT_TRUE((*bound)->Eval(scratch.Row())->is_null());
+}
+
+// NaN follows PostgreSQL's total order (DESIGN.md §5): it equals only
+// NaN and sorts above every number, so `v = 5` no longer passes a NaN.
+TEST(NanComparisonTest, EqualsAndLessFollowTotalOrder) {
+  const SchemaPtr schema = Schema::Make({{"v", TypeId::kDouble}});
+  BindScope scope;
+  scope.AddEntry({"m", schema, 0, false});
+  FunctionRegistry registry;
+  const Tuple nan = *MakeTuple(
+      schema, {Value::Double(std::numeric_limits<double>::quiet_NaN())}, 0);
+  const Tuple five = *MakeTuple(schema, {Value::Double(5)}, 0);
+  const auto eval = [&](const std::string& text, const Tuple& t) {
+    auto parsed = ParseExpression(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    Binder binder(&scope, &registry);
+    auto bound = binder.Bind(**parsed);
+    EXPECT_TRUE(bound.ok()) << bound.status();
+    RowScratch scratch(1);
+    scratch.SetTuple(0, &t);
+    return *EvalPredicate(**bound, scratch.Row());
+  };
+  EXPECT_FALSE(eval("v = 5", nan));
+  EXPECT_TRUE(eval("v = 5", five));
+  EXPECT_TRUE(eval("v <> 5", nan));
+  EXPECT_TRUE(eval("v = v", nan));
+  EXPECT_FALSE(eval("v < 5", nan));
+  EXPECT_TRUE(eval("v > 5", nan));
+  EXPECT_TRUE(eval("5 < v", nan));
+  EXPECT_FALSE(eval("v < v", nan));
 }
 
 }  // namespace

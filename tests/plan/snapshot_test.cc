@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/engine.h"
 
 namespace eslev {
@@ -138,6 +140,44 @@ TEST_F(SnapshotTest, ContinuousQueriesRejectOrderBy) {
   EXPECT_TRUE(engine_->RegisterQuery("SELECT patient FROM sightings LIMIT 5")
                   .status()
                   .IsNotImplemented());
+}
+
+// ORDER BY needs a strict weak ordering: NaN sorts above every number
+// (DESIGN.md §5), and equal NaNs keep their arrival order.
+TEST(SnapshotNanTest, OrderBySortsNanAboveEveryNumber) {
+  EngineOptions options;
+  options.default_retention = Hours(1);
+  Engine engine(options);
+  ASSERT_TRUE(
+      engine.ExecuteScript("CREATE STREAM temps(sensor, v DOUBLE, seen_time);")
+          .ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {3, nan, -1, nan, 2, 7, nan, 0};
+  for (size_t i = 0; i < values.size(); ++i) {
+    const Timestamp ts = Seconds(static_cast<int64_t>(i) + 1);
+    const Status pushed =
+        engine.Push("temps",
+                    {Value::String("s" + std::to_string(i)),
+                     Value::Double(values[i]), Value::Time(ts)},
+                    ts);
+    ASSERT_TRUE(pushed.ok()) << pushed;
+  }
+  const auto sensors = [&](const std::string& sql) {
+    auto rows = engine.ExecuteSnapshot(sql);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    std::vector<std::string> out;
+    if (!rows.ok()) return out;
+    for (const Tuple& r : *rows) out.push_back(r.value(0).string_value());
+    return out;
+  };
+  EXPECT_EQ(sensors("SELECT sensor FROM temps ORDER BY v"),
+            (std::vector<std::string>{"s2", "s7", "s4", "s0", "s5", "s1",
+                                      "s3", "s6"}));
+  EXPECT_EQ(sensors("SELECT sensor FROM temps ORDER BY v DESC"),
+            (std::vector<std::string>{"s1", "s3", "s6", "s5", "s0", "s4",
+                                      "s7", "s2"}));
+  EXPECT_EQ(sensors("SELECT sensor FROM temps WHERE v = 7"),
+            (std::vector<std::string>{"s5"}));
 }
 
 }  // namespace

@@ -128,5 +128,98 @@ TEST(WindowBufferTest, Clear) {
   EXPECT_TRUE(w.empty());
 }
 
+// ---------------------------------------------------------------------------
+// KeyedWindowBuffer
+// ---------------------------------------------------------------------------
+
+// Tags of the tuples a probe for `tag` visits, newest first, that
+// actually carry that tag (other keys may share the bucket).
+std::vector<Timestamp> Bucket(const KeyedWindowBuffer& w,
+                              const std::string& tag) {
+  std::vector<Timestamp> out;
+  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({Value::String(tag)}),
+                    [&](const Tuple& t) {
+                      if (t.value(0).string_value() == tag) {
+                        out.push_back(t.ts());
+                      }
+                      return true;
+                    });
+  return out;
+}
+
+TEST(KeyedWindowBufferTest, ChainsSurviveEvictionAndResizing) {
+  auto schema = TestSchema();
+  KeyedWindowBuffer w(false, Seconds(10), {0});
+  // 40 tags, two reads each, grow the head array from 1 to 64 buckets.
+  for (int i = 0; i < 80; ++i) {
+    w.Add(T(schema, "t" + std::to_string(i % 40), Seconds(i) / 10));
+  }
+  EXPECT_EQ(w.size(), 80u);
+  EXPECT_EQ(w.bucket_count(), 128u);
+  EXPECT_EQ(Bucket(w, "t3"), (std::vector<Timestamp>{Seconds(43) / 10,
+                                                      Seconds(3) / 10}));
+  // Evict the first 50 tuples: t3's older read leaves its chain.
+  w.EvictAt(Seconds(10) + Seconds(49) / 10 + 1);
+  EXPECT_EQ(w.size(), 30u);
+  EXPECT_EQ(Bucket(w, "t3"), std::vector<Timestamp>{});
+  EXPECT_EQ(Bucket(w, "t15"), (std::vector<Timestamp>{Seconds(55) / 10}));
+  // Falling below a quarter of the heads shrinks the array to a load of
+  // at most 1/2.
+  EXPECT_EQ(w.bucket_count(), 64u);
+  w.EvictAt(Seconds(10) + Seconds(75) / 10 + 1);
+  EXPECT_EQ(w.size(), 4u);
+  EXPECT_EQ(w.bucket_count(), 8u);
+  EXPECT_EQ(Bucket(w, "t39"), (std::vector<Timestamp>{Seconds(79) / 10}));
+  EXPECT_EQ(Bucket(w, "t35"), std::vector<Timestamp>{});
+}
+
+TEST(KeyedWindowBufferTest, SqlEqualKeysShareABucket) {
+  auto schema = Schema::Make({{"k", TypeId::kDouble}});
+  KeyedWindowBuffer w(true, 100, {0});
+  w.Add(*MakeTuple(schema, {Value::Double(5.0)}, 1));
+  w.Add(*MakeTuple(schema, {Value::Double(-0.0)}, 2));
+  size_t fives = 0;
+  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({Value::Int(5)}),
+                    [&](const Tuple& t) {
+                      fives += t.value(0).KeyEquals(Value::Int(5));
+                      return true;
+                    });
+  EXPECT_EQ(fives, 1u);
+  size_t zeros = 0;
+  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({Value::Int(0)}),
+                    [&](const Tuple& t) {
+                      zeros += t.value(0).KeyEquals(Value::Int(0));
+                      return true;
+                    });
+  EXPECT_EQ(zeros, 1u);
+}
+
+TEST(KeyedWindowBufferTest, NoKeyColumnsIsOneBucketNewestFirst) {
+  auto schema = TestSchema();
+  KeyedWindowBuffer w(true, 3, {});
+  for (int i = 0; i < 5; ++i) w.Add(T(schema, "t" + std::to_string(i), i));
+  EXPECT_EQ(w.bucket_count(), 1u);
+  std::vector<Timestamp> seen;
+  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({}), [&](const Tuple& t) {
+    seen.push_back(t.ts());
+    return seen.size() < 2;  // stop early
+  });
+  EXPECT_EQ(seen, (std::vector<Timestamp>{4, 3}));
+}
+
+TEST(KeyedWindowBufferTest, AssignRebuildsChains) {
+  auto schema = TestSchema();
+  KeyedWindowBuffer w(false, Seconds(10), {0});
+  w.Add(T(schema, "x", 1));
+  std::deque<Tuple> restored = {T(schema, "a", 1), T(schema, "b", 2),
+                                T(schema, "a", 3)};
+  w.Assign(restored);
+  EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(Bucket(w, "a"), (std::vector<Timestamp>{3, 1}));
+  EXPECT_EQ(Bucket(w, "x"), std::vector<Timestamp>{});
+  w.Add(T(schema, "a", 4));
+  EXPECT_EQ(Bucket(w, "a"), (std::vector<Timestamp>{4, 3, 1}));
+}
+
 }  // namespace
 }  // namespace eslev

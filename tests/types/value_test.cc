@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 namespace eslev {
 namespace {
 
@@ -92,6 +95,46 @@ TEST(ValueTest, HashConsistentWithEquality) {
   // Timestamp and Int of same magnitude are != so hashes may differ; just
   // check they're stable.
   EXPECT_EQ(Value::Time(9).Hash(), Value::Time(9).Hash());
+}
+
+TEST(ValueTest, NanFollowsPostgresTotalOrder) {
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_EQ(*nan.Compare(nan), 0);
+  EXPECT_EQ(*nan.Compare(Value::Int(5)), 1);
+  EXPECT_EQ(*Value::Int(5).Compare(nan), -1);
+  EXPECT_EQ(*nan.Compare(
+                Value::Double(std::numeric_limits<double>::infinity())),
+            1);
+  EXPECT_EQ(*Value::Time(5).Compare(nan), -1);
+  EXPECT_EQ(*Value::Double(-0.0).Compare(Value::Double(0.0)), 0);
+}
+
+TEST(ValueTest, KeyEqualsIsSqlEquality) {
+  const Value nan = Value::Double(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_TRUE(Value::Int(5).KeyEquals(Value::Double(5.0)));
+  EXPECT_TRUE(Value::Time(5).KeyEquals(Value::Int(5)));
+  EXPECT_TRUE(nan.KeyEquals(nan));
+  EXPECT_FALSE(nan.KeyEquals(Value::Int(5)));
+  EXPECT_FALSE(Value::Null().KeyEquals(Value::Null()));
+  EXPECT_FALSE(Value::Int(1).KeyEquals(Value::Null()));
+  EXPECT_FALSE(Value::String("1").KeyEquals(Value::Int(1)));  // incomparable
+  EXPECT_TRUE(Value::String("t").KeyEquals(Value::String("t")));
+}
+
+TEST(ValueTest, KeyHashAgreesWithKeyEquals) {
+  EXPECT_EQ(Value::Int(5).KeyHash(), Value::Double(5.0).KeyHash());
+  EXPECT_EQ(Value::Int(5).KeyHash(), Value::Time(5).KeyHash());
+  EXPECT_EQ(Value::Double(-0.0).KeyHash(), Value::Int(0).KeyHash());
+  EXPECT_EQ(Value::Double(std::nan("1")).KeyHash(),
+            Value::Double(-std::numeric_limits<double>::quiet_NaN())
+                .KeyHash());
+  EXPECT_EQ(Value::String("rfid").KeyHash(), Value::String("rfid").KeyHash());
+  // Beyond 2^53 an INT equals the DOUBLE it rounds to, so both share it.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  ASSERT_TRUE(Value::Int(big).KeyEquals(
+      Value::Double(static_cast<double>(big))));
+  EXPECT_EQ(Value::Int(big).KeyHash(),
+            Value::Double(static_cast<double>(big)).KeyHash());
 }
 
 TEST(TypeNameTest, ParseTypeName) {
