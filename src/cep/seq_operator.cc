@@ -2,8 +2,88 @@
 
 #include <algorithm>
 #include <functional>
+#include <utility>
 
 namespace eslev {
+
+namespace {
+
+// The trigger's equality class (DESIGN.md §5, keyed SEQ matching): a
+// union-find over (position, column) nodes, linked only by plain
+// `Pi.col = Pj.col` conjuncts between non-star, non-negated positions.
+// Returns, per position, the column in the class of the final position
+// that reaches the most positions (ties: the trigger column written
+// first), or -1; all -1 when CONSECUTIVE, trailing-star or nothing links
+// the trigger.
+std::vector<int> DeriveKeyColumns(const SeqOperatorConfig& config) {
+  const size_t n = config.positions.size();
+  std::vector<int> keys(n, -1);
+  if (config.mode == PairingMode::kConsecutive ||
+      config.positions.back().star) {
+    return keys;
+  }
+  std::vector<std::pair<size_t, size_t>> nodes;  // (position, column)
+  std::vector<size_t> parent;
+  const auto node = [&](size_t pos, size_t col) {
+    const auto it = std::find(nodes.begin(), nodes.end(),
+                              std::make_pair(pos, col));
+    if (it != nodes.end()) return static_cast<size_t>(it - nodes.begin());
+    nodes.emplace_back(pos, col);
+    parent.push_back(parent.size());
+    return nodes.size() - 1;
+  };
+  const auto find = [&parent](size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  const auto plain = [&config](size_t pos) {
+    return !config.positions[pos].star && !config.positions[pos].negated;
+  };
+  for (const PairwiseConstraint& c : config.pairwise) {
+    const auto* eq = dynamic_cast<const BoundBinary*>(c.expr.get());
+    if (eq == nullptr || eq->op() != BinaryOp::kEq) continue;
+    const auto* l = dynamic_cast<const BoundColumnRef*>(&eq->lhs());
+    const auto* r = dynamic_cast<const BoundColumnRef*>(&eq->rhs());
+    if (l == nullptr || r == nullptr || l->previous() || r->previous()) {
+      continue;
+    }
+    if (std::min(l->slot(), r->slot()) != c.pos_a ||
+        std::max(l->slot(), r->slot()) != c.pos_b || !plain(c.pos_a) ||
+        !plain(c.pos_b)) {
+      continue;
+    }
+    const size_t a = node(l->slot(), l->column());
+    const size_t b = node(r->slot(), r->column());
+    parent[find(a)] = find(b);
+  }
+  // Nodes are numbered in the order the conjuncts name them.
+  size_t best_root = 0;
+  size_t best_reach = 0;
+  std::vector<bool> reached(n);
+  for (size_t t = 0; t < nodes.size(); ++t) {
+    if (nodes[t].first != n - 1) continue;
+    reached.assign(n, false);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      if (find(i) == find(t)) reached[nodes[i].first] = true;
+    }
+    const size_t reach =
+        static_cast<size_t>(std::count(reached.begin(), reached.end(), true));
+    if (reach > best_reach) {
+      best_root = find(t);
+      best_reach = reach;
+    }
+  }
+  if (best_reach == 0) return keys;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (find(i) != best_root) continue;
+    int& key = keys[nodes[i].first];
+    const int column = static_cast<int>(nodes[i].second);
+    if (key < 0 || column < key) key = column;
+  }
+  return keys;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<SeqOperator>> SeqOperator::Make(
     SeqOperatorConfig config) {
@@ -62,16 +142,38 @@ Result<std::unique_ptr<SeqOperator>> SeqOperator::Make(
   if (!config.out_schema || config.projection.empty()) {
     return Status::Invalid("SEQ operator requires a projection");
   }
-  return std::unique_ptr<SeqOperator>(new SeqOperator(std::move(config)));
+  std::vector<int> key_columns = DeriveKeyColumns(config);
+  return std::unique_ptr<SeqOperator>(
+      new SeqOperator(std::move(config), std::move(key_columns)));
 }
 
-SeqOperator::SeqOperator(SeqOperatorConfig config)
+SeqOperator::SeqOperator(SeqOperatorConfig config,
+                         std::vector<int> key_columns)
     : config_(std::move(config)),
       n_(config_.positions.size()),
       last_is_star_(config_.positions.back().star),
       recent_exact_purge_(config_.pairwise.empty()),
+      key_columns_(std::move(key_columns)),
       history_(n_),
       scratch_(n_) {}
+
+uint32_t SeqOperator::KeyOf(size_t pos, const Tuple& tuple) const {
+  const size_t h =
+      tuple.value(static_cast<size_t>(key_columns_[pos])).KeyHash();
+  return static_cast<uint32_t>(h ^ (static_cast<uint64_t>(h) >> 32));
+}
+
+std::string SeqOperator::KeyDescription() const {
+  std::string out;
+  for (size_t pos = 0; pos < n_; ++pos) {
+    if (key_columns_[pos] < 0) continue;
+    const SeqPosition& p = config_.positions[pos];
+    if (!out.empty()) out += ", ";
+    out += p.alias + "." +
+           p.schema->field(static_cast<size_t>(key_columns_[pos])).name;
+  }
+  return out;
+}
 
 const SeqOperator::Entry* SeqOperator::NextChosen(
     const std::vector<const Entry*>& chosen, size_t pos) const {
@@ -134,6 +236,7 @@ Result<bool> SeqOperator::PassesStarGate(size_t pos, const Tuple& tuple,
 
 Result<bool> SeqOperator::PassesPairwise(const PairwiseConstraint& c,
                                          const Entry& ea, const Entry& eb) {
+  ++pairwise_evals_;
   scratch_.Clear();
   scratch_.SetTuple(c.pos_a, &ea.tuples.back());
   scratch_.SetTuple(c.pos_b, &eb.tuples.back());
@@ -198,6 +301,12 @@ Status SeqOperator::ProcessTuple(size_t port, const Tuple& tuple) {
   const uint64_t seq = arrival_seq_++;
   ESLEV_ASSIGN_OR_RETURN(bool pass, PassesArrivalFilter(port, tuple));
   if (!pass) return Status::OK();
+  // KeyOf() reads the key column without a bounds check.
+  if (key_columns_[port] >= 0 &&
+      static_cast<size_t>(key_columns_[port]) >= tuple.size()) {
+    return Status::ExecutionError("SEQ key column out of range for " +
+                                  config_.positions[port].alias);
+  }
   EvictByWindow(tuple.ts());
 
   if (config_.positions[port].negated &&
@@ -232,6 +341,7 @@ Status SeqOperator::ProcessTuple(size_t port, const Tuple& tuple) {
     Entry trigger;
     trigger.tuples.push_back(tuple);
     trigger.first_seq = trigger.last_seq = seq;
+    if (key_columns_[port] >= 0) trigger.key = KeyOf(port, tuple);
     switch (config_.mode) {
       case PairingMode::kRecent:
         return MatchRecent(trigger);
@@ -269,6 +379,7 @@ void SeqOperator::AppendStats(OperatorStatList* out) const {
   out->push_back({"matches", static_cast<int64_t>(matches_emitted_)});
   out->push_back(
       {"open_star_length", static_cast<int64_t>(open_star_length())});
+  out->push_back({"pairwise_evals", static_cast<int64_t>(pairwise_evals_)});
 }
 
 Status SeqOperator::StoreArrival(size_t pos, const Tuple& tuple,
@@ -297,6 +408,7 @@ Status SeqOperator::StoreArrival(size_t pos, const Tuple& tuple,
   Entry e;
   e.tuples.push_back(tuple);
   e.first_seq = e.last_seq = seq;
+  if (key_columns_[pos] >= 0) e.key = KeyOf(pos, tuple);
   dq.push_back(std::move(e));
   return Status::OK();
 }
@@ -319,7 +431,9 @@ Status SeqOperator::EnumerateFrom(int pos, std::vector<const Entry*>* chosen) {
     return EnumerateFrom(pos - 1, chosen);
   }
   const Entry& next = *NextChosen(*chosen, static_cast<size_t>(pos));
+  const uint32_t key = (*chosen)[n_ - 1]->key;
   for (const Entry& e : history_[pos]) {
+    if (OtherKey(static_cast<size_t>(pos), e, key)) continue;
     if (!Before(e.last_ts(), e.last_seq, next.first_ts(), next.first_seq)) {
       continue;
     }
@@ -355,9 +469,11 @@ Status SeqOperator::MatchRecent(const Entry& trigger) {
     if (pos < 0) return true;
     if (config_.positions[pos].negated) return dfs(pos - 1);
     const Entry& next = *NextChosen(chosen, static_cast<size_t>(pos));
+    const uint32_t key = chosen[n_ - 1]->key;
     auto& dq = history_[pos];
     for (auto it = dq.rbegin(); it != dq.rend(); ++it) {
       const Entry& e = *it;
+      if (OtherKey(static_cast<size_t>(pos), e, key)) continue;
       if (!Before(e.last_ts(), e.last_seq, next.first_ts(),
                   next.first_seq)) {
         continue;
@@ -400,6 +516,7 @@ Status SeqOperator::MatchChronicle(const Entry& trigger) {
     const auto& dq = history_[pos];
     for (size_t i = 0; i < dq.size(); ++i) {
       const Entry& e = dq[i];
+      if (OtherKey(pos, e, trigger.key)) continue;
       // Order: after the previous chosen entry, before the trigger.
       if (const Entry* prev_entry = PrevChosen(chosen, static_cast<int>(pos))) {
         const Entry& prev = *prev_entry;
@@ -732,12 +849,21 @@ Status SeqOperator::RestoreState(BinaryDecoder* dec) {
                            std::to_string(npos) + ", plan " +
                            std::to_string(n_) + ")");
   }
-  for (std::deque<Entry>& position : history_) {
+  for (size_t pos = 0; pos < n_; ++pos) {
+    std::deque<Entry>& position = history_[pos];
     position.clear();
     ESLEV_ASSIGN_OR_RETURN(uint32_t nentries, dec->GetU32());
     for (uint32_t i = 0; i < nentries; ++i) {
       Entry e;
       ESLEV_RETURN_NOT_OK(get_entry(&e));
+      if (key_columns_[pos] >= 0) {
+        if (static_cast<size_t>(key_columns_[pos]) >= e.tuples.back().size()) {
+          return Status::IoError(
+              "SEQ checkpoint: history tuple lacks the key column of " +
+              config_.positions[pos].alias);
+        }
+        e.key = KeyOf(pos, e.tuples.back());
+      }
       position.push_back(std::move(e));
     }
   }

@@ -25,6 +25,16 @@
 //    RECENT prunes entries that can no longer be the most recent
 //    qualifying choice (exact when no pairwise constraints exist);
 //    windowed operators evict expired entries.
+//  * Keyed matching: Make() derives the trigger's equality class from
+//    plain `Pi.col = Pj.col` pairwise conjuncts between non-star,
+//    non-negated positions. Each stored entry at a keyed position caches
+//    a 32-bit fold of its key's Value::KeyHash, and the matcher skips an
+//    entry whose fold differs from the trigger's with one integer
+//    compare, before any order, window or pairwise check; the surviving
+//    entries are checked in full. The skipped entries hold no qualifying
+//    combination, so every pairing mode emits and consumes exactly what
+//    the unkeyed search would. CONSECUTIVE and trailing-star operators
+//    stay unkeyed.
 
 #ifndef ESLEV_CEP_SEQ_OPERATOR_H_
 #define ESLEV_CEP_SEQ_OPERATOR_H_
@@ -32,6 +42,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cep/seq_config.h"
@@ -70,6 +81,10 @@ class SeqOperator : public SeqOperatorBase {
 
   void AppendStats(OperatorStatList* out) const override;
 
+  /// \brief The key column of each keyed position, in position order
+  /// ("C1.tagid, C2.tagid, ..."); empty when the operator is unkeyed.
+  std::string KeyDescription() const;
+
   /// \brief Checkpoint the joint-tuple history (all pairing modes), the
   /// CONSECUTIVE run, and the arrival/match/purge counters.
   Status SaveState(BinaryEncoder* enc) const override;
@@ -82,12 +97,27 @@ class SeqOperator : public SeqOperatorBase {
     uint64_t first_seq = 0;
     uint64_t last_seq = 0;
     bool open = false;  // star group still accumulating
+    // Keyed positions and the trigger: KeyOf() the entry's tuple. Set on
+    // arrival and on restore, never serialized; it fills the padding
+    // after `open`.
+    uint32_t key = 0;
 
     Timestamp first_ts() const { return tuples.front().ts(); }
     Timestamp last_ts() const { return tuples.back().ts(); }
   };
+  static_assert(sizeof(Entry) == 48,
+                "the key fold must not grow a history entry");
 
-  explicit SeqOperator(SeqOperatorConfig config);
+  SeqOperator(SeqOperatorConfig config, std::vector<int> key_columns);
+
+  // 32-bit fold of the key column's Value::KeyHash (the caller checks
+  // that `pos` is keyed and the column exists).
+  uint32_t KeyOf(size_t pos, const Tuple& tuple) const;
+  // Keyed positions: true when the entry's key differs from the
+  // trigger's, so it fails `=` somewhere on the chain to the trigger.
+  bool OtherKey(size_t pos, const Entry& e, uint32_t trigger_key) const {
+    return key_columns_[pos] >= 0 && e.key != trigger_key;
+  }
 
   // (ts, seq) strict ordering between entry boundaries.
   static bool Before(Timestamp ts_a, uint64_t seq_a, Timestamp ts_b,
@@ -137,6 +167,9 @@ class SeqOperator : public SeqOperatorBase {
   size_t n_;  // number of positions
   bool last_is_star_;
   bool recent_exact_purge_;  // purging is exact (no pairwise constraints)
+  // Per position: the column in the trigger's equality class, or -1.
+  // All -1 when the operator is unkeyed.
+  std::vector<int> key_columns_;
   std::vector<std::deque<Entry>> history_;  // per position
   // CONSECUTIVE state: the current partial run, one entry per filled
   // position (history_ is unused in that mode).
@@ -145,6 +178,7 @@ class SeqOperator : public SeqOperatorBase {
   uint64_t matches_emitted_ = 0;
   uint64_t tuples_stored_ = 0;
   uint64_t tuples_purged_ = 0;
+  uint64_t pairwise_evals_ = 0;  // PassesPairwise calls (EXPLAIN ANALYZE)
   RowScratch scratch_;
 };
 

@@ -49,6 +49,7 @@ class BoundColumnRef : public BoundExpr {
 
   size_t slot() const { return slot_; }
   size_t column() const { return column_; }
+  bool previous() const { return previous_; }
 
  private:
   size_t slot_;
@@ -97,6 +98,10 @@ class BoundBinary : public BoundExpr {
   BoundBinary(BinaryOp op, BoundExprPtr lhs, BoundExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
   Result<Value> Eval(const EvalRow& row) const override;
+
+  BinaryOp op() const { return op_; }
+  const BoundExpr& lhs() const { return *lhs_; }
+  const BoundExpr& rhs() const { return *rhs_; }
 
  private:
   BinaryOp op_;

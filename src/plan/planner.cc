@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "cep/seq_nfa.h"
+#include "cep/seq_operator.h"
 #include "cep/seq_operator_base.h"
 #include "common/string_util.h"
 #include "exec/aggregate.h"
@@ -1029,6 +1030,10 @@ Result<PlannedQuery> Planner::PlanSeqQuery(
     config.per_tuple_star = per_tuple_star;
     ESLEV_ASSIGN_OR_RETURN(
         auto op, MakeSeqOperator(std::move(config), seq_backend_));
+    if (const auto* history = dynamic_cast<const SeqOperator*>(op.get())) {
+      const std::string keys = history->KeyDescription();
+      if (!keys.empty()) seq_note += ", keyed on (" + keys + ")";
+    }
     op_raw = op.get();
     pq.operators.push_back(std::move(op));
   } else {

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "recovery/codec.h"
 #include "tests/cep/seq_test_util.h"
 
 namespace eslev {
@@ -302,6 +307,148 @@ TEST(SeqQualifyTest, SimultaneousTimestampsOrderedByArrival) {
   ASSERT_TRUE(op2->OnTuple(1, Reading(b2.schema(), "r", "x", Seconds(1))).ok());
   ASSERT_TRUE(op2->OnTuple(0, Reading(b2.schema(), "r", "x", Seconds(1))).ok());
   EXPECT_TRUE(out2.tuples().empty());
+}
+
+// ---------------------------------------------------------------------------
+// Keyed matching (DESIGN.md §5)
+// ---------------------------------------------------------------------------
+
+struct KeyConjunct {
+  size_t pos_a;
+  size_t pos_b;
+  std::string expr;
+};
+
+struct KeyShape {
+  std::vector<bool> stars;
+  PairingMode mode;
+  std::vector<KeyConjunct> pairwise;
+  std::string keys;  // expected KeyDescription()
+};
+
+TEST(SeqKeyTest, DerivesTheTriggersEqualityClass) {
+  const auto U = PairingMode::kUnrestricted;
+  const KeyShape shapes[] = {
+      // Chained and all-against-the-first forms give the same class.
+      {{}, U, {{0, 1, "A.tagid = B.tagid"}, {1, 2, "B.tagid = C.tagid"}},
+       "A.tagid, B.tagid, C.tagid"},
+      {{}, U, {{0, 1, "A.tagid = B.tagid"}, {0, 2, "C.tagid = A.tagid"}},
+       "A.tagid, B.tagid, C.tagid"},
+      // B left unlinked; a second class (readerid) stays interpreted.
+      {{}, PairingMode::kChronicle,
+       {{0, 2, "A.tagid = C.tagid"}, {1, 2, "B.readerid = C.readerid"}},
+       "A.tagid, C.tagid"},
+      {{}, PairingMode::kRecent,
+       {{1, 2, "B.readerid = C.readerid"}, {0, 2, "A.tagid = C.tagid"},
+        {0, 1, "A.tagid = B.tagid"}},
+       "A.tagid, B.tagid, C.tagid"},
+      // Nothing links the trigger.
+      {{}, U, {{0, 1, "A.tagid = B.tagid"}}, ""},
+      // Not plain column equalities.
+      {{}, U, {{0, 1, "A.tagid < B.tagid"}, {1, 2, "B.tagid < C.tagid"}},
+       ""},
+      {{}, U, {{1, 2, "B.tagid = C.tagid OR 1 = 0"}}, ""},
+      {{}, U, {{1, 2, "B.tagtime + 1 SECONDS = C.tagtime"}}, ""},
+      // CONSECUTIVE stays unkeyed.
+      {{}, PairingMode::kConsecutive,
+       {{0, 1, "A.tagid = B.tagid"}, {1, 2, "B.tagid = C.tagid"}}, ""},
+      // A star position never joins the class; a trailing star unkeys.
+      {{false, true, false}, U,
+       {{0, 1, "A.tagid = B.tagid"}, {1, 2, "B.tagid = C.tagid"}}, ""},
+      {{false, true, false}, U,
+       {{0, 1, "A.tagid = B.tagid"}, {0, 2, "A.tagid = C.tagid"}},
+       "A.tagid, C.tagid"},
+      {{false, false, true}, U,
+       {{0, 1, "A.tagid = B.tagid"}, {1, 2, "B.tagid = C.tagid"}}, ""},
+  };
+  for (const KeyShape& shape : shapes) {
+    SeqBuilder b({"A", "B", "C"}, shape.stars);
+    b.Mode(shape.mode);
+    std::string where;
+    for (const KeyConjunct& c : shape.pairwise) {
+      b.Pairwise(c.pos_a, c.pos_b, c.expr);
+      where += c.expr + "; ";
+    }
+    EXPECT_EQ(b.Build()->KeyDescription(), shape.keys) << where;
+  }
+}
+
+TEST(SeqKeyTest, TypeMismatchedKeysAreSkippedNotRaised) {
+  // The interpreter raises a TypeError on `'A' = 1`; the keyed matcher
+  // skips the other-key entry before interpreting it.
+  SeqBuilder b({"C1", "C2"});
+  b.Pairwise(0, 1, "C1.tagid = C2.tagid");
+  auto op = b.Build();
+  CollectOperator out;
+  op->AddSink(&out);
+  const SchemaPtr& s = b.schema();
+  ASSERT_TRUE(op->OnTuple(0, Reading(s, "r", "A", Seconds(1))).ok());
+  // An INT tag on a VARCHAR column, as an untyped stream would carry it.
+  ASSERT_TRUE(op->OnTuple(0, Tuple(s,
+                                   {Value::String("r"), Value::Int(1),
+                                    Value::Time(Seconds(2))},
+                                   Seconds(2)))
+                  .ok());
+  ASSERT_TRUE(op->OnTuple(1, Reading(s, "r", "A", Seconds(3))).ok());
+  EXPECT_EQ(out.tuples().size(), 1u);
+}
+
+// A checkpoint of SEQ(C1, C2) whose one C1 history entry holds `tuple`.
+std::string SeqCheckpointHolding(const Tuple& tuple) {
+  BinaryEncoder enc;
+  enc.PutU8(static_cast<uint8_t>(SeqBackend::kHistory));
+  enc.PutU64(1);  // arrival_seq
+  enc.PutU64(0);  // matches_emitted
+  enc.PutU64(1);  // tuples_stored
+  enc.PutU64(0);  // tuples_purged
+  enc.PutU32(2);  // positions
+  enc.PutU32(1);  // C1: one entry of one tuple
+  enc.PutU32(1);
+  enc.PutTuple(tuple);
+  enc.PutU64(0);  // first_seq
+  enc.PutU64(0);  // last_seq
+  enc.PutBool(false);
+  enc.PutU32(0);  // C2: none
+  enc.PutU32(0);  // no CONSECUTIVE run
+  return enc.buffer();
+}
+
+TEST(SeqKeyTest, RestoreRecomputesKeysAndRejectsTupleWithoutKeyColumn) {
+  const auto build = [](SeqBuilder* b) {
+    b->Mode(PairingMode::kChronicle).Pairwise(0, 1, "C1.tagid = C2.tagid");
+    return b->Build();
+  };
+  SeqBuilder b({"C1", "C2"});
+  auto op = build(&b);
+  ASSERT_EQ(op->KeyDescription(), "C1.tagid, C2.tagid");
+  CollectOperator out;
+  op->AddSink(&out);
+  const std::string good =
+      SeqCheckpointHolding(Reading(b.schema(), "r", "A", Seconds(1)));
+  BinaryDecoder good_dec(good);
+  ASSERT_TRUE(op->RestoreState(&good_dec).ok());
+  ASSERT_TRUE(op->OnTuple(1, Reading(b.schema(), "r", "B", Seconds(2))).ok());
+  ASSERT_TRUE(op->OnTuple(1, Reading(b.schema(), "r", "A", Seconds(3))).ok());
+  EXPECT_EQ(out.tuples().size(), 1u);
+
+  // A crafted checkpoint whose history tuple is too short to hash.
+  SeqBuilder b2({"C1", "C2"});
+  auto crafted = build(&b2);
+  const SchemaPtr narrow = Schema::Make({{"readerid", TypeId::kString}});
+  const std::string bad = SeqCheckpointHolding(
+      *MakeTuple(narrow, {Value::String("r")}, Seconds(1)));
+  BinaryDecoder bad_dec(bad);
+  EXPECT_TRUE(crafted->RestoreState(&bad_dec).IsIoError());
+}
+
+TEST(SeqKeyTest, ArrivalWithoutKeyColumnIsAnError) {
+  SeqBuilder b({"C1", "C2"});
+  b.Pairwise(0, 1, "C1.tagid = C2.tagid");
+  auto op = b.Build();
+  const SchemaPtr narrow = Schema::Make({{"readerid", TypeId::kString}});
+  EXPECT_TRUE(
+      op->OnTuple(0, *MakeTuple(narrow, {Value::String("r")}, Seconds(1)))
+          .IsExecutionError());
 }
 
 }  // namespace

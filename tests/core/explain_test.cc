@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/engine.h"
 
 namespace eslev {
@@ -14,6 +16,10 @@ class ExplainTest : public ::testing::Test {
       CREATE STREAM cleaned(reader_id, tag_id, read_time);
       CREATE STREAM R1(readerid, tagid, tagtime);
       CREATE STREAM R2(readerid, tagid, tagtime);
+      CREATE STREAM C1(readerid, tagid, tagtime);
+      CREATE STREAM C2(readerid, tagid, tagtime);
+      CREATE STREAM C3(readerid, tagid, tagtime);
+      CREATE STREAM C4(readerid, tagid, tagtime);
       CREATE TABLE object_movement(tagid, location, start_time);
     )sql")
                     .ok());
@@ -71,6 +77,41 @@ TEST_F(ExplainTest, SeqPipeline) {
   EXPECT_NE(plan.find("MODE CHRONICLE"), std::string::npos);
   EXPECT_NE(plan.find("1 pairwise constraint(s)"), std::string::npos);
   EXPECT_NE(plan.find("Output: ("), std::string::npos);
+}
+
+std::string Example6(const std::string& mode, const std::string& equalities) {
+  return "SELECT C4.tagid, C1.tagtime, C4.tagtime FROM C1, C2, C3, C4"
+         " WHERE SEQ(C1, C2, C3, C4) OVER [1 SECONDS PRECEDING C4] MODE " +
+         mode + " AND " + equalities;
+}
+
+TEST_F(ExplainTest, SeqKeyedOnTagEqualityClass) {
+  // Chained and all-against-C1 equalities form the same class.
+  for (const char* equalities :
+       {"C1.tagid = C2.tagid AND C2.tagid = C3.tagid AND C3.tagid = C4.tagid",
+        "C1.tagid = C2.tagid AND C1.tagid = C3.tagid AND "
+        "C1.tagid = C4.tagid"}) {
+    const std::string plan = Explain(Example6("CHRONICLE", equalities));
+    EXPECT_NE(plan.find("backend=history, keyed on (C1.tagid, C2.tagid, "
+                        "C3.tagid, C4.tagid)"),
+              std::string::npos)
+        << plan;
+  }
+}
+
+TEST_F(ExplainTest, UnkeyedSeqPrintsNoKeys) {
+  for (const std::string& sql :
+       {Example6("CONSECUTIVE",
+                 "C1.tagid = C2.tagid AND C2.tagid = C3.tagid AND "
+                 "C3.tagid = C4.tagid"),
+        Example6("UNRESTRICTED",
+                 "C1.tagid < C2.tagid AND C2.tagid < C3.tagid AND "
+                 "C3.tagid < C4.tagid")}) {
+    const std::string plan = Explain(sql);
+    EXPECT_NE(plan.find("SeqOperator: SEQ(C1, C2, C3, C4)"), std::string::npos)
+        << plan;
+    EXPECT_EQ(plan.find("keyed on"), std::string::npos) << plan;
+  }
 }
 
 TEST_F(ExplainTest, TableAntiJoinWithProbe) {

@@ -4,7 +4,13 @@
 // same order — across all four pairing modes, windowed SEQ, trailing
 // stars, negation, and EXCEPTION_SEQ deadlines (with heartbeat-driven
 // active expiration), on one engine and on 1/2/4 shards at route batch
-// sizes drawn from 1/7/64, and across a kill-recover cycle. The backend is forced per engine through
+// sizes drawn from 1/7/64, and across a kill-recover cycle. The NFA
+// backend is unkeyed, so it is also the reference for the history
+// matcher's keyed SEQ matching (DESIGN.md §5): the randomized queries
+// draw chained, all-against-the-first and partial tag-equality shapes,
+// a second readerid class, and INT/DOUBLE/NULL tags; a second sweep
+// compares each keyed query with its `(... OR 1 = 0)` form across a
+// checkpoint and restore. The backend is forced per engine through
 // ESLEV_SEQ_BACKEND so the sweep stays meaningful when CI pins the
 // variable globally; each run asserts the engine actually resolved the
 // requested backend.
@@ -47,30 +53,44 @@ class ScopedEnv {
 
 struct Event {
   std::string stream;  // empty: a heartbeat (AdvanceTime)
-  std::string tag;
+  Value reader;
+  Value tag;
   Timestamp ts;
 };
 
 // Random trace over `streams`; with heartbeats interleaved the sweep
-// also drives active expiration through both backends.
+// also drives active expiration through both backends. Numeric tags are
+// INT values (about 10 % NULL) that a DOUBLE `tagid` column stores as the
+// equal-valued DOUBLE; with more than one reader the readerid varies too.
 std::vector<Event> MakeTrace(uint32_t seed, size_t num_events,
                              const std::vector<std::string>& streams,
-                             int num_tags, bool with_heartbeats) {
+                             int num_tags, bool with_heartbeats,
+                             bool numeric_tags = false, int num_readers = 1) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<size_t> pick_stream(0, streams.size() - 1);
   std::uniform_int_distribution<int> pick_tag(0, num_tags - 1);
   std::uniform_int_distribution<Duration> step(Milliseconds(50), Seconds(2));
   std::uniform_int_distribution<int> pct(0, 99);
+  std::uniform_int_distribution<int> pick_reader(0, num_readers - 1);
   std::vector<Event> events;
   Timestamp now = Seconds(1);
   for (size_t i = 0; i < num_events; ++i) {
     if (with_heartbeats && pct(rng) < 8) {
       now += step(rng) * 4;
-      events.push_back({"", "", now});
+      events.push_back({"", Value(), Value(), now});
       continue;
     }
-    events.push_back({streams[pick_stream(rng)],
-                      "tag" + std::to_string(pick_tag(rng)), now});
+    const std::string& stream = streams[pick_stream(rng)];
+    const int tag = pick_tag(rng);
+    Value tag_value = Value::String("tag" + std::to_string(tag));
+    if (numeric_tags) {
+      tag_value = pct(rng) < 10 ? Value::Null() : Value::Int(tag);
+    }
+    Value reader = Value::String("r");
+    if (num_readers > 1) {
+      reader = Value::String("r" + std::to_string(pick_reader(rng)));
+    }
+    events.push_back({stream, std::move(reader), std::move(tag_value), now});
     now += step(rng);
   }
   return events;
@@ -81,6 +101,16 @@ struct Scenario {
   std::string query;
   std::vector<std::string> streams;
   std::vector<std::string> single_shard_streams;  // empty: partitioned
+  // Trace shape: numeric tags run on one engine only, because
+  // ShardedEngine routes by the structural Value::Hash (an INT 5 and a
+  // DOUBLE 5.0 land on different shards).
+  bool numeric_tags = false;
+  int num_readers = 1;
+  // Randomized scenarios: the query with every key conjunct wrapped as
+  // `(... OR 1 = 0)`, which keyed matching cannot see through, and
+  // whether the query itself should be keyed.
+  std::string unkeyed_query;
+  bool expect_keyed = false;
 };
 
 EngineOptions BackendOptions(SeqBackend backend) {
@@ -95,12 +125,8 @@ void PushEvent(EngineT& engine, const Event& e) {
     ASSERT_TRUE(engine.AdvanceTime(e.ts).ok());
     return;
   }
-  ASSERT_TRUE(engine
-                  .Push(e.stream,
-                        {Value::String("r"), Value::String(e.tag),
-                         Value::Time(e.ts)},
-                        e.ts)
-                  .ok());
+  ASSERT_TRUE(
+      engine.Push(e.stream, {e.reader, e.tag, Value::Time(e.ts)}, e.ts).ok());
 }
 
 // Unsorted: single-engine equivalence is exact, including emission order.
@@ -151,12 +177,9 @@ std::vector<std::string> RunSharded(const Scenario& scenario,
       EXPECT_TRUE(engine.AdvanceTime(e.ts).ok());
       continue;
     }
-    EXPECT_TRUE(engine
-                    .Push(e.stream,
-                          {Value::String("r"), Value::String(e.tag),
-                           Value::Time(e.ts)},
-                          e.ts)
-                    .ok());
+    EXPECT_TRUE(
+        engine.Push(e.stream, {e.reader, e.tag, Value::Time(e.ts)}, e.ts)
+            .ok());
   }
   EXPECT_TRUE(engine.AdvanceTime(events.back().ts + Minutes(10)).ok());
   EXPECT_TRUE(engine.Flush().ok());
@@ -168,15 +191,18 @@ std::vector<std::string> RunSharded(const Scenario& scenario,
 // The full matrix for one scenario: the NFA backend against the history
 // reference on one engine (exact order) and on 1/2/4 shards at a drawn
 // route batch size (sorted — shard interleaving is nondeterministic).
+// The NFA backend is unkeyed, so it is the reference for keyed matching.
 void ExpectBackendEquivalence(const Scenario& scenario, uint32_t seed,
                               size_t num_events, int num_tags,
                               bool with_heartbeats = false) {
-  const auto events = MakeTrace(seed, num_events, scenario.streams, num_tags,
-                                with_heartbeats);
+  const auto events =
+      MakeTrace(seed, num_events, scenario.streams, num_tags, with_heartbeats,
+                scenario.numeric_tags, scenario.num_readers);
   const auto reference = RunSingle(scenario, events, SeqBackend::kHistory);
   EXPECT_EQ(RunSingle(scenario, events, SeqBackend::kNfa), reference)
       << "seed " << seed << "\n"
       << scenario.query;
+  if (scenario.numeric_tags) return;
   auto sorted_reference = reference;
   std::sort(sorted_reference.begin(), sorted_reference.end());
   std::mt19937 rng(seed * 2246822519u + 3);
@@ -366,12 +392,17 @@ TEST_P(SeqBackendDifferentialTest, ExceptionSeqDeadlines) {
 Scenario RandomScenario(std::mt19937& rng) {
   std::uniform_int_distribution<int> pct(0, 99);
   const int npos = 2 + (pct(rng) < 60 ? 1 : 0);
+  // Numeric tags: each stream's tagid is INT or DOUBLE, so keys compare
+  // an INT with an equal-valued DOUBLE across streams.
+  const bool numeric_tags = pct(rng) < 30;
   std::vector<std::string> streams;
   std::string ddl;
   for (int i = 0; i < npos; ++i) {
     streams.push_back("S" + std::to_string(i + 1));
-    ddl += "CREATE STREAM " + streams.back() +
-           "(readerid, tagid, tagtime);\n";
+    const char* tag_type =
+        !numeric_tags ? "" : (pct(rng) < 50 ? " INT" : " DOUBLE");
+    ddl += "CREATE STREAM " + streams.back() + "(readerid, tagid" + tag_type +
+           ", tagtime);\n";
   }
   // At most one feature position keeps the space of valid templates
   // simple: a star (any position) or a negation (middle only).
@@ -415,20 +446,49 @@ Scenario RandomScenario(std::mt19937& rng) {
     query_where += " AND " + streams[star_at] + ".tagtime - " +
                    streams[star_at] + ".previous.tagtime <= 1 SECONDS";
   }
-  // Pairwise tagid joins. A full chain over the non-negated positions
-  // doubles as the shard routing key; anything less leaves the scenario
-  // order-dependent across shards.
+  // Pairwise tagid joins over the non-negated positions, in one of three
+  // shapes: every position against the first, chained, or partial (one
+  // position left unlinked). A full chain doubles as the shard routing
+  // key; anything less leaves the scenario order-dependent across
+  // shards. A readerid equality may add a second class, which keyed
+  // matching leaves to the interpreter.
   std::vector<int> plain;
   for (int i = 0; i < npos; ++i) {
     if (i != neg_at) plain.push_back(i);
   }
+  std::vector<std::pair<int, int>> tag_links;  // (earlier, later)
   bool full_chain = false;
   if (plain.size() >= 2 && pct(rng) < 60) {
-    full_chain = true;
-    for (size_t i = 1; i < plain.size(); ++i) {
-      query_where += " AND " + streams[plain[0]] + ".tagid=" +
-                     streams[plain[i]] + ".tagid";
+    const int shape = pct(rng) % 3;
+    if (shape == 2 && plain.size() >= 3) {
+      const size_t unlinked = std::uniform_int_distribution<size_t>(
+          0, plain.size() - 1)(rng);
+      plain.erase(plain.begin() + static_cast<std::ptrdiff_t>(unlinked));
+    } else {
+      full_chain = true;
     }
+    for (size_t i = 1; i < plain.size(); ++i) {
+      tag_links.push_back({plain[shape == 0 ? 0 : i - 1], plain[i]});
+    }
+  }
+  std::vector<std::string> keys;  // key conjuncts, as written
+  for (const auto& [a, b] : tag_links) {
+    keys.push_back(streams[a] + ".tagid=" + streams[b] + ".tagid");
+  }
+  int num_readers = 1;
+  std::vector<std::pair<int, int>> links = tag_links;
+  if (pct(rng) < 25) {
+    int a = std::uniform_int_distribution<int>(0, npos - 2)(rng);
+    if (a == neg_at) a = 0;
+    const int b = a + 1 == neg_at ? a + 2 : a + 1;
+    keys.push_back(streams[a] + ".readerid=" + streams[b] + ".readerid");
+    links.push_back({a, b});
+    num_readers = 2;
+  }
+  std::string unkeyed_where = query_where;
+  for (const std::string& key : keys) {
+    query_where += " AND " + key;
+    unkeyed_where += " AND (" + key + " OR 1 = 0)";
   }
 
   std::string projection;
@@ -452,6 +512,18 @@ Scenario RandomScenario(std::mt19937& rng) {
   }
   s.query =
       "SELECT " + projection + " FROM " + from + " WHERE " + query_where;
+  s.unkeyed_query =
+      "SELECT " + projection + " FROM " + from + " WHERE " + unkeyed_where;
+  s.numeric_tags = numeric_tags;
+  s.num_readers = num_readers;
+  // Keyed when a plain equality ties the trigger to a non-star position.
+  const bool consecutive = mode.find("CONSECUTIVE") != std::string::npos;
+  for (const auto& [a, b] : links) {
+    if (b == npos - 1 && a != star_at && star_at != npos - 1 &&
+        !consecutive) {
+      s.expect_keyed = true;
+    }
+  }
   s.streams = streams;
   // Stars, negation, CONSECUTIVE, and queries without a routing key are
   // order-dependent across streams: keep them on a single shard.
@@ -472,14 +544,86 @@ TEST_P(SeqBackendDifferentialTest, RandomizedQueries) {
   }
 }
 
-// ---- kill-recover on the NFA backend ------------------------------------
-
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "seq_backend_diff_" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
 }
+
+// Keyed matching against the interpreter (DESIGN.md §5): on the history
+// backend, the keyed query, checkpointed at `cut` and restored into a
+// fresh engine, must emit exactly what its `(... OR 1 = 0)` form emits
+// uninterrupted — same rows, same order.
+void ExpectKeyedMatchesInterpreted(const Scenario& scenario, uint32_t seed,
+                                   size_t num_events, int num_tags,
+                                   size_t cut, const std::string& dir) {
+  const auto events =
+      MakeTrace(seed, num_events, scenario.streams, num_tags,
+                /*with_heartbeats=*/true, scenario.numeric_tags,
+                scenario.num_readers);
+  Scenario unkeyed = scenario;
+  unkeyed.query = scenario.unkeyed_query;
+  const auto reference = RunSingle(unkeyed, events, SeqBackend::kHistory);
+  ScopedEnv env(kSeqBackendEnvVar, "history");
+  {
+    Engine explain(BackendOptions(SeqBackend::kHistory));
+    ASSERT_TRUE(explain.ExecuteScript(scenario.ddl).ok());
+    auto keyed = explain.Explain(scenario.query);
+    auto hidden = explain.Explain(scenario.unkeyed_query);
+    ASSERT_TRUE(keyed.ok() && hidden.ok());
+    EXPECT_EQ(keyed->find("keyed on") != std::string::npos,
+              scenario.expect_keyed)
+        << *keyed;
+    EXPECT_EQ(hidden->find("keyed on"), std::string::npos) << *hidden;
+  }
+  std::vector<std::string> rows;
+  const auto build = [&](Engine& engine) {
+    EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
+    auto q = engine.RegisterQuery(scenario.query);
+    EXPECT_TRUE(q.ok()) << q.status();
+    EXPECT_TRUE(
+        engine
+            .Subscribe(q->output_stream,
+                       [&](const Tuple& t) { rows.push_back(t.ToString()); })
+            .ok());
+  };
+  {
+    Engine first(BackendOptions(SeqBackend::kHistory));
+    build(first);
+    for (size_t i = 0; i < cut; ++i) PushEvent(first, events[i]);
+    EXPECT_TRUE(first.Checkpoint(dir).ok());
+  }
+  Engine second(BackendOptions(SeqBackend::kHistory));
+  build(second);
+  const Status restored = second.Restore(dir);
+  EXPECT_TRUE(restored.ok()) << restored;
+  for (size_t i = cut; i < events.size(); ++i) PushEvent(second, events[i]);
+  EXPECT_TRUE(second.AdvanceTime(events.back().ts + Minutes(10)).ok());
+  EXPECT_EQ(rows, reference) << "seed " << seed << " cut " << cut << "\n"
+                             << scenario.query;
+}
+
+TEST_P(SeqBackendDifferentialTest, KeyedMatchesInterpretedAcrossRestore) {
+  const uint32_t seed = GetParam();
+  std::mt19937 rng(seed * 2654435761u + 7);
+  // About a third of the drawn queries are keyed; 32 rounds per seed
+  // cover each pairing mode and key shape.
+  for (int round = 0; round < 32; ++round) {
+    const Scenario s = RandomScenario(rng);
+    const size_t num_events = 150;
+    const size_t cut =
+        std::uniform_int_distribution<size_t>(1, num_events - 1)(rng);
+    const std::string dir = FreshDir("keyed_s" + std::to_string(seed) + "_" +
+                                     std::to_string(round));
+    ExpectKeyedMatchesInterpreted(
+        s, seed * 7919u + static_cast<uint32_t>(round), num_events, 4, cut,
+        dir);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// ---- kill-recover on the NFA backend ------------------------------------
 
 // Checkpoint + crash + RecoverFrom on the NFA backend: the run tree is
 // rebuilt from the tagged checkpoint and the concatenated output must
