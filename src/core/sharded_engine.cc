@@ -43,11 +43,11 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   if (init_error_.ok() && ingest_options_.enabled()) {
     front_ingest_ = std::make_unique<IngestPipeline>(ingest_options_);
     front_ingest_->BindDelivery(
-        [this](size_t port, const Tuple& t) {
+        [this](size_t port, Tuple t) {
           return RouteReleased(port < ingest_port_routes_.size()
                                    ? ingest_port_routes_[port]
                                    : nullptr,
-                               t);
+                               std::move(t));
         },
         [this](Timestamp now) {
           ingest_fanned_hb_.store(now, std::memory_order_release);
@@ -262,20 +262,25 @@ Status ShardedEngine::PruneDeadRoutes() {
   for (const std::string& name : names) live[AsciiToLower(name)] = true;
   std::unique_lock<std::shared_mutex> lock(routes_mu_);
   for (auto it = routes_.begin(); it != routes_.end();) {
-    if (live.count(it->first)) {
-      ++it;
-      continue;
-    }
-    {
-      // Lock order per OfferIngest: routes_mu_ -> ... -> ingest_mu_.
-      std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-      for (const StreamRoute*& cached : ingest_port_routes_) {
-        if (cached == &it->second) cached = nullptr;
-      }
-    }
-    it = routes_.erase(it);
+    it = live.count(it->first) ? std::next(it) : routes_.erase(it);
+  }
+  if (front_ingest_ != nullptr) {
+    // Lock order per OfferIngest: routes_mu_ -> ... -> ingest_mu_.
+    std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
+    RebuildIngestPortCache();
   }
   return Status::OK();
+}
+
+void ShardedEngine::RebuildIngestPortCache() {
+  for (auto& [key, route] : routes_) route.ingest_port = kNoIngestPort;
+  ingest_port_routes_.assign(front_ingest_->num_ports(), nullptr);
+  for (size_t port = 0; port < ingest_port_routes_.size(); ++port) {
+    const StreamRoute* route = FindRoute(front_ingest_->port_name(port));
+    if (route == nullptr) continue;  // stream dropped since its first offer
+    route->ingest_port = port;
+    ingest_port_routes_[port] = route;
+  }
 }
 
 Status ShardedEngine::Subscribe(const std::string& stream,
@@ -455,12 +460,16 @@ Status ShardedEngine::OfferIngest(const StreamRoute& route, const Tuple& tuple,
                                   bool log_to_wal) {
   const auto offer = [&]() -> Status {
     std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-    const size_t port = front_ingest_->PortFor(AsciiToLower(route.name));
-    if (port >= ingest_port_routes_.size()) {
-      ingest_port_routes_.resize(port + 1, nullptr);
+    if (route.ingest_port == kNoIngestPort) {
+      // The stream's first offer assigns its port; later offers reuse it.
+      const size_t port = front_ingest_->PortFor(AsciiToLower(route.name));
+      if (port >= ingest_port_routes_.size()) {
+        ingest_port_routes_.resize(port + 1, nullptr);
+      }
+      ingest_port_routes_[port] = &route;  // stable: routes_ nodes persist
+      route.ingest_port = port;
     }
-    ingest_port_routes_[port] = &route;  // stable: routes_ nodes persist
-    return front_ingest_->Offer(port, tuple);
+    return front_ingest_->Offer(route.ingest_port, tuple);
   };
   if (log_to_wal && wal_enabled_.load(std::memory_order_acquire)) {
     // The raw tuple is logged before it enters the pipeline, so the WAL
@@ -473,8 +482,7 @@ Status ShardedEngine::OfferIngest(const StreamRoute& route, const Tuple& tuple,
   return offer();
 }
 
-Status ShardedEngine::RouteReleased(const StreamRoute* route,
-                                    const Tuple& tuple) {
+Status ShardedEngine::RouteReleased(const StreamRoute* route, Tuple tuple) {
   if (route == nullptr) {
     return Status::ExecutionError(
         "ingest released a tuple on an unbound port (pipeline state does "
@@ -483,19 +491,19 @@ Status ShardedEngine::RouteReleased(const StreamRoute* route,
   const size_t shard = ShardOf(*route, tuple);
   shards_[shard]->tuples_routed.fetch_add(1, std::memory_order_relaxed);
   if (options_.route_batch_size > 1) {
-    BufferRouted(shard, &route->name, tuple);
+    BufferRouted(shard, &route->name, std::move(tuple));
     return Status::OK();
   }
   Item item;
   item.kind = Item::Kind::kTuple;
   item.stream = &route->name;
-  item.tuple = tuple;
+  item.tuple = std::move(tuple);
   shards_[shard]->queue.Push(std::move(item));
   return Status::OK();
 }
 
 void ShardedEngine::BufferRouted(size_t shard, const std::string* stream,
-                                 const Tuple& tuple) {
+                                 Tuple tuple) {
   // A dead shard's mailbox drops enqueues (its queue is closed); the
   // route buffer must mirror that, or tuples buffered in the dark
   // window would outlive a promotion and be processed twice. The tuple
@@ -509,7 +517,7 @@ void ShardedEngine::BufferRouted(size_t shard, const std::string* stream,
   // returns the same node for the same stream.
   if (p.stream != nullptr && p.stream != stream) FlushShardLocked(shard);
   p.stream = stream;
-  p.tuples.push_back(tuple);
+  p.tuples.push_back(std::move(tuple));
   if (p.tuples.size() >= options_.route_batch_size) FlushShardLocked(shard);
 }
 

@@ -32,6 +32,7 @@
 #define ESLEV_CORE_SHARDED_ENGINE_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <map>
@@ -270,11 +271,16 @@ class ShardedEngine {
     Status first_error = Status::OK();
   };
 
+  static constexpr size_t kNoIngestPort = SIZE_MAX;
+
   struct StreamRoute {
     std::string name;      // original-case stream name (stable storage)
     SchemaPtr schema;
     size_t key_index = 0;
     bool single_shard = false;
+    /// The stream's front-end ingest port, assigned on its first offer
+    /// (kNoIngestPort before). Guarded by `ingest_mu_`, not routes_mu_.
+    mutable size_t ingest_port = kNoIngestPort;
   };
 
   void WorkerLoop(Shard* shard);
@@ -295,7 +301,12 @@ class ShardedEngine {
   /// from the ingest delivery callbacks, under `ingest_mu_`). No WAL
   /// append — recovery re-derives releases by replaying raw input
   /// through the restored pipeline.
-  Status RouteReleased(const StreamRoute* route, const Tuple& tuple);
+  Status RouteReleased(const StreamRoute* route, Tuple tuple);
+  /// \brief Re-derive every route's cached ingest port and the per-port
+  /// route table from the pipeline's port names; a port whose stream has
+  /// no route maps to nullptr. Call with routes_mu_ (either mode) and
+  /// ingest_mu_ held.
+  void RebuildIngestPortCache();
   /// \brief Enqueue a heartbeat item on every shard. Flushes pending
   /// route batches first — heartbeats are batch boundaries, so a shard
   /// never observes a tick ahead of tuples routed before it.
@@ -305,8 +316,7 @@ class ShardedEngine {
   /// when the stream changes, and enqueueing it once full. Serialized by
   /// `pending_mu_` (taken after `wal_mu_` when both are held, so buffer
   /// order equals WAL order).
-  void BufferRouted(size_t shard, const std::string* stream,
-                    const Tuple& tuple);
+  void BufferRouted(size_t shard, const std::string* stream, Tuple tuple);
   /// \brief Enqueue every non-empty pending route batch. Called before
   /// heartbeat fan-out, worker commands, Flush(), and checkpoint cuts —
   /// anything that must observe all routed tuples.
@@ -362,7 +372,8 @@ class ShardedEngine {
   // Front-end ingest (DESIGN.md §15): one pipeline ahead of the hash
   // partitioner. `ingest_mu_` serializes all pipeline access; delivery
   // callbacks run inside it and use the per-port route cache (stable
-  // pointers into routes_) instead of re-locking routes_mu_.
+  // pointers into routes_) instead of re-locking routes_mu_, and offers
+  // use the port cached on each route.
   // `ingest_fanned_hb_` is the last heartbeat the pipeline released to
   // the shards — the alignment point for checkpoint quiesce (fanning
   // the raw low watermark would run shard clocks ahead of the held-back

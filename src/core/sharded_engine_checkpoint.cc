@@ -222,14 +222,12 @@ Status ShardedEngine::Restore(const std::string& dir) {
     if (!state.AtEnd()) {
       return Status::IoError("ingest state " + path + ": trailing state");
     }
-    ingest_port_routes_.assign(front_ingest_->num_ports(), nullptr);
-    for (size_t p = 0; p < front_ingest_->num_ports(); ++p) {
-      const StreamRoute* route = FindRoute(front_ingest_->port_name(p));
-      if (route == nullptr) {
+    RebuildIngestPortCache();
+    for (size_t p = 0; p < ingest_port_routes_.size(); ++p) {
+      if (ingest_port_routes_[p] == nullptr) {
         return Status::IoError("ingest state names unknown stream '" +
                                front_ingest_->port_name(p) + "'");
       }
-      ingest_port_routes_[p] = route;
     }
     ingest_fanned_hb_.store(fanned, std::memory_order_release);
   }

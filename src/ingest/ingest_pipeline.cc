@@ -14,7 +14,7 @@ IngestPipeline::IngestPipeline(const IngestOptions& options)
   }
   delivery_.set_label("IngestDelivery");
   // Chain: reorder -> cleaning -> delivery, skipping absent stages.
-  Operator* tail = &delivery_;
+  IngestStage* tail = &delivery_;
   if (cleaning_ != nullptr) {
     cleaning_->set_next(tail);
     tail = cleaning_.get();

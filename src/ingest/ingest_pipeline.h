@@ -26,10 +26,11 @@
 namespace eslev {
 
 /// \brief Terminal adapter: hands ordered, cleaned tuples (and held-back
-/// heartbeats) to the embedding engine through callbacks.
-class IngestDelivery : public Operator {
+/// heartbeats) to the embedding engine through callbacks. The tuple
+/// callback receives the read by value, so a host can move it on.
+class IngestDelivery : public IngestStage {
  public:
-  using TupleFn = std::function<Status(size_t port, const Tuple&)>;
+  using TupleFn = std::function<Status(size_t port, Tuple tuple)>;
   using HeartbeatFn = std::function<Status(Timestamp now)>;
 
   void Bind(TupleFn on_tuple, HeartbeatFn on_heartbeat) {
@@ -38,8 +39,8 @@ class IngestDelivery : public Operator {
   }
 
  protected:
-  Status ProcessTuple(size_t port, const Tuple& tuple) override {
-    return tuple_fn_ ? tuple_fn_(port, tuple) : Status::OK();
+  Status TakeTuple(size_t port, Tuple tuple) override {
+    return tuple_fn_ ? tuple_fn_(port, std::move(tuple)) : Status::OK();
   }
   Status ProcessHeartbeat(Timestamp now) override {
     return heartbeat_fn_ ? heartbeat_fn_(now) : Status::OK();
@@ -75,6 +76,8 @@ class IngestPipeline {
   void SetLateHandler(
       std::function<Status(const std::string& stream, const Tuple&)> handler);
 
+  /// \brief Offer one read; the chain copies it once and moves that
+  /// copy through to delivery.
   Status Offer(size_t port, const Tuple& tuple) {
     return head_->OnTuple(port, tuple);
   }
@@ -99,7 +102,7 @@ class IngestPipeline {
   std::unique_ptr<ReorderStage> reorder_;
   std::unique_ptr<CleaningStage> cleaning_;
   IngestDelivery delivery_;
-  Operator* head_ = nullptr;
+  IngestStage* head_ = nullptr;
   std::vector<std::string> port_names_;
   std::map<std::string, size_t> port_index_;
 };

@@ -14,26 +14,25 @@ void ReorderStage::AppendStats(OperatorStatList* out) const {
 Status ReorderStage::Release() {
   const Timestamp threshold = EffectiveFrontier();
   frontier_ = std::max(frontier_, threshold);
-  while (!buffer_.empty() && buffer_.begin()->first.first <= threshold) {
-    Entry entry = std::move(buffer_.begin()->second);
-    buffer_.erase(buffer_.begin());
+  while (!buffer_.empty() && buffer_.top().ts <= threshold) {
+    Entry entry = buffer_.Pop().item;
     ++released_;
-    ESLEV_RETURN_NOT_OK(Forward(entry.port, entry.tuple));
+    ESLEV_RETURN_NOT_OK(Forward(entry.port, std::move(entry.tuple)));
   }
   return Status::OK();
 }
 
-Status ReorderStage::ProcessTuple(size_t port, const Tuple& tuple) {
-  if (max_seen_ != kMinTimestamp && tuple.ts() < max_seen_) {
-    max_disorder_us_ = std::max(max_disorder_us_, max_seen_ - tuple.ts());
+Status ReorderStage::TakeTuple(size_t port, Tuple tuple) {
+  const Timestamp ts = tuple.ts();
+  if (max_seen_ != kMinTimestamp && ts < max_seen_) {
+    max_disorder_us_ = std::max(max_disorder_us_, max_seen_ - ts);
   }
-  if (tuple.ts() < EffectiveFrontier()) {
+  if (ts < EffectiveFrontier()) {
     ++late_dropped_;
     return late_handler_ ? late_handler_(port, tuple) : Status::OK();
   }
-  max_seen_ = std::max(max_seen_, tuple.ts());
-  buffer_.emplace(std::make_pair(tuple.ts(), next_seq_++),
-                  Entry{port, tuple});
+  max_seen_ = std::max(max_seen_, ts);
+  buffer_.Push(ts, next_seq_++, Entry{port, std::move(tuple)});
   return Release();
 }
 
@@ -57,11 +56,11 @@ Status ReorderStage::SaveState(BinaryEncoder* enc) const {
   enc->PutU64(released_);
   enc->PutI64(max_disorder_us_);
   enc->PutU32(static_cast<uint32_t>(buffer_.size()));
-  for (const auto& [key, entry] : buffer_) {
-    enc->PutU64(key.second);
-    enc->PutU32(static_cast<uint32_t>(entry.port));
-    enc->PutTuple(entry.tuple);
-    enc->PutBool(entry.tuple.synthesized());
+  for (const auto* e : buffer_.Sorted()) {
+    enc->PutU64(e->seq);
+    enc->PutU32(static_cast<uint32_t>(e->item.port));
+    enc->PutTuple(e->item.tuple);
+    enc->PutBool(e->item.tuple.synthesized());
   }
   return Status::OK();
 }
@@ -75,15 +74,15 @@ Status ReorderStage::RestoreState(BinaryDecoder* dec) {
   ESLEV_ASSIGN_OR_RETURN(released_, dec->GetU64());
   ESLEV_ASSIGN_OR_RETURN(max_disorder_us_, dec->GetI64());
   ESLEV_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
-  buffer_.clear();
+  buffer_.Clear();
   for (uint32_t i = 0; i < n; ++i) {
     ESLEV_ASSIGN_OR_RETURN(uint64_t seq, dec->GetU64());
     ESLEV_ASSIGN_OR_RETURN(uint32_t port, dec->GetU32());
     ESLEV_ASSIGN_OR_RETURN(Tuple tuple, dec->GetTuple());
     ESLEV_ASSIGN_OR_RETURN(bool synthesized, dec->GetBool());
     tuple.set_synthesized(synthesized);
-    buffer_.emplace(std::make_pair(tuple.ts(), seq),
-                    Entry{port, std::move(tuple)});
+    const Timestamp ts = tuple.ts();
+    buffer_.Push(ts, seq, Entry{port, std::move(tuple)});
   }
   return Status::OK();
 }

@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <utility>
 
 #include "ingest/stage.h"
+#include "ingest/time_ordered_queue.h"
 
 namespace eslev {
 
@@ -45,7 +45,7 @@ class ReorderStage : public IngestStage {
   Status RestoreState(BinaryDecoder* dec) override;
 
  protected:
-  Status ProcessTuple(size_t port, const Tuple& tuple) override;
+  Status TakeTuple(size_t port, Tuple tuple) override;
   Status ProcessHeartbeat(Timestamp now) override;
 
  private:
@@ -67,8 +67,8 @@ class ReorderStage : public IngestStage {
 
   Duration bound_;
   LateHandler late_handler_;
-  // (ts, arrival seq) -> entry: release order, ties broken by arrival.
-  std::map<std::pair<Timestamp, uint64_t>, Entry> buffer_;
+  // Keyed (ts, arrival seq): release order, ties broken by arrival.
+  TimeOrderedQueue<Entry> buffer_;
   uint64_t next_seq_ = 0;
   Timestamp max_seen_ = kMinTimestamp;
   Timestamp frontier_ = kMinTimestamp;

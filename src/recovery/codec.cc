@@ -1,5 +1,7 @@
 #include "recovery/codec.h"
 
+#include <array>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -7,21 +9,42 @@ namespace eslev {
 
 namespace {
 
-// Lazily built table for the reflected IEEE CRC-32.
-const uint32_t* Crc32Table() {
-  static uint32_t table[256];
-  static bool built = [] {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      table[i] = c;
+// Slice-by-8 tables for the reflected IEEE CRC-32, built at compile time.
+// kCrc32Tables[0] is the classic byte-at-a-time table; entry i of table k
+// is the CRC state after feeding byte i followed by k zero bytes, so eight
+// lookups advance the state over eight input bytes at once.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    return true;
-  }();
-  (void)built;
-  return table;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+// Little-endian u32 at `p`, whatever the host order or alignment.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    uint32_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+  } else {
+    return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+           static_cast<uint32_t>(p[2]) << 16 |
+           static_cast<uint32_t>(p[3]) << 24;
+  }
 }
 
 // Schema back-reference markers (frozen by the golden-format test).
@@ -36,24 +59,42 @@ constexpr uint32_t kMaxFrameLen = 1u << 30;
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len) {
-  const uint32_t* table = Crc32Table();
+  const auto& t = kCrc32Tables;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = c ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
 
 void BinaryEncoder::PutU32(uint32_t v) {
+  char bytes[4];
   for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
   }
+  buf_.append(bytes, sizeof(bytes));
 }
 
 void BinaryEncoder::PutU64(uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+  }
+  buf_.append(bytes, sizeof(bytes));
+}
+
+void BinaryEncoder::PatchU32(size_t offset, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    buf_[offset + static_cast<size_t>(i)] =
+        static_cast<char>((v >> (8 * i)) & 0xFFu);
   }
 }
 
@@ -105,6 +146,14 @@ void BinaryEncoder::PutSchema(const SchemaPtr& schema) {
   }
   const uint32_t id = static_cast<uint32_t>(schema_ids_.size());
   schema_ids_.emplace(schema.get(), id);
+  PutSchemaInline(schema);
+}
+
+void BinaryEncoder::PutSchemaInline(const SchemaPtr& schema) {
+  if (schema == nullptr) {
+    PutU8(kSchemaNull);
+    return;
+  }
   PutU8(kSchemaInline);
   PutU32(static_cast<uint32_t>(schema->num_fields()));
   for (const Field& f : schema->fields()) {

@@ -34,7 +34,8 @@
 
 namespace eslev {
 
-/// \brief CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `len` bytes.
+/// \brief CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `len` bytes,
+/// eight bytes per step (slice-by-8 over compile-time tables).
 uint32_t Crc32(const void* data, size_t len);
 inline uint32_t Crc32(const std::string& s) { return Crc32(s.data(), s.size()); }
 
@@ -57,13 +58,27 @@ class BinaryEncoder {
   void PutValue(const Value& v);
   /// Schema back-reference or inline definition (see class comment).
   void PutSchema(const SchemaPtr& schema);
+  /// Inline definition (or the null marker) that neither uses nor enters
+  /// the schema table: the bytes a fresh encoder's first PutSchema
+  /// writes. Every v1 WAL record carries its schema this way.
+  void PutSchemaInline(const SchemaPtr& schema);
   /// Schema ref + i64 ts + u32 arity + values. Self-contained given the
   /// encoder's schema table.
   void PutTuple(const Tuple& tuple);
 
+  /// Overwrite the u32 written earlier at byte `offset` (a frame header
+  /// whose length and CRC are known only once the payload is written).
+  void PatchU32(size_t offset, uint32_t v);
+
   const std::string& buffer() const { return buf_; }
   std::string TakeBuffer() { return std::move(buf_); }
   size_t size() const { return buf_.size(); }
+  /// Drop the bytes and the schema table; the buffer keeps its capacity,
+  /// so an encoder reused this way stops allocating once warm.
+  void Clear() {
+    buf_.clear();
+    schema_ids_.clear();
+  }
 
  private:
   std::string buf_;

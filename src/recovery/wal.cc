@@ -12,24 +12,6 @@ namespace eslev {
 
 namespace {
 
-std::string EncodeRecordFrame(const WalRecord& record) {
-  BinaryEncoder enc;
-  enc.PutU8(static_cast<uint8_t>(record.kind));
-  enc.PutU64(record.lsn);
-  enc.PutString(record.stream);
-  switch (record.kind) {
-    case WalRecordKind::kTuple:
-      enc.PutTuple(*record.tuple);
-      break;
-    case WalRecordKind::kHeartbeat:
-      enc.PutI64(record.ts);
-      break;
-  }
-  std::string frame;
-  AppendFrame(enc.buffer(), &frame);
-  return frame;
-}
-
 Result<WalRecord> DecodeRecord(const std::string& payload) {
   BinaryDecoder dec(payload);
   WalRecord record;
@@ -286,11 +268,25 @@ Status WalWriter::ReopenForAppend() {
   return Status::OK();
 }
 
-Result<uint64_t> WalWriter::AppendRecord(const WalRecord& record) {
-  pending_ += EncodeRecordFrame(record);
+size_t WalWriter::BeginRecord(WalRecordKind kind, const std::string& stream) {
+  // The frame header's length and CRC are patched by EndRecord, once the
+  // payload behind them is written.
+  const size_t frame = pending_.size();
+  pending_.PutU32(0);
+  pending_.PutU32(0);
+  pending_.PutU8(static_cast<uint8_t>(kind));
+  pending_.PutU64(next_lsn_);
+  pending_.PutString(stream);
+  return frame;
+}
+
+Result<uint64_t> WalWriter::EndRecord(size_t frame) {
+  const size_t payload = frame + 8;
+  const size_t len = pending_.size() - payload;
+  pending_.PatchU32(frame, static_cast<uint32_t>(len));
+  pending_.PatchU32(frame + 4, Crc32(pending_.buffer().data() + payload, len));
   ++records_appended_;
-  const uint64_t lsn = record.lsn;
-  next_lsn_ = lsn + 1;
+  const uint64_t lsn = next_lsn_++;
   if (live_first_lsn_ == 0) live_first_lsn_ = lsn;
   if (pending_.size() >= options_.group_commit_bytes) {
     ESLEV_RETURN_NOT_OK(Flush());
@@ -300,37 +296,38 @@ Result<uint64_t> WalWriter::AppendRecord(const WalRecord& record) {
 
 Result<uint64_t> WalWriter::AppendTuple(const std::string& stream,
                                         const Tuple& tuple) {
-  WalRecord record;
-  record.kind = WalRecordKind::kTuple;
-  record.lsn = next_lsn_;
-  record.stream = stream;
-  record.tuple = tuple;
-  return AppendRecord(record);
+  const size_t frame = BeginRecord(WalRecordKind::kTuple, stream);
+  // A v1 tuple: its schema inline in every record, then ts, arity, values.
+  pending_.PutSchemaInline(tuple.schema());
+  pending_.PutI64(tuple.ts());
+  pending_.PutU32(static_cast<uint32_t>(tuple.size()));
+  for (const Value& v : tuple.values()) {
+    pending_.PutValue(v);
+  }
+  return EndRecord(frame);
 }
 
 Result<uint64_t> WalWriter::AppendHeartbeat(const std::string& stream,
                                             Timestamp ts) {
-  WalRecord record;
-  record.kind = WalRecordKind::kHeartbeat;
-  record.lsn = next_lsn_;
-  record.stream = stream;
-  record.ts = ts;
-  return AppendRecord(record);
+  const size_t frame = BeginRecord(WalRecordKind::kHeartbeat, stream);
+  pending_.PutI64(ts);
+  return EndRecord(frame);
 }
 
 Status WalWriter::Flush() {
-  if (!pending_.empty()) {
+  if (pending_.size() > 0) {
     if (file_ == nullptr) {
       return Status::IoError("WAL writer has no open file: " + path_);
     }
-    const size_t n = std::fwrite(pending_.data(), 1, pending_.size(), file_);
-    if (n != pending_.size() || std::fflush(file_) != 0) {
+    const std::string& bytes = pending_.buffer();
+    const size_t n = std::fwrite(bytes.data(), 1, bytes.size(), file_);
+    if (n != bytes.size() || std::fflush(file_) != 0) {
       return Status::IoError("WAL group commit failed: " + path_);
     }
-    bytes_written_ += pending_.size();
-    live_bytes_ += pending_.size();
+    bytes_written_ += bytes.size();
+    live_bytes_ += bytes.size();
     ++group_commits_;
-    pending_.clear();
+    pending_.Clear();
   }
   if (options_.segment_bytes > 0 && live_bytes_ >= options_.segment_bytes &&
       live_first_lsn_ != 0) {

@@ -10,6 +10,10 @@
 //   kind == kTuple:     [tuple]        (schema inline, self-contained)
 //   kind == kHeartbeat: [i64 ts]
 //
+// The writer encodes each frame in place at the end of its group-commit
+// buffer and patches the length and CRC once the payload is written; a
+// warm writer appends without allocating.
+//
 // LSNs are assigned by the writer, strictly increasing, and never reused:
 // after a checkpoint at LSN n, replay skips records with lsn <= n.
 //
@@ -202,7 +206,12 @@ class WalWriter {
   WalWriter(std::string path, uint64_t next_lsn, WalOptions options)
       : path_(std::move(path)), next_lsn_(next_lsn), options_(options) {}
 
-  Result<uint64_t> AppendRecord(const WalRecord& record);
+  /// Start a v1 record frame in `pending_`: a header placeholder, then
+  /// kind, the next LSN and the stream. Returns the frame's offset.
+  size_t BeginRecord(WalRecordKind kind, const std::string& stream);
+  /// Patch the frame header's length and CRC, assign the LSN, and group
+  /// commit once enough bytes are pending.
+  Result<uint64_t> EndRecord(size_t frame);
   Status ReopenForAppend();
   Status SealLive();
 
@@ -210,7 +219,9 @@ class WalWriter {
   uint64_t next_lsn_;
   WalOptions options_;
   std::FILE* file_ = nullptr;
-  std::string pending_;  // encoded frames awaiting group commit
+  // Frames awaiting group commit, encoded in place; Clear() after each
+  // commit keeps the capacity, so appends stop allocating once warm.
+  BinaryEncoder pending_;
 
   WalManifest manifest_;
   uint64_t live_bytes_ = 0;      // flushed bytes in the live file

@@ -114,6 +114,11 @@ class Operator {
   /// expirations cascade.
   virtual Status ProcessHeartbeat(Timestamp now) { return EmitHeartbeat(now); }
 
+  /// \brief Count one input tuple for a subclass entry point that takes
+  /// the tuple by value instead of through OnTuple (the ingest stages,
+  /// DESIGN.md §15).
+  void CountTupleIn() { tuples_in_.fetch_add(1, std::memory_order_relaxed); }
+
   /// \brief Forward a derived tuple to all sinks.
   Status Emit(const Tuple& tuple) {
     tuples_out_.fetch_add(1, std::memory_order_relaxed);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <vector>
@@ -297,6 +298,167 @@ TEST(CleaningStageTest, OutputStaysSortedAcrossKeys) {
     EXPECT_LE(out.tuples[i - 1].second.ts(), out.tuples[i].second.ts());
   }
   EXPECT_GT(stage.interpolated(), 0u);  // 130 us gaps, 50 us period
+}
+
+// Two distinct reads of a (reader, tag, value) schema, 100 us apart,
+// offered to a min_read_count 2 stage: each is a group of one, so both
+// are filtered as spurious and nothing is emitted.
+void ExpectDistinctReadsStaySeparate(const std::vector<Value>& first,
+                                     const std::vector<Value>& second) {
+  SchemaPtr schema = Schema::Make({{"reader_id", TypeId::kString},
+                                   {"tag_id", TypeId::kString},
+                                   {"value", TypeId::kDouble},
+                                   {"read_time", TypeId::kTimestamp}});
+  const auto read = [&](std::vector<Value> values, Timestamp ts) {
+    values.push_back(Value::Time(ts));
+    return Tuple(schema, std::move(values), ts);
+  };
+  Collected out;
+  IngestDelivery sink;
+  BindSink(&sink, &out);
+  CleaningStage stage(CleanOptions(1000, 2));
+  stage.set_next(&sink);
+  ASSERT_TRUE(stage.OnTuple(0, read(first, 1000)).ok());
+  ASSERT_TRUE(stage.OnTuple(0, read(second, 1100)).ok());
+  ASSERT_TRUE(stage.OnHeartbeat(100000).ok());
+  EXPECT_EQ(out.Rows(), std::vector<std::string>{});
+  EXPECT_EQ(stage.spurious_filtered(), 2u);
+  EXPECT_EQ(stage.dups_suppressed(), 0u);
+}
+
+TEST(CleaningStageTest, DoublesDifferingPastSixDecimalsDoNotGroup) {
+  ExpectDistinctReadsStaySeparate(
+      {Value::String("r"), Value::String("a"), Value::Double(1.0000001)},
+      {Value::String("r"), Value::String("a"), Value::Double(1.0000002)});
+}
+
+TEST(CleaningStageTest, NullDoesNotGroupWithTheStringNull) {
+  ExpectDistinctReadsStaySeparate(
+      {Value::String("r"), Value::Null(), Value::Double(1)},
+      {Value::String("r"), Value::String("NULL"), Value::Double(1)});
+}
+
+TEST(CleaningStageTest, SeparatorBytesInStringsDoNotShiftColumns) {
+  ExpectDistinctReadsStaySeparate(
+      {Value::String("a\x1f" "b"), Value::String("c"), Value::Double(1)},
+      {Value::String("a"), Value::String("b\x1f" "c"), Value::Double(1)});
+}
+
+TEST(CleaningStageTest, NullsAndNansGroupWithTheirOwnKind) {
+  // The grouping equality (DESIGN.md §15): NULL groups with NULL, any
+  // NaN with any NaN, and -0.0 with 0.0, so each pair below is one read
+  // and its duplicate.
+  SchemaPtr schema = Schema::Make({{"reader_id", TypeId::kString},
+                                   {"value", TypeId::kDouble},
+                                   {"read_time", TypeId::kTimestamp}});
+  const auto read = [&](Value reader, Value value, Timestamp ts) {
+    return Tuple(schema, {std::move(reader), std::move(value), Value::Time(ts)},
+                 ts);
+  };
+  Collected out;
+  IngestDelivery sink;
+  BindSink(&sink, &out);
+  CleaningStage stage(CleanOptions(1000, 2));
+  stage.set_next(&sink);
+  const double nan = std::nan("");
+  ASSERT_TRUE(stage.OnTuple(0, read(Value::Null(), Value::Double(1), 1000)).ok());
+  ASSERT_TRUE(stage.OnTuple(0, read(Value::Null(), Value::Double(1), 1100)).ok());
+  ASSERT_TRUE(stage.OnTuple(0, read(Value::String("r"), Value::Double(nan), 1200)).ok());
+  ASSERT_TRUE(stage.OnTuple(0, read(Value::String("r"), Value::Double(-nan), 1300)).ok());
+  ASSERT_TRUE(stage.OnTuple(0, read(Value::String("z"), Value::Double(-0.0), 1400)).ok());
+  ASSERT_TRUE(stage.OnTuple(0, read(Value::String("z"), Value::Double(0.0), 1500)).ok());
+  ASSERT_TRUE(stage.OnHeartbeat(100000).ok());
+  ASSERT_EQ(out.tuples.size(), 3u);
+  EXPECT_EQ(out.tuples[0].second.ts(), 1000);
+  EXPECT_EQ(out.tuples[1].second.ts(), 1200);
+  EXPECT_EQ(out.tuples[2].second.ts(), 1400);
+  EXPECT_EQ(stage.dups_suppressed(), 3u);
+  EXPECT_EQ(stage.spurious_filtered(), 0u);
+}
+
+TEST(CleaningStageTest, KeepsNoKeyStateWithoutInterpolation) {
+  Collected out;
+  IngestDelivery sink;
+  BindSink(&sink, &out);
+  CleaningStage stage(CleanOptions(10, 1));
+  stage.set_next(&sink);
+  for (Timestamp ts = 1000; ts < 2000; ts += 100) {
+    ASSERT_TRUE(stage.OnTuple(0, Read("r", "t" + std::to_string(ts), ts)).ok());
+  }
+  ASSERT_TRUE(stage.OnHeartbeat(100000).ok());
+  EXPECT_EQ(out.tuples.size(), 10u);
+  EXPECT_EQ(stage.key_states(), 0u);
+
+  // With interpolation on, every emitting key keeps its state.
+  CleaningStage interpolating(CleanOptions(10, 1, 1000, 100));
+  interpolating.set_next(&sink);
+  for (Timestamp ts = 1000; ts < 2000; ts += 100) {
+    ASSERT_TRUE(
+        interpolating.OnTuple(0, Read("r", "t" + std::to_string(ts), ts)).ok());
+  }
+  ASSERT_TRUE(interpolating.OnHeartbeat(100000).ok());
+  EXPECT_EQ(interpolating.key_states(), 10u);
+}
+
+TEST(CleaningStageTest, RestoresCheckpointCarryingKeyStates) {
+  // Checkpoints written before the per-key state became interpolation
+  // only carry one entry per emitted key even without interpolation.
+  // This blob has that layout: counters, one open group, one key state,
+  // one held-back emission.
+  BinaryEncoder enc;
+  enc.PutU64(5);      // open_seq
+  enc.PutU64(3);      // pending_seq
+  enc.PutI64(2000);   // frontier
+  enc.PutI64(900);    // heartbeat out
+  enc.PutU64(1);      // dups suppressed
+  enc.PutU64(0);      // spurious filtered
+  enc.PutU64(0);      // interpolated
+  enc.PutU64(2);      // emitted
+  enc.PutU32(1);      // open groups
+  enc.PutU64(4);
+  enc.PutU32(0);
+  enc.PutU64(2);
+  enc.PutTuple(Read("r", "x", 1995));
+  enc.PutBool(false);
+  enc.PutU32(1);      // key states
+  enc.PutU32(0);
+  enc.PutTuple(Read("r", "y", 1500));
+  enc.PutI64(0);
+  enc.PutU32(1);      // held-back emissions
+  enc.PutU64(2);
+  enc.PutU32(0);
+  enc.PutTuple(Read("r", "y", 1500));
+  enc.PutBool(false);
+
+  Collected out;
+  IngestDelivery sink;
+  BindSink(&sink, &out);
+  CleaningStage stage(CleanOptions(1000, 2));
+  stage.set_next(&sink);
+  BinaryDecoder dec(enc.buffer());
+  ASSERT_TRUE(stage.RestoreState(&dec).ok());
+  EXPECT_TRUE(dec.AtEnd());
+  EXPECT_EQ(stage.open_groups(), 1u);
+  EXPECT_EQ(stage.pending(), 1u);
+  EXPECT_EQ(stage.key_states(), 0u);
+
+  ASSERT_TRUE(stage.OnHeartbeat(100000).ok());
+  ASSERT_EQ(out.tuples.size(), 2u);
+  EXPECT_EQ(out.tuples[0].second.ts(), 1500);
+  EXPECT_EQ(out.tuples[1].second.ts(), 1995);
+
+  // Saved again, the state carries no key-state entries, while an
+  // interpolating stage keeps the old blob's entry.
+  BinaryEncoder again;
+  ASSERT_TRUE(stage.SaveState(&again).ok());
+  CleaningStage interpolating(CleanOptions(1000, 2, 5000, 100));
+  BinaryDecoder resaved(again.buffer());
+  ASSERT_TRUE(interpolating.RestoreState(&resaved).ok());
+  EXPECT_TRUE(resaved.AtEnd());
+  EXPECT_EQ(interpolating.key_states(), 0u);
+  BinaryDecoder old_blob(enc.buffer());
+  ASSERT_TRUE(interpolating.RestoreState(&old_blob).ok());
+  EXPECT_EQ(interpolating.key_states(), 1u);
 }
 
 TEST(CleaningStageTest, StateRoundTripsMidGroups) {

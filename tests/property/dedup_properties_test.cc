@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "core/engine.h"
 #include "rfid/workloads.h"
@@ -17,6 +18,13 @@ struct DedupParam {
   size_t duplicates;
   int spread_ms;
 };
+
+// gtest would otherwise print the struct's raw bytes, padding included,
+// into every test name.
+void PrintTo(const DedupParam& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " duplicates=" << p.duplicates
+      << " spread_ms=" << p.spread_ms;
+}
 
 class DedupPropertyTest : public ::testing::TestWithParam<DedupParam> {};
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "core/engine.h"
@@ -18,6 +19,12 @@ struct Param {
   uint32_t seed;
   size_t length;
 };
+
+// gtest would otherwise print the struct's raw bytes, padding included,
+// into every test name.
+void PrintTo(const Param& p, std::ostream* os) {
+  *os << "seed=" << p.seed << " length=" << p.length;
+}
 
 class ExceptionPartitionTest : public ::testing::TestWithParam<Param> {};
 

@@ -22,7 +22,7 @@ struct TraceEvent {
 };
 
 // Random interleaved trace over `num_streams` streams.
-std::vector<TraceEvent> MakeTrace(uint32_t seed, size_t num_streams,
+std::vector<TraceEvent> MakeTrace(size_t seed, size_t num_streams,
                                   size_t length) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<size_t> stream_dist(0, num_streams - 1);
@@ -82,11 +82,15 @@ std::multiset<std::vector<Timestamp>> RunMode(
   return events;
 }
 
+// gtest prints the parameter's raw bytes into every test name, so the
+// struct has no padding: each byte belongs to a field and the name is
+// the same on every discovery.
 struct SweepParam {
-  uint32_t seed;
+  size_t seed;
   size_t num_streams;
   size_t length;
 };
+static_assert(sizeof(SweepParam) == 3 * sizeof(size_t));
 
 class SeqModePropertyTest : public ::testing::TestWithParam<SweepParam> {};
 

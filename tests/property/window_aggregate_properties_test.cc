@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 
 #include "exec/aggregate.h"
@@ -19,6 +20,13 @@ struct AggParam {
   int window_s;
   bool row_window;
 };
+
+// gtest would otherwise print the struct's raw bytes, padding included,
+// into every test name.
+void PrintTo(const AggParam& p, std::ostream* os) {
+  *os << "seed=" << p.seed << (p.row_window ? " rows=" : " range_s=")
+      << p.window_s;
+}
 
 class WindowAggPropertyTest : public ::testing::TestWithParam<AggParam> {
  protected:

@@ -35,6 +35,37 @@ TEST(GoldenFormatTest, Crc32CheckValue) {
   EXPECT_EQ(Crc32("", 0), 0x00000000u);
 }
 
+// Bit-at-a-time CRC-32 straight from the definition (reflected IEEE
+// polynomial, all-ones init and final XOR), independent of any table.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t len) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(GoldenFormatTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Every length from 0 to 64 covers empty input, the byte-wise tail, and
+  // several whole 8-byte blocks; starting at each offset 0..7 of the
+  // buffer covers every alignment of the first block.
+  unsigned char buf[64 + 8];
+  uint32_t x = 12345;
+  for (unsigned char& b : buf) {
+    x = x * 1103515245u + 12345u;
+    b = static_cast<unsigned char>(x >> 24);
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(Crc32(buf + offset, len), BitwiseCrc32(buf + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
 TEST(GoldenFormatTest, FrameLayout) {
   // [u32 payload_len][u32 crc32(payload)][payload], all little-endian.
   std::string file;
@@ -138,6 +169,46 @@ TEST(GoldenFormatTest, WalHeartbeatRecordBytes) {
   EXPECT_EQ(Hex(*bytes).substr(0, 16),
             Hex(std::string("\x15\x00\x00\x00", 4)) +  // length 21
                 Hex(expected.substr(4, 4)));           // crc over payload
+}
+
+TEST(GoldenFormatTest, WalTupleRecordBytes) {
+  // One reading in the RFID schema, logged as the first record: the v1
+  // payload carries its schema inline, field names included.
+  const std::string path = ::testing::TempDir() + "golden_wal_tuple.log";
+  std::remove(path.c_str());
+  SchemaPtr schema = Schema::Make({{"reader_id", TypeId::kString},
+                                   {"tag_id", TypeId::kString},
+                                   {"read_time", TypeId::kTimestamp}});
+  const Tuple reading(
+      schema, {Value::String("rd1"), Value::String("tag7"), Value::Time(1000)},
+      1000);
+  {
+    auto writer = WalWriter::Open(path, 1);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    auto lsn = (*writer)->AppendTuple("readings", reading);
+    ASSERT_TRUE(lsn.ok()) << lsn.status();
+    EXPECT_EQ(*lsn, 1u);
+    ASSERT_TRUE((*writer)->Flush().ok());
+  }
+  auto bytes = ReadFileAll(path);
+  ASSERT_TRUE(bytes.ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(Hex(*bytes),
+            "67000000"                // payload length 103
+            "179d2f5e"                // crc 0x5e2f9d17, little-endian
+            "01"                      // kind: tuple
+            "0100000000000000"        // lsn 1
+            "0800000072656164696e6773"  // stream "readings"
+            "00"                      // inline schema marker
+            "03000000"                // 3 fields
+            "090000007265616465725f696404"  // "reader_id" VARCHAR
+            "060000007461675f696404"        // "tag_id" VARCHAR
+            "09000000726561645f74696d6505"  // "read_time" TIMESTAMP
+            "e803000000000000"        // ts 1000
+            "03000000"                // arity 3
+            "0403000000726431"        // VARCHAR 'rd1'
+            "040400000074616737"      // VARCHAR 'tag7'
+            "05e803000000000000");    // TIMESTAMP 1000
 }
 
 TEST(GoldenFormatTest, EmptyEngineCheckpointStructure) {
