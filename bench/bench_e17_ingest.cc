@@ -52,7 +52,6 @@ rfid::Workload NoisyTrace(Duration max_shift, double spurious_rate) {
 
 EngineOptions WithIngest(size_t min_read_count) {
   EngineOptions options;
-  options.honor_ingest_env = false;  // the benches sweep explicitly
   options.ingest.lateness_bound = Milliseconds(400);
   options.ingest.smoothing_window = Milliseconds(1);
   options.ingest.min_read_count = min_read_count;

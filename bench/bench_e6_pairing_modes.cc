@@ -10,17 +10,12 @@
 //
 // We run SEQ(C1, C2, C3, C4) over the same quality-check trace under
 // each mode and report throughput, events emitted, and the operator's
-// peak retained history (the paper's optimization story). Every mode
-// runs on both sequence backends (history matcher and compiled NFA,
-// DESIGN.md §14); the per-mode peak tuple state of each backend lands
-// in the metrics blob under stategate.* so tools/bench_gate.py can fail
-// the build if the NFA ever retains more tuple-state than history.
+// peak retained history (the paper's optimization story).
 
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
 #include "cep/seq_operator.h"
-#include "cep/seq_operator_base.h"
 #include "expr/binder.h"
 #include "sql/parser.h"
 
@@ -33,12 +28,10 @@ SchemaPtr ReadingSchema() {
                        {"tagtime", TypeId::kTimestamp}});
 }
 
-// Build SEQ(C1..C4) with Example 6's per-product tag join conditions on
-// the requested backend.
-std::unique_ptr<SeqOperatorBase> MakeSeq(PairingMode mode,
-                                         SeqBackend backend,
-                                         const FunctionRegistry& registry,
-                                         BindScope* scope) {
+// Build SEQ(C1..C4) with Example 6's per-product tag join conditions.
+std::unique_ptr<SeqOperator> MakeSeq(PairingMode mode,
+                                     const FunctionRegistry& registry,
+                                     BindScope* scope) {
   auto schema = ReadingSchema();
   SeqOperatorConfig config;
   for (int i = 1; i <= 4; ++i) {
@@ -73,7 +66,7 @@ std::unique_ptr<SeqOperatorBase> MakeSeq(PairingMode mode,
   w.direction = WindowDirection::kPreceding;
   w.anchor = 3;
   config.window = w;
-  auto op = MakeSeqOperator(std::move(config), backend);
+  auto op = SeqOperator::Make(std::move(config));
   bench::CheckOk(op.status(), "make seq");
   return std::move(op).ValueUnsafe();
 }
@@ -93,26 +86,19 @@ const char* ModeName(PairingMode mode) {
 }
 
 // Un-timed replay recording the per-mode retained-history state series
-// into the bench metrics blob (BENCH_*_metrics.json) — E6's state-size
-// evidence comes from the metrics layer, not from the timed loop. The
-// history backend keeps the original e6.<mode>.* keys; the NFA writes
-// under e6.nfa.<mode>.*. Both record their peak tuple state under the
-// stategate.* convention consumed by tools/bench_gate.py.
-void RecordStateSeries(PairingMode mode, SeqBackend backend,
-                       const rfid::Workload& workload,
+// into the bench metrics blob (BENCH_*_metrics.json) under e6.<mode>.* —
+// E6's state-size evidence comes from the metrics layer, not from the
+// timed loop.
+void RecordStateSeries(PairingMode mode, const rfid::Workload& workload,
                        const FunctionRegistry& registry) {
   BindScope scope;
-  auto op = MakeSeq(mode, backend, registry, &scope);
-  const bool nfa = backend == SeqBackend::kNfa;
-  const std::string prefix =
-      std::string("e6.") + (nfa ? "nfa." : "") + ModeName(mode) + ".";
+  auto op = MakeSeq(mode, registry, &scope);
+  const std::string prefix = std::string("e6.") + ModeName(mode) + ".";
   Histogram* retained =
       bench::Metrics().GetHistogram(prefix + "retained_history");
-  size_t peak = 0;
   size_t i = 0;
   for (const auto& e : workload.events) {
     bench::CheckOk(op->OnTuple(PortOf(e.stream), e.tuple), "tuple");
-    peak = std::max(peak, op->history_size());
     if (++i % 64 == 0) retained->Observe(op->history_size());
   }
   bench::Metrics().GetGauge(prefix + "final_history")
@@ -123,13 +109,9 @@ void RecordStateSeries(PairingMode mode, SeqBackend backend,
       ->Set(static_cast<int64_t>(op->tuples_purged()));
   bench::Metrics().GetGauge(prefix + "matches")
       ->Set(static_cast<int64_t>(op->matches_emitted()));
-  bench::Metrics()
-      .GetGauge(std::string("stategate.e6_") + ModeName(mode) + "." +
-                SeqBackendToString(backend))
-      ->Set(static_cast<int64_t>(peak));
 }
 
-void RunMode(benchmark::State& state, PairingMode mode, SeqBackend backend) {
+void RunMode(benchmark::State& state, PairingMode mode) {
   rfid::QualityCheckWorkloadOptions options;
   options.num_products = 2000;
   options.stage_delay = Seconds(2);
@@ -142,7 +124,7 @@ void RunMode(benchmark::State& state, PairingMode mode, SeqBackend backend) {
   for (auto _ : state) {
     state.PauseTiming();
     BindScope scope;
-    auto op = MakeSeq(mode, backend, registry, &scope);
+    auto op = MakeSeq(mode, registry, &scope);
     peak_history = 0;
     state.ResumeTiming();
     for (const auto& e : workload.events) {
@@ -155,45 +137,25 @@ void RunMode(benchmark::State& state, PairingMode mode, SeqBackend backend) {
                           workload.events.size());
   state.counters["events"] = static_cast<double>(events);
   state.counters["peak_history"] = static_cast<double>(peak_history);
-  RecordStateSeries(mode, backend, workload, registry);
+  RecordStateSeries(mode, workload, registry);
 }
 
 void BM_ModeUnrestricted(benchmark::State& state) {
-  RunMode(state, PairingMode::kUnrestricted, SeqBackend::kHistory);
+  RunMode(state, PairingMode::kUnrestricted);
 }
 void BM_ModeRecent(benchmark::State& state) {
-  RunMode(state, PairingMode::kRecent, SeqBackend::kHistory);
+  RunMode(state, PairingMode::kRecent);
 }
 void BM_ModeChronicle(benchmark::State& state) {
-  RunMode(state, PairingMode::kChronicle, SeqBackend::kHistory);
+  RunMode(state, PairingMode::kChronicle);
 }
 void BM_ModeConsecutive(benchmark::State& state) {
-  RunMode(state, PairingMode::kConsecutive, SeqBackend::kHistory);
+  RunMode(state, PairingMode::kConsecutive);
 }
 BENCHMARK(BM_ModeUnrestricted);
 BENCHMARK(BM_ModeRecent);
 BENCHMARK(BM_ModeChronicle);
 BENCHMARK(BM_ModeConsecutive);
-
-// Same modes on the compiled-NFA backend; the differential suite proves
-// the emitted tuples byte-identical, so the interesting numbers here
-// are throughput and retained state relative to the history matcher.
-void BM_NfaModeUnrestricted(benchmark::State& state) {
-  RunMode(state, PairingMode::kUnrestricted, SeqBackend::kNfa);
-}
-void BM_NfaModeRecent(benchmark::State& state) {
-  RunMode(state, PairingMode::kRecent, SeqBackend::kNfa);
-}
-void BM_NfaModeChronicle(benchmark::State& state) {
-  RunMode(state, PairingMode::kChronicle, SeqBackend::kNfa);
-}
-void BM_NfaModeConsecutive(benchmark::State& state) {
-  RunMode(state, PairingMode::kConsecutive, SeqBackend::kNfa);
-}
-BENCHMARK(BM_NfaModeUnrestricted);
-BENCHMARK(BM_NfaModeRecent);
-BENCHMARK(BM_NfaModeChronicle);
-BENCHMARK(BM_NfaModeConsecutive);
 
 // The purging claim in isolation: RECENT with NO window must still hold
 // constant history, while UNRESTRICTED without a window grows linearly.

@@ -12,7 +12,6 @@
 #include "baseline/naive_join.h"
 #include "bench/bench_util.h"
 #include "cep/seq_operator.h"
-#include "cep/seq_operator_base.h"
 #include "expr/binder.h"
 #include "sql/parser.h"
 
@@ -123,17 +122,12 @@ BENCHMARK(BM_SeqWindowedUnrestricted)->Arg(500)->Arg(2000)->Arg(8000);
 BENCHMARK(BM_SeqChronicle)->Arg(500)->Arg(2000)->Arg(8000);
 
 // ---------------------------------------------------------------------------
-// Star workload, per backend — Example 7's containment query
-// SEQ(R1*, R2) MODE CHRONICLE over the packing trace. Star groups are
-// where a run-based matcher can over-retain (one run per open prefix
-// versus one shared pool of star tuples), so the peak tuple state of
-// both backends is published under stategate.e9_star.* and gated by
-// tools/bench_gate.py: the NFA must never retain more than history.
+// Star workload — Example 7's containment query SEQ(R1*, R2) MODE
+// CHRONICLE over the packing trace, with its peak retained history.
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<SeqOperatorBase> MakeStarSeq(SeqBackend backend,
-                                             const FunctionRegistry& registry,
-                                             BindScope* scope) {
+std::unique_ptr<SeqOperator> MakeStarSeq(const FunctionRegistry& registry,
+                                         BindScope* scope) {
   auto schema = Schema::Make({{"readerid", TypeId::kString},
                               {"tagid", TypeId::kString},
                               {"tagtime", TypeId::kTimestamp}});
@@ -164,12 +158,12 @@ std::unique_ptr<SeqOperatorBase> MakeStarSeq(SeqBackend backend,
   config.out_schema = Schema::Make({{"first_time", TypeId::kTimestamp},
                                     {"cnt", TypeId::kInt64},
                                     {"case_tag", TypeId::kString}});
-  auto op = MakeSeqOperator(std::move(config), backend);
+  auto op = SeqOperator::Make(std::move(config));
   bench::CheckOk(op.status(), "make star seq");
   return std::move(op).ValueUnsafe();
 }
 
-void RunStarSeq(benchmark::State& state, SeqBackend backend) {
+void RunStarSeq(benchmark::State& state) {
   rfid::PackingWorkloadOptions options;
   options.num_cases = static_cast<size_t>(state.range(0));
   auto workload = rfid::MakePackingWorkload(options);
@@ -179,7 +173,7 @@ void RunStarSeq(benchmark::State& state, SeqBackend backend) {
   for (auto _ : state) {
     state.PauseTiming();
     BindScope scope;
-    auto op = MakeStarSeq(backend, registry, &scope);
+    auto op = MakeStarSeq(registry, &scope);
     peak_history = 0;
     state.ResumeTiming();
     for (const auto& e : workload.events) {
@@ -192,22 +186,10 @@ void RunStarSeq(benchmark::State& state, SeqBackend backend) {
                           workload.events.size());
   state.counters["matches"] = static_cast<double>(matches);
   state.counters["peak_history"] = static_cast<double>(peak_history);
-  // Args run in registration order, so the gauge ends up holding the
-  // largest trace's peak — the worst case is what the gate compares.
-  bench::Metrics()
-      .GetGauge(std::string("stategate.e9_star.") +
-                SeqBackendToString(backend))
-      ->Set(static_cast<int64_t>(peak_history));
 }
 
-void BM_SeqStarHistory(benchmark::State& state) {
-  RunStarSeq(state, SeqBackend::kHistory);
-}
-void BM_SeqStarNfa(benchmark::State& state) {
-  RunStarSeq(state, SeqBackend::kNfa);
-}
+void BM_SeqStarHistory(benchmark::State& state) { RunStarSeq(state); }
 BENCHMARK(BM_SeqStarHistory)->Arg(200)->Arg(1000);
-BENCHMARK(BM_SeqStarNfa)->Arg(200)->Arg(1000);
 
 }  // namespace
 }  // namespace eslev

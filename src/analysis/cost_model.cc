@@ -5,7 +5,8 @@
 #include <map>
 
 #include "analysis/analyzer.h"
-#include "cep/seq_operator_base.h"
+#include "cep/exception_seq_operator.h"
+#include "cep/seq_operator.h"
 #include "common/string_util.h"
 #include "exec/aggregate.h"
 #include "exec/basic_ops.h"
@@ -79,13 +80,12 @@ bool ContainsPrevious(const Expr& expr) {
 
 }  // namespace
 
-CostAnalyzer::CostAnalyzer(const Catalog* catalog, SeqBackend backend,
-                           CostModelParams params)
-    : catalog_(catalog), backend_(backend), params_(params) {}
+CostAnalyzer::CostAnalyzer(const Catalog* catalog, CostModelParams params)
+    : catalog_(catalog), params_(params) {}
 
 Result<QueryCostReport> CostAnalyzer::Analyze(const Statement& stmt) const {
   const Statement* inner = Unwrap(stmt);
-  Planner planner(catalog_, backend_);
+  Planner planner(catalog_);
   ESLEV_ASSIGN_OR_RETURN(PlannedQuery plan, planner.Plan(*inner));
   return AnalyzeFromPlan(*inner, plan);
 }
@@ -104,7 +104,6 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
 
   QueryCostReport report;
   report.statement = s->ToString();
-  report.backend = backend_ == SeqBackend::kNfa ? "nfa" : "history";
   report.assumed_shards = params_.assumed_shards;
 
   std::vector<const Expr*> conjuncts;
@@ -226,7 +225,7 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
     row.cpu_cost = current;
     row.state = StatelessStateBound();
 
-    if (auto* seq = dynamic_cast<SeqOperatorBase*>(op)) {
+    if (auto* seq = dynamic_cast<SeqOperator*>(op)) {
       const SeqOperatorConfig& cfg = seq->config();
       row.op = "SeqOperator";
       row.state_gauges = {"retained_history"};
@@ -264,7 +263,7 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
               ? row.state.tuples
               : row.state.growth_per_sec * params_.unbounded_scan_horizon_secs;
       row.cpu_cost = current + r_last * scanned;
-    } else if (auto* ex = dynamic_cast<ExceptionSeqOperatorBase*>(op)) {
+    } else if (auto* ex = dynamic_cast<ExceptionSeqOperator*>(op)) {
       const ExceptionSeqConfig& cfg = ex->config();
       row.op = "ExceptionSeqOperator";
       row.state_gauges = {"partial_level"};
@@ -351,10 +350,8 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
 }
 
 std::string QueryCostReport::ToJson() const {
-  std::string out = "{\"cost_model_version\":1,\"statement\":";
+  std::string out = "{\"cost_model_version\":2,\"statement\":";
   EscapeJson(statement, &out);
-  out += ",\"backend\":";
-  EscapeJson(backend, &out);
   out += ",\"operators\":[";
   for (size_t i = 0; i < operators.size(); ++i) {
     const OperatorCost& op = operators[i];

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "analysis/state_bounds.h"
-#include "cep/seq_backend.h"
 #include "common/result.h"
 #include "plan/catalog.h"
 #include "plan/planner.h"
@@ -74,7 +73,6 @@ struct OperatorCost {
 /// \brief Full `EXPLAIN COST` report for one statement.
 struct QueryCostReport {
   std::string statement;  // canonical statement text
-  std::string backend;    // "history" or "nfa"
   std::vector<OperatorCost> operators;
   double total_cpu_cost = 0;
   bool state_bounded = true;
@@ -103,11 +101,8 @@ std::string StateBoundSummary(const QueryCostReport& report);
 
 class CostAnalyzer {
  public:
-  /// \brief `catalog` must outlive the analyzer; `backend` prices the
-  /// SEQ implementation the engine would run.
-  explicit CostAnalyzer(const Catalog* catalog,
-                        SeqBackend backend = SeqBackend::kHistory,
-                        CostModelParams params = {});
+  /// \brief `catalog` must outlive the analyzer.
+  explicit CostAnalyzer(const Catalog* catalog, CostModelParams params = {});
 
   /// \brief Analyze one SELECT / INSERT statement (EXPLAIN wrappers are
   /// unwrapped); plans it internally.
@@ -122,7 +117,6 @@ class CostAnalyzer {
 
  private:
   const Catalog* catalog_;
-  SeqBackend backend_;
   CostModelParams params_;
 };
 

@@ -617,8 +617,8 @@ void DisorderHazardRule(const LintContext& ctx, std::vector<Diagnostic>* out) {
         seq->span,
         "configure the ingest reorder stage with lateness_bound >= " +
             std::to_string(declared) +
-            " us (EngineOptions::ingest.lateness_bound or "
-            "ESLEV_INGEST_LATENESS_US), or declare the input in-order"));
+            " us (EngineOptions::ingest.lateness_bound), or declare the "
+            "input in-order"));
   }
 }
 

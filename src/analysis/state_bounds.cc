@@ -73,17 +73,11 @@ Term GrowthTerm(const std::string& alias, double rate,
 StateBound SeqStateBound(const SeqOperatorConfig& config,
                          const std::vector<double>& rates) {
   const size_t n = config.positions.size();
-  // Window eviction fires only for PRECEDING / PRECEDING AND FOLLOWING
-  // windows anchored at the last position (SeqOperator::EvictByWindow).
-  const bool purging_window =
-      config.window.has_value() &&
-      (config.window->direction == WindowDirection::kPreceding ||
-       config.window->direction == WindowDirection::kPrecedingAndFollowing) &&
-      config.window->anchor == n - 1;
+  // The matcher's own purge licenses (cep/seq_config.h).
+  const bool purging_window = SeqWindowEvicts(config);
   const double window_secs =
       purging_window ? WindowSeconds(config.window->length) : 0;
-  const bool recent_exact = config.mode == PairingMode::kRecent &&
-                            config.pairwise.empty();
+  const bool recent_purge = RecentPurgeApplies(config);
 
   std::vector<Term> terms;
   for (size_t i = 0; i < n; ++i) {
@@ -105,7 +99,7 @@ StateBound SeqStateBound(const SeqOperatorConfig& config,
       terms.push_back(t);
       continue;
     }
-    if (recent_exact && !pos.negated) {
+    if (recent_purge && !pos.negated) {
       // PurgeRecent keeps, per position i, the most recent entry plus
       // one entry per retained later-position entry: at most n-1-i.
       Term t;
@@ -123,9 +117,9 @@ StateBound SeqStateBound(const SeqOperatorConfig& config,
       terms.push_back(WindowTerm(pos.alias, rate, window_secs));
       continue;
     }
-    // UNRESTRICTED / CHRONICLE / RECENT-with-pairwise without a purging
-    // window — and RECENT negation evidence, which PurgeRecent never
-    // drops — retain without bound.
+    // UNRESTRICTED, CHRONICLE and RECENT outside its purge license,
+    // without a purging window, retain without bound; so does RECENT
+    // negation evidence, which PurgeRecent never drops.
     terms.push_back(GrowthTerm(
         pos.alias, rate,
         pos.negated ? "negation evidence" : "no purge license"));

@@ -4,16 +4,20 @@
 // operator retains at any instant, derived from the purge licenses the
 // operator actually holds:
 //
-//   SEQ history      window eviction fires only for PRECEDING (or
-//                    PRECEDING AND FOLLOWING) windows anchored at the
-//                    LAST position (SeqOperator::EvictByWindow);
-//                    CONSECUTIVE keeps one entry per position; RECENT
-//                    with no pairwise constraints retains an exact
-//                    triangular entry set (position i keeps at most
-//                    n-1-i entries) but keeps ALL negation evidence;
-//                    star groups stay open while their gate passes and
-//                    open groups are never window-evicted, so a starred
-//                    position is never statically bounded.
+//   SEQ history      the matcher's two purge licenses, read from
+//                    cep/seq_config.h: window eviction (SeqWindowEvicts,
+//                    a PRECEDING or PRECEDING AND FOLLOWING window
+//                    anchored at the LAST position) and RECENT's purge
+//                    (RecentPurgeApplies: no pairwise constraints, no
+//                    negation before a stored position, no PRECEDING
+//                    side anchored earlier, no window anchored at a
+//                    non-final star), which retains an exact triangular
+//                    entry set (position i keeps at most n-1-i entries)
+//                    but keeps ALL negation evidence; CONSECUTIVE keeps
+//                    one entry per position; star groups stay open while
+//                    their gate passes and open groups are never
+//                    window-evicted, so a starred position is never
+//                    statically bounded.
 //   EXCEPTION_SEQ    the partial run holds at most one entry per
 //                    position (gauge: partial_level <= n).
 //   NOT EXISTS       window buffer holds r_inner * W tuples; FOLLOWING

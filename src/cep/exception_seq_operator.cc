@@ -271,7 +271,7 @@ Status ExceptionSeqOperator::ProcessHeartbeat(Timestamp now) {
 }
 
 Status ExceptionSeqOperator::SaveState(BinaryEncoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(SeqBackend::kHistory));
+  enc->PutU8(kSeqCheckpointTag);
   enc->PutU64(exceptions_emitted_);
   enc->PutU64(sequences_completed_);
   enc->PutU64(level_transitions_);
@@ -289,8 +289,7 @@ Status ExceptionSeqOperator::SaveState(BinaryEncoder* enc) const {
 
 Status ExceptionSeqOperator::RestoreState(BinaryDecoder* dec) {
   ESLEV_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
-  ESLEV_RETURN_NOT_OK(
-      CheckSeqCheckpointTag(tag, SeqBackend::kHistory, "EXCEPTION_SEQ"));
+  ESLEV_RETURN_NOT_OK(CheckSeqCheckpointTag(tag, "EXCEPTION_SEQ"));
   ESLEV_ASSIGN_OR_RETURN(exceptions_emitted_, dec->GetU64());
   ESLEV_ASSIGN_OR_RETURN(sequences_completed_, dec->GetU64());
   ESLEV_ASSIGN_OR_RETURN(level_transitions_, dec->GetU64());

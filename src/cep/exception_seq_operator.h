@@ -35,17 +35,17 @@
 #include <vector>
 
 #include "cep/seq_config.h"
-#include "cep/seq_operator_base.h"
+#include "stream/operator.h"
 
 namespace eslev {
 
-class ExceptionSeqOperator : public ExceptionSeqOperatorBase {
+class ExceptionSeqOperator : public Operator {
  public:
   static Result<std::unique_ptr<ExceptionSeqOperator>> Make(
       ExceptionSeqConfig config);
 
-  SeqBackend backend() const override { return SeqBackend::kHistory; }
-  const ExceptionSeqConfig& config() const override { return config_; }
+  /// \brief The validated configuration the operator runs (cost model).
+  const ExceptionSeqConfig& config() const { return config_; }
 
   /// \brief Port == position index.
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
@@ -54,20 +54,18 @@ class ExceptionSeqOperator : public ExceptionSeqOperatorBase {
   /// no tuples arrive.
   Status ProcessHeartbeat(Timestamp now) override;
 
-  uint64_t exceptions_emitted() const override { return exceptions_emitted_; }
-  uint64_t sequences_completed() const override {
-    return sequences_completed_;
-  }
-  size_t partial_level() const override { return partial_.size(); }
+  uint64_t exceptions_emitted() const { return exceptions_emitted_; }
+  uint64_t sequences_completed() const { return sequences_completed_; }
+  size_t partial_level() const { return partial_.size(); }
 
   /// \brief Upward completion-level transitions (a partial advancing to
   /// the next position, including star-group openings after a replace).
-  uint64_t level_transitions() const override { return level_transitions_; }
+  uint64_t level_transitions() const { return level_transitions_; }
   /// \brief Window-expiry terminals (scenario 3), however detected.
-  uint64_t window_expirations() const override { return window_expirations_; }
+  uint64_t window_expirations() const { return window_expirations_; }
   /// \brief Window-expiry terminals detected by a heartbeat rather than
   /// an arrival — the paper's *active expiration* path.
-  uint64_t active_expirations() const override { return active_expirations_; }
+  uint64_t active_expirations() const { return active_expirations_; }
 
   void AppendStats(OperatorStatList* out) const override;
 

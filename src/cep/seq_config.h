@@ -4,6 +4,7 @@
 #ifndef ESLEV_CEP_SEQ_CONFIG_H_
 #define ESLEV_CEP_SEQ_CONFIG_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -99,6 +100,67 @@ struct ExceptionSeqConfig {
   BinaryOp level_op = BinaryOp::kLt;
   int64_t level_rhs = 0;  // set to n for EXCEPTION_SEQ
 };
+
+// SEQ's two purge licenses (DESIGN.md §5). SeqOperator purges by exactly
+// these rules, and the state-bound analyzer (DESIGN.md §16) claims a
+// bound only from them, so the two read one decision.
+
+/// \brief True when window eviction may drop expired history: a
+/// PRECEDING (or PRECEDING AND FOLLOWING) window anchored at the last
+/// position. Under any other window an entry's age alone never rules it
+/// out, so nothing is evicted.
+inline bool SeqWindowEvicts(const SeqOperatorConfig& config) {
+  if (!config.window) return false;
+  const SeqWindow& w = *config.window;
+  return (w.direction == WindowDirection::kPreceding ||
+          w.direction == WindowDirection::kPrecedingAndFollowing) &&
+         w.anchor + 1 == config.positions.size();
+}
+
+/// \brief True when RECENT purges its history down to what its
+/// newest-first search can still pick. That is exact only when a
+/// position's candidates qualify by time order alone, so that the newest
+/// entry ending before its successor is the only one the search can
+/// take: no pairwise conjunct, no negation whose later neighbour is
+/// stored, and no window that checks an earlier position against an
+/// anchor the search could still move (an anchor before the last
+/// position with a PRECEDING side) or a star group against its own span.
+inline bool RecentPurgeApplies(const SeqOperatorConfig& config) {
+  if (config.mode != PairingMode::kRecent) return false;
+  const size_t n = config.positions.size();
+  if (!config.pairwise.empty()) return false;
+  for (size_t i = 0; i < n; ++i) {
+    if (!config.positions[i].negated) continue;
+    size_t right = i;
+    while (config.positions[right].negated) ++right;
+    if (right != n - 1) return false;
+  }
+  if (config.window && config.window->anchor != n - 1) {
+    return config.window->direction == WindowDirection::kFollowing &&
+           !config.positions[config.window->anchor].star;
+  }
+  return true;
+}
+
+/// \brief Every SEQ and EXCEPTION_SEQ state blob starts with this tag
+/// byte. Tag 1 marked state of the compiled-NFA matcher, which was
+/// removed (DESIGN.md §14); its layout cannot be read here.
+inline constexpr uint8_t kSeqCheckpointTag = 0;
+
+/// \brief Validates the leading tag byte before anything else is read,
+/// so foreign state is refused instead of misread.
+inline Status CheckSeqCheckpointTag(uint8_t tag, const char* operator_name) {
+  if (tag == kSeqCheckpointTag) return Status::OK();
+  if (tag == 1) {
+    return Status::IoError(
+        std::string(operator_name) +
+        " checkpoint was written by the removed NFA backend; its state "
+        "cannot be restored by this build, so take a new checkpoint");
+  }
+  return Status::IoError(std::string(operator_name) +
+                         " checkpoint: unknown backend tag " +
+                         std::to_string(static_cast<int>(tag)));
+}
 
 }  // namespace eslev
 

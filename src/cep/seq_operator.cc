@@ -152,7 +152,7 @@ SeqOperator::SeqOperator(SeqOperatorConfig config,
     : config_(std::move(config)),
       n_(config_.positions.size()),
       last_is_star_(config_.positions.back().star),
-      recent_exact_purge_(config_.pairwise.empty()),
+      recent_purge_(RecentPurgeApplies(config_)),
       key_columns_(std::move(key_columns)),
       history_(n_),
       scratch_(n_) {}
@@ -194,9 +194,16 @@ const SeqOperator::Entry* SeqOperator::PrevChosen(
 bool SeqOperator::NegationOk(const std::vector<const Entry*>& chosen) const {
   for (size_t i = 0; i < n_; ++i) {
     if (!config_.positions[i].negated) continue;
-    const Entry* left = PrevChosen(chosen, static_cast<int>(i));
-    const Entry* right = NextChosen(chosen, i);
-    if (left == nullptr || right == nullptr) continue;  // unreachable
+    // The interval runs between the nearest non-negated positions around
+    // i (the first and last never are); it is checked once both are
+    // bound, never against a farther bound entry.
+    size_t l = i;
+    size_t r = i;
+    while (config_.positions[l].negated) --l;
+    while (config_.positions[r].negated) ++r;
+    const Entry* left = chosen[l];
+    const Entry* right = chosen[r];
+    if (left == nullptr || right == nullptr) continue;
     for (const Entry& e : history_[i]) {
       if (Before(left->last_ts(), left->last_seq, e.first_ts(),
                  e.first_seq) &&
@@ -353,9 +360,7 @@ Status SeqOperator::ProcessTuple(size_t port, const Tuple& tuple) {
   }
 
   ESLEV_RETURN_NOT_OK(StoreArrival(port, tuple, seq));
-  if (config_.mode == PairingMode::kRecent && recent_exact_purge_) {
-    PurgeRecent();
-  }
+  if (recent_purge_) PurgeRecent();
   return Status::OK();
 }
 
@@ -717,13 +722,8 @@ Status SeqOperator::EmitMatch(const std::vector<const Entry*>& chosen) {
 }
 
 void SeqOperator::EvictByWindow(Timestamp now) {
-  if (!config_.window) return;
+  if (!SeqWindowEvicts(config_)) return;
   const SeqWindow& w = *config_.window;
-  const bool preceding_last =
-      (w.direction == WindowDirection::kPreceding ||
-       w.direction == WindowDirection::kPrecedingAndFollowing) &&
-      w.anchor == n_ - 1;
-  if (!preceding_last) return;
   for (auto& dq : history_) {
     while (!dq.empty() && !dq.front().open &&
            dq.front().last_ts() < now - w.length) {
@@ -739,10 +739,15 @@ void SeqOperator::PurgeRecent() {
   // retained(n-2) needs only its most recent entry; retained(i) needs,
   // for each retained entry r at i+1, the most recent entry ending
   // before r starts — plus the most recent entry overall (for future
-  // arrivals at i+1).
+  // arrivals at i+1). An open trailing star group triggers again with
+  // every tuple it takes, so it bounds position n-2 like a stored entry.
   std::vector<std::vector<size_t>> keep(n_);
   // Bounds for position i come from retained entries at position i+1.
   std::vector<const Entry*> bounds;  // entries at pos+1 to stay matchable
+  if (last_is_star_ && !history_[n_ - 1].empty() &&
+      history_[n_ - 1].back().open) {
+    bounds.push_back(&history_[n_ - 1].back());
+  }
   for (int pos = static_cast<int>(n_) - 2; pos >= 0; --pos) {
     auto& dq = history_[pos];
     if (config_.positions[pos].negated) {
@@ -756,14 +761,17 @@ void SeqOperator::PurgeRecent() {
     std::vector<size_t> retained;
     if (!dq.empty()) {
       // Most recent overall (serves all future next-position arrivals).
+      // An open star group may still grow past those arrivals, or past
+      // a bound below, so the entry before it stays too.
       retained.push_back(dq.size() - 1);
+      if (dq.back().open && dq.size() > 1) retained.push_back(dq.size() - 2);
       for (const Entry* b : bounds) {
         // Most recent entry ending before b begins.
         for (size_t i = dq.size(); i-- > 0;) {
           if (Before(dq[i].last_ts(), dq[i].last_seq, b->first_ts(),
                      b->first_seq)) {
             retained.push_back(i);
-            break;
+            if (!dq[i].open) break;
           }
         }
       }
@@ -797,7 +805,7 @@ Status SeqOperator::ProcessHeartbeat(Timestamp now) {
 }
 
 Status SeqOperator::SaveState(BinaryEncoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(SeqBackend::kHistory));
+  enc->PutU8(kSeqCheckpointTag);
   const auto put_entry = [enc](const Entry& e) {
     enc->PutU32(static_cast<uint32_t>(e.tuples.size()));
     for (const Tuple& t : e.tuples) enc->PutTuple(t);
@@ -821,7 +829,7 @@ Status SeqOperator::SaveState(BinaryEncoder* enc) const {
 
 Status SeqOperator::RestoreState(BinaryDecoder* dec) {
   ESLEV_ASSIGN_OR_RETURN(uint8_t tag, dec->GetU8());
-  ESLEV_RETURN_NOT_OK(CheckSeqCheckpointTag(tag, SeqBackend::kHistory, "SEQ"));
+  ESLEV_RETURN_NOT_OK(CheckSeqCheckpointTag(tag, "SEQ"));
   const auto get_entry = [dec](Entry* e) -> Status {
     ESLEV_ASSIGN_OR_RETURN(uint32_t ntuples, dec->GetU32());
     if (ntuples == 0) {

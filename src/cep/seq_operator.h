@@ -23,7 +23,8 @@
 //  * History purging: final position never stored; CHRONICLE removes
 //    consumed tuples; CONSECUTIVE keeps only the current partial run;
 //    RECENT prunes entries that can no longer be the most recent
-//    qualifying choice (exact when no pairwise constraints exist);
+//    qualifying choice (only where candidates qualify by time order
+//    alone, so the pruning never changes a match);
 //    windowed operators evict expired entries.
 //  * Keyed matching: Make() derives the trigger's equality class from
 //    plain `Pi.col = Pj.col` pairwise conjuncts between non-star,
@@ -46,18 +47,19 @@
 #include <vector>
 
 #include "cep/seq_config.h"
-#include "cep/seq_operator_base.h"
+#include "stream/operator.h"
 
 namespace eslev {
 
-class SeqOperator : public SeqOperatorBase {
+class SeqOperator : public Operator {
  public:
   /// \brief Validates the configuration (e.g. a usable window anchor,
   /// at most one per-tuple star) and builds the operator.
   static Result<std::unique_ptr<SeqOperator>> Make(SeqOperatorConfig config);
 
-  SeqBackend backend() const override { return SeqBackend::kHistory; }
-  const SeqOperatorConfig& config() const override { return config_; }
+  /// \brief The validated configuration the operator runs — positions,
+  /// pairing mode, window. Read by the cost model (DESIGN.md §16).
+  const SeqOperatorConfig& config() const { return config_; }
 
   /// \brief Port == position index.
   Status ProcessTuple(size_t port, const Tuple& tuple) override;
@@ -65,19 +67,19 @@ class SeqOperator : public SeqOperatorBase {
 
   /// \brief Total tuples retained across all positions — the state-size
   /// metric behind the paper's purging claims (bench E6).
-  size_t history_size() const override;
+  size_t history_size() const;
 
-  uint64_t matches_emitted() const override { return matches_emitted_; }
+  uint64_t matches_emitted() const { return matches_emitted_; }
 
   /// \brief Tuples ever admitted to the joint history (final-position
   /// triggers are never stored and do not count).
-  uint64_t tuples_stored() const override { return tuples_stored_; }
+  uint64_t tuples_stored() const { return tuples_stored_; }
   /// \brief Tuples removed from the history by any purge path: window
   /// eviction, RECENT pruning, CHRONICLE consumption, or CONSECUTIVE run
   /// resets. Invariant: tuples_stored() - tuples_purged() == history_size().
-  uint64_t tuples_purged() const override { return tuples_purged_; }
+  uint64_t tuples_purged() const { return tuples_purged_; }
   /// \brief Tuples in still-open (accumulating) star groups.
-  size_t open_star_length() const override;
+  size_t open_star_length() const;
 
   void AppendStats(OperatorStatList* out) const override;
 
@@ -154,19 +156,20 @@ class SeqOperator : public SeqOperatorBase {
   void EvictByWindow(Timestamp now);
   void PurgeRecent();
 
-  // Negative events: nearest bound (non-negated, chosen) neighbours.
+  // The nearest bound entry after / before `pos` (the search's order
+  // bounds).
   const Entry* NextChosen(const std::vector<const Entry*>& chosen,
                           size_t pos) const;
   const Entry* PrevChosen(const std::vector<const Entry*>& chosen,
                           int pos) const;
   // True iff no stored tuple of any negated position falls strictly
-  // between its neighbouring chosen entries.
+  // between its neighbouring non-negated positions, where both are bound.
   bool NegationOk(const std::vector<const Entry*>& chosen) const;
 
   SeqOperatorConfig config_;
   size_t n_;  // number of positions
   bool last_is_star_;
-  bool recent_exact_purge_;  // purging is exact (no pairwise constraints)
+  bool recent_purge_;  // RecentPurgeApplies (cep/seq_config.h)
   // Per position: the column in the trigger's equality class, or -1.
   // All -1 when the operator is unkeyed.
   std::vector<int> key_columns_;

@@ -8,32 +8,15 @@
 namespace eslev {
 
 Engine::Engine(EngineOptions options) : options_(options) {
-  // Resolve the knobs up front; a constructor cannot return a Status, so
-  // a bad value (malformed ESLEV_SEQ_BACKEND or ESLEV_INGEST_*) parks the
-  // engine in an error state surfaced by the first API call instead of
-  // being silently ignored.
-  auto backend = ResolveSeqBackend(options_.seq_backend);
-  if (!backend.ok()) {
-    init_error_ = backend.status();
+  // Validate the ingest options (DESIGN.md §15) up front; a constructor
+  // cannot return a Status, so a bad value parks the engine in an error
+  // state surfaced by the first API call instead of being ignored.
+  Status st = ValidateIngestOptions(options_.ingest);
+  if (!st.ok()) {
+    init_error_ = st;
     return;
   }
-  seq_backend_ = *backend;
-  // Ingest knobs (DESIGN.md §15), validated exactly like the backend.
-  if (options_.honor_ingest_env) {
-    auto ingest = ResolveIngestOptions(options_.ingest);
-    if (!ingest.ok()) {
-      init_error_ = ingest.status();
-      return;
-    }
-    ingest_options_ = *ingest;
-  } else {
-    Status st = ValidateIngestOptions(options_.ingest);
-    if (!st.ok()) {
-      init_error_ = st;
-      return;
-    }
-    ingest_options_ = options_.ingest;
-  }
+  ingest_options_ = options_.ingest;
   if (ingest_options_.enabled()) {
     ingest_ = std::make_unique<IngestPipeline>(ingest_options_);
     ingest_->BindDelivery(
@@ -138,7 +121,7 @@ Result<QueryInfo> Engine::RegisterQuery(const std::string& sql) {
 }
 
 Result<QueryInfo> Engine::RegisterParsed(const Statement& stmt) {
-  Planner planner(this, seq_backend_);
+  Planner planner(this);
   ESLEV_ASSIGN_OR_RETURN(PlannedQuery planned, planner.Plan(stmt));
 
   QueryInfo info;
@@ -281,7 +264,7 @@ Result<std::string> Engine::Explain(const std::string& sql) {
       return DiagnosticsToJson(diags);
     }
     if (explain.mode == ExplainMode::kCost) {
-      CostAnalyzer analyzer(this, seq_backend_);
+      CostAnalyzer analyzer(this);
       ESLEV_ASSIGN_OR_RETURN(QueryCostReport report,
                              analyzer.Analyze(*explain.inner));
       return report.ToJson();
@@ -304,7 +287,7 @@ Result<std::vector<Diagnostic>> Engine::Lint(const std::string& sql) const {
 Result<std::vector<QueryCostReport>> Engine::AnalyzeCost(
     const std::string& sql) const {
   ESLEV_ASSIGN_OR_RETURN(auto statements, ParseScript(sql));
-  CostAnalyzer analyzer(this, seq_backend_);
+  CostAnalyzer analyzer(this);
   std::vector<QueryCostReport> out;
   for (const StatementPtr& stmt : statements) {
     if (stmt->kind != StatementKind::kSelect &&
@@ -352,7 +335,7 @@ std::string OperatorCounters(const Operator& op) {
 
 Result<std::string> Engine::ExplainParsed(const Statement& stmt,
                                           bool analyze) {
-  Planner planner(this, seq_backend_);
+  Planner planner(this);
   ESLEV_ASSIGN_OR_RETURN(PlannedQuery planned, planner.Plan(stmt));
 
   const PlannedQuery* live = nullptr;
@@ -422,16 +405,9 @@ MetricsSnapshot Engine::Metrics() const {
       op->AppendStats(&extras);
       for (const auto& [name, value] : extras) {
         snap.gauges[prefix + name] = value;
-        // NFA-backed sequence operators prefix their automaton gauges
-        // with "nfa_"; aggregate them engine-wide as seq.nfa.* so run
-        // growth is observable without enumerating queries (§14).
-        if (name.rfind("nfa_", 0) == 0) {
-          snap.gauges["seq.nfa." + name.substr(4)] += value;
-        }
       }
     }
   }
-  snap.gauges["seq.backend"] = static_cast<int64_t>(seq_backend_);
   // Ingest (DESIGN.md §15).
   if (ingest_ != nullptr) {
     snap.gauges["ingest.input_clock"] =

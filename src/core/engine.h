@@ -31,7 +31,6 @@
 
 #include "analysis/cost_model.h"
 #include "analysis/diagnostic.h"
-#include "cep/seq_backend.h"
 #include "common/metrics.h"
 #include "ingest/ingest_pipeline.h"
 #include "plan/catalog.h"
@@ -49,20 +48,11 @@ struct EngineOptions {
   /// history is totally ordered). When false, out-of-order tuples are
   /// accepted and processed in arrival order.
   bool enforce_monotonic_time = true;
-  /// Which matcher executes SEQ / EXCEPTION_SEQ predicates (DESIGN.md
-  /// §14). ESLEV_SEQ_BACKEND in the environment overrides this
-  /// (validated; malformed values surface as an error from the first API
-  /// call). Both backends are byte-identical in output.
-  SeqBackend seq_backend = SeqBackend::kHistory;
   /// Ingest subsystem (DESIGN.md §15): bounded reordering and RFID read
   /// cleaning between stream sources and the pipelines. Disabled by
   /// default (all bounds 0) — input must arrive in timestamp order.
+  /// Invalid values surface as an error from the first API call.
   IngestOptions ingest;
-  /// When true, ESLEV_INGEST_* environment variables override `ingest`
-  /// (validated; invalid values surface as an error from the first API
-  /// call). Embedded engines — shard workers, standbys — set this false;
-  /// ingest applies once at the front end.
-  bool honor_ingest_env = true;
 };
 
 /// \brief Controls duplicate suppression during WAL replay (DESIGN.md
@@ -194,8 +184,7 @@ class Engine : public Catalog {
               Timestamp ts);
   Status PushTuple(const std::string& stream, const Tuple& tuple);
 
-  /// \brief The resolved ingest options (option + ESLEV_INGEST_*
-  /// overrides).
+  /// \brief The validated ingest options.
   const IngestOptions& ingest_options() const { return ingest_options_; }
   /// \brief True when an ingest pipeline sits ahead of the engine.
   bool ingest_enabled() const { return ingest_ != nullptr; }
@@ -207,9 +196,6 @@ class Engine : public Catalog {
   /// is configured.
   Status SetIngestLateHandler(
       std::function<Status(const std::string& stream, const Tuple&)> handler);
-  /// \brief The resolved SEQ backend (option + ESLEV_SEQ_BACKEND
-  /// override).
-  SeqBackend seq_backend() const { return seq_backend_; }
 
   /// \brief Advance application time without a tuple: fires window
   /// expirations (active expiration) across all pipelines.
@@ -301,8 +287,7 @@ class Engine : public Catalog {
   std::vector<Stream*> ingest_port_streams_;  // port -> stream cache
   Timestamp ingest_input_clock_ = kMinTimestamp;  // max ts offered to ingest
 
-  Status init_error_ = Status::OK();  // invalid knob, surfaced lazily
-  SeqBackend seq_backend_ = SeqBackend::kHistory;
+  Status init_error_ = Status::OK();  // invalid option, surfaced lazily
 
   // Durability state (core/engine_checkpoint.cc).
   std::unique_ptr<WalWriter> wal_;

@@ -23,21 +23,11 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   // the front-end WAL must keep raw arrival order). Shard engines are
   // pinned to ingest-disabled below.
   if (init_error_.ok()) {
-    if (options_.engine.honor_ingest_env) {
-      Result<IngestOptions> resolved =
-          ResolveIngestOptions(options_.engine.ingest);
-      if (resolved.ok()) {
-        ingest_options_ = *resolved;
-      } else {
-        init_error_ = resolved.status();
-      }
+    Status st = ValidateIngestOptions(options_.engine.ingest);
+    if (st.ok()) {
+      ingest_options_ = options_.engine.ingest;
     } else {
-      Status st = ValidateIngestOptions(options_.engine.ingest);
-      if (st.ok()) {
-        ingest_options_ = options_.engine.ingest;
-      } else {
-        init_error_ = st;
-      }
+      init_error_ = st;
     }
   }
   if (init_error_.ok() && ingest_options_.enabled()) {
@@ -57,7 +47,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   }
   EngineOptions shard_options = options_.engine;
   shard_options.ingest = IngestOptions{};
-  shard_options.honor_ingest_env = false;
   pending_.resize(options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {

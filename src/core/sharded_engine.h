@@ -191,11 +191,11 @@ class ShardedEngine {
 
   size_t num_shards() const { return shards_.size(); }
   /// \brief True when the routing layer runs a front-end ingest pipeline
-  /// (EngineOptions::ingest / ESLEV_INGEST_* resolved to enabled). Shard
-  /// engines always run with ingest disabled: ordering and cleaning
-  /// happen once, ahead of hash partitioning, so the WAL keeps raw input
-  /// order and every shard sees the identical cleaned release sequence
-  /// it would see in the single-engine run.
+  /// (EngineOptions::ingest enables a stage). Shard engines always run
+  /// with ingest disabled: ordering and cleaning happen once, ahead of
+  /// hash partitioning, so the WAL keeps raw input order and every shard
+  /// sees the identical cleaned release sequence it would see in the
+  /// single-engine run.
   bool ingest_enabled() const { return front_ingest_ != nullptr; }
   const IngestOptions& ingest_options() const { return ingest_options_; }
   /// \brief The routing-layer batch size; 1 means tuple-at-a-time

@@ -1,6 +1,6 @@
 #include "ingest/ingest_options.h"
 
-#include "common/env.h"
+#include <string>
 
 namespace eslev {
 
@@ -41,36 +41,6 @@ Status ValidateIngestOptions(const IngestOptions& options) {
         "(interpolation is part of the cleaning stage)");
   }
   return Status::OK();
-}
-
-Result<IngestOptions> ResolveIngestOptions(const IngestOptions& configured) {
-  IngestOptions resolved = configured;
-  ESLEV_ASSIGN_OR_RETURN(
-      auto lateness,
-      GetEnvInt64(kIngestLatenessEnvVar, 0, kMaxIngestDurationUs));
-  if (lateness) resolved.lateness_bound = *lateness;
-  ESLEV_ASSIGN_OR_RETURN(
-      auto smoothing,
-      GetEnvInt64(kIngestSmoothingEnvVar, 0, kMaxIngestDurationUs));
-  if (smoothing) resolved.smoothing_window = *smoothing;
-  ESLEV_ASSIGN_OR_RETURN(auto min_count,
-                         GetEnvInt64(kIngestMinCountEnvVar, 1,
-                                     kMaxIngestMinCount));
-  if (min_count) resolved.min_read_count = *min_count;
-  ESLEV_ASSIGN_OR_RETURN(
-      auto horizon,
-      GetEnvInt64(kIngestInterpHorizonEnvVar, 0, kMaxIngestDurationUs));
-  if (horizon) resolved.interpolation_horizon = *horizon;
-  ESLEV_ASSIGN_OR_RETURN(
-      auto period,
-      GetEnvInt64(kIngestInterpPeriodEnvVar, 0, kMaxIngestDurationUs));
-  if (period) resolved.interpolation_period = *period;
-  ESLEV_ASSIGN_OR_RETURN(
-      auto declared,
-      GetEnvInt64(kIngestDeclaredDisorderEnvVar, 0, kMaxIngestDurationUs));
-  if (declared) resolved.declared_disorder = *declared;
-  ESLEV_RETURN_NOT_OK(ValidateIngestOptions(resolved));
-  return resolved;
 }
 
 }  // namespace eslev

@@ -1,8 +1,8 @@
-// Ingest subsystem knobs (DESIGN.md §15): the bounded reorder stage and
-// the RFID cleaning stage that sit between stream sources and the
-// engine's pipelines. Every knob has a validated ESLEV_INGEST_*
-// environment override — malformed values surface as an error from the
-// first engine API call instead of being ignored.
+// Ingest subsystem options (DESIGN.md §15): the bounded reorder stage
+// and the RFID cleaning stage that sit between stream sources and the
+// engine's pipelines. They are set through EngineOptions::ingest;
+// invalid values surface as an error from the first engine API call
+// instead of being ignored.
 
 #ifndef ESLEV_INGEST_INGEST_OPTIONS_H_
 #define ESLEV_INGEST_INGEST_OPTIONS_H_
@@ -55,26 +55,9 @@ struct IngestOptions {
   bool enabled() const { return lateness_bound > 0 || smoothing_window > 0; }
 };
 
-/// \brief Resolve `configured` against the ESLEV_INGEST_* environment
-/// overrides and validate every field. Range errors and malformed
-/// environment values come back as Invalid.
-Result<IngestOptions> ResolveIngestOptions(const IngestOptions& configured);
-
-/// \brief Validate `options` without reading the environment (embedded
-/// engines — shard workers, standbys — resolve once at the front end).
+/// \brief Validate every field; range errors and inconsistent
+/// combinations come back as Invalid.
 Status ValidateIngestOptions(const IngestOptions& options);
-
-// Environment variable names (tests, docs).
-inline constexpr const char* kIngestLatenessEnvVar = "ESLEV_INGEST_LATENESS_US";
-inline constexpr const char* kIngestSmoothingEnvVar =
-    "ESLEV_INGEST_SMOOTHING_US";
-inline constexpr const char* kIngestMinCountEnvVar = "ESLEV_INGEST_MIN_COUNT";
-inline constexpr const char* kIngestInterpHorizonEnvVar =
-    "ESLEV_INGEST_INTERP_HORIZON_US";
-inline constexpr const char* kIngestInterpPeriodEnvVar =
-    "ESLEV_INGEST_INTERP_PERIOD_US";
-inline constexpr const char* kIngestDeclaredDisorderEnvVar =
-    "ESLEV_INGEST_DECLARED_DISORDER_US";
 
 /// \brief Upper bound for every duration knob: 24 hours in microseconds.
 /// Far beyond any sane buffering bound, but finite so arithmetic on

@@ -3,9 +3,8 @@
 #include <map>
 #include <unordered_map>
 
-#include "cep/seq_nfa.h"
+#include "cep/exception_seq_operator.h"
 #include "cep/seq_operator.h"
-#include "cep/seq_operator_base.h"
 #include "common/string_util.h"
 #include "exec/aggregate.h"
 #include "exec/basic_ops.h"
@@ -1005,17 +1004,7 @@ Result<PlannedQuery> Planner::PlanSeqQuery(
                                                  : "ExceptionSeqOperator: ") +
       seq->ToString() + ", " + std::to_string(pairwise.size()) +
       " pairwise constraint(s), " + std::to_string(final_checks.size()) +
-      " final check(s), backend=" + SeqBackendToString(seq_backend_);
-  if (seq_backend_ == SeqBackend::kNfa) {
-    // Surface the compiled automaton's shape in EXPLAIN (the golden
-    // construction tests pin the same counts per corpus query).
-    const PairingMode note_mode =
-        seq->seq_kind == SeqKind::kSeq
-            ? seq->mode
-            : (seq->mode_explicit ? seq->mode : PairingMode::kConsecutive);
-    const SeqNfa nfa = CompileSeqNfa(positions, pairwise, note_mode);
-    seq_note += " (" + nfa.Describe() + ")";
-  }
+      " final check(s)";
   if (seq->seq_kind == SeqKind::kSeq) {
     SeqOperatorConfig config;
     config.positions = std::move(positions);
@@ -1028,12 +1017,9 @@ Result<PlannedQuery> Planner::PlanSeqQuery(
     config.projection = std::move(proj.exprs);
     config.out_schema = proj.schema;
     config.per_tuple_star = per_tuple_star;
-    ESLEV_ASSIGN_OR_RETURN(
-        auto op, MakeSeqOperator(std::move(config), seq_backend_));
-    if (const auto* history = dynamic_cast<const SeqOperator*>(op.get())) {
-      const std::string keys = history->KeyDescription();
-      if (!keys.empty()) seq_note += ", keyed on (" + keys + ")";
-    }
+    ESLEV_ASSIGN_OR_RETURN(auto op, SeqOperator::Make(std::move(config)));
+    const std::string keys = op->KeyDescription();
+    if (!keys.empty()) seq_note += ", keyed on (" + keys + ")";
     op_raw = op.get();
     pq.operators.push_back(std::move(op));
   } else {
@@ -1065,8 +1051,8 @@ Result<PlannedQuery> Planner::PlanSeqQuery(
       config.level_op = level_op;
       config.level_rhs = level_rhs;
     }
-    ESLEV_ASSIGN_OR_RETURN(
-        auto op, MakeExceptionSeqOperator(std::move(config), seq_backend_));
+    ESLEV_ASSIGN_OR_RETURN(auto op,
+                           ExceptionSeqOperator::Make(std::move(config)));
     op_raw = op.get();
     pq.operators.push_back(std::move(op));
   }

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "cep/seq_backend.h"
 #include "common/result.h"
 #include "expr/binder.h"
 #include "plan/catalog.h"
@@ -78,12 +77,7 @@ struct PlannedQuery {
 
 class Planner {
  public:
-  /// \brief `seq_backend` picks the matcher implementation for SEQ /
-  /// EXCEPTION_SEQ pipelines (DESIGN.md §14); all other operators are
-  /// backend-independent.
-  explicit Planner(const Catalog* catalog,
-                   SeqBackend seq_backend = SeqBackend::kHistory)
-      : catalog_(catalog), seq_backend_(seq_backend) {}
+  explicit Planner(const Catalog* catalog) : catalog_(catalog) {}
 
   /// \brief Plan a continuous query (INSERT INTO ... SELECT, or SELECT).
   Result<PlannedQuery> Plan(const Statement& stmt);
@@ -103,7 +97,6 @@ class Planner {
       std::vector<const Expr*> conjuncts);
 
   const Catalog* catalog_;
-  SeqBackend seq_backend_;
 };
 
 /// \brief Flatten a WHERE clause into its top-level AND conjuncts.

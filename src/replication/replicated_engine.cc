@@ -31,20 +31,13 @@ Result<std::unique_ptr<ReplicatedShardedEngine>> ReplicatedShardedEngine::Open(
   // Standby provisioning replays the shipped WAL with shard-filtered
   // routing of RAW records; a front-end ingest pipeline derives releases
   // from cross-shard state the filter discards, so replication and
-  // ingest do not compose yet. Resolve exactly as ShardedEngine would
-  // (options + ESLEV_INGEST_* env) and reject an enabled result.
-  {
-    IngestOptions resolved = options.engine.ingest;
-    if (options.engine.honor_ingest_env) {
-      ESLEV_ASSIGN_OR_RETURN(resolved, ResolveIngestOptions(resolved));
-    } else {
-      ESLEV_RETURN_NOT_OK(ValidateIngestOptions(resolved));
-    }
-    if (resolved.enabled()) {
-      return Status::Invalid(
-          "ReplicatedShardedEngine does not support ingest "
-          "(reorder/cleaning); run ingest upstream or use ShardedEngine");
-    }
+  // ingest do not compose yet. Validate exactly as ShardedEngine would
+  // and reject an enabled result.
+  ESLEV_RETURN_NOT_OK(ValidateIngestOptions(options.engine.ingest));
+  if (options.engine.ingest.enabled()) {
+    return Status::Invalid(
+        "ReplicatedShardedEngine does not support ingest "
+        "(reorder/cleaning); run ingest upstream or use ShardedEngine");
   }
   if (options.wal.segment_bytes == 0) options.wal.segment_bytes = 64 * 1024;
   std::error_code ec;

@@ -20,20 +20,11 @@ namespace {
 /// registry must not).
 constexpr const char* kRegistryEndMarker = "eslev-session-registry-end";
 
-EngineOptions ShadowOptions() {
-  EngineOptions options;
-  // The shadow never sees data and must not diverge from the host under
-  // environment knobs that only apply to front-end engines.
-  options.honor_ingest_env = false;
-  return options;
-}
-
 }  // namespace
 
 QueryServer::QueryServer(ServeHost* host, QueryServerOptions options)
     : host_(host),
       options_(options),
-      shadow_(ShadowOptions()),
       cache_(options.share_plans) {}
 
 Status QueryServer::ExecuteScript(const std::string& sql) {
@@ -172,7 +163,7 @@ Result<ServedQueryInfo> QueryServer::Register(const std::string& tenant,
     bounded = entry->state_bounded;
     summary = entry->bound_summary;
   } else {
-    CostAnalyzer analyzer(&shadow_, shadow_.seq_backend());
+    CostAnalyzer analyzer(&shadow_);
     ESLEV_ASSIGN_OR_RETURN(QueryCostReport report,
                            analyzer.Analyze(*canonical.stmt));
     charge = report.total_state_tuples;

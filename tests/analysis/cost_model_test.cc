@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "cep/seq_config.h"
 #include "common/time.h"
 #include "core/engine.h"
+#include "tests/cep/seq_test_util.h"
 
 namespace eslev {
 namespace {
@@ -113,6 +117,121 @@ TEST(SeqStateBoundTest, TrailingStarIsStored) {
   const StateBound b = SeqStateBound(cfg, {5, 7});
   EXPECT_FALSE(b.bounded);
   EXPECT_DOUBLE_EQ(b.growth_per_sec, 7);
+}
+
+TEST(SeqStateBoundTest, RecentWindowAnchoredMidIsUnbounded) {
+  // SEQ(A, B, C) OVER [10 SECONDS PRECEDING B] MODE RECENT: the anchor B
+  // can still be an old entry, so RECENT does not purge and the window
+  // evicts nothing. Both stored positions grow.
+  SeqOperatorConfig cfg = MakeSeq(3, PairingMode::kRecent);
+  cfg.window = SeqWindow{Seconds(10), WindowDirection::kPreceding, 1};
+  const StateBound b = SeqStateBound(cfg, {5, 7, 9});
+  EXPECT_FALSE(b.bounded) << b.formula;
+  EXPECT_DOUBLE_EQ(b.growth_per_sec, 5 + 7);
+  EXPECT_EQ(b.formula.find("recent purge"), std::string::npos) << b.formula;
+}
+
+TEST(SeqStateBoundTest, RecentNegationBeforeStoredPositionGrowsEveryPosition) {
+  // SEQ(A, !B, C, D) MODE RECENT: the negation's later neighbour C is
+  // stored, so RECENT does not purge; A and C grow along with B's
+  // evidence.
+  SeqOperatorConfig cfg = MakeSeq(4, PairingMode::kRecent);
+  cfg.positions[1].negated = true;
+  const StateBound b = SeqStateBound(cfg, {100, 50, 20, 100});
+  EXPECT_FALSE(b.bounded);
+  EXPECT_DOUBLE_EQ(b.growth_per_sec, 100 + 50 + 20);
+  EXPECT_NE(b.formula.find("negation evidence"), std::string::npos);
+  EXPECT_NE(b.formula.find("no purge license"), std::string::npos);
+}
+
+struct BoundShape {
+  const char* name;
+  std::vector<std::string> aliases;
+  PairingMode mode;
+  std::optional<SeqWindow> window;
+  int negated = -1;
+  bool pairwise = false;
+  bool bounded;  // what the analyzer must claim
+};
+
+// Drives the matcher with one reading per position per second, in a
+// shuffled order within each second, and checks the analyzer against the
+// history it retains: a bounded claim must hold after every arrival, and
+// a shape declared unbounded must actually grow.
+TEST(SeqStateBoundTest, ClaimsAgreeWithTheMatchersRetainedHistory) {
+  const SeqWindow preceding_last{Seconds(10), WindowDirection::kPreceding, 2};
+  const SeqWindow preceding_mid{Seconds(10), WindowDirection::kPreceding, 1};
+  const SeqWindow following_first{Seconds(10), WindowDirection::kFollowing,
+                                  0};
+  const std::vector<BoundShape> shapes = {
+      {"recent", {"A", "B", "C"}, PairingMode::kRecent, {}, -1, false, true},
+      {"recent_preceding_last", {"A", "B", "C"}, PairingMode::kRecent,
+       preceding_last, -1, false, true},
+      {"recent_following_first", {"A", "B", "C"}, PairingMode::kRecent,
+       following_first, -1, false, true},
+      {"recent_pairwise_preceding_last", {"A", "B", "C"},
+       PairingMode::kRecent, preceding_last, -1, true, true},
+      {"recent_preceding_mid", {"A", "B", "C"}, PairingMode::kRecent,
+       preceding_mid, -1, false, false},
+      {"recent_negation_before_stored", {"A", "B", "C", "D"},
+       PairingMode::kRecent, {}, 1, false, false},
+      {"recent_pairwise", {"A", "B", "C"}, PairingMode::kRecent, {}, -1, true,
+       false},
+      {"unrestricted_preceding_last", {"A", "B", "C"},
+       PairingMode::kUnrestricted, preceding_last, -1, false, true},
+      {"unrestricted_preceding_mid", {"A", "B", "C"},
+       PairingMode::kUnrestricted, preceding_mid, -1, false, false},
+      {"chronicle_preceding_last", {"A", "B", "C"}, PairingMode::kChronicle,
+       preceding_last, -1, false, true},
+      {"consecutive", {"A", "B", "C"}, PairingMode::kConsecutive, {}, -1,
+       false, true},
+  };
+  constexpr int kSeconds = 120;
+  for (const BoundShape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    cep_test::SeqBuilder builder(shape.aliases);
+    builder.Mode(shape.mode);
+    if (shape.window) {
+      builder.Window(shape.window->length, shape.window->direction,
+                     shape.window->anchor);
+    }
+    if (shape.negated >= 0) builder.Negated(static_cast<size_t>(shape.negated));
+    // Every reading carries the same tag, so the conjunct never rejects
+    // a combination; it only takes RECENT out of its purge license.
+    if (shape.pairwise) builder.Pairwise(0, 1, "A.tagid = B.tagid");
+    const size_t n = shape.aliases.size();
+    // One tuple per position per second.
+    const StateBound bound =
+        SeqStateBound(builder.Config(), std::vector<double>(n, 1.0));
+    ASSERT_EQ(bound.bounded, shape.bounded) << bound.formula;
+    auto op = builder.Build();
+    CollectOperator out;
+    op->AddSink(&out);
+    std::mt19937 rng(7);
+    std::vector<size_t> order(n);
+    size_t peak = 0;
+    for (int sec = 0; sec < kSeconds; ++sec) {
+      for (size_t i = 0; i < n; ++i) order[i] = i;
+      std::shuffle(order.begin(), order.end(), rng);
+      for (size_t i = 0; i < n; ++i) {
+        const Timestamp ts =
+            Seconds(sec) + Milliseconds(static_cast<int64_t>(i));
+        ASSERT_TRUE(
+            op->OnTuple(order[i],
+                        cep_test::Reading(builder.schema(), "r", "x", ts))
+                .ok());
+        peak = std::max(peak, op->history_size());
+        if (bound.bounded) {
+          ASSERT_LE(static_cast<double>(op->history_size()), bound.tuples)
+              << bound.formula << " after second " << sec;
+        }
+      }
+    }
+    if (!shape.bounded) {
+      // At least one stored entry per second survives.
+      EXPECT_GE(peak, static_cast<size_t>(kSeconds)) << bound.formula;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +424,7 @@ TEST_F(CostModelEngineTest, ExplainCostReturnsJson) {
       "EXPLAIN COST SELECT R1.tagid FROM R1, R2 WHERE SEQ(R1, R2) OVER [5 "
       "SECONDS PRECEDING R2] AND R1.tagid = R2.tagid;");
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_NE(out->find("\"cost_model_version\":1"), std::string::npos) << *out;
+  EXPECT_NE(out->find("\"cost_model_version\":2"), std::string::npos) << *out;
   EXPECT_NE(out->find("\"op\":\"SeqOperator\""), std::string::npos);
   EXPECT_NE(out->find("\"verdict\":\"partitionable\""), std::string::npos);
 }

@@ -87,17 +87,19 @@ TEST_F(ExplainCostSchemaTest, KeyOrderIsLocked) {
       "SECONDS PRECEDING R2] AND R1.tagid = R2.tagid;");
   ASSERT_TRUE(out.ok()) << out.status();
   const std::vector<std::string> expected = {
-      "cost_model_version", "statement",  "backend",
-      "operators",          "op",         "label",
-      "in_rate",            "out_rate",   "cpu_cost",
-      "state",              "bounded",    "tuples",
-      "growth_per_sec",     "formula",    "state_gauges",
+      "cost_model_version", "statement",  "operators",
+      "op",                 "label",      "in_rate",
+      "out_rate",           "cpu_cost",   "state",
+      "bounded",            "tuples",     "growth_per_sec",
+      "formula",            "state_gauges",
       "totals",             "cpu_cost",   "state_bounded",
       "state_tuples",       "state_growth_per_sec",
       "sharding",           "verdict",    "assumed_shards",
       "single_shard_cost",  "per_shard_cost",
       "fallback_delta"};
   EXPECT_EQ(JsonKeys(*out), expected) << *out;
+  // Version 2 dropped the `backend` field with the second SEQ matcher.
+  EXPECT_EQ(out->rfind("{\"cost_model_version\":2,", 0), 0u) << *out;
 }
 
 TEST_F(ExplainCostSchemaTest, NumbersAreNeverScientific) {

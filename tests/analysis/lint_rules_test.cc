@@ -417,7 +417,6 @@ constexpr char kDisorderSeqQuery[] =
 
 EngineOptions DisorderOptions(Duration declared, Duration lateness) {
   EngineOptions options;
-  options.honor_ingest_env = false;
   options.ingest.declared_disorder = declared;
   options.ingest.lateness_bound = lateness;
   return options;
@@ -452,10 +451,11 @@ TEST(DisorderHazardTest, DeclaredDisorderWithoutReorderWarns) {
   EXPECT_NE(d->message.find("250000 us"), std::string::npos) << d->message;
   EXPECT_NE(d->message.find("no ingest reorder stage"), std::string::npos)
       << d->message;
-  // The fix hint names both spellings of the knob.
+  // The fix hint names the option that sets the bound.
   EXPECT_NE(d->hint.find("lateness_bound >= 250000"), std::string::npos)
       << d->hint;
-  EXPECT_NE(d->hint.find("ESLEV_INGEST_LATENESS_US"), std::string::npos)
+  EXPECT_NE(d->hint.find("EngineOptions::ingest.lateness_bound"),
+            std::string::npos)
       << d->hint;
 }
 

@@ -298,5 +298,33 @@ TEST_F(ExceptionSeqTest, PairwiseQualification) {
   ASSERT_EQ(out.tuples().size(), 2u);  // level-1 + level-0 exceptions
 }
 
+// The leading tag byte of EXCEPTION_SEQ state: 1 marked the removed NFA
+// backend's state and 7 is unknown; both are refused, never misread.
+TEST_F(ExceptionSeqTest, CheckpointTagIsValidated) {
+  auto op = MakeOp();
+  ASSERT_TRUE(op->OnTuple(0, Op(schema_, "alice", "opA", Minutes(0))).ok());
+  BinaryEncoder enc;
+  ASSERT_TRUE(op->SaveState(&enc).ok());
+  const std::string saved = enc.buffer();
+  ASSERT_EQ(static_cast<uint8_t>(saved[0]), kSeqCheckpointTag);
+  const auto restore_with = [&](uint8_t tag) {
+    std::string bytes = saved;
+    bytes[0] = static_cast<char>(tag);
+    BinaryDecoder dec(bytes);
+    return MakeOp()->RestoreState(&dec);
+  };
+  EXPECT_TRUE(restore_with(kSeqCheckpointTag).ok());
+  const Status removed = restore_with(1);
+  EXPECT_TRUE(removed.IsIoError()) << removed;
+  EXPECT_NE(removed.message().find("EXCEPTION_SEQ checkpoint was written by "
+                                   "the removed NFA backend"),
+            std::string::npos)
+      << removed;
+  const Status unknown = restore_with(7);
+  EXPECT_TRUE(unknown.IsIoError()) << unknown;
+  EXPECT_NE(unknown.message().find("unknown backend tag 7"), std::string::npos)
+      << unknown;
+}
+
 }  // namespace
 }  // namespace eslev

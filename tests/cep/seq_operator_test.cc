@@ -396,7 +396,7 @@ TEST(SeqKeyTest, TypeMismatchedKeysAreSkippedNotRaised) {
 // A checkpoint of SEQ(C1, C2) whose one C1 history entry holds `tuple`.
 std::string SeqCheckpointHolding(const Tuple& tuple) {
   BinaryEncoder enc;
-  enc.PutU8(static_cast<uint8_t>(SeqBackend::kHistory));
+  enc.PutU8(kSeqCheckpointTag);
   enc.PutU64(1);  // arrival_seq
   enc.PutU64(0);  // matches_emitted
   enc.PutU64(1);  // tuples_stored
@@ -439,6 +439,34 @@ TEST(SeqKeyTest, RestoreRecomputesKeysAndRejectsTupleWithoutKeyColumn) {
       *MakeTuple(narrow, {Value::String("r")}, Seconds(1)));
   BinaryDecoder bad_dec(bad);
   EXPECT_TRUE(crafted->RestoreState(&bad_dec).IsIoError());
+}
+
+// The leading tag byte of SEQ state: 1 marked the removed NFA backend's
+// state, which must be refused with an error that says so, never
+// misread; any other foreign value is an unknown tag.
+Status RestoreWithTag(uint8_t tag) {
+  SeqBuilder b({"C1", "C2"});
+  auto op = b.Mode(PairingMode::kChronicle).Build();
+  std::string bytes =
+      SeqCheckpointHolding(Reading(b.schema(), "r", "A", Seconds(1)));
+  bytes[0] = static_cast<char>(tag);
+  BinaryDecoder dec(bytes);
+  return op->RestoreState(&dec);
+}
+
+TEST(SeqCheckpointTagTest, RemovedBackendTagIsRejected) {
+  EXPECT_TRUE(RestoreWithTag(kSeqCheckpointTag).ok());
+  const Status st = RestoreWithTag(1);
+  EXPECT_TRUE(st.IsIoError()) << st;
+  EXPECT_NE(st.message().find("removed NFA backend"), std::string::npos)
+      << st;
+}
+
+TEST(SeqCheckpointTagTest, UnknownTagIsRejected) {
+  const Status st = RestoreWithTag(7);
+  EXPECT_TRUE(st.IsIoError()) << st;
+  EXPECT_NE(st.message().find("unknown backend tag 7"), std::string::npos)
+      << st;
 }
 
 TEST(SeqKeyTest, ArrivalWithoutKeyColumnIsAnError) {

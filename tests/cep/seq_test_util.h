@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "cep/seq_operator.h"
-#include "cep/seq_operator_base.h"
 #include "exec/basic_ops.h"
 #include "expr/binder.h"
 #include "sql/parser.h"
@@ -91,6 +90,11 @@ class SeqBuilder {
     return *this;
   }
 
+  SeqBuilder& Negated(size_t pos) {
+    config_.positions[pos].negated = true;
+    return *this;
+  }
+
   SeqBuilder& FinalCheck(const std::string& expr) {
     config_.final_checks.push_back(Bind(expr));
     return *this;
@@ -116,12 +120,11 @@ class SeqBuilder {
     return std::move(op).ValueUnsafe();
   }
 
-  /// Builds through the backend factory (history or NFA runtime).
-  std::unique_ptr<SeqOperatorBase> BuildWith(SeqBackend backend) {
+  /// The finished configuration, for the oracle (oracle/seq_oracle.h);
+  /// Build() consumes it, so read it first.
+  const SeqOperatorConfig& Config() {
     FinishConfig();
-    auto op = MakeSeqOperator(std::move(config_), backend);
-    EXPECT_TRUE(op.ok()) << op.status();
-    return std::move(op).ValueUnsafe();
+    return config_;
   }
 
   const SchemaPtr& schema() const { return schema_; }

@@ -92,7 +92,7 @@ TEST_F(ExplainTest, SeqKeyedOnTagEqualityClass) {
         "C1.tagid = C2.tagid AND C1.tagid = C3.tagid AND "
         "C1.tagid = C4.tagid"}) {
     const std::string plan = Explain(Example6("CHRONICLE", equalities));
-    EXPECT_NE(plan.find("backend=history, keyed on (C1.tagid, C2.tagid, "
+    EXPECT_NE(plan.find("final check(s), keyed on (C1.tagid, C2.tagid, "
                         "C3.tagid, C4.tagid)"),
               std::string::npos)
         << plan;

@@ -2,13 +2,12 @@
 // boundary behaviour (an event displaced by exactly the lateness bound
 // is accepted, one microsecond more is late), cleaning-stage smoothing
 // (window of 1, all-duplicate bursts, spurious filtering,
-// interpolation provenance), option/env validation, and stage state
+// interpolation provenance), option validation, and stage state
 // save/restore.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -491,46 +490,10 @@ TEST(CleaningStageTest, StateRoundTripsMidGroups) {
 }
 
 // ---------------------------------------------------------------------------
-// Options and environment validation
+// Options validation
 // ---------------------------------------------------------------------------
 
-class IngestEnvTest : public ::testing::Test {
- protected:
-  void TearDown() override {
-    for (const char* var :
-         {kIngestLatenessEnvVar, kIngestSmoothingEnvVar, kIngestMinCountEnvVar,
-          kIngestInterpHorizonEnvVar, kIngestInterpPeriodEnvVar,
-          kIngestDeclaredDisorderEnvVar}) {
-      ::unsetenv(var);
-    }
-  }
-};
-
-TEST_F(IngestEnvTest, EnvOverridesConfigured) {
-  ::setenv(kIngestLatenessEnvVar, "2500", 1);
-  ::setenv(kIngestSmoothingEnvVar, "800", 1);
-  ::setenv(kIngestMinCountEnvVar, "3", 1);
-  auto resolved = ResolveIngestOptions(IngestOptions{});
-  ASSERT_TRUE(resolved.ok()) << resolved.status();
-  EXPECT_EQ(resolved->lateness_bound, 2500);
-  EXPECT_EQ(resolved->smoothing_window, 800);
-  EXPECT_EQ(resolved->min_read_count, 3);
-  EXPECT_TRUE(resolved->enabled());
-}
-
-TEST_F(IngestEnvTest, MalformedEnvIsAnError) {
-  ::setenv(kIngestLatenessEnvVar, "soon", 1);
-  EXPECT_FALSE(ResolveIngestOptions(IngestOptions{}).ok());
-}
-
-TEST_F(IngestEnvTest, OutOfRangeEnvIsAnError) {
-  ::setenv(kIngestLatenessEnvVar, "-5", 1);
-  EXPECT_FALSE(ResolveIngestOptions(IngestOptions{}).ok());
-  ::setenv(kIngestLatenessEnvVar, "999999999999999", 1);
-  EXPECT_FALSE(ResolveIngestOptions(IngestOptions{}).ok());
-}
-
-TEST_F(IngestEnvTest, ValidateRejectsBadCombinations) {
+TEST(IngestEnvTest, ValidateRejectsBadCombinations) {
   IngestOptions o;
   o.min_read_count = 0;
   EXPECT_FALSE(ValidateIngestOptions(o).ok());

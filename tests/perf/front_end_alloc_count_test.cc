@@ -226,7 +226,6 @@ FrontEndCounts ReplayFrontEnd(const rfid::Workload& trace) {
     std::remove(path.c_str());
     EngineOptions options;
     options.ingest = FullpathIngest();
-    options.honor_ingest_env = false;
     Engine engine(options);
     EXPECT_TRUE(engine
                     .ExecuteScript(R"sql(

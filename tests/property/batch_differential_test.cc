@@ -4,7 +4,9 @@
 // drain sequence it emits at route size 1, across dedup, SEQ pairing
 // modes, windows, and trailing stars. The same holds for a crash with
 // tuples still in a pending route batch: the WAL is written before
-// buffering, so recovery at another route size regenerates them.
+// buffering, so recovery at another route size regenerates them. Every
+// seeded run draws the ingest reorder stage's lateness bound from
+// {0, 400 ms}, which must not change a byte either.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "core/engine.h"
 #include "core/sharded_engine.h"
 #include "recovery/checkpoint.h"
+#include "tests/property/lateness_draw.h"
 
 namespace eslev {
 namespace {
@@ -65,8 +68,9 @@ void PushEvent(EngineT& engine, const Event& e) {
 
 // Sorted: a sharded run emits the same set, merged across shards.
 std::vector<std::string> RunSingle(const Scenario& scenario,
-                                   const std::vector<Event>& events) {
-  Engine engine;
+                                   const std::vector<Event>& events,
+                                   Duration lateness_bound) {
+  Engine engine(IngestOptionsWith(lateness_bound));
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
   EXPECT_TRUE(q.ok()) << q.status();
@@ -82,10 +86,12 @@ std::vector<std::string> RunSingle(const Scenario& scenario,
   return rows;
 }
 
-ShardedEngineOptions RouteOptions(size_t num_shards, size_t route_batch_size) {
+ShardedEngineOptions RouteOptions(size_t num_shards, size_t route_batch_size,
+                                  Duration lateness_bound) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
   options.route_batch_size = route_batch_size;
+  options.engine = IngestOptionsWith(lateness_bound);
   return options;
 }
 
@@ -94,8 +100,10 @@ ShardedEngineOptions RouteOptions(size_t num_shards, size_t route_batch_size) {
 std::vector<std::string> RunSharded(const Scenario& scenario,
                                     const std::vector<Event>& events,
                                     size_t num_shards,
-                                    size_t route_batch_size) {
-  ShardedEngine engine(RouteOptions(num_shards, route_batch_size));
+                                    size_t route_batch_size,
+                                    Duration lateness_bound) {
+  ShardedEngine engine(
+      RouteOptions(num_shards, route_batch_size, lateness_bound));
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
   EXPECT_TRUE(q.ok()) << q.status();
@@ -118,21 +126,25 @@ std::vector<std::string> RunSharded(const Scenario& scenario,
 void ExpectBatchEquivalence(const Scenario& scenario, uint32_t seed,
                             size_t num_events, int num_tags) {
   const auto events = MakeTrace(seed, num_events, scenario.streams, num_tags);
-  const auto reference = RunSingle(scenario, events);
+  const Duration lateness_bound = LatenessBoundFor(seed);
+  const auto reference = RunSingle(scenario, events, lateness_bound);
   std::mt19937 rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const auto unbatched = RunSharded(scenario, events, shards, 1);
+    const auto unbatched =
+        RunSharded(scenario, events, shards, 1, lateness_bound);
     auto sorted = unbatched;
     std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, reference) << "seed " << seed << " shards " << shards;
+    EXPECT_EQ(sorted, reference) << "seed " << seed << " shards " << shards
+                                 << " lateness_bound " << lateness_bound;
     // One randomized route size per shard count keeps the sweep cheap
     // while still crossing sharding with batching on every run.
     const size_t route_batch_size =
         kRouteBatchSizes[std::uniform_int_distribution<size_t>(1, 3)(rng)];
-    EXPECT_EQ(RunSharded(scenario, events, shards, route_batch_size),
+    EXPECT_EQ(RunSharded(scenario, events, shards, route_batch_size,
+                         lateness_bound),
               unbatched)
         << "seed " << seed << " shards " << shards << " route_batch_size "
-        << route_batch_size;
+        << route_batch_size << " lateness_bound " << lateness_bound;
   }
 }
 
@@ -240,12 +252,13 @@ std::vector<std::string> RunKilledMidBatch(const Scenario& scenario,
                                            size_t route_batch_size,
                                            size_t ckpt_at, size_t kill_at,
                                            size_t recover_route_batch_size,
+                                           Duration lateness_bound,
                                            const std::string& dir) {
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;  // every append durable at the kill
   std::vector<std::string> rows;
   {
-    ShardedEngine a(RouteOptions(num_shards, route_batch_size));
+    ShardedEngine a(RouteOptions(num_shards, route_batch_size, lateness_bound));
     EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
     auto qa = a.RegisterQuery(scenario.query);
     EXPECT_TRUE(qa.ok()) << qa.status();
@@ -262,7 +275,8 @@ std::vector<std::string> RunKilledMidBatch(const Scenario& scenario,
     for (size_t i = ckpt_at; i < kill_at; ++i) PushEvent(a, events[i]);
   }  // crash
 
-  ShardedEngine b(RouteOptions(num_shards, recover_route_batch_size));
+  ShardedEngine b(
+      RouteOptions(num_shards, recover_route_batch_size, lateness_bound));
   EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
   auto qb = b.RegisterQuery(scenario.query);
   EXPECT_TRUE(qb.ok()) << qb.status();
@@ -286,7 +300,8 @@ TEST_P(BatchDifferentialTest, KillRecoverMidBatch) {
   const uint32_t seed = GetParam();
   const Scenario scenario = SeqScenario(" MODE CHRONICLE", "");
   const auto events = MakeTrace(seed + 59, 200, scenario.streams, 4);
-  const auto reference = RunSingle(scenario, events);
+  const Duration lateness_bound = LatenessBoundFor(seed + 59);
+  const auto reference = RunSingle(scenario, events, lateness_bound);
   std::mt19937 rng(seed * 40503u + 11);
   int round = 0;
   for (size_t shards : {1u, 2u, 4u}) {
@@ -302,17 +317,25 @@ TEST_P(BatchDifferentialTest, KillRecoverMidBatch) {
         std::uniform_int_distribution<size_t>(ckpt_at + 1, events.size())(rng);
     const std::string dir = FreshDir("kill_s" + std::to_string(seed) + "_r" +
                                      std::to_string(round++));
-    const auto killed =
-        RunKilledMidBatch(scenario, events, shards, route_batch_size, ckpt_at,
-                          kill_at, recover_route_batch_size, dir);
+    const auto killed = RunKilledMidBatch(
+        scenario, events, shards, route_batch_size, ckpt_at, kill_at,
+        recover_route_batch_size, lateness_bound, dir);
     EXPECT_EQ(killed, reference)
         << "seed " << seed << " shards " << shards << " route_batch "
         << route_batch_size << " recover_route_batch "
         << recover_route_batch_size << " ckpt_at " << ckpt_at << " kill_at "
-        << kill_at;
+        << kill_at << " lateness_bound " << lateness_bound;
     std::filesystem::remove_all(dir);
   }
 }
+
+// Every test's seed derivation runs at both lateness bounds
+// (a loop index added to a derivation shifts all three seeds alike).
+static_assert(RunsBothBounds([](uint32_t s) { return s ^ 0x85ebca6bu; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s * 31u; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 7; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 101; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 59; }));
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));

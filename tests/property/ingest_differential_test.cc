@@ -2,9 +2,9 @@
 // is disordered (within the lateness bound), duplicated, and
 // spurious-injected, pushed through an ingest-enabled engine, must
 // produce byte-identical output to the clean, in-order run with ingest
-// disabled — across the four SEQ pairing modes, both SEQ backends,
-// 1/2/4 shards at route batch sizes drawn from {1, 7, 64}, and a
-// kill/recover mid-stream with the reorder buffer non-empty.
+// disabled — across the four SEQ pairing modes, 1/2/4 shards at route
+// batch sizes drawn from {1, 7, 64}, and a kill/recover mid-stream with
+// the reorder buffer non-empty.
 //
 // Noise construction (rfid::InjectNoise): every clean event gains
 // exactly one identical duplicate copy (duplicate_rate 1.0, one copy),
@@ -90,15 +90,8 @@ Workload MakeNoisy(const Workload& clean, uint32_t seed, NoiseStats* stats) {
   return noisy;
 }
 
-EngineOptions CleanOptions(SeqBackend backend) {
+EngineOptions NoisyOptions() {
   EngineOptions options;
-  options.seq_backend = backend;
-  options.honor_ingest_env = false;  // the sweep matrix is explicit
-  return options;
-}
-
-EngineOptions NoisyOptions(SeqBackend backend) {
-  EngineOptions options = CleanOptions(backend);
   options.ingest.lateness_bound = kMaxShift;
   options.ingest.smoothing_window = kSmoothing;
   options.ingest.min_read_count = 2;
@@ -147,8 +140,7 @@ std::vector<std::string> RunSharded(const Scenario& scenario,
                                     size_t route_batch_size, bool with_ingest) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.engine = with_ingest ? NoisyOptions(SeqBackend::kHistory)
-                               : CleanOptions(SeqBackend::kHistory);
+  options.engine = with_ingest ? NoisyOptions() : EngineOptions{};
   options.route_batch_size = route_batch_size;
   ShardedEngine engine(options);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
@@ -181,14 +173,9 @@ void ExpectIngestEquivalence(const Scenario& scenario, uint32_t seed,
   NoiseStats stats;
   const Workload noisy = MakeNoisy(clean, seed * 2654435761u + 1, &stats);
 
-  const auto reference =
-      RunSingle(scenario, clean, CleanOptions(SeqBackend::kHistory));
-  EXPECT_EQ(RunSingle(scenario, noisy, NoisyOptions(SeqBackend::kHistory)),
-            reference)
-      << "seed " << seed << " history";
-  EXPECT_EQ(RunSingle(scenario, noisy, NoisyOptions(SeqBackend::kNfa)),
-            reference)
-      << "seed " << seed << " nfa";
+  const auto reference = RunSingle(scenario, clean, EngineOptions{});
+  EXPECT_EQ(RunSingle(scenario, noisy, NoisyOptions()), reference)
+      << "seed " << seed;
 
   auto sorted_reference = reference;
   std::sort(sorted_reference.begin(), sorted_reference.end());
@@ -303,7 +290,7 @@ std::vector<std::string> RunKilledMidIngest(const Scenario& scenario,
   std::vector<std::string> rows;
   std::string output_stream;
   {
-    Engine a(NoisyOptions(SeqBackend::kHistory));
+    Engine a(NoisyOptions());
     EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
     auto qa = a.RegisterQuery(scenario.query);
     EXPECT_TRUE(qa.ok()) << qa.status();
@@ -334,7 +321,7 @@ std::vector<std::string> RunKilledMidIngest(const Scenario& scenario,
 
   ReplayOptions replay;
   replay.deliver_after[output_stream] = rows.size();
-  Engine b(NoisyOptions(SeqBackend::kHistory));
+  Engine b(NoisyOptions());
   EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
   auto qb = b.RegisterQuery(scenario.query);
   EXPECT_TRUE(qb.ok()) << qb.status();
@@ -360,8 +347,7 @@ TEST_P(IngestDifferentialTest, KillRecoverWithBufferedReorder) {
       MakeCleanWorkload(seed + 59, 160, scenario.streams, 4);
   NoiseStats stats;
   const Workload noisy = MakeNoisy(clean, seed * 40503u + 13, &stats);
-  const auto reference =
-      RunSingle(scenario, clean, CleanOptions(SeqBackend::kHistory));
+  const auto reference = RunSingle(scenario, clean, EngineOptions{});
   std::mt19937 rng(seed * 40503u + 11);
   for (int round = 0; round < 3; ++round) {
     const size_t ckpt_at = std::uniform_int_distribution<size_t>(
@@ -391,7 +377,7 @@ std::vector<std::string> RunShardedKilledMidIngest(const Scenario& scenario,
                                                    const std::string& dir) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.engine = NoisyOptions(SeqBackend::kHistory);
+  options.engine = NoisyOptions();
   options.route_batch_size = route_batch_size;
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;
@@ -447,8 +433,7 @@ TEST_P(IngestDifferentialTest, ShardedKillRecoverWithIngest) {
       MakeCleanWorkload(seed + 97, 140, scenario.streams, 4);
   NoiseStats stats;
   const Workload noisy = MakeNoisy(clean, seed * 69621u + 29, &stats);
-  auto reference =
-      RunSingle(scenario, clean, CleanOptions(SeqBackend::kHistory));
+  auto reference = RunSingle(scenario, clean, EngineOptions{});
   std::sort(reference.begin(), reference.end());
   std::mt19937 rng(seed * 69621u + 31);
   std::mt19937 route_rng(seed * 2246822519u + 7);

@@ -6,22 +6,24 @@
 // run — across all four pairing modes, windowed SEQ, the trailing-star
 // extension, EXCEPTION_SEQ deadline anchors, and ShardedEngine at
 // 1/2/4 shards. Every sharded and replicated run draws its route batch
-// size from 1/7/64.
+// size from 1/7/64. Every kill-replay run (not the promote runs:
+// ReplicatedShardedEngine rejects ingest) draws the ingest reorder
+// stage's lateness bound from {0, 400 ms}, so recovery also runs with
+// live reorder state.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "cep/seq_backend.h"
 #include "core/engine.h"
 #include "core/sharded_engine.h"
 #include "recovery/checkpoint.h"
 #include "replication/replicated_engine.h"
+#include "tests/property/lateness_draw.h"
 
 namespace eslev {
 namespace {
@@ -84,8 +86,9 @@ void PushEvent(Engine& engine, const Event& e) {
 }
 
 std::vector<std::string> RunUninterrupted(const Scenario& scenario,
-                                          const std::vector<Event>& events) {
-  Engine engine;
+                                          const std::vector<Event>& events,
+                                          Duration lateness_bound) {
+  Engine engine(IngestOptionsWith(lateness_bound));
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
   EXPECT_TRUE(q.ok()) << q.status();
@@ -108,13 +111,14 @@ std::vector<std::string> RunUninterrupted(const Scenario& scenario,
 std::vector<std::string> RunKilled(const Scenario& scenario,
                                    const std::vector<Event>& events,
                                    size_t ckpt_at, size_t kill_at,
+                                   Duration lateness_bound,
                                    const std::string& dir) {
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;  // every append durable at the kill
   std::vector<std::string> rows;
   std::string output_stream;
   {
-    Engine a;
+    Engine a(IngestOptionsWith(lateness_bound));
     EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
     auto qa = a.RegisterQuery(scenario.query);
     EXPECT_TRUE(qa.ok()) << qa.status();
@@ -129,7 +133,7 @@ std::vector<std::string> RunKilled(const Scenario& scenario,
     for (size_t i = ckpt_at; i < kill_at; ++i) PushEvent(a, events[i]);
   }  // crash: nothing after this line sees engine A
 
-  Engine b;
+  Engine b(IngestOptionsWith(lateness_bound));
   EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
   auto qb = b.RegisterQuery(scenario.query);
   EXPECT_TRUE(qb.ok()) << qb.status();
@@ -155,7 +159,8 @@ void ExpectKillReplayEquivalence(const Scenario& scenario, uint32_t seed,
                                  size_t num_events, int num_tags,
                                  const std::string& tag) {
   const auto events = MakeTrace(seed, num_events, scenario.streams, num_tags);
-  const auto reference = RunUninterrupted(scenario, events);
+  const Duration lateness_bound = LatenessBoundFor(seed);
+  const auto reference = RunUninterrupted(scenario, events, lateness_bound);
   std::mt19937 rng(seed * 2654435761u + 1);
   for (int round = 0; round < 3; ++round) {
     const size_t ckpt_at =
@@ -165,10 +170,11 @@ void ExpectKillReplayEquivalence(const Scenario& scenario, uint32_t seed,
     const std::string dir =
         FreshDir(tag + "_s" + std::to_string(seed) + "_r" +
                  std::to_string(round));
-    const auto killed = RunKilled(scenario, events, ckpt_at, kill_at, dir);
+    const auto killed =
+        RunKilled(scenario, events, ckpt_at, kill_at, lateness_bound, dir);
     EXPECT_EQ(killed, reference)
         << tag << " seed " << seed << " ckpt_at " << ckpt_at << " kill_at "
-        << kill_at;
+        << kill_at << " lateness_bound " << lateness_bound;
     std::filesystem::remove_all(dir);
   }
 }
@@ -253,9 +259,10 @@ TEST_P(RecoveryDifferentialTest, ExceptionSeqDeadlinesSurviveTheCrash) {
 
 std::vector<std::string> RunShardedUninterrupted(
     const Scenario& scenario, const std::vector<Event>& events,
-    size_t num_shards, size_t route_batch_size) {
+    size_t num_shards, size_t route_batch_size, Duration lateness_bound) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
+  options.engine = IngestOptionsWith(lateness_bound);
   options.route_batch_size = route_batch_size;
   ShardedEngine engine(options);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
@@ -287,9 +294,11 @@ std::vector<std::string> RunShardedKilled(const Scenario& scenario,
                                           size_t num_shards,
                                           size_t route_batch_size,
                                           size_t ckpt_at, size_t kill_at,
+                                          Duration lateness_bound,
                                           const std::string& dir) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
+  options.engine = IngestOptionsWith(lateness_bound);
   options.route_batch_size = route_batch_size;
   WalOptions wal_options;
   wal_options.group_commit_bytes = 0;
@@ -343,12 +352,13 @@ TEST_P(RecoveryDifferentialTest, ShardedKillReplayAt124Shards) {
   const uint32_t seed = GetParam();
   const Scenario scenario = SeqScenario(" MODE CHRONICLE", "");
   const auto events = MakeTrace(seed + 53, 160, scenario.streams, 4);
+  const Duration lateness_bound = LatenessBoundFor(seed + 53);
   std::mt19937 rng(seed * 40503u + 3);
   std::mt19937 route_rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
     const size_t route_batch_size = DrawRouteBatchSize(route_rng);
-    const auto reference =
-        RunShardedUninterrupted(scenario, events, shards, route_batch_size);
+    const auto reference = RunShardedUninterrupted(
+        scenario, events, shards, route_batch_size, lateness_bound);
     const size_t ckpt_at =
         std::uniform_int_distribution<size_t>(0, events.size() - 1)(rng);
     const size_t kill_at =
@@ -356,13 +366,13 @@ TEST_P(RecoveryDifferentialTest, ShardedKillReplayAt124Shards) {
     const std::string dir =
         FreshDir("sharded_s" + std::to_string(seed) + "_n" +
                  std::to_string(shards));
-    const auto killed = RunShardedKilled(scenario, events, shards,
-                                         route_batch_size, ckpt_at, kill_at,
-                                         dir);
+    const auto killed =
+        RunShardedKilled(scenario, events, shards, route_batch_size, ckpt_at,
+                         kill_at, lateness_bound, dir);
     EXPECT_EQ(killed, reference)
         << shards << " shards, route_batch_size " << route_batch_size
         << ", seed " << seed << " ckpt_at " << ckpt_at << " kill_at "
-        << kill_at;
+        << kill_at << " lateness_bound " << lateness_bound;
     std::filesystem::remove_all(dir);
   }
 }
@@ -447,8 +457,8 @@ void ExpectKillPromoteEquivalence(const Scenario& scenario, uint32_t seed,
   std::mt19937 route_rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
     const size_t route_batch_size = DrawRouteBatchSize(route_rng);
-    const auto reference =
-        RunShardedUninterrupted(scenario, events, shards, route_batch_size);
+    const auto reference = RunShardedUninterrupted(
+        scenario, events, shards, route_batch_size, /*lateness_bound=*/0);
     const size_t ckpt_at =
         std::uniform_int_distribution<size_t>(1, num_events / 2)(rng);
     const size_t kill_at =
@@ -501,117 +511,16 @@ TEST_P(RecoveryDifferentialTest, PromoteExceptionSeqDeadlines) {
                                "pexception");
 }
 
+// Every test's seed derivation runs at both lateness bounds
+// (the Promote legs run without a reorder stage).
+static_assert(RunsBothBounds([](uint32_t s) { return s ^ 0x9e3779b9u; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 7; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 101; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 211; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 53; }));
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RecoveryDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));
-
-// ---- NFA backend: same sweeps, matcher state in the run tree ------------
-
-// Forces ESLEV_SEQ_BACKEND for a scope, restoring whatever was exported
-// before (the CI property legs pin the variable binary-wide; plain
-// unsetenv would strip the override from every later test).
-class ScopedBackendOverride {
- public:
-  explicit ScopedBackendOverride(SeqBackend backend) {
-    const char* prev = std::getenv(kSeqBackendEnvVar);
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    ::setenv(kSeqBackendEnvVar, SeqBackendToString(backend), /*overwrite=*/1);
-  }
-  ~ScopedBackendOverride() {
-    if (had_prev_) {
-      ::setenv(kSeqBackendEnvVar, prev_.c_str(), /*overwrite=*/1);
-    } else {
-      ::unsetenv(kSeqBackendEnvVar);
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
-TEST_P(RecoveryDifferentialTest, NfaBackendKillReplay) {
-  // Checkpoints on the NFA backend serialize the shared-prefix run tree
-  // (DESIGN.md §14); recovery must rebuild it so the tail of the trace
-  // completes exactly the matches the uninterrupted run produces.
-  ScopedBackendOverride backend(SeqBackend::kNfa);
-  ExpectKillReplayEquivalence(SeqScenario(" MODE CHRONICLE", ""),
-                              GetParam() + 601, 160, 4, "nfa_chronicle");
-  ExpectKillReplayEquivalence(SeqScenario(" MODE RECENT", ""),
-                              GetParam() + 607, 160, 4, "nfa_recent");
-  ExpectKillReplayEquivalence(StarScenario(), GetParam() + 613, 140, 3,
-                              "nfa_star");
-  ExpectKillReplayEquivalence(ExceptionScenario(), GetParam() + 619, 140, 4,
-                              "nfa_exception");
-}
-
-TEST_P(RecoveryDifferentialTest, NfaBackendPromote) {
-  // Kill a primary shard and promote its standby with the NFA backend on
-  // both sides of the failover.
-  ScopedBackendOverride backend(SeqBackend::kNfa);
-  ExpectKillPromoteEquivalence(SeqScenario(" MODE CHRONICLE", ""),
-                               GetParam() + 701, 120, 4, "nfa_pchronicle");
-  ExpectKillPromoteEquivalence(StarScenario(), GetParam() + 707, 120, 3,
-                               "nfa_pstar");
-}
-
-// ---- cross-backend checkpoints are rejected, never misread --------------
-
-// The two matchers serialize different state shapes under the same
-// operator ids. A checkpoint taken under one backend must be refused by
-// the other with an actionable error — silently decoding it as the
-// wrong shape would corrupt matcher state.
-class SeqCheckpointCompatibilityTest
-    : public ::testing::TestWithParam<std::tuple<SeqBackend, SeqBackend>> {};
-
-TEST_P(SeqCheckpointCompatibilityTest, CrossBackendRestoreRejected) {
-  const SeqBackend from = std::get<0>(GetParam());
-  const SeqBackend to = std::get<1>(GetParam());
-  const Scenario scenario = SeqScenario(" MODE CHRONICLE", "");
-  const auto events = MakeTrace(11, 60, scenario.streams, 3);
-  const std::string dir =
-      FreshDir(std::string("xbackend_") + SeqBackendToString(from) + "_" +
-               SeqBackendToString(to));
-  WalOptions wal_options;
-  wal_options.group_commit_bytes = 0;
-  {
-    ScopedBackendOverride backend(from);
-    Engine a;
-    ASSERT_TRUE(a.ExecuteScript(scenario.ddl).ok());
-    ASSERT_TRUE(a.RegisterQuery(scenario.query).ok());
-    ASSERT_TRUE(a.EnableWal(dir + "/" + kWalFileName, wal_options).ok());
-    for (const Event& e : events) PushEvent(a, e);
-    ASSERT_TRUE(a.Checkpoint(dir).ok());
-  }
-  ScopedBackendOverride backend(to);
-  Engine b;
-  ASSERT_TRUE(b.ExecuteScript(scenario.ddl).ok());
-  ASSERT_TRUE(b.RegisterQuery(scenario.query).ok());
-  const Status restored = b.RecoverFrom(dir);
-  if (from == to) {
-    EXPECT_TRUE(restored.ok()) << restored;
-  } else {
-    ASSERT_FALSE(restored.ok())
-        << "a " << SeqBackendToString(from)
-        << " checkpoint must not restore under "
-        << SeqBackendToString(to);
-    // The error tells the operator how to get the state back.
-    EXPECT_NE(restored.message().find(kSeqBackendEnvVar), std::string::npos)
-        << restored;
-    EXPECT_NE(restored.message().find(SeqBackendToString(from)),
-              std::string::npos)
-        << restored;
-  }
-  std::filesystem::remove_all(dir);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Directions, SeqCheckpointCompatibilityTest,
-    ::testing::Values(
-        std::make_tuple(SeqBackend::kHistory, SeqBackend::kNfa),
-        std::make_tuple(SeqBackend::kNfa, SeqBackend::kHistory),
-        std::make_tuple(SeqBackend::kHistory, SeqBackend::kHistory),
-        std::make_tuple(SeqBackend::kNfa, SeqBackend::kNfa)));
 
 }  // namespace
 }  // namespace eslev

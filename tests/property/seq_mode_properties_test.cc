@@ -1,6 +1,7 @@
 // Property-based sweeps over random traces: the pairing modes must
 // relate to each other as the §3.1.1 semantics dictate, and the
-// operator must agree with a brute-force oracle.
+// operator must agree with the brute-force oracle written from the paper
+// (oracle/seq_oracle.h).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <set>
 
 #include "baseline/naive_join.h"
+#include "oracle/seq_oracle.h"
 #include "tests/cep/seq_test_util.h"
 
 namespace eslev {
@@ -33,32 +35,6 @@ std::vector<TraceEvent> MakeTrace(size_t seed, size_t num_streams,
         {stream_dist(rng), Reading(schema, "r", "x", Seconds(i + 1))});
   }
   return trace;
-}
-
-// Brute-force oracle: all strictly-increasing position assignments.
-size_t OracleUnrestrictedCount(const std::vector<TraceEvent>& trace,
-                               size_t n) {
-  // Count sequences ending at each trigger (last-position arrival).
-  size_t total = 0;
-  std::function<size_t(size_t, size_t)> combos =
-      [&](size_t pos, size_t before_index) -> size_t {
-    // Number of ways to fill positions [0, pos] with tuples strictly
-    // before trace index `before_index`.
-    if (pos == SIZE_MAX) return 1;
-    size_t ways = 0;
-    for (size_t i = 0; i < before_index; ++i) {
-      if (trace[i].stream == pos) {
-        ways += combos(pos - 1, i);
-      }
-    }
-    return ways;
-  };
-  for (size_t i = 0; i < trace.size(); ++i) {
-    if (trace[i].stream == n - 1) {
-      total += combos(n - 2, i);
-    }
-  }
-  return total;
 }
 
 // Collect each event's projected (t1, ..., tn) signature.
@@ -94,11 +70,38 @@ static_assert(sizeof(SweepParam) == 3 * sizeof(size_t));
 
 class SeqModePropertyTest : public ::testing::TestWithParam<SweepParam> {};
 
+// The emitted rows in every pairing mode, in emission order, equal the
+// oracle's.
 TEST_P(SeqModePropertyTest, UnrestrictedMatchesBruteForceOracle) {
   const auto& p = GetParam();
   auto trace = MakeTrace(p.seed, p.num_streams, p.length);
-  auto events = RunMode(trace, p.num_streams, PairingMode::kUnrestricted);
-  EXPECT_EQ(events.size(), OracleUnrestrictedCount(trace, p.num_streams));
+  std::vector<std::string> aliases;
+  for (size_t i = 0; i < p.num_streams; ++i) {
+    aliases.push_back("S" + std::to_string(i));
+  }
+  std::vector<SeqInput> inputs;
+  for (const auto& e : trace) {
+    inputs.push_back(SeqInput::Arrival(e.stream, e.tuple));
+  }
+  for (PairingMode mode :
+       {PairingMode::kUnrestricted, PairingMode::kRecent,
+        PairingMode::kChronicle, PairingMode::kConsecutive}) {
+    SeqBuilder b(aliases);
+    b.Mode(mode);
+    auto expected = RunSeqOracle(b.Config(), inputs);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    auto op = b.Build();
+    CollectOperator out;
+    op->AddSink(&out);
+    for (const auto& e : trace) {
+      ASSERT_TRUE(op->OnTuple(e.stream, e.tuple).ok());
+    }
+    std::vector<std::string> got;
+    std::vector<std::string> want;
+    for (const Tuple& t : out.tuples()) got.push_back(t.ToString());
+    for (const Tuple& t : *expected) want.push_back(t.ToString());
+    EXPECT_EQ(got, want) << PairingModeToString(mode);
+  }
 }
 
 TEST_P(SeqModePropertyTest, RestrictedModesAreSubsetsOfUnrestricted) {

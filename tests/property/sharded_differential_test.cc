@@ -1,9 +1,12 @@
 // Differential property sweep: on seeded random traces, a ShardedEngine
 // at 1, 2 and 4 shards, each run at a route batch size drawn from
 // 1/7/64, must emit byte-identical output (after a timestamp-stable
-// sort) to a single Engine, across pairing modes and windows. Tag-partitionable SEQ queries run fully sharded; CONSECUTIVE
-// and star-group queries depend on cross-tag adjacency in the joint
-// history, so their source streams use the single-shard fallback.
+// sort) to a single Engine, across pairing modes and windows.
+// Tag-partitionable SEQ queries run fully sharded; CONSECUTIVE and
+// star-group queries depend on cross-tag adjacency in the joint history,
+// so their source streams use the single-shard fallback. Every seeded
+// run draws the ingest reorder stage's lateness bound from {0, 400 ms},
+// which must not change a byte either.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 
 #include "core/engine.h"
 #include "core/sharded_engine.h"
+#include "tests/property/lateness_draw.h"
 
 namespace eslev {
 namespace {
@@ -53,8 +57,9 @@ struct Scenario {
 };
 
 std::vector<std::string> RunSingle(const Scenario& scenario,
-                                   const std::vector<Event>& events) {
-  Engine engine;
+                                   const std::vector<Event>& events,
+                                   Duration lateness_bound) {
+  Engine engine(IngestOptionsWith(lateness_bound));
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
   EXPECT_TRUE(q.ok()) << q.status();
@@ -81,10 +86,12 @@ std::vector<std::string> RunSingle(const Scenario& scenario,
 std::vector<std::string> RunSharded(const Scenario& scenario,
                                     const std::vector<Event>& events,
                                     size_t num_shards,
-                                    size_t route_batch_size) {
+                                    size_t route_batch_size,
+                                    Duration lateness_bound) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
   options.route_batch_size = route_batch_size;
+  options.engine = IngestOptionsWith(lateness_bound);
   ShardedEngine engine(options);
   EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
   auto q = engine.RegisterQuery(scenario.query);
@@ -117,18 +124,20 @@ std::vector<std::string> RunSharded(const Scenario& scenario,
 void ExpectDifferentialEquivalence(const Scenario& scenario, uint32_t seed,
                                    size_t num_events, int num_tags) {
   const auto events = MakeTrace(seed, num_events, scenario.streams, num_tags);
-  const auto reference = RunSingle(scenario, events);
+  const Duration lateness_bound = LatenessBoundFor(seed);
+  const auto reference = RunSingle(scenario, events, lateness_bound);
   std::mt19937 rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
     const size_t route_batch_size =
         kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
-    const auto sharded = RunSharded(scenario, events, shards, route_batch_size);
+    const auto sharded =
+        RunSharded(scenario, events, shards, route_batch_size, lateness_bound);
     ASSERT_EQ(sharded.size(), reference.size())
         << "seed " << seed << " at " << shards << " shards, route_batch_size "
-        << route_batch_size;
+        << route_batch_size << ", lateness_bound " << lateness_bound;
     EXPECT_EQ(sharded, reference)
         << "seed " << seed << " at " << shards << " shards, route_batch_size "
-        << route_batch_size;
+        << route_batch_size << ", lateness_bound " << lateness_bound;
   }
 }
 
@@ -199,6 +208,12 @@ TEST_P(ShardedDifferentialTest, TrailingStarSingleShard) {
   s.single_shard_streams = s.streams;
   ExpectDifferentialEquivalence(s, GetParam() + 101, 250, 4);
 }
+
+// Every test's seed derivation runs at both lateness bounds.
+static_assert(RunsBothBounds([](uint32_t s) { return s; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s ^ 0x9e3779b9u; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 17; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s + 101; }));
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));

@@ -11,8 +11,12 @@ namespace {
 
 class TraceIoTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs the tests of this fixture as parallel
+  // processes, which must not write one another's file.
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/eslev_trace_test.csv";
+    path_ = ::testing::TempDir() + "/eslev_trace_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

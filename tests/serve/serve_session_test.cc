@@ -240,6 +240,30 @@ TEST_F(ServeSessionTest, UnboundedStateRequiresOptIn) {
   EXPECT_FALSE(admitted->state_bounded);
 }
 
+TEST_F(ServeSessionTest, RecentOutsideItsPurgeLicenseIsUnbounded) {
+  // Anchored before the trigger, the window leaves RECENT without a purge
+  // and evicts nothing (DESIGN.md §5), so the history grows and a strict
+  // tenant is refused.
+  ASSERT_TRUE(
+      server_.ExecuteScript("CREATE STREAM R3(readerid, tagid, tagtime);")
+          .ok());
+  auto strict = server_.OpenSession("strict");
+  ASSERT_TRUE(strict.ok());
+  const auto r = strict->Register(
+      "mid", "SELECT R1.tagid FROM R1, R2, R3 WHERE SEQ(R1, R2, R3) OVER "
+             "[10 SECONDS PRECEDING R2] MODE RECENT");
+  ASSERT_TRUE(r.status().IsOutOfRange()) << r.status();
+  EXPECT_NE(r.status().message().find("unbounded"), std::string::npos);
+
+  // Anchored at the trigger, RECENT purges and keeps 2 + 1 entries.
+  auto admitted = strict->Register(
+      "last", "SELECT R1.tagid FROM R1, R2, R3 WHERE SEQ(R1, R2, R3) OVER "
+              "[10 SECONDS PRECEDING R3] MODE RECENT");
+  ASSERT_TRUE(admitted.ok()) << admitted.status();
+  EXPECT_TRUE(admitted->state_bounded);
+  EXPECT_DOUBLE_EQ(admitted->state_tuples, 3);
+}
+
 TEST_F(ServeSessionTest, SharedAttachmentStillChargesTheTenant) {
   StreamStats stats;
   stats.rate_per_sec = 10;

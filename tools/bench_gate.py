@@ -19,7 +19,7 @@ Modes:
              mkdir -p /tmp/bench-json
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e11_end_to_end --benchmark_min_time=0.2
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e16_batching --benchmark_min_time=0.2
-             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e6_pairing_modes --benchmark_filter='BM_(Nfa)?Mode' --benchmark_min_time=0.2
+             ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e6_pairing_modes --benchmark_filter='BM_Mode' --benchmark_min_time=0.2
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e9_seq_vs_join --benchmark_filter='BM_Seq(Star|Chronicle)' --benchmark_min_time=0.2
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e17_ingest --benchmark_min_time=0.2
              ESLEV_BENCH_JSON_DIR=/tmp/bench-json ./build-release/bench/bench_e18_serving --benchmark_min_time=0.2
@@ -31,19 +31,6 @@ bench never breaks an unrelated PR. A baseline entry whose benchmark
 vanished from the run fails the gate (a silently deleted bench is a
 silently dropped guarantee). Tolerance can also be set with the
 ESLEV_BENCH_GATE_TOLERANCE environment variable (the flag wins).
-
-Retained-state gate: benches publish peak tuple-state gauges into their
-BENCH_*_metrics.json blob under the convention
-
-    stategate.<workload>.history   and   stategate.<workload>.nfa
-
-(bench_e6 per pairing mode, bench_e9 on the star/packing workload).
-`check` compares each pair absolutely — no tolerance: the compiled NFA
-backend guarantees it retains exactly the history matcher's tuple set,
-so any run where stategate.*.nfa exceeds stategate.*.history fails the
-gate, as does a workload reporting only one backend (a dropped leg
-would silently drop the guarantee). Workloads with no stategate gauges
-in the run are simply not gated.
 
 Serve-sharing gate: bench_e18_serving publishes gauges under
 
@@ -59,8 +46,8 @@ duplicate count (measured gap is ~20x, so the gate only trips on a
 genuine sharing break), and quadrupling the duplicate count must cost
 less than half the shared throughput (linear cost would cut it to a
 quarter — the sub-linear-growth acceptance of E18). A missing leg
-fails, as with the retained-state gate. Runs with no servegate gauges
-are not gated.
+fails (a dropped leg would silently drop the guarantee). Runs with no
+servegate gauges are not gated.
 """
 
 import argparse
@@ -100,52 +87,6 @@ def load_run(json_dir):
     if not results:
         sys.exit(f"bench_gate: no items_per_second entries under {json_dir}")
     return results
-
-
-def load_state_gauges(json_dir):
-    """Collect {workload: {backend: peak}} from stategate.* gauges in
-    BENCH_*_metrics.json blobs."""
-    gauges = {}
-    for entry in sorted(os.listdir(json_dir)):
-        if not (entry.startswith("BENCH_") and
-                entry.endswith("_metrics.json")):
-            continue
-        path = os.path.join(json_dir, entry)
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-        for name, value in doc.get("gauges", {}).items():
-            if not name.startswith("stategate."):
-                continue
-            parts = name.split(".")
-            if len(parts) != 3:
-                continue
-            gauges.setdefault(parts[1], {})[parts[2]] = int(value)
-    return gauges
-
-
-def check_state_gauges(gauges):
-    """Returns (rows, failures) for the retained-state table."""
-    rows = []
-    failures = []
-    for workload in sorted(gauges):
-        backends = gauges[workload]
-        history = backends.get("history")
-        nfa = backends.get("nfa")
-        if history is None or nfa is None:
-            missing = "history" if history is None else "nfa"
-            status = "MISSING"
-            failures.append(
-                f"stategate.{workload}: no {missing} leg in this run")
-        elif nfa > history:
-            status = "REGRESSED"
-            failures.append(
-                f"stategate.{workload}: NFA retains {nfa} tuples vs "
-                f"history {history} — the shared-run backend must never "
-                "hold more tuple-state than the history matcher")
-        else:
-            status = "ok"
-        rows.append((workload, history, nfa, status))
-    return rows, failures
 
 
 SERVE_MIN_SPEEDUP = 1.25
@@ -264,20 +205,6 @@ def cmd_check(args):
         print(f"| `{name}` | {base_s} | {now_s} | {delta_s} | {mark}{status} |")
     print()
 
-    state_rows, state_failures = check_state_gauges(
-        load_state_gauges(args.json_dir))
-    if state_rows:
-        failures.extend(state_failures)
-        print("### Retained-state gate (peak tuples, NFA vs history)\n")
-        print("| workload | history | nfa | status |")
-        print("|---|---:|---:|---|")
-        for workload, history, nfa, status in state_rows:
-            history_s = str(history) if history is not None else "—"
-            nfa_s = str(nfa) if nfa is not None else "—"
-            mark = "❌ " if status != "ok" else ""
-            print(f"| `{workload}` | {history_s} | {nfa_s} | {mark}{status} |")
-        print()
-
     serve_rows, serve_failures = check_serve_gauges(
         load_serve_gauges(args.json_dir))
     if serve_rows:
@@ -306,8 +233,7 @@ def cmd_check(args):
             print(f"  {f}", file=sys.stderr)
         return 1
     print(f"All {sum(1 for r in rows if r[4] == 'ok')} gated benchmarks "
-          f"within tolerance; {sum(1 for r in state_rows if r[3] == 'ok')} "
-          "retained-state pairs hold; "
+          "within tolerance; "
           f"{sum(1 for r in serve_rows if r[2] == 'ok')} serve-sharing "
           "workloads hold.")
     return 0

@@ -28,7 +28,7 @@ DIAG_KEYS = ["severity", "rule", "message", "line", "column", "offset", "length"
 SEVERITIES = {"error", "warning"}
 
 COST_REPORT_KEYS = [
-    "cost_model_version", "statement", "backend",
+    "cost_model_version", "statement",
     "operators", "totals", "sharding",
 ]
 COST_OP_KEYS = ["op", "label", "in_rate", "out_rate", "cpu_cost",
@@ -38,7 +38,7 @@ COST_TOTALS_KEYS = ["cpu_cost", "state_bounded", "state_tuples",
                     "state_growth_per_sec"]
 COST_SHARDING_KEYS = ["verdict", "assumed_shards", "single_shard_cost",
                       "per_shard_cost", "fallback_delta"]
-COST_MODEL_VERSION = 1
+COST_MODEL_VERSION = 2
 VERDICTS = {"partitionable", "single-shard", "undecided"}
 
 # FormatCostNumber never emits scientific notation, NaN or infinities;
