@@ -1,12 +1,12 @@
 // E13 — sharded parallel engine scaling (DESIGN.md §8).
 //
 // Measures end-to-end tuples/second of the Example-1 dedup pipeline on a
-// window-dense workload under (a) the single-mutex ConcurrentEngine
-// baseline and (b) ShardedEngine at 1/2/4/8 shards. Both are fed the
-// identical timestamp-ordered trace from one producer: with racing
-// producers the engines' forward-clamping rewrites timestamps in
-// scheduler-dependent ways, so the two configurations would process
-// different effective histories and the comparison would be meaningless.
+// window-dense workload under (a) one Engine on the producer's thread
+// and (b) ShardedEngine at 1/2/4/8 shards. Both are fed the identical
+// timestamp-ordered trace from one producer: with racing producers the
+// shards' forward-clamping rewrites timestamps in scheduler-dependent
+// ways, so the configurations would process different effective
+// histories and the comparison would be meaningless.
 // The NOT EXISTS probe walks one key bucket whatever the window holds
 // (DESIGN.md §5), so the speedup comes from shards running in parallel.
 //
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/concurrent_engine.h"
 #include "core/sharded_engine.h"
 
 namespace eslev {
@@ -60,12 +59,12 @@ void FeedTrace(EngineT* engine, const rfid::Workload& workload) {
   }
 }
 
-void BM_E1DedupConcurrentEngineBaseline(benchmark::State& state) {
+void BM_E1DedupSingleEngineBaseline(benchmark::State& state) {
   auto workload = DenseDedupWorkload();
   size_t cleaned = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    ConcurrentEngine engine;
+    Engine engine;
     bench::CheckOk(engine.ExecuteScript(kSetup), "setup");
     cleaned = 0;
     bench::CheckOk(
@@ -82,7 +81,7 @@ void BM_E1DedupConcurrentEngineBaseline(benchmark::State& state) {
                           workload.events.size());
   state.counters["cleaned"] = static_cast<double>(cleaned);
 }
-BENCHMARK(BM_E1DedupConcurrentEngineBaseline)->UseRealTime();
+BENCHMARK(BM_E1DedupSingleEngineBaseline)->UseRealTime();
 
 void BM_E1DedupSharded(benchmark::State& state) {
   auto workload = DenseDedupWorkload();

@@ -10,6 +10,7 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/cost_model.h"
+#include "cep/seq_operator.h"
 #include "common/string_util.h"
 #include "expr/binder.h"
 #include "expr/bound_expr.h"
@@ -64,6 +65,19 @@ std::string GrowthNote(const LintContext& ctx) {
 // unbounded-retention
 // ---------------------------------------------------------------------------
 
+/// The planned SeqOperator's configuration, or nullptr when the statement
+/// did not plan (plan-error reports that) or planned no SEQ. The planner
+/// builds at most one SEQ operator per query.
+const SeqOperatorConfig* PlannedSeqConfig(const LintContext& ctx) {
+  if (ctx.plan == nullptr) return nullptr;
+  for (const auto& op : ctx.plan->operators) {
+    if (const auto* seq = dynamic_cast<const SeqOperator*>(op.get())) {
+      return &seq->config();
+    }
+  }
+  return nullptr;
+}
+
 void UnboundedRetentionRule(const LintContext& ctx,
                             std::vector<Diagnostic>* out) {
   for (const SeqExpr* seq : ctx.seqs) {
@@ -99,8 +113,24 @@ void UnboundedRetentionRule(const LintContext& ctx,
             arg.span, "add an OVER [...] window to bound the star group"));
       }
     }
-    // RECENT and CONSECUTIVE purge superseded history on every arrival;
-    // no window is needed for bounded state.
+    if (mode == PairingMode::kRecent) {
+      // RECENT purges by the matcher's own rule (RecentPurgeApplies);
+      // outside it, it purges nothing, exactly like UNRESTRICTED.
+      const SeqOperatorConfig* config = PlannedSeqConfig(ctx);
+      if (config != nullptr && !RecentPurgeApplies(*config)) {
+        out->push_back(Make(
+            Severity::kError, "unbounded-retention",
+            "RECENT pairing purges history only when candidates qualify by "
+            "time order alone; with a pairwise condition or a negation "
+            "before a stored position and no OVER window, every tuple of "
+            "every argument stream is retained forever" +
+                GrowthNote(ctx),
+            seq->span,
+            "add an OVER [n unit PRECEDING|FOLLOWING anchor] window"));
+      }
+    }
+    // CONSECUTIVE purges superseded history on every arrival; no window
+    // is needed for bounded state.
   }
 }
 

@@ -558,7 +558,7 @@ Status Engine::AdvanceTime(Timestamp now) {
       return Status::OutOfRange("time cannot move backwards");
     }
     if (wal_ != nullptr && !replaying_) {
-      ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat("", now));
+      ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat(now));
       (void)lsn;
     }
     ingest_input_clock_ = std::max(ingest_input_clock_, now);
@@ -568,7 +568,7 @@ Status Engine::AdvanceTime(Timestamp now) {
     return Status::OutOfRange("time cannot move backwards");
   }
   if (wal_ != nullptr && !replaying_) {
-    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat("", now));
+    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat(now));
     (void)lsn;
   }
   return DeliverHeartbeat(now);

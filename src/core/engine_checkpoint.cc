@@ -379,17 +379,8 @@ Result<ReplayStats> Engine::ReplayRecords(const std::vector<WalRecord>& records,
     }
     if (record.kind == WalRecordKind::kTuple) {
       status = PushTuple(record.stream, *record.tuple);
-    } else if (record.stream.empty()) {
-      status = AdvanceTime(record.ts);
     } else {
-      Stream* s = FindStream(record.stream);
-      if (s == nullptr) {
-        status = Status::IoError("WAL heartbeat for unknown stream '" +
-                                 record.stream + "'");
-      } else {
-        clock_ = std::max(clock_, record.ts);
-        status = s->Heartbeat(record.ts);
-      }
+      status = AdvanceTime(record.ts);
     }
     if (!status.ok()) break;
     ++stats.records_replayed;

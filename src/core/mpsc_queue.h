@@ -1,9 +1,8 @@
 // MpscQueue: the multi-producer single-consumer mailbox feeding each
 // ShardedEngine worker. Producers append under a short critical section;
 // the worker drains the whole backlog in one swap, so the per-tuple lock
-// cost is O(1) enqueue plus amortized O(1/batch) dequeue — contrast with
-// ConcurrentEngine, which holds one global mutex across the entire
-// pipeline run of every tuple.
+// cost is O(1) enqueue plus amortized O(1/batch) dequeue, and no lock is
+// held while the pipeline runs.
 
 #ifndef ESLEV_CORE_MPSC_QUEUE_H_
 #define ESLEV_CORE_MPSC_QUEUE_H_

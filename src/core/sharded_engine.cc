@@ -47,10 +47,12 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   }
   EngineOptions shard_options = options_.engine;
   shard_options.ingest = IngestOptions{};
+  routing_.num_shards = options_.num_shards;
   pending_.resize(options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
+    shard->index = i;
     shard->engine = std::make_unique<Engine>(shard_options);
     shards_.push_back(std::move(shard));
   }
@@ -69,17 +71,9 @@ ShardedEngine::~ShardedEngine() {
 void ShardedEngine::WorkerLoop(Shard* shard) {
   std::vector<Item> batch;
   Engine& engine = *shard->engine;
-  // Clamp forward to the shard clock (ConcurrentEngine's rule): queue
-  // order is the shard's serialization order.
+  // Queue order is the shard's serialization order.
   const auto push = [&](const std::string& stream, const Tuple& tuple) {
-    Status st;
-    if (tuple.ts() < engine.current_time()) {
-      Tuple clamped = tuple;
-      clamped.set_ts(engine.current_time());
-      st = engine.PushTuple(stream, clamped);
-    } else {
-      st = engine.PushTuple(stream, tuple);
-    }
+    Status st = ApplyShardTuple(engine, stream, tuple);
     if (!st.ok()) RecordError(shard, st);
   };
   while (shard->queue.PopAll(&batch)) {
@@ -94,8 +88,7 @@ void ShardedEngine::WorkerLoop(Shard* shard) {
           for (const Tuple& t : item.batch) push(*item.stream, t);
           break;
         case Item::Kind::kHeartbeat: {
-          if (item.ts < engine.current_time()) break;  // stale tick
-          Status st = engine.AdvanceTime(item.ts);
+          Status st = ApplyShardHeartbeat(engine, item.ts);
           if (!st.ok()) RecordError(shard, st);
           break;
         }
@@ -149,7 +142,7 @@ Status ShardedEngine::RunOnShard(size_t shard,
 }
 
 Status ShardedEngine::RunOnAllShards(
-    const std::function<Status(Engine&)>& fn) {
+    const std::function<Status(size_t, Engine&)>& fn) {
   ESLEV_RETURN_NOT_OK(CheckAllAlive());
   FlushRouteBatches();
   std::vector<std::promise<Status>> done(shards_.size());
@@ -159,7 +152,8 @@ Status ShardedEngine::RunOnAllShards(
     futures.push_back(done[i].get_future());
     Item item;
     item.kind = Item::Kind::kCommand;
-    item.command = fn;
+    // `fn` outlives the command: every future is awaited below.
+    item.command = [&fn, i](Engine& engine) { return fn(i, engine); };
     item.done = &done[i];
     shards_[i]->queue.Push(std::move(item));
   }
@@ -184,20 +178,20 @@ Status ShardedEngine::RefreshRoutes() {
   std::unique_lock<std::shared_mutex> lock(routes_mu_);
   for (auto& [name, schema] : streams) {
     const std::string key = AsciiToLower(name);
-    if (routes_.count(key)) continue;
+    if (routing_.routes.count(key)) continue;
     StreamRoute route;
     route.name = name;
     route.schema = schema;
     route.key_index = DefaultPartitionKeyIndex(schema);
-    routes_.emplace(key, std::move(route));
+    routing_.routes.emplace(key, std::move(route));
   }
   return Status::OK();
 }
 
 Status ShardedEngine::ExecuteScript(const std::string& sql) {
   ESLEV_RETURN_NOT_OK(init_error_);
-  ESLEV_RETURN_NOT_OK(
-      RunOnAllShards([sql](Engine& engine) { return engine.ExecuteScript(sql); }));
+  ESLEV_RETURN_NOT_OK(RunOnAllShards(
+      [&sql](size_t, Engine& engine) { return engine.ExecuteScript(sql); }));
   return RefreshRoutes();
 }
 
@@ -205,7 +199,7 @@ Result<QueryInfo> ShardedEngine::RegisterQuery(const std::string& sql) {
   ESLEV_RETURN_NOT_OK(init_error_);
   std::mutex mu;
   std::vector<QueryInfo> infos;
-  ESLEV_RETURN_NOT_OK(RunOnAllShards([&, sql](Engine& engine) {
+  ESLEV_RETURN_NOT_OK(RunOnAllShards([&](size_t, Engine& engine) {
     ESLEV_ASSIGN_OR_RETURN(QueryInfo info, engine.RegisterQuery(sql));
     std::lock_guard<std::mutex> lock(mu);
     infos.push_back(info);
@@ -231,14 +225,14 @@ Status ShardedEngine::UnregisterQuery(int id) {
   // on every shard.
   ESLEV_RETURN_NOT_OK(Flush());
   ESLEV_RETURN_NOT_OK(RunOnAllShards(
-      [id](Engine& engine) { return engine.UnregisterQuery(id); }));
+      [id](size_t, Engine& engine) { return engine.UnregisterQuery(id); }));
   return PruneDeadRoutes();
 }
 
 Status ShardedEngine::SetNextQueryId(int id) {
   ESLEV_RETURN_NOT_OK(init_error_);
   return RunOnAllShards(
-      [id](Engine& engine) { return engine.SetNextQueryId(id); });
+      [id](size_t, Engine& engine) { return engine.SetNextQueryId(id); });
 }
 
 Status ShardedEngine::PruneDeadRoutes() {
@@ -250,8 +244,9 @@ Status ShardedEngine::PruneDeadRoutes() {
   std::map<std::string, bool> live;
   for (const std::string& name : names) live[AsciiToLower(name)] = true;
   std::unique_lock<std::shared_mutex> lock(routes_mu_);
-  for (auto it = routes_.begin(); it != routes_.end();) {
-    it = live.count(it->first) ? std::next(it) : routes_.erase(it);
+  auto& routes = routing_.routes;
+  for (auto it = routes.begin(); it != routes.end();) {
+    it = live.count(it->first) ? std::next(it) : routes.erase(it);
   }
   if (front_ingest_ != nullptr) {
     // Lock order per OfferIngest: routes_mu_ -> ... -> ingest_mu_.
@@ -262,10 +257,13 @@ Status ShardedEngine::PruneDeadRoutes() {
 }
 
 void ShardedEngine::RebuildIngestPortCache() {
-  for (auto& [key, route] : routes_) route.ingest_port = kNoIngestPort;
+  for (auto& [key, route] : routing_.routes) {
+    route.ingest_port = kNoIngestPort;
+  }
   ingest_port_routes_.assign(front_ingest_->num_ports(), nullptr);
   for (size_t port = 0; port < ingest_port_routes_.size(); ++port) {
-    const StreamRoute* route = FindRoute(front_ingest_->port_name(port));
+    const StreamRoute* route =
+        routing_.Find(front_ingest_->port_name(port));
     if (route == nullptr) continue;  // stream dropped since its first offer
     route->ingest_port = port;
     ingest_port_routes_[port] = route;
@@ -279,15 +277,9 @@ Status ShardedEngine::Subscribe(const std::string& stream,
   Status st = Status::OK();
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard* shard = shards_[i].get();
-    Status s = RunOnShard(i, [this, shard, i, sub_id, stream](Engine& engine) {
-      return engine.Subscribe(stream, [shard, i, sub_id](const Tuple& t) {
-        std::lock_guard<std::mutex> lock(shard->out_mu);
-        if (shard->received_per_sub.size() <= sub_id) {
-          shard->received_per_sub.resize(sub_id + 1, 0);
-        }
-        ++shard->received_per_sub[sub_id];
-        shard->outbox.push_back({t.ts(), shard->out_seq++, i, sub_id, t});
-      });
+    Status s = RunOnShard(i, [shard, sub_id, stream](Engine& engine) {
+      return engine.Subscribe(
+          stream, [shard, sub_id](const Tuple& t) { shard->Deliver(sub_id, t); });
     });
     if (st.ok() && !s.ok()) st = s;
   }
@@ -297,8 +289,8 @@ Status ShardedEngine::Subscribe(const std::string& stream,
 Status ShardedEngine::SetPartitionKey(const std::string& stream,
                                       const std::string& column) {
   std::unique_lock<std::shared_mutex> lock(routes_mu_);
-  auto it = routes_.find(AsciiToLower(stream));
-  if (it == routes_.end()) {
+  auto it = routing_.routes.find(AsciiToLower(stream));
+  if (it == routing_.routes.end()) {
     return Status::NotFound("stream not found: " + stream);
   }
   const SchemaPtr& schema = it->second.schema;
@@ -315,8 +307,8 @@ Status ShardedEngine::SetPartitionKey(const std::string& stream,
 
 Status ShardedEngine::SetSingleShard(const std::string& stream) {
   std::unique_lock<std::shared_mutex> lock(routes_mu_);
-  auto it = routes_.find(AsciiToLower(stream));
-  if (it == routes_.end()) {
+  auto it = routing_.routes.find(AsciiToLower(stream));
+  if (it == routing_.routes.end()) {
     return Status::NotFound("stream not found: " + stream);
   }
   it->second.single_shard = true;
@@ -358,24 +350,12 @@ Result<std::string> ShardedEngine::Explain(const std::string& sql) {
   return combined;
 }
 
-const ShardedEngine::StreamRoute* ShardedEngine::FindRoute(
-    const std::string& stream) const {
-  auto it = routes_.find(AsciiToLower(stream));
-  return it == routes_.end() ? nullptr : &it->second;
-}
-
-size_t ShardedEngine::ShardOf(const StreamRoute& route,
-                              const Tuple& tuple) const {
-  if (route.single_shard || shards_.size() == 1) return 0;
-  return tuple.value(route.key_index).Hash() % shards_.size();
-}
-
 Status ShardedEngine::Push(const std::string& stream,
                            std::vector<Value> values, Timestamp ts) {
   SchemaPtr schema;
   {
     std::shared_lock<std::shared_mutex> lock(routes_mu_);
-    const StreamRoute* route = FindRoute(stream);
+    const StreamRoute* route = routing_.Find(stream);
     if (route == nullptr) {
       return Status::NotFound("stream not found: " + stream);
     }
@@ -395,80 +375,51 @@ Status ShardedEngine::RouteTuple(const std::string& stream, const Tuple& tuple,
                                  bool log_to_wal) {
   ESLEV_RETURN_NOT_OK(init_error_);
   std::shared_lock<std::shared_mutex> lock(routes_mu_);
-  const StreamRoute* route = FindRoute(stream);
+  const StreamRoute* route = routing_.Find(stream);
   if (route == nullptr) {
     return Status::NotFound("stream not found: " + stream);
   }
-  if (!route->single_shard && route->key_index >= tuple.size()) {
-    return Status::Invalid("tuple too short for partition key column " +
-                           std::to_string(route->key_index) + " of stream " +
-                           route->name);
-  }
+  ESLEV_RETURN_NOT_OK(routing_.CheckKey(*route, tuple));
   if (front_ingest_ != nullptr) {
     return OfferIngest(*route, tuple, log_to_wal);
   }
-  const size_t shard = ShardOf(*route, tuple);
-  shards_[shard]->tuples_routed.fetch_add(1, std::memory_order_relaxed);
-  if (options_.route_batch_size > 1) {
-    // Route batching: buffer into the shard's pending same-stream
-    // run instead of enqueueing one item per tuple. The WAL append still
-    // happens per tuple, before buffering and under the same mutex as
-    // the buffer append, so per-shard enqueue order (== buffer order)
-    // remains a linearization of the log and a crash with a pending
-    // batch loses nothing.
-    if (log_to_wal && wal_enabled_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> wal_lock(wal_mu_);
-      ESLEV_ASSIGN_OR_RETURN(uint64_t lsn,
-                             wal_->AppendTuple(route->name, tuple));
-      (void)lsn;
-      BufferRouted(shard, &route->name, tuple);
-    } else {
-      BufferRouted(shard, &route->name, tuple);
-    }
-    return Status::OK();
-  }
-  Item item;
-  item.kind = Item::Kind::kTuple;
-  item.stream = &route->name;  // stable: routes_ nodes are never erased
-  item.tuple = tuple;
+  const size_t shard = routing_.ShardOf(*route, tuple);
+  // Append + enqueue under one mutex: the WAL's total order is then a
+  // linearization consistent with the shard's queue order (a route batch
+  // buffers in WAL order too, so a crash with a pending batch loses
+  // nothing), and replaying the log front to back reproduces the
+  // identical per-shard history.
+  std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
   if (log_to_wal && wal_enabled_.load(std::memory_order_acquire)) {
-    // Append + enqueue under one mutex: the WAL's total order is then a
-    // linearization consistent with the shard's queue order, so replaying
-    // the log front to back reproduces the identical per-shard history.
-    std::lock_guard<std::mutex> wal_lock(wal_mu_);
+    wal_lock.lock();
     ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(route->name, tuple));
     (void)lsn;
-    shards_[shard]->queue.Push(std::move(item));
-  } else {
-    shards_[shard]->queue.Push(std::move(item));
   }
+  EnqueueRouted(shard, &route->name, tuple);
   return Status::OK();
 }
 
 Status ShardedEngine::OfferIngest(const StreamRoute& route, const Tuple& tuple,
                                   bool log_to_wal) {
-  const auto offer = [&]() -> Status {
-    std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-    if (route.ingest_port == kNoIngestPort) {
-      // The stream's first offer assigns its port; later offers reuse it.
-      const size_t port = front_ingest_->PortFor(AsciiToLower(route.name));
-      if (port >= ingest_port_routes_.size()) {
-        ingest_port_routes_.resize(port + 1, nullptr);
-      }
-      ingest_port_routes_[port] = &route;  // stable: routes_ nodes persist
-      route.ingest_port = port;
-    }
-    return front_ingest_->Offer(route.ingest_port, tuple);
-  };
+  // The raw tuple is logged before it enters the pipeline, so the WAL
+  // keeps arrival order and replay re-derives every release.
+  std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
   if (log_to_wal && wal_enabled_.load(std::memory_order_acquire)) {
-    // The raw tuple is logged before it enters the pipeline, so the WAL
-    // keeps arrival order and replay re-derives every release.
-    std::lock_guard<std::mutex> wal_lock(wal_mu_);
+    wal_lock.lock();
     ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(route.name, tuple));
     (void)lsn;
-    return offer();
   }
-  return offer();
+  std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
+  if (route.ingest_port == kNoIngestPort) {
+    // The stream's first offer assigns its port; later offers reuse it.
+    const size_t port = front_ingest_->PortFor(AsciiToLower(route.name));
+    if (port >= ingest_port_routes_.size()) {
+      ingest_port_routes_.resize(port + 1, nullptr);
+    }
+    ingest_port_routes_[port] = &route;  // stable: route nodes persist
+    route.ingest_port = port;
+  }
+  return front_ingest_->Offer(route.ingest_port, tuple);
 }
 
 Status ShardedEngine::RouteReleased(const StreamRoute* route, Tuple tuple) {
@@ -477,18 +428,23 @@ Status ShardedEngine::RouteReleased(const StreamRoute* route, Tuple tuple) {
         "ingest released a tuple on an unbound port (pipeline state does "
         "not match the rebuilt catalog)");
   }
-  const size_t shard = ShardOf(*route, tuple);
+  const size_t shard = routing_.ShardOf(*route, tuple);
+  EnqueueRouted(shard, &route->name, std::move(tuple));
+  return Status::OK();
+}
+
+void ShardedEngine::EnqueueRouted(size_t shard, const std::string* stream,
+                                  Tuple tuple) {
   shards_[shard]->tuples_routed.fetch_add(1, std::memory_order_relaxed);
   if (options_.route_batch_size > 1) {
-    BufferRouted(shard, &route->name, std::move(tuple));
-    return Status::OK();
+    BufferRouted(shard, stream, std::move(tuple));
+    return;
   }
   Item item;
   item.kind = Item::Kind::kTuple;
-  item.stream = &route->name;
+  item.stream = stream;  // stable: route nodes are never moved
   item.tuple = std::move(tuple);
   shards_[shard]->queue.Push(std::move(item));
-  return Status::OK();
 }
 
 void ShardedEngine::BufferRouted(size_t shard, const std::string* stream,
@@ -502,8 +458,8 @@ void ShardedEngine::BufferRouted(size_t shard, const std::string* stream,
   std::lock_guard<std::mutex> lock(pending_mu_);
   if (!shards_[shard]->alive.load(std::memory_order_acquire)) return;
   PendingBatch& p = pending_[shard];
-  // Pointer comparison is exact: routes_ nodes are stable and FindRoute
-  // returns the same node for the same stream.
+  // Pointer comparison is exact: route nodes are stable and
+  // ShardRouting::Find returns the same node for the same stream.
   if (p.stream != nullptr && p.stream != stream) FlushShardLocked(shard);
   p.stream = stream;
   p.tuples.push_back(std::move(tuple));
@@ -556,31 +512,23 @@ Status ShardedEngine::AdvanceProducer(int id, Timestamp now) {
   ESLEV_RETURN_NOT_OK(init_error_);
   std::optional<Timestamp> low = watermark_.Advance(id, now);
   if (!low.has_value()) return Status::OK();  // watermark did not move
+  // Heartbeats drive active expiration, so they must be replayable: the
+  // raw tick is logged ordered with the tuple appends, and what it drives
+  // runs under the same lock.
+  std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
+  if (wal_enabled_.load(std::memory_order_acquire)) {
+    wal_lock.lock();
+    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat(*low));
+    (void)lsn;
+  }
   if (front_ingest_ != nullptr) {
-    // The raw tick is logged, then drives the pipeline frontiers; shards
-    // hear the held-back release frontier via the delivery heartbeat
-    // callback (FanHeartbeat) once no in-bound arrival can precede it.
-    if (wal_enabled_.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> wal_lock(wal_mu_);
-      ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat("", *low));
-      (void)lsn;
-      std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-      return front_ingest_->Heartbeat(*low);
-    }
+    // The tick drives the pipeline frontiers; shards hear the held-back
+    // release frontier via the delivery heartbeat callback (FanHeartbeat)
+    // once no in-bound arrival can precede it.
     std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
     return front_ingest_->Heartbeat(*low);
   }
-  if (wal_enabled_.load(std::memory_order_acquire)) {
-    // Heartbeats drive active expiration, so they must be replayable:
-    // log an engine-wide heartbeat (empty stream name) ordered with the
-    // tuple appends, then fan out under the same lock.
-    std::lock_guard<std::mutex> wal_lock(wal_mu_);
-    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat("", *low));
-    (void)lsn;
-    FanHeartbeat(*low);
-  } else {
-    FanHeartbeat(*low);
-  }
+  FanHeartbeat(*low);
   return Status::OK();
 }
 
@@ -648,26 +596,10 @@ Result<std::vector<Tuple>> ShardedEngine::ExecuteSnapshot(
   ESLEV_RETURN_NOT_OK(CheckAllAlive());
   ESLEV_RETURN_NOT_OK(Flush());
   std::vector<std::vector<Tuple>> per_shard(shards_.size());
-  std::vector<std::promise<Status>> done(shards_.size());
-  std::vector<std::future<Status>> futures;
-  futures.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    futures.push_back(done[i].get_future());
-    Item item;
-    item.kind = Item::Kind::kCommand;
-    item.command = [&per_shard, i, sql](Engine& engine) {
-      ESLEV_ASSIGN_OR_RETURN(per_shard[i], engine.ExecuteSnapshot(sql));
-      return Status::OK();
-    };
-    item.done = &done[i];
-    shards_[i]->queue.Push(std::move(item));
-  }
-  Status first = Status::OK();
-  for (auto& f : futures) {
-    Status st = f.get();
-    if (first.ok() && !st.ok()) first = st;
-  }
-  ESLEV_RETURN_NOT_OK(first);
+  ESLEV_RETURN_NOT_OK(RunOnAllShards([&](size_t i, Engine& engine) {
+    ESLEV_ASSIGN_OR_RETURN(per_shard[i], engine.ExecuteSnapshot(sql));
+    return Status::OK();
+  }));
   std::vector<Tuple> merged;
   for (auto& rows : per_shard) {
     merged.insert(merged.end(), std::make_move_iterator(rows.begin()),
@@ -676,6 +608,18 @@ Result<std::vector<Tuple>> ShardedEngine::ExecuteSnapshot(
   std::stable_sort(merged.begin(), merged.end(),
                    [](const Tuple& a, const Tuple& b) { return a.ts() < b.ts(); });
   return merged;
+}
+
+ShardRouting ShardedEngine::routing() const {
+  // Copied field by field: each route's ingest port is guarded by
+  // ingest_mu_, not routes_mu_, and stays out of the copy.
+  std::shared_lock<std::shared_mutex> lock(routes_mu_);
+  ShardRouting copy{routing_.num_shards, {}};
+  for (const auto& [key, route] : routing_.routes) {
+    copy.routes.emplace(key, StreamRoute{route.name, route.schema,
+                                         route.key_index, route.single_shard});
+  }
+  return copy;
 }
 
 std::vector<uint64_t> ShardedEngine::shard_tuple_counts() const {
@@ -689,12 +633,10 @@ std::vector<uint64_t> ShardedEngine::shard_tuple_counts() const {
 
 Result<std::vector<Timestamp>> ShardedEngine::shard_clocks() {
   std::vector<Timestamp> clocks(shards_.size(), kMinTimestamp);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    ESLEV_RETURN_NOT_OK(RunOnShard(i, [&clocks, i](Engine& engine) {
-      clocks[i] = engine.current_time();
-      return Status::OK();
-    }));
-  }
+  ESLEV_RETURN_NOT_OK(RunOnAllShards([&clocks](size_t i, Engine& engine) {
+    clocks[i] = engine.current_time();
+    return Status::OK();
+  }));
   return clocks;
 }
 

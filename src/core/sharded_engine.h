@@ -15,9 +15,9 @@
 // heartbeats fan out to ALL shards once the minimum producer clock
 // moves, so active expiration (window-expiry-triggered EXCEPTION_SEQ
 // violations) fires even on shards receiving no tuples. Within a shard,
-// tuples are clamped forward to the shard clock exactly as
-// ConcurrentEngine does, keeping each shard's joint history totally
-// ordered no matter how producers interleave.
+// tuples are clamped forward to the shard clock (ApplyShardTuple in
+// shard_routing.h), keeping each shard's joint history totally ordered
+// no matter how producers interleave.
 //
 // Emission: shard-side subscription callbacks buffer into per-shard
 // outboxes (per-shard order preserved); DrainOutputs() merges the
@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -45,6 +44,7 @@
 
 #include "core/engine.h"
 #include "core/mpsc_queue.h"
+#include "core/shard_routing.h"
 #include "core/watermark.h"
 
 namespace eslev {
@@ -209,6 +209,9 @@ class ShardedEngine {
     const Timestamp low = watermark_.low_watermark();
     return max_clock > low ? max_clock - low : 0;
   }
+  /// \brief A copy of the routing table (without ingest ports) — what a
+  /// standby filters the shipped WAL with (DESIGN.md §12).
+  ShardRouting routing() const;
   /// \brief Tuples routed to each shard so far (for balance checks).
   std::vector<uint64_t> shard_tuple_counts() const;
   /// \brief Each shard engine's current time, read on its worker thread
@@ -225,7 +228,8 @@ class ShardedEngine {
   struct Item {
     enum class Kind { kTuple, kBatch, kHeartbeat, kCommand };
     Kind kind = Kind::kTuple;
-    // kTuple / kBatch: pre-resolved stream name (stable; owned by routes_).
+    // kTuple / kBatch: pre-resolved stream name (stable; owned by
+    // routing_).
     const std::string* stream = nullptr;
     Tuple tuple;
     // kBatch: an ordered same-stream run, pushed into the shard engine
@@ -248,6 +252,7 @@ class ShardedEngine {
   };
 
   struct Shard {
+    size_t index = 0;
     std::unique_ptr<Engine> engine;
     MpscQueue<Item> queue;
     std::thread worker;
@@ -267,20 +272,18 @@ class ShardedEngine {
     /// promoted standby must not re-emit at or below.
     std::vector<uint64_t> received_per_sub;
 
+    /// Append one emission of subscription `sub` to the outbox and count
+    /// it in received_per_sub: the one delivery path of the shard's
+    /// subscription callbacks and of a promoted standby (DESIGN.md §12).
+    void Deliver(size_t sub, Tuple tuple) {
+      std::lock_guard<std::mutex> lock(out_mu);
+      if (received_per_sub.size() <= sub) received_per_sub.resize(sub + 1, 0);
+      ++received_per_sub[sub];
+      outbox.push_back({tuple.ts(), out_seq++, index, sub, std::move(tuple)});
+    }
+
     std::mutex err_mu;
     Status first_error = Status::OK();
-  };
-
-  static constexpr size_t kNoIngestPort = SIZE_MAX;
-
-  struct StreamRoute {
-    std::string name;      // original-case stream name (stable storage)
-    SchemaPtr schema;
-    size_t key_index = 0;
-    bool single_shard = false;
-    /// The stream's front-end ingest port, assigned on its first offer
-    /// (kNoIngestPort before). Guarded by `ingest_mu_`, not routes_mu_.
-    mutable size_t ingest_port = kNoIngestPort;
   };
 
   void WorkerLoop(Shard* shard);
@@ -312,6 +315,9 @@ class ShardedEngine {
   /// never observes a tick ahead of tuples routed before it.
   void FanHeartbeat(Timestamp now);
 
+  /// \brief Enqueue one routed tuple on its shard: into the pending
+  /// route batch when batching, else as its own queue item.
+  void EnqueueRouted(size_t shard, const std::string* stream, Tuple tuple);
   /// \brief Append to the shard's pending route batch, flushing it first
   /// when the stream changes, and enqueueing it once full. Serialized by
   /// `pending_mu_` (taken after `wal_mu_` when both are held, so buffer
@@ -331,8 +337,9 @@ class ShardedEngine {
   Status CheckAlive(size_t shard) const;
   Status CheckAllAlive() const;
 
-  /// \brief Run `fn` on every shard's worker thread; wait; first error.
-  Status RunOnAllShards(const std::function<Status(Engine&)>& fn);
+  /// \brief Run `fn(shard index, engine)` on every shard's worker
+  /// thread; wait; first error.
+  Status RunOnAllShards(const std::function<Status(size_t, Engine&)>& fn);
   /// \brief Run `fn` on one shard's worker thread and wait.
   Status RunOnShard(size_t shard, const std::function<Status(Engine&)>& fn);
 
@@ -342,8 +349,6 @@ class ShardedEngine {
   /// \brief Drop routes for streams that no longer exist on shard 0
   /// (after UnregisterQuery removed an auto-created output stream).
   Status PruneDeadRoutes();
-  const StreamRoute* FindRoute(const std::string& stream) const;
-  size_t ShardOf(const StreamRoute& route, const Tuple& tuple) const;
 
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -353,7 +358,7 @@ class ShardedEngine {
   // batch boundary. `init_error_` holds an invalid option, surfaced
   // lazily (the constructor cannot return a Status).
   struct PendingBatch {
-    const std::string* stream = nullptr;  // owned by routes_
+    const std::string* stream = nullptr;  // owned by routing_
     std::vector<Tuple> tuples;
   };
   Status init_error_ = Status::OK();
@@ -363,7 +368,7 @@ class ShardedEngine {
   std::atomic<uint64_t> route_tuples_batched_{0};
 
   mutable std::shared_mutex routes_mu_;
-  std::map<std::string, StreamRoute> routes_;  // lower-case key
+  ShardRouting routing_;  // guarded by routes_mu_
 
   WatermarkTracker watermark_;
   std::mutex implicit_producer_mu_;
@@ -372,7 +377,7 @@ class ShardedEngine {
   // Front-end ingest (DESIGN.md §15): one pipeline ahead of the hash
   // partitioner. `ingest_mu_` serializes all pipeline access; delivery
   // callbacks run inside it and use the per-port route cache (stable
-  // pointers into routes_) instead of re-locking routes_mu_, and offers
+  // pointers into routing_) instead of re-locking routes_mu_, and offers
   // use the port cached on each route.
   // `ingest_fanned_hb_` is the last heartbeat the pipeline released to
   // the shards — the alignment point for checkpoint quiesce (fanning

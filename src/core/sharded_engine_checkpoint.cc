@@ -63,11 +63,7 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
   } else if (low != kMinTimestamp) {
     FanHeartbeat(low);
   }
-  for (auto& shard : shards_) shard->queue.WaitIdle();
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> err_lock(shard->err_mu);
-    if (!shard->first_error.ok()) return shard->first_error;
-  }
+  ESLEV_RETURN_NOT_OK(Flush());
 
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -88,27 +84,12 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
   manifest.num_shards = static_cast<uint32_t>(shards_.size());
   manifest.low_watermark = low;
   manifest.wal_last_lsn = wal_last_lsn;
-  std::vector<std::promise<Status>> done(shards_.size());
-  std::vector<std::future<Status>> futures;
-  futures.reserve(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     manifest.shard_dirs.push_back(ShardDirName(i));
-    const std::string shard_dir = dir + "/" + ShardDirName(i);
-    futures.push_back(done[i].get_future());
-    Item item;
-    item.kind = Item::Kind::kCommand;
-    item.command = [shard_dir](Engine& engine) {
-      return engine.Checkpoint(shard_dir);
-    };
-    item.done = &done[i];
-    shards_[i]->queue.Push(std::move(item));
   }
-  Status first = Status::OK();
-  for (auto& f : futures) {
-    Status st = f.get();
-    if (first.ok() && !st.ok()) first = st;
-  }
-  ESLEV_RETURN_NOT_OK(first);
+  ESLEV_RETURN_NOT_OK(RunOnAllShards([&dir](size_t i, Engine& engine) {
+    return engine.Checkpoint(dir + "/" + ShardDirName(i));
+  }));
 
   if (front_ingest_ != nullptr) {
     BinaryEncoder frame;
@@ -178,27 +159,9 @@ Status ShardedEngine::Restore(const std::string& dir) {
     }
   }
   ESLEV_RETURN_NOT_OK(Flush());
-
-  std::vector<std::promise<Status>> done(shards_.size());
-  std::vector<std::future<Status>> futures;
-  futures.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::string shard_dir = dir + "/" + manifest.shard_dirs[i];
-    futures.push_back(done[i].get_future());
-    Item item;
-    item.kind = Item::Kind::kCommand;
-    item.command = [shard_dir](Engine& engine) {
-      return engine.Restore(shard_dir);
-    };
-    item.done = &done[i];
-    shards_[i]->queue.Push(std::move(item));
-  }
-  Status first = Status::OK();
-  for (auto& f : futures) {
-    Status st = f.get();
-    if (first.ok() && !st.ok()) first = st;
-  }
-  ESLEV_RETURN_NOT_OK(first);
+  ESLEV_RETURN_NOT_OK(RunOnAllShards([&](size_t i, Engine& engine) {
+    return engine.Restore(dir + "/" + manifest.shard_dirs[i]);
+  }));
 
   if (front_ingest_ != nullptr) {
     const std::string path = dir + "/" + kIngestStateFileName;
@@ -281,20 +244,14 @@ Status ShardedEngine::RecoverFrom(const std::string& dir,
     if (record.kind == WalRecordKind::kTuple) {
       ESLEV_RETURN_NOT_OK(
           RouteTuple(record.stream, *record.tuple, /*log_to_wal=*/false));
-    } else if (record.stream.empty()) {
-      if (front_ingest_ != nullptr) {
-        // Logged heartbeats are raw input ticks: re-drive the pipeline
-        // so the restored frontiers release exactly what the original
-        // run released after the checkpoint cut.
-        std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-        ESLEV_RETURN_NOT_OK(front_ingest_->Heartbeat(record.ts));
-      } else {
-        FanHeartbeat(record.ts);
-      }
+    } else if (front_ingest_ != nullptr) {
+      // Logged heartbeats are raw input ticks: re-drive the pipeline so
+      // the restored frontiers release exactly what the original run
+      // released after the checkpoint cut.
+      std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
+      ESLEV_RETURN_NOT_OK(front_ingest_->Heartbeat(record.ts));
     } else {
-      return Status::IoError(
-          "sharded WAL contains a per-stream heartbeat for '" +
-          record.stream + "' (not written by ShardedEngine)");
+      FanHeartbeat(record.ts);
     }
     ++replayed;
   }

@@ -101,7 +101,8 @@ Status CollectRefsInto(const Expr& expr, const BindScope& scope,
   return Status::OK();
 }
 
-// Aggregate call collection for aggregate queries.
+}  // namespace
+
 void CollectAggCalls(const Expr& expr, const FunctionRegistry& registry,
                      std::vector<const FuncCallExpr*>* out) {
   switch (expr.kind) {
@@ -145,6 +146,8 @@ std::string DeriveItemName(const SelectItem& item, size_t index) {
   }
   return "col" + std::to_string(index);
 }
+
+namespace {
 
 void DedupeFieldNames(std::vector<Field>* fields) {
   std::unordered_map<std::string, int> seen;

@@ -102,6 +102,16 @@ class Planner {
 /// \brief Flatten a WHERE clause into its top-level AND conjuncts.
 void FlattenConjuncts(const Expr* where, std::vector<const Expr*>* out);
 
+/// \brief Append every aggregate call in `expr` to `out` (outermost
+/// only: an aggregate's arguments are the binder's business).
+void CollectAggCalls(const Expr& expr, const FunctionRegistry& registry,
+                     std::vector<const FuncCallExpr*>* out);
+
+/// \brief The output column name of select item `index`: its alias, a
+/// bare column's name, a function's name, `<fn>_<column>` for a star
+/// aggregate, else `col<index>`.
+std::string DeriveItemName(const SelectItem& item, size_t index);
+
 /// \brief Collect which scope slots an expression references, whether it
 /// contains `.previous.` references, star aggregates, or subqueries.
 struct ExprRefs {

@@ -3,53 +3,10 @@
 #include <algorithm>
 #include <map>
 
-#include "common/string_util.h"
 #include "plan/planner.h"
 #include "plan/type_inference.h"
 
 namespace eslev {
-
-namespace {
-
-std::string ItemName(const SelectItem& item, size_t index) {
-  if (!item.alias.empty()) return item.alias;
-  if (item.expr && item.expr->kind == ExprKind::kColumnRef) {
-    return static_cast<const ColumnRefExpr&>(*item.expr).column;
-  }
-  if (item.expr && item.expr->kind == ExprKind::kFuncCall) {
-    return static_cast<const FuncCallExpr&>(*item.expr).name;
-  }
-  return "col" + std::to_string(index);
-}
-
-void CollectAggCalls(const Expr& expr, const FunctionRegistry& registry,
-                     std::vector<const FuncCallExpr*>* out) {
-  switch (expr.kind) {
-    case ExprKind::kFuncCall: {
-      const auto& f = static_cast<const FuncCallExpr&>(expr);
-      if (registry.IsAggregate(f.name)) {
-        out->push_back(&f);
-        return;
-      }
-      for (const auto& a : f.args) CollectAggCalls(*a, registry, out);
-      return;
-    }
-    case ExprKind::kUnary:
-      CollectAggCalls(*static_cast<const UnaryExpr&>(expr).operand, registry,
-                      out);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(expr);
-      CollectAggCalls(*b.lhs, registry, out);
-      CollectAggCalls(*b.rhs, registry, out);
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-}  // namespace
 
 Result<std::vector<Tuple>> SnapshotExecutor::SourceRows(
     const TableRef& ref) const {
@@ -198,7 +155,7 @@ Result<std::vector<Tuple>> SnapshotExecutor::ExecuteInternal(
     ESLEV_ASSIGN_OR_RETURN(TypeId type,
                            InferExprType(*item.expr, scope, registry));
     projection.push_back(std::move(b));
-    out_fields.push_back({ItemName(item, i), type});
+    out_fields.push_back({DeriveItemName(item, i), type});
   }
   SchemaPtr out_schema = Schema::Make(std::move(out_fields));
 

@@ -26,6 +26,9 @@ Result<WalRecord> DecodeRecord(const std::string& payload) {
   if (record.kind == WalRecordKind::kTuple) {
     ESLEV_ASSIGN_OR_RETURN(Tuple t, dec.GetTuple());
     record.tuple = std::move(t);
+  } else if (!record.stream.empty()) {
+    return Status::IoError("WAL heartbeat names stream '" + record.stream +
+                           "'; heartbeats are engine-wide");
   } else {
     ESLEV_ASSIGN_OR_RETURN(record.ts, dec.GetI64());
   }
@@ -47,14 +50,18 @@ std::uintmax_t FileSizeOrZero(const std::string& path) {
   return ec ? 0 : n;
 }
 
-/// Read one *sealed* segment: it was complete when renamed into place, so
-/// any tear or frame damage inside it is corruption, never a crash tail.
-Result<WalReadResult> ReadSealedSegment(const std::string& seg_path) {
+/// Read a sealed segment file that must exist and be complete: no torn
+/// tail, at least one record. Orphan adoption derives a manifest entry
+/// from what this returns; ReadSealedSegment checks it against one.
+Result<WalReadResult> ReadCompleteSegment(const std::string& seg_path,
+                                          std::string* bytes) {
   std::error_code ec;
   if (!std::filesystem::exists(seg_path, ec)) {
     return Status::IoError("missing sealed WAL segment: " + seg_path);
   }
-  ESLEV_ASSIGN_OR_RETURN(WalReadResult read, ReadWal(seg_path));
+  ESLEV_ASSIGN_OR_RETURN(*bytes, ReadFileAll(seg_path));
+  ESLEV_ASSIGN_OR_RETURN(WalReadResult read,
+                         DecodeWalFrames(bytes->data(), bytes->size()));
   if (read.torn_tail) {
     return Status::IoError("sealed WAL segment has a torn tail: " + seg_path);
   }
@@ -143,10 +150,12 @@ Result<WalManifest> ListWalSegments(const std::string& wal_path) {
     const std::string seg_path = WalSegmentPath(wal_path, seg);
     std::error_code ec;
     if (!std::filesystem::exists(seg_path, ec)) break;
-    ESLEV_ASSIGN_OR_RETURN(WalReadResult read, ReadSealedSegment(seg_path));
+    std::string bytes;
+    ESLEV_ASSIGN_OR_RETURN(WalReadResult read,
+                           ReadCompleteSegment(seg_path, &bytes));
     seg.first_lsn = read.records.front().lsn;
     seg.last_lsn = read.records.back().lsn;
-    seg.bytes = FileSizeOrZero(seg_path);
+    seg.bytes = bytes.size();
     manifest.segments.push_back(std::move(seg));
     ++manifest.next_segment_id;
   }
@@ -181,24 +190,34 @@ Result<WalReadResult> ReadWal(const std::string& path) {
   return DecodeWalFrames(bytes.data(), bytes.size());
 }
 
+Result<WalReadResult> ReadSealedSegment(const std::string& wal_path,
+                                        const WalSegmentInfo& segment,
+                                        std::string* bytes) {
+  const std::string seg_path = WalSegmentPath(wal_path, segment);
+  std::string read_bytes;
+  ESLEV_ASSIGN_OR_RETURN(WalReadResult read,
+                         ReadCompleteSegment(seg_path, &read_bytes));
+  if (read_bytes.size() != segment.bytes) {
+    return Status::IoError("sealed WAL segment size mismatch: " + seg_path);
+  }
+  if (read.records.front().lsn != segment.first_lsn ||
+      read.records.back().lsn != segment.last_lsn) {
+    return Status::IoError("sealed WAL segment LSN range does not match " +
+                           std::string("its manifest entry: ") + seg_path);
+  }
+  if (bytes != nullptr) *bytes = std::move(read_bytes);
+  return read;
+}
+
 Result<WalChainReadResult> ReadWalChain(const std::string& path) {
   WalChainReadResult result;
   ESLEV_ASSIGN_OR_RETURN(result.manifest, ListWalSegments(path));
   uint64_t prev_lsn = 0;
   for (const WalSegmentInfo& seg : result.manifest.segments) {
-    const std::string seg_path = WalSegmentPath(path, seg);
-    ESLEV_ASSIGN_OR_RETURN(WalReadResult read, ReadSealedSegment(seg_path));
-    if (FileSizeOrZero(seg_path) != seg.bytes) {
-      return Status::IoError("sealed WAL segment size mismatch: " + seg_path);
-    }
-    if (read.records.front().lsn != seg.first_lsn ||
-        read.records.back().lsn != seg.last_lsn) {
-      return Status::IoError("sealed WAL segment LSN range does not match " +
-                             std::string("its manifest entry: ") + seg_path);
-    }
+    ESLEV_ASSIGN_OR_RETURN(WalReadResult read, ReadSealedSegment(path, seg));
     if (read.records.front().lsn <= prev_lsn && prev_lsn != 0) {
       return Status::IoError("WAL chain LSNs not strictly increasing at " +
-                             seg_path);
+                             WalSegmentPath(path, seg));
     }
     prev_lsn = read.records.back().lsn;
     for (WalRecord& record : read.records) {
@@ -307,9 +326,8 @@ Result<uint64_t> WalWriter::AppendTuple(const std::string& stream,
   return EndRecord(frame);
 }
 
-Result<uint64_t> WalWriter::AppendHeartbeat(const std::string& stream,
-                                            Timestamp ts) {
-  const size_t frame = BeginRecord(WalRecordKind::kHeartbeat, stream);
+Result<uint64_t> WalWriter::AppendHeartbeat(Timestamp ts) {
+  const size_t frame = BeginRecord(WalRecordKind::kHeartbeat, std::string());
   pending_.PutI64(ts);
   return EndRecord(frame);
 }

@@ -10,6 +10,9 @@
 //   kind == kTuple:     [tuple]        (schema inline, self-contained)
 //   kind == kHeartbeat: [i64 ts]
 //
+// Heartbeats are engine-wide: their stream name is always empty, and the
+// decoder refuses a heartbeat frame that names a stream.
+//
 // The writer encodes each frame in place at the end of its group-commit
 // buffer and patches the length and CRC once the payload is written; a
 // warm writer appends without allocating.
@@ -54,7 +57,7 @@ enum class WalRecordKind : uint8_t {
 struct WalRecord {
   WalRecordKind kind = WalRecordKind::kTuple;
   uint64_t lsn = 0;
-  std::string stream;               // empty for engine-wide heartbeats
+  std::string stream;               // empty for heartbeats
   std::optional<Tuple> tuple;       // set iff kind == kTuple
   Timestamp ts = 0;                 // set iff kind == kHeartbeat
 };
@@ -125,6 +128,16 @@ struct WalReadResult {
 /// Mid-file corruption — a bad frame with data after it — is an IoError.
 Result<WalReadResult> ReadWal(const std::string& path);
 
+/// \brief Read the sealed segment `segment` of WAL `wal_path` and check
+/// it against its manifest entry: the file exists, ends in no torn frame,
+/// holds records, and has the recorded size and LSN range. A sealed
+/// segment was complete when renamed into place, so any mismatch is
+/// corruption, never a crash tail. When `bytes` is set it receives the
+/// file as read (the shipper copies exactly what it checked).
+Result<WalReadResult> ReadSealedSegment(const std::string& wal_path,
+                                        const WalSegmentInfo& segment,
+                                        std::string* bytes = nullptr);
+
 /// \brief Decode WAL frames from an in-memory byte range — a shipped
 /// live-tail slice starting at a frame boundary. Same torn-tail /
 /// mid-range corruption semantics as ReadWal.
@@ -166,8 +179,9 @@ class WalWriter {
 
   /// \brief Log an input tuple; returns the LSN it was assigned.
   Result<uint64_t> AppendTuple(const std::string& stream, const Tuple& tuple);
-  /// \brief Log a time advancement; returns the LSN it was assigned.
-  Result<uint64_t> AppendHeartbeat(const std::string& stream, Timestamp ts);
+  /// \brief Log an engine-wide time advancement; returns the LSN it was
+  /// assigned.
+  Result<uint64_t> AppendHeartbeat(Timestamp ts);
 
   /// \brief Force the pending group commit to the file (and seal the live
   /// segment if it crossed the rotation threshold).

@@ -81,16 +81,11 @@ Status LogShipper::Ship() {
   bool sealed_new = false;
   for (const WalSegmentInfo& seg : primary.segments) {
     if (seg.id <= last_shipped_segment_id_) continue;
-    const std::string seg_path = WalSegmentPath(primary_path_, seg);
-    ESLEV_ASSIGN_OR_RETURN(std::string bytes, ReadFileAll(seg_path));
-    // Verify every frame before the copy: a corrupt primary segment
-    // fails the ship here instead of poisoning the standby chain.
-    ESLEV_ASSIGN_OR_RETURN(WalReadResult decoded,
-                           DecodeWalFrames(bytes.data(), bytes.size()));
-    if (decoded.torn_tail || decoded.records.empty()) {
-      return Status::IoError("sealed WAL segment " + seg_path +
-                             " is torn or empty; refusing to ship it");
-    }
+    // Verify the segment against its manifest entry before the copy: a
+    // corrupt primary segment fails the ship here instead of poisoning
+    // the standby chain.
+    std::string bytes;
+    ESLEV_RETURN_NOT_OK(ReadSealedSegment(primary_path_, seg, &bytes).status());
     ESLEV_RETURN_NOT_OK(
         WriteFileAtomic(WalSegmentPath(standby_path_, seg), bytes));
     standby_manifest_.segments.push_back(seg);

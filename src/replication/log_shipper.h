@@ -3,8 +3,10 @@
 // (DESIGN.md §12).
 //
 // Sealed segments are immutable, so shipping one is a verify-then-copy:
-// the shipper CRC-decodes every frame before writing the standby copy
-// (a corrupt primary segment fails the ship instead of propagating) and
+// the shipper checks it with ReadSealedSegment — every frame's CRC, and
+// the size and LSN range its manifest entry records — before writing
+// the standby copy (a corrupt primary segment fails the ship instead of
+// propagating) and
 // mirrors the manifest sidecar so the standby copy is itself a valid
 // WAL chain that ReadWalChain / StandbyShard can consume. The live file
 // is shipped as raw byte ranges appended to the standby's live copy; a
@@ -37,7 +39,7 @@ class LogShipper {
   LogShipper(std::string primary_wal_path, std::string standby_wal_path);
 
   /// \brief One shipping round: copy every sealed segment newer than the
-  /// last shipped id (verifying frames first), mirror the manifest,
+  /// last shipped id (verifying it first), mirror the manifest,
   /// restart the standby live copy when a seal happened, then append the
   /// primary live file's new bytes. Idempotent; call as often as wanted.
   Status Ship();

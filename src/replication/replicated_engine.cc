@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <shared_mutex>
 #include <system_error>
 #include <utility>
 
@@ -148,7 +147,7 @@ Result<std::vector<Tuple>> ReplicatedShardedEngine::ExecuteSnapshot(
 
 Status ReplicatedShardedEngine::BuildStandby(size_t shard) {
   auto sb = std::make_unique<StandbyShard>(
-      StandbyShardOptions{shard, primary_.num_shards(), options_.engine});
+      StandbyShardOptions{shard, primary_.routing(), options_.engine});
   for (const SetupOp& op : setup_) {
     switch (op.kind) {
       case SetupOp::Kind::kScript:
@@ -160,13 +159,6 @@ Status ReplicatedShardedEngine::BuildStandby(size_t shard) {
       case SetupOp::Kind::kSubscribe:
         ESLEV_RETURN_NOT_OK(sb->Subscribe(op.arg));
         break;
-    }
-  }
-  {
-    std::shared_lock<std::shared_mutex> lock(primary_.routes_mu_);
-    for (const auto& [key, route] : primary_.routes_) {
-      ESLEV_RETURN_NOT_OK(
-          sb->SetRoute(route.name, route.key_index, route.single_shard));
     }
   }
   ESLEV_RETURN_NOT_OK(sb->Bootstrap(standby_ckpt_dir_));
@@ -321,27 +313,11 @@ Status ReplicatedShardedEngine::PromoteStandby(size_t shard) {
     delivered = s->received_per_sub;
   }
   std::vector<ReplicaEmission> pending = sb->TakeBufferedAfter(delivered);
-  sb->RedirectEmissions([s, shard](size_t sub, const Tuple& tuple) {
-    std::lock_guard<std::mutex> lock(s->out_mu);
-    if (s->received_per_sub.size() <= sub) {
-      s->received_per_sub.resize(sub + 1, 0);
-    }
-    ++s->received_per_sub[sub];
-    s->outbox.push_back({tuple.ts(), s->out_seq++, shard, sub, tuple});
-  });
+  sb->RedirectEmissions(
+      [s](size_t sub, const Tuple& tuple) { s->Deliver(sub, tuple); });
   const uint64_t caught_up = sb->applied_lsn() - applied_before;
   s->engine = sb->TakeEngine();
-  {
-    std::lock_guard<std::mutex> out_lock(s->out_mu);
-    for (ReplicaEmission& e : pending) {
-      if (s->received_per_sub.size() <= e.sub) {
-        s->received_per_sub.resize(e.sub + 1, 0);
-      }
-      ++s->received_per_sub[e.sub];
-      s->outbox.push_back(
-          {e.tuple.ts(), s->out_seq++, shard, e.sub, std::move(e.tuple)});
-    }
-  }
+  for (ReplicaEmission& e : pending) s->Deliver(e.sub, std::move(e.tuple));
   s->queue.Reopen();
   s->alive.store(true, std::memory_order_release);
   s->worker = std::thread([this, s] { primary_.WorkerLoop(s); });

@@ -5,7 +5,6 @@
 #include <system_error>
 #include <utility>
 
-#include "common/string_util.h"
 #include "recovery/checkpoint.h"
 #include "recovery/codec.h"
 #include "stream/stream.h"
@@ -14,7 +13,6 @@ namespace eslev {
 
 StandbyShard::StandbyShard(StandbyShardOptions options)
     : options_(std::move(options)), sink_(std::make_shared<Sink>()) {
-  if (options_.num_shards == 0) options_.num_shards = 1;
   engine_ = std::make_unique<Engine>(options_.engine);
 }
 
@@ -48,20 +46,14 @@ Status StandbyShard::Subscribe(const std::string& stream) {
   return Status::OK();
 }
 
-Status StandbyShard::SetRoute(const std::string& stream, size_t key_index,
-                              bool single_shard) {
-  routes_[AsciiToLower(stream)] = Route{key_index, single_shard};
-  return Status::OK();
-}
-
 Status StandbyShard::Bootstrap(const std::string& checkpoint_dir) {
   ESLEV_ASSIGN_OR_RETURN(ShardedManifest manifest,
                          ReadManifest(checkpoint_dir));
-  if (manifest.num_shards != options_.num_shards) {
+  if (manifest.num_shards != options_.routing.num_shards) {
     return Status::IoError(
         "shipped checkpoint was taken with " +
         std::to_string(manifest.num_shards) + " shards but this standby "
-        "mirrors a " + std::to_string(options_.num_shards) +
+        "mirrors a " + std::to_string(options_.routing.num_shards) +
         "-shard engine");
   }
   if (options_.shard_id >= manifest.shard_dirs.size()) {
@@ -94,47 +86,24 @@ Status StandbyShard::ApplyRecord(const WalRecord& record) {
         std::to_string(applied_lsn_ + 1) + ", got " +
         std::to_string(record.lsn)));
   }
+  // WAL order is the shard's serialization order: apply exactly as the
+  // shard worker applies its queue.
   Status st;
   if (record.kind == WalRecordKind::kHeartbeat) {
-    if (!record.stream.empty()) {
-      return Fail(Status::IoError(
-          "sharded WAL contains a per-stream heartbeat for '" +
-          record.stream + "' (not written by ShardedEngine)"));
-    }
-    // Mirror the worker's stale-tick rule.
-    if (record.ts >= engine_->current_time()) {
-      st = engine_->AdvanceTime(record.ts);
-    }
-    if (record.ts > applied_watermark_) applied_watermark_ = record.ts;
+    st = ApplyShardHeartbeat(*engine_, record.ts);
+    applied_watermark_ = std::max(applied_watermark_, record.ts);
   } else {
-    auto it = routes_.find(AsciiToLower(record.stream));
-    if (it == routes_.end()) {
+    const ShardRouting& routing = options_.routing;
+    const StreamRoute* route = routing.Find(record.stream);
+    if (route == nullptr) {
       return Fail(Status::IoError("shipped WAL names stream '" +
-                                  record.stream +
-                                  "' with no mirrored route"));
+                                  record.stream + "' with no route"));
     }
-    const Route& route = it->second;
     const Tuple& tuple = *record.tuple;
-    size_t shard = 0;
-    if (!route.single_shard && options_.num_shards > 1) {
-      if (route.key_index >= tuple.size()) {
-        return Fail(Status::IoError(
-            "shipped tuple too short for partition key column " +
-            std::to_string(route.key_index) + " of stream " +
-            record.stream));
-      }
-      shard = tuple.value(route.key_index).Hash() % options_.num_shards;
-    }
-    if (shard == options_.shard_id) {
-      // Mirror the worker's clamp-forward rule: WAL order is the shard's
-      // serialization order.
-      if (tuple.ts() < engine_->current_time()) {
-        Tuple clamped = tuple;
-        clamped.set_ts(engine_->current_time());
-        st = engine_->PushTuple(record.stream, clamped);
-      } else {
-        st = engine_->PushTuple(record.stream, tuple);
-      }
+    Status key = routing.CheckKey(*route, tuple);
+    if (!key.ok()) return Fail(Status::IoError("shipped " + key.message()));
+    if (routing.ShardOf(*route, tuple) == options_.shard_id) {
+      st = ApplyShardTuple(*engine_, record.stream, tuple);
     }
   }
   if (!st.ok()) return Fail(st);
@@ -150,17 +119,8 @@ Status StandbyShard::Apply(const std::string& wal_path) {
 
   for (const WalSegmentInfo& seg : manifest->segments) {
     if (seg.id <= last_applied_segment_id_) continue;
-    const std::string seg_path = WalSegmentPath(wal_path, seg);
-    Result<WalReadResult> read = ReadWal(seg_path);
+    Result<WalReadResult> read = ReadSealedSegment(wal_path, seg);
     if (!read.ok()) return Fail(read.status());
-    if (read->torn_tail || read->records.empty() ||
-        read->valid_bytes != seg.bytes ||
-        read->records.front().lsn != seg.first_lsn ||
-        read->records.back().lsn != seg.last_lsn) {
-      return Fail(Status::IoError(
-          "shipped WAL segment " + seg_path +
-          " is corrupt or does not match its manifest entry"));
-    }
     for (const WalRecord& record : read->records) {
       ESLEV_RETURN_NOT_OK(ApplyRecord(record));
     }

@@ -6,10 +6,10 @@
 // stream ids, query ids, and subscription ids line up), bootstraps from
 // the latest shipped coordinated checkpoint, and then applies the
 // shipped front-end WAL incrementally. Because the sharded WAL is a
-// linearization of every shard's queue order, replaying the records
-// whose partition hash lands on this shard — with the same clamp-forward
-// and stale-heartbeat rules the shard worker uses — reproduces the dead
-// worker's history bit for bit.
+// linearization of every shard's queue order, replaying the records the
+// primary's routing table sends to this shard, through the worker's own
+// apply functions (core/shard_routing.h), reproduces the dead worker's
+// history bit for bit.
 //
 // Emissions the replayed engine produces are buffered with the stream's
 // push sequence number attached. The primary counts the emissions each
@@ -28,7 +28,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -37,6 +36,7 @@
 #include "common/result.h"
 #include "common/time.h"
 #include "core/engine.h"
+#include "core/shard_routing.h"
 #include "recovery/wal.h"
 
 namespace eslev {
@@ -52,7 +52,9 @@ struct ReplicaEmission {
 
 struct StandbyShardOptions {
   size_t shard_id = 0;
-  size_t num_shards = 1;
+  /// The primary's routing table (ShardedEngine::routing()); the standby
+  /// applies exactly the WAL records it routes to `shard_id`.
+  ShardRouting routing;
   EngineOptions engine;
 };
 
@@ -67,10 +69,6 @@ class StandbyShard {
   /// \brief Mirror of subscription `sub` (assigned in call order); the
   /// standby buffers its emissions instead of delivering them.
   Status Subscribe(const std::string& stream);
-  /// \brief Mirror of the primary's routing for `stream`, so the standby
-  /// applies exactly the WAL records whose hash lands on its shard.
-  Status SetRoute(const std::string& stream, size_t key_index,
-                  bool single_shard);
 
   // ---- replication --------------------------------------------------------
 
@@ -82,7 +80,9 @@ class StandbyShard {
   /// \brief Apply new records of the shipped WAL chain at `wal_path`:
   /// sealed segments past the last applied one, then the live copy past
   /// the applied offset. Tolerates a torn live tail (waits for the rest);
-  /// a corrupt sealed segment or an LSN gap fails the standby for good.
+  /// a sealed segment that fails ReadSealedSegment, a record routed by
+  /// no route or too short for its key, or an LSN gap fails the standby
+  /// for good.
   Status Apply(const std::string& wal_path);
 
   /// \brief The primary delivered `delivered` emissions for subscription
@@ -121,10 +121,6 @@ class StandbyShard {
   const Status& health() const { return health_; }
 
  private:
-  struct Route {
-    size_t key_index = 0;
-    bool single_shard = false;
-  };
   /// Shared with the engine's subscription callbacks, which outlive this
   /// object once TakeEngine() hands the engine to the shard.
   struct Sink {
@@ -139,7 +135,6 @@ class StandbyShard {
   StandbyShardOptions options_;
   std::unique_ptr<Engine> engine_;
   std::shared_ptr<Sink> sink_;
-  std::map<std::string, Route> routes_;  // lower-case stream name
   size_t subscriptions_ = 0;
 
   uint64_t applied_lsn_ = 0;

@@ -96,10 +96,40 @@ TEST_F(LintRulesTest, ChronicleWithoutWindowWarnsOnSeqAndStarBuffer) {
 }
 
 TEST_F(LintRulesTest, RecentModeWithoutWindowIsClean) {
+  // Under its purge rule RECENT keeps only what its newest-first search
+  // can still pick: candidates qualify by time order alone.
+  const auto diags = Lint(
+      "SELECT R2.tagid FROM R1, R2 WHERE SEQ(R1, R2) MODE RECENT;");
+  EXPECT_EQ(Find(diags, "unbounded-retention"), nullptr);
+}
+
+TEST_F(LintRulesTest, RecentWithPairwiseConditionWithoutWindowIsError) {
+  // A pairwise conjunct takes RECENT out of its purge rule, so it purges
+  // nothing and retains as UNRESTRICTED does.
   const auto diags = Lint(
       "SELECT R2.tagid FROM R1, R2 WHERE SEQ(R1, R2) MODE RECENT AND "
       "R1.tagid = R2.tagid;");
-  EXPECT_EQ(Find(diags, "unbounded-retention"), nullptr);
+  const Diagnostic* d = Find(diags, "unbounded-retention");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
+  ExpectSpan(*d, 1, 35, 23);  // SEQ(R1, R2) MODE RECENT
+  EXPECT_NE(d->message.find("RECENT"), std::string::npos) << d->ToString();
+  EXPECT_NE(d->message.find("estimated growth"), std::string::npos)
+      << d->ToString();
+}
+
+TEST_F(LintRulesTest, RecentWithNegationBeforeStoredPositionIsError) {
+  // !R2's later neighbour R3 is stored (not the trigger), so RECENT's
+  // purge rule does not apply even without pairwise conditions.
+  ASSERT_TRUE(
+      engine_.ExecuteScript("CREATE STREAM R4(readerid, tagid, tagtime);")
+          .ok());
+  const auto diags = Lint(
+      "SELECT R4.tagid FROM R1, R2, R3, R4 WHERE SEQ(R1, !R2, R3, R4) "
+      "MODE RECENT;");
+  const Diagnostic* d = Find(diags, "unbounded-retention");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
 }
 
 TEST_F(LintRulesTest, WindowedSeqIsClean) {

@@ -190,7 +190,7 @@ FrontEndCounts ReplayFrontEnd(const rfid::Workload& trace) {
         },
         [&](Timestamp ts) {
           if (pushed > kWarmupInputs) ++counted_heartbeats;
-          EXPECT_TRUE((*writer)->AppendHeartbeat("", ts).ok());
+          EXPECT_TRUE((*writer)->AppendHeartbeat(ts).ok());
         });
     out.wal.units += counted_heartbeats;
     EXPECT_TRUE((*writer)->Flush().ok());

@@ -3,8 +3,9 @@
 // brute-force oracle written from the paper (src/oracle/seq_oracle.h)
 // emits — the same rows in the same order on one engine, and the same
 // rows after sorting on 1/2/4 shards at route batch sizes drawn from
-// 1/7/64 — across all four pairing modes, windowed SEQ, stars, negation,
-// and EXCEPTION_SEQ deadlines with heartbeat-driven active expiration.
+// 1/7/64 — across all four pairing modes, windowed SEQ, stars, negation
+// (before the trigger and before a stored position), and EXCEPTION_SEQ
+// deadlines with heartbeat-driven active expiration.
 // Each query's configuration comes from planning it, the way the cost
 // analyzer reads it. The oracle is unkeyed, so it is also the reference
 // for the matcher's keyed SEQ matching (DESIGN.md §5): the randomized
@@ -318,6 +319,26 @@ Scenario NegationScenario(const std::string& mode_clause) {
   return s;
 }
 
+// A negation before a stored position, with no pairwise condition: the
+// negation's later neighbour C is stored, so RECENT may not purge what
+// its search can still fall back to, and CHRONICLE checks !B against C
+// rather than the trigger.
+Scenario NegationBeforeStoredScenario(const std::string& mode_clause) {
+  Scenario s;
+  s.ddl = R"sql(
+    CREATE STREAM A(readerid, tagid, tagtime);
+    CREATE STREAM B(readerid, tagid, tagtime);
+    CREATE STREAM C(readerid, tagid, tagtime);
+    CREATE STREAM D(readerid, tagid, tagtime);
+  )sql";
+  s.query = "SELECT A.tagtime, C.tagtime, D.tagtime FROM A, B, C, D "
+            "WHERE SEQ(A, !B, C, D)" +
+            mode_clause;
+  s.streams = {"A", "B", "C", "D"};
+  s.single_shard_streams = s.streams;
+  return s;
+}
+
 Scenario ExceptionScenario(const std::string& window_clause) {
   Scenario s;
   s.ddl = R"sql(
@@ -392,6 +413,10 @@ TEST_P(SeqOracleDifferentialTest, NegatedPositions) {
     ExpectMatchesOracle(NegationScenario(mode),
                              seed * 193u + static_cast<uint32_t>(i++), 200, 4);
   }
+  for (const char* mode : {"", " MODE RECENT", " MODE CHRONICLE"}) {
+    ExpectMatchesOracle(NegationBeforeStoredScenario(mode),
+                        seed * 193u + static_cast<uint32_t>(i++), 120, 4);
+  }
 }
 
 TEST_P(SeqOracleDifferentialTest, ExceptionSeqDeadlines) {
@@ -410,12 +435,13 @@ TEST_P(SeqOracleDifferentialTest, ExceptionSeqDeadlines) {
 // ---- randomized query generator ----------------------------------------
 
 // Random SEQ query from parametric templates: the rng picks position
-// count, star placement, negation, mode, window shape/length/anchor, and
-// pairwise constraints. Everything composes from grammar the planner
-// accepts, so a planning failure is itself a test failure.
+// count (2-4), star placement, negation, mode, window shape/length/
+// anchor, and pairwise constraints. Everything composes from grammar the
+// planner accepts, so a planning failure is itself a test failure.
 Scenario RandomScenario(std::mt19937& rng) {
   std::uniform_int_distribution<int> pct(0, 99);
-  const int npos = 2 + (pct(rng) < 60 ? 1 : 0);
+  const int size_draw = pct(rng);
+  const int npos = size_draw < 30 ? 2 : (size_draw < 65 ? 3 : 4);
   // Numeric tags: each stream's tagid is INT or DOUBLE, so keys compare
   // an INT with an equal-valued DOUBLE across streams.
   const bool numeric_tags = pct(rng) < 30;
@@ -429,14 +455,15 @@ Scenario RandomScenario(std::mt19937& rng) {
            ", tagtime);\n";
   }
   // At most one feature position keeps the space of valid templates
-  // simple: a star (any position) or a negation (middle only).
+  // simple: a star (any position) or a negation (any interior position,
+  // so with four positions it may fall before a stored one).
   int star_at = -1;
   int neg_at = -1;
   const int feature = pct(rng);
   if (feature < 35) {
     star_at = std::uniform_int_distribution<int>(0, npos - 1)(rng);
-  } else if (feature < 50 && npos == 3) {
-    neg_at = 1;
+  } else if (feature < 65 && npos >= 3) {
+    neg_at = std::uniform_int_distribution<int>(1, npos - 2)(rng);
   }
   const char* modes[] = {"", " MODE RECENT", " MODE CHRONICLE",
                          " MODE CONSECUTIVE"};
@@ -561,7 +588,7 @@ Scenario RandomScenario(std::mt19937& rng) {
 TEST_P(SeqOracleDifferentialTest, RandomizedQueries) {
   const uint32_t seed = GetParam();
   std::mt19937 rng(seed * 747796405u + 2891336453u);
-  for (int round = 0; round < 8; ++round) {
+  for (int round = 0; round < 16; ++round) {
     const Scenario s = RandomScenario(rng);
     ExpectMatchesOracle(s, seed * 1013u + static_cast<uint32_t>(round), 150,
                         4);

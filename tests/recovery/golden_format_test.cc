@@ -153,7 +153,7 @@ TEST(GoldenFormatTest, WalHeartbeatRecordBytes) {
   {
     auto writer = WalWriter::Open(path, 1);
     ASSERT_TRUE(writer.ok()) << writer.status();
-    ASSERT_TRUE((*writer)->AppendHeartbeat("", 42).ok());
+    ASSERT_TRUE((*writer)->AppendHeartbeat(42).ok());
     ASSERT_TRUE((*writer)->Flush().ok());
   }
   auto bytes = ReadFileAll(path);

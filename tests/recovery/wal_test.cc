@@ -1,7 +1,8 @@
 // Event WAL unit tests (recovery/wal.h): append/read round-trips, LSN
 // assignment, group commit, segment rotation + chain reads,
 // checkpoint-driven whole-segment truncation, and the fault-injection
-// cases — torn final frame, mid-file corruption, corrupt sealed segments.
+// cases — torn final frame, mid-file corruption, corrupt sealed segments,
+// crafted frames (oversized counts, a heartbeat naming a stream).
 
 #include "recovery/wal.h"
 
@@ -69,7 +70,7 @@ TEST_F(WalTest, AppendFlushReadRoundTrip) {
   auto writer = WalWriter::Open(path_, 1);
   ASSERT_TRUE(writer.ok()) << writer.status();
   EXPECT_EQ(*(*writer)->AppendTuple("readings", MakeReading("t1", 10)), 1u);
-  EXPECT_EQ(*(*writer)->AppendHeartbeat("", 20), 2u);
+  EXPECT_EQ(*(*writer)->AppendHeartbeat(20), 2u);
   EXPECT_EQ(*(*writer)->AppendTuple("readings", MakeReading("t2", 30)), 3u);
   ASSERT_TRUE((*writer)->Flush().ok());
   EXPECT_EQ((*writer)->records_appended(), 3u);
@@ -457,6 +458,24 @@ TEST_F(WalTest, TupleArityBeyondFrameIsAnError) {
   ASSERT_TRUE(WriteFileAtomic(path_, frame).ok());
   EXPECT_TRUE(ReadWal(path_).status().IsIoError());
   EXPECT_TRUE(ReadWalChain(path_).status().IsIoError());
+}
+
+// A crafted CRC-valid heartbeat frame that names a stream. Heartbeats
+// are engine-wide, so the decoder refuses the frame rather than leave
+// every reader a case it would have to handle.
+TEST_F(WalTest, HeartbeatNamingAStreamIsAnError) {
+  BinaryEncoder payload;
+  payload.PutU8(static_cast<uint8_t>(WalRecordKind::kHeartbeat));
+  payload.PutU64(1);        // lsn
+  payload.PutString("C1");  // stream: a heartbeat names none
+  payload.PutI64(42);       // ts
+  std::string frame;
+  AppendFrame(payload.buffer(), &frame);
+  ASSERT_EQ(frame.size(), 31u);
+  ASSERT_TRUE(WriteFileAtomic(path_, frame).ok());
+  EXPECT_TRUE(ReadWal(path_).status().IsIoError());
+  EXPECT_TRUE(ReadWalChain(path_).status().IsIoError());
+  EXPECT_TRUE(DecodeWalFrames(frame.data(), frame.size()).status().IsIoError());
 }
 
 TEST_F(WalTest, DestructorFlushesPending) {

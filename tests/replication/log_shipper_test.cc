@@ -1,7 +1,9 @@
 // LogShipper unit tests (replication/log_shipper.h): sealed-segment +
 // live-tail shipping rounds, manifest mirroring, incremental restarts,
 // shipped-copy pruning, lag measurement, and the corruption-injection
-// case — a flipped byte in a primary sealed segment must refuse to ship.
+// cases — a flipped byte in a primary sealed segment, or a segment whose
+// size or LSN range disagrees with its manifest entry, must refuse to
+// ship.
 
 #include "replication/log_shipper.h"
 
@@ -83,8 +85,8 @@ TEST_F(LogShipperTest, ShipsSealedSegmentsAndLiveTail) {
 
 TEST_F(LogShipperTest, ShipsLiveBytesBeforeAnySeal) {
   auto writer = OpenWriter(/*segment_bytes=*/1 << 20);  // never rotates
-  ASSERT_TRUE(writer->AppendHeartbeat("", 100).ok());
-  ASSERT_TRUE(writer->AppendHeartbeat("", 200).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(100).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(200).ok());
   ASSERT_TRUE(writer->Flush().ok());
 
   LogShipper shipper(primary_, standby_);
@@ -94,7 +96,7 @@ TEST_F(LogShipperTest, ShipsLiveBytesBeforeAnySeal) {
 
   // The next round ships only the delta.
   const uint64_t shipped_before = shipper.bytes_shipped();
-  ASSERT_TRUE(writer->AppendHeartbeat("", 300).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(300).ok());
   ASSERT_TRUE(writer->Flush().ok());
   ASSERT_TRUE(shipper.Ship().ok());
   EXPECT_GT(shipper.bytes_shipped(), shipped_before);
@@ -103,7 +105,7 @@ TEST_F(LogShipperTest, ShipsLiveBytesBeforeAnySeal) {
 
 TEST_F(LogShipperTest, SealMidStreamRestartsTheLiveCopy) {
   auto writer = OpenWriter(/*segment_bytes=*/1 << 20);
-  ASSERT_TRUE(writer->AppendHeartbeat("", 100).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(100).ok());
   ASSERT_TRUE(writer->Flush().ok());
 
   LogShipper shipper(primary_, standby_);
@@ -112,7 +114,7 @@ TEST_F(LogShipperTest, SealMidStreamRestartsTheLiveCopy) {
   // Seal, then append into the fresh live file: the shipped chain must
   // carry lsn 1 in a sealed copy and lsn 2 in the restarted live copy.
   ASSERT_TRUE(writer->SealActiveSegment().ok());
-  ASSERT_TRUE(writer->AppendHeartbeat("", 200).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(200).ok());
   ASSERT_TRUE(writer->Flush().ok());
   ASSERT_TRUE(shipper.Ship().ok());
   EXPECT_EQ(shipper.segments_shipped(), 1u);
@@ -121,14 +123,14 @@ TEST_F(LogShipperTest, SealMidStreamRestartsTheLiveCopy) {
 
 TEST_F(LogShipperTest, RestartedShipperResumesFromShippedManifest) {
   auto writer = OpenWriter(/*segment_bytes=*/1);
-  ASSERT_TRUE(writer->AppendHeartbeat("", 100).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(100).ok());
   ASSERT_TRUE(writer->Flush().ok());
   {
     LogShipper shipper(primary_, standby_);
     ASSERT_TRUE(shipper.Ship().ok());
     EXPECT_EQ(shipper.segments_shipped(), 1u);
   }
-  ASSERT_TRUE(writer->AppendHeartbeat("", 200).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(200).ok());
   ASSERT_TRUE(writer->Flush().ok());
   // A fresh shipper (process restart) must not re-ship segment 1.
   LogShipper shipper(primary_, standby_);
@@ -140,7 +142,7 @@ TEST_F(LogShipperTest, RestartedShipperResumesFromShippedManifest) {
 TEST_F(LogShipperTest, PruneShippedBeforeDropsWholeSegments) {
   auto writer = OpenWriter(/*segment_bytes=*/1);
   for (int i = 1; i <= 4; ++i) {
-    ASSERT_TRUE(writer->AppendHeartbeat("", i * 100).ok());
+    ASSERT_TRUE(writer->AppendHeartbeat(i * 100).ok());
   }
   ASSERT_TRUE(writer->Flush().ok());
   LogShipper shipper(primary_, standby_);
@@ -177,10 +179,41 @@ TEST_F(LogShipperTest, CorruptPrimarySegmentRefusesToShip) {
   EXPECT_TRUE(ShippedLsns().empty());
 }
 
+TEST_F(LogShipperTest, SegmentDisagreeingWithItsManifestRefusesToShip) {
+  // Clean frames, but a manifest entry recording another size or LSN
+  // range: the shipper refuses it at ship time instead of leaving the
+  // standby to fail on it later.
+  auto writer = OpenWriter(/*segment_bytes=*/1);
+  ASSERT_TRUE(writer->AppendHeartbeat(100).ok());
+  ASSERT_TRUE(writer->Flush().ok());
+  ASSERT_EQ(writer->sealed_segments().size(), 1u);
+  writer.reset();
+  auto manifest = ReadWalManifest(primary_);
+  ASSERT_TRUE(manifest.ok()) << manifest.status();
+  const WalManifest clean = *manifest;
+  for (int field = 0; field < 2; ++field) {
+    WalManifest bad = clean;
+    if (field == 0) {
+      ++bad.segments[0].bytes;
+    } else {
+      ++bad.segments[0].last_lsn;
+    }
+    ASSERT_TRUE(WriteWalManifest(primary_, bad).ok());
+    LogShipper shipper(primary_, standby_);
+    EXPECT_TRUE(shipper.Ship().IsIoError()) << "field " << field;
+    EXPECT_EQ(shipper.segments_shipped(), 0u);
+    EXPECT_TRUE(ShippedLsns().empty());
+  }
+  ASSERT_TRUE(WriteWalManifest(primary_, clean).ok());
+  LogShipper shipper(primary_, standby_);
+  ASSERT_TRUE(shipper.Ship().ok());
+  EXPECT_EQ(ShippedLsns(), std::vector<uint64_t>{1});
+}
+
 TEST_F(LogShipperTest, MeasureLagCountsUnshippedSegmentsAndLiveBytes) {
   auto writer = OpenWriter(/*segment_bytes=*/1);
-  ASSERT_TRUE(writer->AppendHeartbeat("", 100).ok());
-  ASSERT_TRUE(writer->AppendHeartbeat("", 200).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(100).ok());
+  ASSERT_TRUE(writer->AppendHeartbeat(200).ok());
   ASSERT_TRUE(writer->Flush().ok());
 
   LogShipper shipper(primary_, standby_);

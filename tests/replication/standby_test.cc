@@ -2,8 +2,9 @@
 // coordinated checkpoint, incremental WAL apply with shard-filtered
 // routing, and the fault-injection matrix the promotion protocol leans
 // on — a torn live tail is tolerated (the rest of the frame arrives
-// next round), while mid-file corruption, a corrupt sealed segment, or
-// an LSN gap permanently fail the standby (sticky health).
+// next round), while mid-file corruption, a corrupt sealed segment, a
+// tuple too short for its route, or an LSN gap permanently fail the
+// standby (sticky health).
 
 #include "replication/standby.h"
 
@@ -49,10 +50,9 @@ class StandbyShardTest : public ::testing::Test {
     auto writer = WalWriter::Open(path, first, options);
     EXPECT_TRUE(writer.ok()) << writer.status();
     for (int i = 0; i < count; ++i) {
-      EXPECT_TRUE((*writer)
-                      ->AppendHeartbeat(
-                          "", static_cast<Timestamp>(first + i) * 100)
-                      .ok());
+      EXPECT_TRUE(
+          (*writer)->AppendHeartbeat(static_cast<Timestamp>(first + i) * 100)
+              .ok());
     }
     EXPECT_TRUE((*writer)->Flush().ok());
     auto bytes = ReadFileAll(path);
@@ -66,6 +66,7 @@ class StandbyShardTest : public ::testing::Test {
 TEST_F(StandbyShardTest, BootstrapsFromCheckpointAndAppliesWalSuffix) {
   std::vector<std::string> primary_rows;
   std::string output_stream;
+  ShardRouting routing;
   {
     ShardedEngineOptions options;
     options.num_shards = 2;
@@ -102,14 +103,13 @@ TEST_F(StandbyShardTest, BootstrapsFromCheckpointAndAppliesWalSuffix) {
     ASSERT_TRUE(primary.AdvanceTime(Seconds(60)).ok());
     ASSERT_TRUE(primary.Flush().ok());
     primary.DrainOutputs();
+    routing = primary.routing();
   }
 
-  StandbyShard standby({/*shard_id=*/0, /*num_shards=*/2, EngineOptions{}});
+  StandbyShard standby({/*shard_id=*/0, routing, EngineOptions{}});
   ASSERT_TRUE(standby.ExecuteScript(kDdl).ok());
   ASSERT_TRUE(standby.RegisterQuery(kQuery).ok());
   ASSERT_TRUE(standby.Subscribe(output_stream).ok());
-  ASSERT_TRUE(standby.SetRoute("C1", 1, false).ok());  // tagid partitions
-  ASSERT_TRUE(standby.SetRoute("C2", 1, false).ok());
   ASSERT_TRUE(standby.Bootstrap(dir_).ok());
 
   auto chain = ReadWalChain(WalPath());
@@ -137,7 +137,7 @@ TEST_F(StandbyShardTest, TornLiveTailIsToleratedAndCompletesLater) {
   const std::string shipped = dir_ + "/shipped.log";
   ASSERT_TRUE(WriteFileAtomic(shipped, full.substr(0, full.size() - 3)).ok());
 
-  StandbyShard standby({0, 1, EngineOptions{}});
+  StandbyShard standby({0, ShardRouting{}, EngineOptions{}});
   ASSERT_TRUE(standby.Apply(shipped).ok()) << standby.health();
   EXPECT_TRUE(standby.health().ok());
   EXPECT_EQ(standby.applied_lsn(), 2u);  // the third frame is torn
@@ -155,7 +155,7 @@ TEST_F(StandbyShardTest, MidFileCorruptionIsStickyAndRefusesFurtherApplies) {
   const std::string shipped = dir_ + "/shipped.log";
   ASSERT_TRUE(WriteFileAtomic(shipped, bytes).ok());
 
-  StandbyShard standby({0, 1, EngineOptions{}});
+  StandbyShard standby({0, ShardRouting{}, EngineOptions{}});
   Status st = standby.Apply(shipped);
   EXPECT_FALSE(st.ok());
   EXPECT_FALSE(standby.health().ok());
@@ -173,12 +173,42 @@ TEST_F(StandbyShardTest, LsnGapFailsTheStandbyForGood) {
   const std::string shipped = dir_ + "/shipped.log";
   ASSERT_TRUE(WriteFileAtomic(shipped, a + b).ok());
 
-  StandbyShard standby({0, 1, EngineOptions{}});
+  StandbyShard standby({0, ShardRouting{}, EngineOptions{}});
   Status st = standby.Apply(shipped);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("gap"), std::string::npos) << st;
   EXPECT_FALSE(standby.health().ok());
   EXPECT_EQ(standby.applied_lsn(), 2u);
+}
+
+TEST_F(StandbyShardTest, TupleTooShortForItsRouteFailsHealth) {
+  // The primary routes C1 by tagid; a shipped C1 tuple without that
+  // column cannot be routed, which is corruption, not a skip.
+  ShardRouting routing;
+  {
+    ShardedEngineOptions options;
+    options.num_shards = 2;
+    ShardedEngine primary(options);
+    ASSERT_TRUE(primary.ExecuteScript(kDdl).ok());
+    routing = primary.routing();
+  }
+  WalOptions options;
+  options.group_commit_bytes = 0;
+  auto writer = WalWriter::Open(WalPath(), 1, options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  const SchemaPtr one_column = Schema::Make({{"readerid", TypeId::kString}});
+  ASSERT_TRUE((*writer)
+                  ->AppendTuple("C1", Tuple(one_column, {Value::String("r")},
+                                            Seconds(1)))
+                  .ok());
+  ASSERT_TRUE((*writer)->Flush().ok());
+
+  StandbyShard standby({0, routing, EngineOptions{}});
+  ASSERT_TRUE(standby.ExecuteScript(kDdl).ok());
+  Status st = standby.Apply(WalPath());
+  EXPECT_TRUE(st.IsIoError()) << st;
+  EXPECT_FALSE(standby.health().ok());
+  EXPECT_EQ(standby.applied_lsn(), 0u);
 }
 
 TEST_F(StandbyShardTest, CorruptShippedSealedSegmentFailsHealth) {
@@ -189,7 +219,7 @@ TEST_F(StandbyShardTest, CorruptShippedSealedSegmentFailsHealth) {
   auto writer = WalWriter::Open(wal, 1, options);
   ASSERT_TRUE(writer.ok()) << writer.status();
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE((*writer)->AppendHeartbeat("", (i + 1) * 100).ok());
+    ASSERT_TRUE((*writer)->AppendHeartbeat((i + 1) * 100).ok());
   }
   ASSERT_TRUE((*writer)->Flush().ok());
   ASSERT_EQ((*writer)->sealed_segments().size(), 3u);
@@ -201,7 +231,7 @@ TEST_F(StandbyShardTest, CorruptShippedSealedSegmentFailsHealth) {
   std::fputc('X', f);
   std::fclose(f);
 
-  StandbyShard standby({0, 1, EngineOptions{}});
+  StandbyShard standby({0, ShardRouting{}, EngineOptions{}});
   EXPECT_FALSE(standby.Apply(wal).ok());
   EXPECT_FALSE(standby.health().ok());
   // Only the segment before the corruption was applied.
