@@ -80,53 +80,69 @@ const SeqOperatorConfig* PlannedSeqConfig(const LintContext& ctx) {
 
 void UnboundedRetentionRule(const LintContext& ctx,
                             std::vector<Diagnostic>* out) {
+  const SeqOperatorConfig* config = PlannedSeqConfig(ctx);
   for (const SeqExpr* seq : ctx.seqs) {
-    if (seq->window.has_value()) continue;
+    // A window bounds retention only where the matcher evicts by it
+    // (SeqWindowEvicts: a PRECEDING side anchored at the last position).
+    // A statement that did not plan is taken at its word.
+    if (config != nullptr ? SeqWindowEvicts(*config)
+                          : seq->window.has_value()) {
+      continue;
+    }
+    const std::string no_window =
+        seq->window.has_value()
+            ? "under an OVER window that never evicts (only a PRECEDING "
+              "window anchored at the last position does)"
+            : "with no OVER window";
+    const char* window_hint =
+        "anchor an OVER [n unit PRECEDING] window at the last SEQ position";
     const PairingMode mode = EffectiveMode(*seq);
     if (mode == PairingMode::kUnrestricted) {
       out->push_back(Make(
           Severity::kError, "unbounded-retention",
           std::string(SeqKindToString(seq->seq_kind)) +
-              " pairs in UNRESTRICTED mode with no OVER window: every tuple "
-              "of every argument stream is retained forever" +
+              " pairs in UNRESTRICTED mode " + no_window +
+              ": every tuple of every argument stream is retained forever" +
               GrowthNote(ctx),
           seq->span,
-          "add an OVER [n unit PRECEDING|FOLLOWING anchor] window, or a MODE "
-          "clause that licenses purging (RECENT, CHRONICLE or CONSECUTIVE)"));
+          std::string(window_hint) +
+              ", or use a MODE clause that licenses purging (RECENT, "
+              "CHRONICLE or CONSECUTIVE)"));
       continue;  // the star buffers below are subsumed by this error
     }
     if (mode == PairingMode::kChronicle) {
       out->push_back(Make(
           Severity::kWarning, "unbounded-retention",
           "CHRONICLE pairing consumes tuples only when they match; unmatched "
-          "tuples are retained forever without an OVER window" +
-              GrowthNote(ctx),
-          seq->span,
-          "add an OVER [...] window to bound unmatched-tuple retention"));
+          "tuples are retained forever " +
+              no_window + GrowthNote(ctx),
+          seq->span, std::string(window_hint) +
+                         " to bound unmatched-tuple retention"));
       for (const SeqArg& arg : seq->args) {
         if (!arg.star) continue;
         out->push_back(Make(
             Severity::kWarning, "unbounded-retention",
             "star buffer of '" + arg.stream +
-                "*' accumulates until a later position closes the group; "
-                "without an OVER window an open group grows with the input",
-            arg.span, "add an OVER [...] window to bound the star group"));
+                "*' accumulates until a later position closes the group; " +
+                no_window + " an open group grows with the input",
+            arg.span, std::string(window_hint) + " to bound the star group"));
       }
     }
     if (mode == PairingMode::kRecent) {
       // RECENT purges by the matcher's own rule (RecentPurgeApplies);
       // outside it, it purges nothing, exactly like UNRESTRICTED.
-      const SeqOperatorConfig* config = PlannedSeqConfig(ctx);
       if (config != nullptr && !RecentPurgeApplies(*config)) {
         out->push_back(Make(
             Severity::kError, "unbounded-retention",
             "RECENT pairing purges history only when candidates qualify by "
-            "time order alone; with a pairwise condition or a negation "
-            "before a stored position and no OVER window, every tuple of "
-            "every argument stream is retained forever" +
+            "time order alone; with a pairwise condition, a negation "
+            "before a stored position or a window anchored before the "
+            "last position, and " +
+                no_window +
+                ", every tuple of every argument stream is retained "
+                "forever" +
                 GrowthNote(ctx),
-            seq->span,
-            "add an OVER [n unit PRECEDING|FOLLOWING anchor] window"));
+            seq->span, window_hint));
       }
     }
     // CONSECUTIVE purges superseded history on every arrival; no window

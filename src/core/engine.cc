@@ -7,28 +7,12 @@
 
 namespace eslev {
 
-Engine::Engine(EngineOptions options) : options_(options) {
-  // Validate the ingest options (DESIGN.md §15) up front; a constructor
-  // cannot return a Status, so a bad value parks the engine in an error
-  // state surfaced by the first API call instead of being ignored.
-  Status st = ValidateIngestOptions(options_.ingest);
-  if (!st.ok()) {
-    init_error_ = st;
-    return;
-  }
-  ingest_options_ = options_.ingest;
-  if (ingest_options_.enabled()) {
-    ingest_ = std::make_unique<IngestPipeline>(ingest_options_);
-    ingest_->BindDelivery(
-        [this](size_t port, const Tuple& t) {
-          Stream* s = IngestPortStream(port);
-          if (s == nullptr) {
-            return Status::IoError("ingest delivery for unknown port");
-          }
-          return DeliverTuple(s, t);
-        },
-        [this](Timestamp now) { return DeliverHeartbeat(now); });
-  }
+Engine::Engine(EngineOptions options)
+    : options_(options), front_(this, options_.ingest) {
+  // A constructor cannot return a Status, so a bad ingest option parks
+  // the engine in an error state surfaced by the first API call instead
+  // of being ignored.
+  init_error_ = front_.init_status();
 }
 
 Engine::~Engine() = default;
@@ -208,11 +192,9 @@ Status Engine::UnregisterQuery(int id) {
   }
   queries_.erase(queries_.begin() + index);
   if (!owned_stream.empty()) {
-    Stream* out = FindStream(owned_stream);
-    for (Stream*& cached : ingest_port_streams_) {
-      if (cached == out) cached = nullptr;
-    }
     streams_.erase(AsciiToLower(owned_stream));
+    front_.RebindPorts(
+        [this](const std::string& key) { return FindStream(key); });
   }
   // Re-derive the derived-stream set: an INSERT target whose last
   // producer just vanished must resume receiving source heartbeats.
@@ -360,8 +342,8 @@ Result<std::string> Engine::ExplainParsed(const Statement& stmt,
   std::string out;
   if (live != nullptr) {
     out += "Query " + std::to_string(shown.query_id) + " (analyzed)\n";
-    if (ingest_ != nullptr) {
-      out += ingest_->ExplainLine() + "\n";
+    if (front_.ingest_enabled()) {
+      out += front_.ingest()->ExplainLine() + "\n";
     }
   }
   for (size_t i = 0; i < shown.notes.size(); ++i) {
@@ -408,37 +390,24 @@ MetricsSnapshot Engine::Metrics() const {
       }
     }
   }
-  // Ingest (DESIGN.md §15).
-  if (ingest_ != nullptr) {
+  // Ingest (DESIGN.md §15) and durability (DESIGN.md §10).
+  front_.AppendMetrics(&snap);
+  if (front_.ingest_enabled()) {
     snap.gauges["ingest.input_clock"] =
         static_cast<int64_t>(ingest_input_clock_);
-    ingest_->AppendMetrics(&snap);
   } else {
     snap.gauges["ingest.enabled"] = 0;
   }
-  // Durability (DESIGN.md §10).
   snap.counters["recovery.checkpoints"] = checkpoints_taken_;
   snap.gauges["recovery.last_checkpoint_bytes"] =
       static_cast<int64_t>(last_checkpoint_bytes_);
   snap.gauges["recovery.last_checkpoint_duration_us"] =
       last_checkpoint_duration_us_;
-  snap.counters["recovery.wal_records_replayed"] = wal_records_replayed_;
-  snap.counters["recovery_truncated_frames"] = recovery_truncated_frames_;
   uint64_t suppressed = 0;
   for (const auto& [key, stream] : streams_) {
     suppressed += stream->callbacks_suppressed();
   }
   snap.counters["recovery.duplicates_suppressed"] = suppressed;
-  if (wal_ != nullptr) {
-    snap.counters["wal.records_appended"] = wal_->records_appended();
-    snap.counters["wal.group_commits"] = wal_->group_commits();
-    snap.counters["wal.bytes_written"] = wal_->bytes_written();
-    snap.counters["wal.segments_sealed"] = wal_->segments_sealed();
-    snap.counters["wal.segments_deleted"] = wal_->segments_deleted();
-    snap.gauges["wal.sealed_segments"] =
-        static_cast<int64_t>(wal_->sealed_segments().size());
-    snap.gauges["wal.live_bytes"] = static_cast<int64_t>(wal_->live_bytes());
-  }
   return snap;
 }
 
@@ -458,53 +427,43 @@ Status Engine::Push(const std::string& stream, std::vector<Value> values,
   return PushTuple(stream, tuple);
 }
 
-Status Engine::PushTuple(const std::string& stream, const Tuple& tuple) {
+Status Engine::Offer(const std::string& stream, const Tuple& tuple,
+                     bool log) {
   ESLEV_RETURN_NOT_OK(init_error_);
-  const std::string key = AsciiToLower(stream);
-  const auto found = streams_.find(key);
+  const auto found = streams_.find(AsciiToLower(stream));
   if (found == streams_.end()) {
     return Status::NotFound("stream not found: " + stream);
   }
   Stream* s = found->second.get();
-  // Ingest path (DESIGN.md §15): source-stream pushes go through the
-  // reorder/cleaning pipeline; it re-enters DeliverTuple with ordered,
-  // cleaned output. Direct pushes into derived streams bypass ingest.
-  if (ingest_ != nullptr && derived_.count(key) == 0) {
+  if (front_.ingest_enabled()) {
     // With a reorder stage, disorder up to the lateness bound is the
     // point — the stage owns the policy (buffer, or count as late).
     // Without one, the cleaning stage still requires ordered input.
-    if (ingest_options_.lateness_bound == 0 &&
-        options_.enforce_monotonic_time && tuple.ts() < ingest_input_clock_) {
+    if (front_.ingest_options().lateness_bound == 0 &&
+        tuple.ts() < ingest_input_clock_) {
       return Status::OutOfRange(
           "out-of-order tuple: ts " + FormatTimestamp(tuple.ts()) +
           " is before the ingest clock " +
           FormatTimestamp(ingest_input_clock_) +
           " (configure ingest.lateness_bound for disordered input)");
     }
-    if (wal_ != nullptr && !replaying_) {
-      ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(s->name(), tuple));
-      (void)lsn;
-    }
     ingest_input_clock_ = std::max(ingest_input_clock_, tuple.ts());
-    const size_t port = ingest_->PortFor(key);
-    if (port >= ingest_port_streams_.size()) {
-      ingest_port_streams_.resize(port + 1, nullptr);
-    }
-    ingest_port_streams_[port] = s;
-    return ingest_->Offer(port, tuple);
-  }
-  if (options_.enforce_monotonic_time && tuple.ts() < clock_) {
+  } else if (tuple.ts() < clock_) {
     return Status::OutOfRange(
         "out-of-order tuple: ts " + FormatTimestamp(tuple.ts()) +
         " is before the engine clock " + FormatTimestamp(clock_) +
         " (the joint tuple history is totally ordered)");
   }
-  // Write-ahead: the input is durable before any of its effects.
-  if (wal_ != nullptr && !replaying_) {
-    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(s->name(), tuple));
-    (void)lsn;
+  return front_.Push(s, s->name(), tuple, log);
+}
+
+Status Engine::Tick(Timestamp now, bool log) {
+  ESLEV_RETURN_NOT_OK(init_error_);
+  if (now < (front_.ingest_enabled() ? ingest_input_clock_ : clock_)) {
+    return Status::OutOfRange("time cannot move backwards");
   }
-  return DeliverTuple(s, tuple);
+  if (front_.ingest_enabled()) ingest_input_clock_ = now;
+  return front_.Tick(now, log);
 }
 
 Status Engine::DeliverTuple(Stream* s, const Tuple& tuple) {
@@ -519,59 +478,6 @@ Status Engine::DeliverHeartbeat(Timestamp now) {
     ESLEV_RETURN_NOT_OK(stream->Heartbeat(now));
   }
   return Status::OK();
-}
-
-Stream* Engine::IngestPortStream(size_t port) {
-  if (port < ingest_port_streams_.size() &&
-      ingest_port_streams_[port] != nullptr) {
-    return ingest_port_streams_[port];
-  }
-  Stream* s = FindStream(ingest_->port_name(port));
-  if (s != nullptr) {
-    if (port >= ingest_port_streams_.size()) {
-      ingest_port_streams_.resize(port + 1, nullptr);
-    }
-    ingest_port_streams_[port] = s;
-  }
-  return s;
-}
-
-Status Engine::SetIngestLateHandler(
-    std::function<Status(const std::string& stream, const Tuple&)> handler) {
-  ESLEV_RETURN_NOT_OK(init_error_);
-  if (ingest_ == nullptr || ingest_options_.lateness_bound == 0) {
-    return Status::Invalid(
-        "no ingest reorder stage configured (set ingest.lateness_bound)");
-  }
-  ingest_->SetLateHandler(std::move(handler));
-  return Status::OK();
-}
-
-Status Engine::AdvanceTime(Timestamp now) {
-  ESLEV_RETURN_NOT_OK(init_error_);
-  // Ingest path: the tick is recorded raw, then drives the reorder /
-  // cleaning frontiers; the pipeline re-enters DeliverHeartbeat with the
-  // held-back downstream frontier (now − lateness − window) once it is
-  // safe — no in-bound arrival can precede it.
-  if (ingest_ != nullptr) {
-    if (options_.enforce_monotonic_time && now < ingest_input_clock_) {
-      return Status::OutOfRange("time cannot move backwards");
-    }
-    if (wal_ != nullptr && !replaying_) {
-      ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat(now));
-      (void)lsn;
-    }
-    ingest_input_clock_ = std::max(ingest_input_clock_, now);
-    return ingest_->Heartbeat(now);
-  }
-  if (options_.enforce_monotonic_time && now < clock_) {
-    return Status::OutOfRange("time cannot move backwards");
-  }
-  if (wal_ != nullptr && !replaying_) {
-    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat(now));
-    (void)lsn;
-  }
-  return DeliverHeartbeat(now);
 }
 
 }  // namespace eslev

@@ -32,10 +32,9 @@
 #include "analysis/cost_model.h"
 #include "analysis/diagnostic.h"
 #include "common/metrics.h"
-#include "ingest/ingest_pipeline.h"
+#include "core/front_end.h"
 #include "plan/catalog.h"
 #include "plan/planner.h"
-#include "recovery/wal.h"
 #include "sql/parser.h"
 
 namespace eslev {
@@ -44,14 +43,12 @@ struct EngineOptions {
   /// Retention for ad-hoc snapshot queries over streams; 0 disables.
   /// Individual streams can override via Stream::SetRetention.
   Duration default_retention = 0;
-  /// Reject out-of-order Push timestamps (the paper's joint tuple
-  /// history is totally ordered). When false, out-of-order tuples are
-  /// accepted and processed in arrival order.
-  bool enforce_monotonic_time = true;
   /// Ingest subsystem (DESIGN.md §15): bounded reordering and RFID read
   /// cleaning between stream sources and the pipelines. Disabled by
-  /// default (all bounds 0) — input must arrive in timestamp order.
-  /// Invalid values surface as an error from the first API call.
+  /// default (all bounds 0) — input must arrive in timestamp order (the
+  /// paper's joint tuple history is totally ordered), and a push behind
+  /// the engine clock is rejected. Invalid values surface as an error
+  /// from the first API call.
   IngestOptions ingest;
 };
 
@@ -69,17 +66,6 @@ struct ReplayOptions {
   /// consumer that durably acknowledged N emissions receive exactly the
   /// lost tail. Takes precedence over `deliver_callbacks`.
   std::map<std::string, uint64_t> deliver_after;
-};
-
-/// \brief Outcome of a WAL replay.
-struct ReplayStats {
-  uint64_t records_replayed = 0;
-  /// Records at or below the checkpoint's covered LSN (already folded
-  /// into the restored state).
-  uint64_t records_skipped = 0;
-  /// The WAL ended in a torn frame (crash mid-append) that was dropped.
-  bool torn_tail = false;
-  uint64_t last_lsn = 0;
 };
 
 /// \brief Handle to a registered continuous query.
@@ -178,28 +164,28 @@ class Engine : public Catalog {
 
   // ---- data --------------------------------------------------------------
 
-  /// \brief Append a tuple to a source stream; drives all subscribed
-  /// pipelines to completion before returning.
+  /// \brief Append a tuple to a stream; drives all subscribed pipelines
+  /// to completion before returning. With ingest on, every push enters
+  /// the ingest pipeline, a push into a query's output stream included.
   Status Push(const std::string& stream, std::vector<Value> values,
               Timestamp ts);
-  Status PushTuple(const std::string& stream, const Tuple& tuple);
+  Status PushTuple(const std::string& stream, const Tuple& tuple) {
+    return Offer(stream, tuple, /*log=*/true);
+  }
 
   /// \brief The validated ingest options.
-  const IngestOptions& ingest_options() const { return ingest_options_; }
+  const IngestOptions& ingest_options() const {
+    return front_.ingest_options();
+  }
   /// \brief True when an ingest pipeline sits ahead of the engine.
-  bool ingest_enabled() const { return ingest_ != nullptr; }
+  bool ingest_enabled() const { return front_.ingest_enabled(); }
   /// \brief The ingest pipeline (null when disabled) — live stage gauges
   /// for tests and embedding layers.
-  const IngestPipeline* ingest_pipeline() const { return ingest_.get(); }
-  /// \brief Side channel receiving events beyond the ingest lateness
-  /// bound (stream name + dropped tuple). Invalid when no reorder stage
-  /// is configured.
-  Status SetIngestLateHandler(
-      std::function<Status(const std::string& stream, const Tuple&)> handler);
+  const IngestPipeline* ingest_pipeline() const { return front_.ingest(); }
 
   /// \brief Advance application time without a tuple: fires window
   /// expirations (active expiration) across all pipelines.
-  Status AdvanceTime(Timestamp now);
+  Status AdvanceTime(Timestamp now) { return Tick(now, /*log=*/true); }
 
   Timestamp current_time() const { return clock_; }
 
@@ -237,7 +223,7 @@ class Engine : public Catalog {
   Status RecoverFrom(const std::string& dir,
                      const ReplayOptions& options = {});
 
-  WalWriter* wal() const { return wal_.get(); }
+  WalWriter* wal() const { return front_.wal(); }
 
   // ---- catalog -----------------------------------------------------------
 
@@ -248,27 +234,34 @@ class Engine : public Catalog {
   const FunctionRegistry& registry() const override { return registry_; }
   FunctionRegistry* mutable_registry() { return &registry_; }
   Duration declared_disorder() const override {
-    return ingest_options_.declared_disorder;
+    return front_.ingest_options().declared_disorder;
   }
   Duration ingest_lateness() const override {
-    return ingest_options_.lateness_bound;
+    return front_.ingest_options().lateness_bound;
   }
 
  private:
+  friend class FrontEnd<Engine, Stream>;
+
   Status ExecuteStatement(const Statement& stmt);
   Result<QueryInfo> RegisterParsed(const Statement& stmt);
   Result<std::string> ExplainParsed(const Statement& stmt, bool analyze);
 
-  /// Re-drive already-read WAL records through the pipelines with
-  /// duplicate suppression armed (engine_checkpoint.cc).
-  Result<ReplayStats> ReplayRecords(const std::vector<WalRecord>& records,
-                                    const ReplayOptions& options);
+  /// Replay the WAL chain `read` through the pipelines with duplicate
+  /// suppression armed (engine_checkpoint.cc).
+  Result<ReplayStats> ReplayMuted(const WalChainReadResult& read,
+                                  const ReplayOptions& options);
 
-  // Post-ingest delivery into the pipelines: the tail of PushTuple
-  // (clock advance, dispatch).
+  // The host side of the front end (core/front_end.h). Offer and Tick
+  // apply the disorder policy and pass the input on, logged when `log`:
+  // an input behind the engine clock is rejected; with ingest on, the
+  // bar is the newest raw input instead, and a tuple may pass it when a
+  // reorder stage takes disorder. DeliverTuple and DeliverHeartbeat take
+  // ordered input into the pipelines (clock advance, dispatch).
+  Status Offer(const std::string& stream, const Tuple& tuple, bool log);
+  Status Tick(Timestamp now, bool log);
   Status DeliverTuple(Stream* s, const Tuple& tuple);
   Status DeliverHeartbeat(Timestamp now);
-  Stream* IngestPortStream(size_t port);
 
   EngineOptions options_;
   FunctionRegistry registry_;
@@ -281,23 +274,16 @@ class Engine : public Catalog {
   Timestamp clock_ = kMinTimestamp;
   int next_query_id_ = 1;
 
-  // Ingest subsystem (DESIGN.md §15).
-  IngestOptions ingest_options_;
-  std::unique_ptr<IngestPipeline> ingest_;
-  std::vector<Stream*> ingest_port_streams_;  // port -> stream cache
+  // The WAL and ingest ahead of the pipelines (DESIGN.md §10, §15).
+  FrontEnd<Engine, Stream> front_;
   Timestamp ingest_input_clock_ = kMinTimestamp;  // max ts offered to ingest
 
   Status init_error_ = Status::OK();  // invalid option, surfaced lazily
 
-  // Durability state (core/engine_checkpoint.cc).
-  std::unique_ptr<WalWriter> wal_;
-  bool replaying_ = false;            // suppress WAL appends during replay
-  uint64_t restored_wal_lsn_ = 0;     // last LSN covered by restored ckpt
+  // Checkpoint counters (core/engine_checkpoint.cc).
   uint64_t checkpoints_taken_ = 0;
   uint64_t last_checkpoint_bytes_ = 0;
   int64_t last_checkpoint_duration_us_ = 0;
-  uint64_t wal_records_replayed_ = 0;
-  uint64_t recovery_truncated_frames_ = 0;
 };
 
 }  // namespace eslev

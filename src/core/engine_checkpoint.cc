@@ -79,11 +79,7 @@ Status Engine::Checkpoint(const std::string& dir) {
                            ec.message());
   }
 
-  uint64_t wal_last_lsn = 0;
-  if (wal_ != nullptr) {
-    ESLEV_RETURN_NOT_OK(wal_->Flush());
-    wal_last_lsn = wal_->next_lsn() - 1;
-  }
+  ESLEV_ASSIGN_OR_RETURN(const uint64_t wal_last_lsn, front_.FlushWal());
 
   std::string out;
   {
@@ -130,7 +126,7 @@ Status Engine::Checkpoint(const std::string& dir) {
     }
     AppendFrame(frame.buffer(), &out);
   }
-  if (ingest_ != nullptr) {
+  if (front_.ingest_enabled()) {
     // Optional ingest frame: raw input clock + buffered stage state
     // (reorder buffer, open smoothing groups, held-back emissions).
     // Written between the query frames and the end marker so the
@@ -139,7 +135,7 @@ Status Engine::Checkpoint(const std::string& dir) {
     frame.PutString(kIngestFrameTag);
     frame.PutI64(ingest_input_clock_);
     BinaryEncoder state;
-    ESLEV_RETURN_NOT_OK(ingest_->SaveState(&state));
+    ESLEV_RETURN_NOT_OK(front_.SaveIngestState(&state));
     frame.PutString(state.buffer());
     AppendFrame(frame.buffer(), &out);
   }
@@ -148,9 +144,7 @@ Status Engine::Checkpoint(const std::string& dir) {
   ESLEV_RETURN_NOT_OK(
       WriteFileAtomic(dir + "/" + kCheckpointFileName, out));
   // The checkpoint covers everything up to wal_last_lsn; drop it.
-  if (wal_ != nullptr) {
-    ESLEV_RETURN_NOT_OK(wal_->TruncateBefore(wal_last_lsn + 1));
-  }
+  ESLEV_RETURN_NOT_OK(front_.TruncateWalBefore(wal_last_lsn + 1));
 
   ++checkpoints_taken_;
   last_checkpoint_bytes_ = out.size();
@@ -192,7 +186,7 @@ Status Engine::Restore(const std::string& dir) {
   // versa (same topology contract as streams/tables/queries).
   const size_t expected_frames = 2u + static_cast<size_t>(nstreams) +
                                  ntables + nqueries +
-                                 (ingest_ != nullptr ? 1u : 0u);
+                                 (front_.ingest_enabled() ? 1u : 0u);
   if (frames.payloads.size() != expected_frames) {
     return Status::IoError(
         "checkpoint: frame count mismatch (ingest configuration must match "
@@ -276,7 +270,7 @@ Status Engine::Restore(const std::string& dir) {
   }
   Timestamp staged_ingest_clock = kMinTimestamp;
   std::string staged_ingest_blob;
-  if (ingest_ != nullptr) {
+  if (front_.ingest_enabled()) {
     BinaryDecoder dec(frames.payloads[fi++]);
     ESLEV_ASSIGN_OR_RETURN(std::string tag, dec.GetString());
     if (tag != kIngestFrameTag) {
@@ -320,37 +314,23 @@ Status Engine::Restore(const std::string& dir) {
                              "': trailing state bytes");
     }
   }
-  if (ingest_ != nullptr) {
-    BinaryDecoder dec(staged_ingest_blob);
-    ESLEV_RETURN_NOT_OK(ingest_->RestoreState(&dec));
-    if (!dec.AtEnd()) {
-      return Status::IoError("ingest: trailing state bytes");
-    }
+  if (front_.ingest_enabled()) {
+    ESLEV_RETURN_NOT_OK(front_.RestoreIngestState(
+        staged_ingest_blob,
+        [this](const std::string& key) { return FindStream(key); }));
     ingest_input_clock_ = staged_ingest_clock;
-    // Port->stream bindings are rediscovered lazily from port names.
-    ingest_port_streams_.clear();
   }
   clock_ = clock;
-  restored_wal_lsn_ = wal_last_lsn;
+  front_.set_restored_lsn(wal_last_lsn);
   return Status::OK();
 }
 
 Status Engine::EnableWal(const std::string& path, WalOptions options) {
-  if (wal_ != nullptr) {
-    return Status::Invalid("WAL already enabled at " + wal_->path());
-  }
-  ESLEV_ASSIGN_OR_RETURN(WalChainReadResult read, ReadWalChain(path));
-  if (read.live_torn_tail) ++recovery_truncated_frames_;
-  const uint64_t last_lsn =
-      std::max(read.records.empty() ? uint64_t{0} : read.records.back().lsn,
-               restored_wal_lsn_);
-  options.truncate_to_bytes = read.live_valid_bytes;
-  ESLEV_ASSIGN_OR_RETURN(wal_, WalWriter::Open(path, last_lsn + 1, options));
-  return Status::OK();
+  return front_.EnableWal(path, std::move(options));
 }
 
-Result<ReplayStats> Engine::ReplayRecords(const std::vector<WalRecord>& records,
-                                          const ReplayOptions& options) {
+Result<ReplayStats> Engine::ReplayMuted(const WalChainReadResult& read,
+                                        const ReplayOptions& options) {
   // Arm duplicate suppression: mute callbacks up to each stream's
   // per-consumer threshold (UINT64_MAX = the whole replay).
   std::map<std::string, uint64_t> overrides;
@@ -367,63 +347,32 @@ Result<ReplayStats> Engine::ReplayRecords(const std::vector<WalRecord>& records,
       muted.push_back(stream.get());
     }
   }
-
-  ReplayStats stats;
-  replaying_ = true;
-  Status status;
-  for (const WalRecord& record : records) {
-    stats.last_lsn = std::max(stats.last_lsn, record.lsn);
-    if (record.lsn <= restored_wal_lsn_) {
-      ++stats.records_skipped;
-      continue;
-    }
-    if (record.kind == WalRecordKind::kTuple) {
-      status = PushTuple(record.stream, *record.tuple);
-    } else {
-      status = AdvanceTime(record.ts);
-    }
-    if (!status.ok()) break;
-    ++stats.records_replayed;
-  }
-  replaying_ = false;
+  Result<ReplayStats> stats = front_.Replay(read);
   // Un-mute: deliveries resume with the next live emission.
   for (Stream* stream : muted) {
     stream->set_deliver_after_seq(stream->tuples_pushed());
   }
-  ESLEV_RETURN_NOT_OK(status);
-  wal_records_replayed_ += stats.records_replayed;
   return stats;
 }
 
 Result<ReplayStats> Engine::ReplayWal(const std::string& path,
                                       const ReplayOptions& options) {
-  ESLEV_ASSIGN_OR_RETURN(WalChainReadResult read, ReadWalChain(path));
-  if (read.live_torn_tail) ++recovery_truncated_frames_;
-  ESLEV_ASSIGN_OR_RETURN(ReplayStats stats,
-                         ReplayRecords(read.records, options));
-  stats.torn_tail = read.live_torn_tail;
-  return stats;
+  ESLEV_ASSIGN_OR_RETURN(WalChainReadResult read, front_.ReadWal(path));
+  return ReplayMuted(read, options);
 }
 
 Status Engine::RecoverFrom(const std::string& dir,
                            const ReplayOptions& options) {
-  if (wal_ != nullptr) {
+  if (front_.wal() != nullptr) {
     return Status::Invalid("WAL already enabled before RecoverFrom");
   }
   ESLEV_RETURN_NOT_OK(Restore(dir));
   const std::string wal_path = dir + "/" + kWalFileName;
   // Read the WAL chain once: replay the suffix, then reopen for append
   // with any torn live tail truncated away.
-  ESLEV_ASSIGN_OR_RETURN(WalChainReadResult read, ReadWalChain(wal_path));
-  if (read.live_torn_tail) ++recovery_truncated_frames_;
-  ESLEV_ASSIGN_OR_RETURN(ReplayStats stats,
-                         ReplayRecords(read.records, options));
-  WalOptions wal_options;
-  wal_options.truncate_to_bytes = read.live_valid_bytes;
-  const uint64_t last_lsn = std::max(stats.last_lsn, restored_wal_lsn_);
-  ESLEV_ASSIGN_OR_RETURN(wal_,
-                         WalWriter::Open(wal_path, last_lsn + 1, wal_options));
-  return Status::OK();
+  ESLEV_ASSIGN_OR_RETURN(WalChainReadResult read, front_.ReadWal(wal_path));
+  ESLEV_RETURN_NOT_OK(ReplayMuted(read, options).status());
+  return front_.OpenWal(wal_path, WalOptions{}, read);
 }
 
 }  // namespace eslev

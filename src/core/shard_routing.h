@@ -16,8 +16,6 @@
 
 namespace eslev {
 
-inline constexpr size_t kNoIngestPort = SIZE_MAX;
-
 /// \brief How one stream is partitioned: the key column whose
 /// Value::Hash picks the shard, or shard 0 for a stream whose matches
 /// cross partitions (ShardedEngine::SetSingleShard).
@@ -26,10 +24,6 @@ struct StreamRoute {
   SchemaPtr schema;
   size_t key_index = 0;
   bool single_shard = false;
-  /// The coordinator's front-end ingest port for the stream, assigned on
-  /// its first offer (kNoIngestPort before). Guarded by the
-  /// coordinator's ingest mutex; a standby never reads it.
-  mutable size_t ingest_port = kNoIngestPort;
 };
 
 /// \brief Every stream's route, over a fixed shard count. A value type:

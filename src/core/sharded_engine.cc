@@ -9,7 +9,7 @@
 namespace eslev {
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
-    : options_(options) {
+    : options_(options), front_(this, options.engine.ingest) {
   if (options_.num_shards == 0) options_.num_shards = 1;
   if (options_.route_batch_size < 1 ||
       options_.route_batch_size > kMaxRouteBatchSize) {
@@ -18,33 +18,11 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
         " is out of range; accepted range is [1, " +
         std::to_string(kMaxRouteBatchSize) + "]");
   }
-  // Ingest runs once, at the routing layer, ahead of hash partitioning
+  if (init_error_.ok()) init_error_ = front_.init_status();
+  // Ingest runs once, in the front end ahead of hash partitioning
   // (per-shard reordering could not restore cross-shard input order, and
   // the front-end WAL must keep raw arrival order). Shard engines are
   // pinned to ingest-disabled below.
-  if (init_error_.ok()) {
-    Status st = ValidateIngestOptions(options_.engine.ingest);
-    if (st.ok()) {
-      ingest_options_ = options_.engine.ingest;
-    } else {
-      init_error_ = st;
-    }
-  }
-  if (init_error_.ok() && ingest_options_.enabled()) {
-    front_ingest_ = std::make_unique<IngestPipeline>(ingest_options_);
-    front_ingest_->BindDelivery(
-        [this](size_t port, Tuple t) {
-          return RouteReleased(port < ingest_port_routes_.size()
-                                   ? ingest_port_routes_[port]
-                                   : nullptr,
-                               std::move(t));
-        },
-        [this](Timestamp now) {
-          ingest_fanned_hb_.store(now, std::memory_order_release);
-          FanHeartbeat(now);
-          return Status::OK();
-        });
-  }
   EngineOptions shard_options = options_.engine;
   shard_options.ingest = IngestOptions{};
   routing_.num_shards = options_.num_shards;
@@ -248,26 +226,10 @@ Status ShardedEngine::PruneDeadRoutes() {
   for (auto it = routes.begin(); it != routes.end();) {
     it = live.count(it->first) ? std::next(it) : routes.erase(it);
   }
-  if (front_ingest_ != nullptr) {
-    // Lock order per OfferIngest: routes_mu_ -> ... -> ingest_mu_.
-    std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-    RebuildIngestPortCache();
-  }
+  std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
+  front_.RebindPorts(
+      [this](const std::string& key) { return routing_.Find(key); });
   return Status::OK();
-}
-
-void ShardedEngine::RebuildIngestPortCache() {
-  for (auto& [key, route] : routing_.routes) {
-    route.ingest_port = kNoIngestPort;
-  }
-  ingest_port_routes_.assign(front_ingest_->num_ports(), nullptr);
-  for (size_t port = 0; port < ingest_port_routes_.size(); ++port) {
-    const StreamRoute* route =
-        routing_.Find(front_ingest_->port_name(port));
-    if (route == nullptr) continue;  // stream dropped since its first offer
-    route->ingest_port = port;
-    ingest_port_routes_[port] = route;
-  }
 }
 
 Status ShardedEngine::Subscribe(const std::string& stream,
@@ -368,11 +330,26 @@ Status ShardedEngine::Push(const std::string& stream,
 
 Status ShardedEngine::PushTuple(const std::string& stream,
                                 const Tuple& tuple) {
-  return RouteTuple(stream, tuple, /*log_to_wal=*/true);
+  return Offer(stream, tuple, /*log=*/true);
 }
 
-Status ShardedEngine::RouteTuple(const std::string& stream, const Tuple& tuple,
-                                 bool log_to_wal) {
+template <typename Fn>
+Status ShardedEngine::WithFrontEnd(bool log, Fn&& fn) {
+  // Append + enqueue under one mutex: the WAL's total order is then a
+  // linearization consistent with the shard's queue order (a route batch
+  // buffers in WAL order too, so a crash with a pending batch loses
+  // nothing), and replaying the log front to back reproduces the
+  // identical per-shard history.
+  std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
+  log = log && wal_enabled_.load(std::memory_order_acquire);
+  if (log) wal_lock.lock();
+  std::unique_lock<std::mutex> ingest_lock(ingest_mu_, std::defer_lock);
+  if (front_.ingest_enabled()) ingest_lock.lock();
+  return fn(log);
+}
+
+Status ShardedEngine::Offer(const std::string& stream, const Tuple& tuple,
+                            bool log) {
   ESLEV_RETURN_NOT_OK(init_error_);
   std::shared_lock<std::shared_mutex> lock(routes_mu_);
   const StreamRoute* route = routing_.Find(stream);
@@ -380,56 +357,25 @@ Status ShardedEngine::RouteTuple(const std::string& stream, const Tuple& tuple,
     return Status::NotFound("stream not found: " + stream);
   }
   ESLEV_RETURN_NOT_OK(routing_.CheckKey(*route, tuple));
-  if (front_ingest_ != nullptr) {
-    return OfferIngest(*route, tuple, log_to_wal);
-  }
+  return WithFrontEnd(log, [&](bool logged) {
+    return front_.Push(route, route->name, tuple, logged);
+  });
+}
+
+Status ShardedEngine::Tick(Timestamp now, bool log) {
+  return WithFrontEnd(
+      log, [&](bool logged) { return front_.Tick(now, logged); });
+}
+
+Status ShardedEngine::DeliverTuple(const StreamRoute* route, Tuple tuple) {
   const size_t shard = routing_.ShardOf(*route, tuple);
-  // Append + enqueue under one mutex: the WAL's total order is then a
-  // linearization consistent with the shard's queue order (a route batch
-  // buffers in WAL order too, so a crash with a pending batch loses
-  // nothing), and replaying the log front to back reproduces the
-  // identical per-shard history.
-  std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
-  if (log_to_wal && wal_enabled_.load(std::memory_order_acquire)) {
-    wal_lock.lock();
-    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(route->name, tuple));
-    (void)lsn;
-  }
-  EnqueueRouted(shard, &route->name, tuple);
+  EnqueueRouted(shard, &route->name, std::move(tuple));
   return Status::OK();
 }
 
-Status ShardedEngine::OfferIngest(const StreamRoute& route, const Tuple& tuple,
-                                  bool log_to_wal) {
-  // The raw tuple is logged before it enters the pipeline, so the WAL
-  // keeps arrival order and replay re-derives every release.
-  std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
-  if (log_to_wal && wal_enabled_.load(std::memory_order_acquire)) {
-    wal_lock.lock();
-    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendTuple(route.name, tuple));
-    (void)lsn;
-  }
-  std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-  if (route.ingest_port == kNoIngestPort) {
-    // The stream's first offer assigns its port; later offers reuse it.
-    const size_t port = front_ingest_->PortFor(AsciiToLower(route.name));
-    if (port >= ingest_port_routes_.size()) {
-      ingest_port_routes_.resize(port + 1, nullptr);
-    }
-    ingest_port_routes_[port] = &route;  // stable: route nodes persist
-    route.ingest_port = port;
-  }
-  return front_ingest_->Offer(route.ingest_port, tuple);
-}
-
-Status ShardedEngine::RouteReleased(const StreamRoute* route, Tuple tuple) {
-  if (route == nullptr) {
-    return Status::ExecutionError(
-        "ingest released a tuple on an unbound port (pipeline state does "
-        "not match the rebuilt catalog)");
-  }
-  const size_t shard = routing_.ShardOf(*route, tuple);
-  EnqueueRouted(shard, &route->name, std::move(tuple));
+Status ShardedEngine::DeliverHeartbeat(Timestamp now) {
+  ingest_fanned_hb_.store(now, std::memory_order_release);
+  FanHeartbeat(now);
   return Status::OK();
 }
 
@@ -513,23 +459,8 @@ Status ShardedEngine::AdvanceProducer(int id, Timestamp now) {
   std::optional<Timestamp> low = watermark_.Advance(id, now);
   if (!low.has_value()) return Status::OK();  // watermark did not move
   // Heartbeats drive active expiration, so they must be replayable: the
-  // raw tick is logged ordered with the tuple appends, and what it drives
-  // runs under the same lock.
-  std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
-  if (wal_enabled_.load(std::memory_order_acquire)) {
-    wal_lock.lock();
-    ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat(*low));
-    (void)lsn;
-  }
-  if (front_ingest_ != nullptr) {
-    // The tick drives the pipeline frontiers; shards hear the held-back
-    // release frontier via the delivery heartbeat callback (FanHeartbeat)
-    // once no in-bound arrival can precede it.
-    std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-    return front_ingest_->Heartbeat(*low);
-  }
-  FanHeartbeat(*low);
-  return Status::OK();
+  // raw tick is logged ordered with the tuple appends.
+  return Tick(*low, /*log=*/true);
 }
 
 Status ShardedEngine::AdvanceTime(Timestamp now) {
@@ -611,15 +542,8 @@ Result<std::vector<Tuple>> ShardedEngine::ExecuteSnapshot(
 }
 
 ShardRouting ShardedEngine::routing() const {
-  // Copied field by field: each route's ingest port is guarded by
-  // ingest_mu_, not routes_mu_, and stays out of the copy.
   std::shared_lock<std::shared_mutex> lock(routes_mu_);
-  ShardRouting copy{routing_.num_shards, {}};
-  for (const auto& [key, route] : routing_.routes) {
-    copy.routes.emplace(key, StreamRoute{route.name, route.schema,
-                                         route.key_index, route.single_shard});
-  }
-  return copy;
+  return routing_;
 }
 
 std::vector<uint64_t> ShardedEngine::shard_tuple_counts() const {
@@ -679,16 +603,6 @@ Result<MetricsSnapshot> ShardedEngine::Metrics() {
     }
     snap.gauges["sharded.batch.pending"] = pending;
   }
-  if (front_ingest_ != nullptr) {
-    MetricsSnapshot ingest_snap;
-    {
-      std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-      front_ingest_->AppendMetrics(&ingest_snap);
-    }
-    ingest_snap.gauges["ingest.fanned_hb"] =
-        static_cast<int64_t>(ingest_fanned_hb_.load(std::memory_order_acquire));
-    snap.Merge("sharded.", ingest_snap);
-  }
   snap.gauges["sharded.watermark.low"] =
       static_cast<int64_t>(watermark_.low_watermark());
   snap.gauges["sharded.watermark.max_producer"] =
@@ -697,31 +611,26 @@ Result<MetricsSnapshot> ShardedEngine::Metrics() {
       static_cast<int64_t>(watermark_lag());
   snap.histograms["sharded.drain.reorder_distance"] =
       drain_reorder_distance_.Snapshot();
-  // Front-end durability counters (DESIGN.md §10).
-  snap.counters["sharded.recovery.checkpoints"] =
-      checkpoints_taken_.load(std::memory_order_relaxed);
-  snap.counters["sharded.recovery.wal_records_replayed"] =
-      wal_records_replayed_.load(std::memory_order_relaxed);
-  snap.counters["sharded.recovery_truncated_frames"] =
-      recovery_truncated_frames_.load(std::memory_order_relaxed);
-  snap.counters["sharded.recovery.replay_outputs_discarded"] =
-      replay_outputs_discarded_.load(std::memory_order_relaxed);
-  snap.gauges["sharded.recovery.last_checkpoint_bytes"] = static_cast<int64_t>(
-      last_checkpoint_bytes_.load(std::memory_order_relaxed));
-  snap.gauges["sharded.recovery.last_checkpoint_duration_us"] =
-      last_checkpoint_duration_us_.load(std::memory_order_relaxed);
-  if (wal_enabled_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> wal_lock(wal_mu_);
-    snap.counters["sharded.wal.records_appended"] = wal_->records_appended();
-    snap.counters["sharded.wal.group_commits"] = wal_->group_commits();
-    snap.counters["sharded.wal.bytes_written"] = wal_->bytes_written();
-    snap.counters["sharded.wal.segments_sealed"] = wal_->segments_sealed();
-    snap.counters["sharded.wal.segments_deleted"] = wal_->segments_deleted();
-    snap.gauges["sharded.wal.sealed_segments"] =
-        static_cast<int64_t>(wal_->sealed_segments().size());
-    snap.gauges["sharded.wal.live_bytes"] =
-        static_cast<int64_t>(wal_->live_bytes());
+  // Front-end ingest (DESIGN.md §15) and durability (DESIGN.md §10),
+  // read under the locks of a logged call.
+  MetricsSnapshot front;
+  (void)WithFrontEnd(/*log=*/true, [&](bool) {
+    front_.AppendMetrics(&front);
+    return Status::OK();
+  });
+  if (front_.ingest_enabled()) {
+    front.gauges["ingest.fanned_hb"] =
+        static_cast<int64_t>(ingest_fanned_hb_.load(std::memory_order_acquire));
   }
+  front.counters["recovery.checkpoints"] =
+      checkpoints_taken_.load(std::memory_order_relaxed);
+  front.counters["recovery.replay_outputs_discarded"] =
+      replay_outputs_discarded_.load(std::memory_order_relaxed);
+  front.gauges["recovery.last_checkpoint_bytes"] = static_cast<int64_t>(
+      last_checkpoint_bytes_.load(std::memory_order_relaxed));
+  front.gauges["recovery.last_checkpoint_duration_us"] =
+      last_checkpoint_duration_us_.load(std::memory_order_relaxed);
+  snap.Merge("sharded.", front);
   return snap;
 }
 

@@ -196,8 +196,10 @@ class ShardedEngine {
   /// hash partitioning, so the WAL keeps raw input order and every shard
   /// sees the identical cleaned release sequence it would see in the
   /// single-engine run.
-  bool ingest_enabled() const { return front_ingest_ != nullptr; }
-  const IngestOptions& ingest_options() const { return ingest_options_; }
+  bool ingest_enabled() const { return front_.ingest_enabled(); }
+  const IngestOptions& ingest_options() const {
+    return front_.ingest_options();
+  }
   /// \brief The routing-layer batch size; 1 means tuple-at-a-time
   /// enqueueing.
   size_t route_batch_size() const { return options_.route_batch_size; }
@@ -209,8 +211,8 @@ class ShardedEngine {
     const Timestamp low = watermark_.low_watermark();
     return max_clock > low ? max_clock - low : 0;
   }
-  /// \brief A copy of the routing table (without ingest ports) — what a
-  /// standby filters the shipped WAL with (DESIGN.md §12).
+  /// \brief A copy of the routing table — what a standby filters the
+  /// shipped WAL with (DESIGN.md §12).
   ShardRouting routing() const;
   /// \brief Tuples routed to each shard so far (for balance checks).
   std::vector<uint64_t> shard_tuple_counts() const;
@@ -289,27 +291,31 @@ class ShardedEngine {
   void WorkerLoop(Shard* shard);
   void RecordError(Shard* shard, const Status& status);
 
-  /// \brief Resolve the route and enqueue onto the owning shard, logging
-  /// to the front-end WAL first when enabled and `log_to_wal` is set
-  /// (replay passes false: replayed records are already on disk).
-  Status RouteTuple(const std::string& stream, const Tuple& tuple,
-                    bool log_to_wal);
-  /// \brief Ingest path of RouteTuple: append the RAW tuple to the WAL
-  /// (releases are derived state and are never logged), then offer it to
-  /// the front-end pipeline under `ingest_mu_`. Lock order:
-  /// routes_mu_ (shared) -> wal_mu_ -> ingest_mu_ -> pending_mu_.
-  Status OfferIngest(const StreamRoute& route, const Tuple& tuple,
-                     bool log_to_wal);
-  /// \brief Deliver one ordered, cleaned release to its shard (called
-  /// from the ingest delivery callbacks, under `ingest_mu_`). No WAL
+  // The host side of the front end (core/front_end.h), which takes no
+  // lock: Offer and Tick hold `wal_mu_` when they log (WAL order is then
+  // every shard's queue order) and `ingest_mu_` around the pipeline.
+  // Lock order: routes_mu_ (shared) -> wal_mu_ -> ingest_mu_ ->
+  // pending_mu_.
+  friend class FrontEnd<ShardedEngine, const StreamRoute>;
+  /// \brief Resolve the route and pass the tuple to the front end,
+  /// logged when `log` and the WAL is on (replay passes false: replayed
+  /// records are already on disk).
+  Status Offer(const std::string& stream, const Tuple& tuple, bool log);
+  /// \brief Pass a tick to the front end, logged when `log`.
+  Status Tick(Timestamp now, bool log);
+  /// \brief Run `fn(log)` under the front end's locks: `wal_mu_` when
+  /// `log` and the WAL is on (`fn` receives whether to log), `ingest_mu_`
+  /// when ingest is on.
+  template <typename Fn>
+  Status WithFrontEnd(bool log, Fn&& fn);
+  /// \brief Enqueue one ordered tuple on its shard: an input when ingest
+  /// is off, else a release of the pipeline (under `ingest_mu_`). No WAL
   /// append — recovery re-derives releases by replaying raw input
   /// through the restored pipeline.
-  Status RouteReleased(const StreamRoute* route, Tuple tuple);
-  /// \brief Re-derive every route's cached ingest port and the per-port
-  /// route table from the pipeline's port names; a port whose stream has
-  /// no route maps to nullptr. Call with routes_mu_ (either mode) and
-  /// ingest_mu_ held.
-  void RebuildIngestPortCache();
+  Status DeliverTuple(const StreamRoute* route, Tuple tuple);
+  /// \brief Fan an ordered heartbeat to every shard, remembering it as
+  /// the last one the front end released.
+  Status DeliverHeartbeat(Timestamp now);
   /// \brief Enqueue a heartbeat item on every shard. Flushes pending
   /// route batches first — heartbeats are batch boundaries, so a shard
   /// never observes a tick ahead of tuples routed before it.
@@ -376,17 +382,12 @@ class ShardedEngine {
 
   // Front-end ingest (DESIGN.md §15): one pipeline ahead of the hash
   // partitioner. `ingest_mu_` serializes all pipeline access; delivery
-  // callbacks run inside it and use the per-port route cache (stable
-  // pointers into routing_) instead of re-locking routes_mu_, and offers
-  // use the port cached on each route.
+  // callbacks run inside it.
   // `ingest_fanned_hb_` is the last heartbeat the pipeline released to
   // the shards — the alignment point for checkpoint quiesce (fanning
   // the raw low watermark would run shard clocks ahead of the held-back
   // release frontier and clamp future releases forward).
-  IngestOptions ingest_options_;
-  std::unique_ptr<IngestPipeline> front_ingest_;
   std::mutex ingest_mu_;
-  std::vector<const StreamRoute*> ingest_port_routes_;
   std::atomic<Timestamp> ingest_fanned_hb_{kMinTimestamp};
 
   /// How far tuples move during the drain-merge sort: 0 means per-shard
@@ -404,13 +405,10 @@ class ShardedEngine {
   // stays lock-free.
   std::atomic<bool> wal_enabled_{false};
   std::mutex wal_mu_;
-  std::unique_ptr<WalWriter> wal_;
-  uint64_t restored_wal_lsn_ = 0;
+  FrontEnd<ShardedEngine, const StreamRoute> front_;
   std::atomic<uint64_t> checkpoints_taken_{0};
   std::atomic<uint64_t> last_checkpoint_bytes_{0};
   std::atomic<int64_t> last_checkpoint_duration_us_{0};
-  std::atomic<uint64_t> wal_records_replayed_{0};
-  std::atomic<uint64_t> recovery_truncated_frames_{0};
   std::atomic<uint64_t> replay_outputs_discarded_{0};
   /// Replication slot: checkpoint-driven WAL truncation never drops
   /// records at or above this LSN, so sealed segments a standby still

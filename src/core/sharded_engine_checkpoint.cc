@@ -57,7 +57,7 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
   // shard clocks past the held-back release frontier and clamp future
   // releases forward.
   const Timestamp low = watermark_.low_watermark();
-  if (front_ingest_ != nullptr) {
+  if (front_.ingest_enabled()) {
     const Timestamp fanned = ingest_fanned_hb_.load(std::memory_order_acquire);
     if (fanned != kMinTimestamp) FanHeartbeat(fanned);
   } else if (low != kMinTimestamp) {
@@ -72,11 +72,7 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
                            ec.message());
   }
 
-  uint64_t wal_last_lsn = 0;
-  if (wal_ != nullptr) {
-    ESLEV_RETURN_NOT_OK(wal_->Flush());
-    wal_last_lsn = wal_->next_lsn() - 1;
-  }
+  ESLEV_ASSIGN_OR_RETURN(const uint64_t wal_last_lsn, front_.FlushWal());
 
   // Each shard engine checkpoints on its own worker thread (exclusive
   // engine access); all shards snapshot the same quiesced cut.
@@ -91,13 +87,13 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
     return engine.Checkpoint(dir + "/" + ShardDirName(i));
   }));
 
-  if (front_ingest_ != nullptr) {
+  if (front_.ingest_enabled()) {
     BinaryEncoder frame;
     frame.PutI64(ingest_fanned_hb_.load(std::memory_order_acquire));
     BinaryEncoder state;
     {
       std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-      ESLEV_RETURN_NOT_OK(front_ingest_->SaveState(&state));
+      ESLEV_RETURN_NOT_OK(front_.SaveIngestState(&state));
     }
     frame.PutString(state.buffer());
     std::string bytes;
@@ -111,12 +107,9 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
   // covered by the shard checkpoints and can be dropped — except sealed
   // segments a replication standby has not consumed yet (the truncation
   // floor, a replication slot maintained by ReplicatedShardedEngine).
-  if (wal_ != nullptr) {
-    const uint64_t floor =
-        wal_truncate_floor_.load(std::memory_order_acquire);
-    ESLEV_RETURN_NOT_OK(
-        wal_->TruncateBefore(std::min(wal_last_lsn + 1, floor)));
-  }
+  const uint64_t floor = wal_truncate_floor_.load(std::memory_order_acquire);
+  ESLEV_RETURN_NOT_OK(
+      front_.TruncateWalBefore(std::min(wal_last_lsn + 1, floor)));
 
   uint64_t bytes = 0;
   const auto add_size = [&bytes](const std::string& path) {
@@ -128,7 +121,7 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
     add_size(dir + "/" + ShardDirName(i) + "/" + kCheckpointFileName);
   }
   add_size(dir + "/" + kManifestFileName);
-  if (front_ingest_ != nullptr) add_size(dir + "/" + kIngestStateFileName);
+  if (front_.ingest_enabled()) add_size(dir + "/" + kIngestStateFileName);
   checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
   last_checkpoint_bytes_.store(bytes, std::memory_order_relaxed);
   last_checkpoint_duration_us_.store(
@@ -163,7 +156,7 @@ Status ShardedEngine::Restore(const std::string& dir) {
     return engine.Restore(dir + "/" + manifest.shard_dirs[i]);
   }));
 
-  if (front_ingest_ != nullptr) {
+  if (front_.ingest_enabled()) {
     const std::string path = dir + "/" + kIngestStateFileName;
     ESLEV_ASSIGN_OR_RETURN(std::string bytes, ReadFileAll(path));
     ESLEV_ASSIGN_OR_RETURN(FrameScanResult frames,
@@ -177,43 +170,22 @@ Status ShardedEngine::Restore(const std::string& dir) {
     if (!frame.AtEnd()) {
       return Status::IoError("ingest state " + path + ": trailing bytes");
     }
-    // routes_mu_ before ingest_mu_ (same order as OfferIngest callers).
+    // routes_mu_ before ingest_mu_ (the order Offer takes them).
     std::shared_lock<std::shared_mutex> routes_lock(routes_mu_);
     std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-    BinaryDecoder state(blob);
-    ESLEV_RETURN_NOT_OK(front_ingest_->RestoreState(&state));
-    if (!state.AtEnd()) {
-      return Status::IoError("ingest state " + path + ": trailing state");
-    }
-    RebuildIngestPortCache();
-    for (size_t p = 0; p < ingest_port_routes_.size(); ++p) {
-      if (ingest_port_routes_[p] == nullptr) {
-        return Status::IoError("ingest state names unknown stream '" +
-                               front_ingest_->port_name(p) + "'");
-      }
-    }
+    ESLEV_RETURN_NOT_OK(front_.RestoreIngestState(
+        blob, [this](const std::string& key) { return routing_.Find(key); }));
     ingest_fanned_hb_.store(fanned, std::memory_order_release);
   }
 
-  restored_wal_lsn_ = manifest.wal_last_lsn;
+  front_.set_restored_lsn(manifest.wal_last_lsn);
   return Status::OK();
 }
 
 Status ShardedEngine::EnableWal(const std::string& path, WalOptions options) {
   ESLEV_RETURN_NOT_OK(init_error_);
   std::lock_guard<std::mutex> wal_lock(wal_mu_);
-  if (wal_ != nullptr) {
-    return Status::Invalid("WAL already enabled at " + wal_->path());
-  }
-  ESLEV_ASSIGN_OR_RETURN(WalChainReadResult read, ReadWalChain(path));
-  if (read.live_torn_tail) {
-    recovery_truncated_frames_.fetch_add(1, std::memory_order_relaxed);
-  }
-  const uint64_t last_lsn =
-      std::max(read.records.empty() ? uint64_t{0} : read.records.back().lsn,
-               restored_wal_lsn_);
-  options.truncate_to_bytes = read.live_valid_bytes;
-  ESLEV_ASSIGN_OR_RETURN(wal_, WalWriter::Open(path, last_lsn + 1, options));
+  ESLEV_RETURN_NOT_OK(front_.EnableWal(path, std::move(options)));
   wal_enabled_.store(true, std::memory_order_release);
   return Status::OK();
 }
@@ -232,31 +204,9 @@ Status ShardedEngine::RecoverFrom(const std::string& dir,
   ESLEV_RETURN_NOT_OK(Restore(dir));
 
   const std::string wal_path = dir + "/" + kWalFileName;
-  ESLEV_ASSIGN_OR_RETURN(WalChainReadResult read, ReadWalChain(wal_path));
-  if (read.live_torn_tail) {
-    recovery_truncated_frames_.fetch_add(1, std::memory_order_relaxed);
-  }
-  uint64_t replayed = 0;
-  uint64_t last_lsn = restored_wal_lsn_;
-  for (const WalRecord& record : read.records) {
-    last_lsn = std::max(last_lsn, record.lsn);
-    if (record.lsn <= restored_wal_lsn_) continue;
-    if (record.kind == WalRecordKind::kTuple) {
-      ESLEV_RETURN_NOT_OK(
-          RouteTuple(record.stream, *record.tuple, /*log_to_wal=*/false));
-    } else if (front_ingest_ != nullptr) {
-      // Logged heartbeats are raw input ticks: re-drive the pipeline so
-      // the restored frontiers release exactly what the original run
-      // released after the checkpoint cut.
-      std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-      ESLEV_RETURN_NOT_OK(front_ingest_->Heartbeat(record.ts));
-    } else {
-      FanHeartbeat(record.ts);
-    }
-    ++replayed;
-  }
+  ESLEV_ASSIGN_OR_RETURN(WalChainReadResult read, front_.ReadWal(wal_path));
+  ESLEV_RETURN_NOT_OK(front_.Replay(read).status());
   ESLEV_RETURN_NOT_OK(Flush());
-  wal_records_replayed_.fetch_add(replayed, std::memory_order_relaxed);
 
   // Replay regenerated the shard-side emissions into the outboxes; a
   // synchronous consumer already drained them before the crash, so the
@@ -272,10 +222,7 @@ Status ShardedEngine::RecoverFrom(const std::string& dir,
   }
 
   std::lock_guard<std::mutex> wal_lock(wal_mu_);
-  WalOptions wal_options;
-  wal_options.truncate_to_bytes = read.live_valid_bytes;
-  ESLEV_ASSIGN_OR_RETURN(wal_,
-                         WalWriter::Open(wal_path, last_lsn + 1, wal_options));
+  ESLEV_RETURN_NOT_OK(front_.OpenWal(wal_path, WalOptions{}, read));
   wal_enabled_.store(true, std::memory_order_release);
   return Status::OK();
 }

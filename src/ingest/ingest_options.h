@@ -19,7 +19,7 @@ struct IngestOptions {
   /// until the maximum observed event time has passed them by this much,
   /// then released in timestamp order. An event arriving displaced by
   /// exactly the bound is still accepted; anything later is counted as a
-  /// late drop (and handed to the late handler when one is installed).
+  /// late drop (`ingest.reorder.late_dropped`) and dropped.
   /// 0 disables the stage — input must already be in order.
   Duration lateness_bound = 0;
 

@@ -40,19 +40,6 @@ const std::string& IngestPipeline::port_name(size_t port) const {
   return port < port_names_.size() ? port_names_[port] : kEmpty;
 }
 
-void IngestPipeline::SetLateHandler(
-    std::function<Status(const std::string& stream, const Tuple&)> handler) {
-  if (reorder_ == nullptr) return;
-  if (!handler) {
-    reorder_->set_late_handler(nullptr);
-    return;
-  }
-  reorder_->set_late_handler(
-      [this, handler = std::move(handler)](size_t port, const Tuple& tuple) {
-        return handler(port_name(port), tuple);
-      });
-}
-
 size_t IngestPipeline::buffered() const {
   size_t n = 0;
   if (reorder_ != nullptr) n += reorder_->depth();

@@ -71,11 +71,6 @@ class IngestPipeline {
     delivery_.Bind(std::move(on_tuple), std::move(on_heartbeat));
   }
 
-  /// \brief Side channel for events beyond the lateness bound
-  /// (stream key + tuple). When unset they are counted and dropped.
-  void SetLateHandler(
-      std::function<Status(const std::string& stream, const Tuple&)> handler);
-
   /// \brief Offer one read; the chain copies it once and moves that
   /// copy through to delivery.
   Status Offer(size_t port, const Tuple& tuple) {

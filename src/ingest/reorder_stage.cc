@@ -29,7 +29,7 @@ Status ReorderStage::TakeTuple(size_t port, Tuple tuple) {
   }
   if (ts < EffectiveFrontier()) {
     ++late_dropped_;
-    return late_handler_ ? late_handler_(port, tuple) : Status::OK();
+    return Status::OK();
   }
   max_seen_ = std::max(max_seen_, ts);
   buffer_.Push(ts, next_seq_++, Entry{port, std::move(tuple)});

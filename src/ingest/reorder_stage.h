@@ -4,15 +4,14 @@
 // seen so far. Events are buffered and re-emitted in (timestamp, arrival)
 // order once the observed maximum has passed them by the bound; an event
 // displaced by *exactly* the bound is still accepted, anything later is
-// counted (and optionally side-channeled) as a late drop — it can no
-// longer be emitted without violating the order already released.
+// counted as a late drop and dropped — it can no longer be emitted
+// without violating the order already released.
 
 #ifndef ESLEV_INGEST_REORDER_STAGE_H_
 #define ESLEV_INGEST_REORDER_STAGE_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <utility>
 
 #include "ingest/stage.h"
 #include "ingest/time_ordered_queue.h"
@@ -22,13 +21,6 @@ namespace eslev {
 class ReorderStage : public IngestStage {
  public:
   explicit ReorderStage(Duration lateness_bound) : bound_(lateness_bound) {}
-
-  /// \brief Side channel for events beyond the lateness bound. When
-  /// unset, late events are counted and dropped.
-  using LateHandler = std::function<Status(size_t port, const Tuple&)>;
-  void set_late_handler(LateHandler handler) {
-    late_handler_ = std::move(handler);
-  }
 
   /// \brief Everything at or below this timestamp has been released;
   /// arrivals below it are late.
@@ -66,7 +58,6 @@ class ReorderStage : public IngestStage {
   Status Release();
 
   Duration bound_;
-  LateHandler late_handler_;
   // Keyed (ts, arrival seq): release order, ties broken by arrival.
   TimeOrderedQueue<Entry> buffer_;
   uint64_t next_seq_ = 0;

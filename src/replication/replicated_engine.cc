@@ -182,9 +182,7 @@ Status ReplicatedShardedEngine::CopyCheckpointToStandby() {
 Status ReplicatedShardedEngine::Replicate() {
   {
     std::lock_guard<std::mutex> wal_lock(primary_.wal_mu_);
-    if (primary_.wal_ != nullptr) {
-      ESLEV_RETURN_NOT_OK(primary_.wal_->Flush());
-    }
+    ESLEV_RETURN_NOT_OK(primary_.front_.FlushWal().status());
   }
   ESLEV_RETURN_NOT_OK(shipper_->Ship());
   uint64_t floor = UINT64_MAX;
@@ -283,11 +281,10 @@ Status ReplicatedShardedEngine::PromoteStandby(size_t shard) {
   // The cut: producers block on the WAL mutex for the whole promotion,
   // so the WAL end observed here is the promoted engine's exact history.
   std::lock_guard<std::mutex> wal_lock(primary_.wal_mu_);
-  if (primary_.wal_ == nullptr) {
+  if (primary_.front_.wal() == nullptr) {
     return Status::Invalid("replication requires the front-end WAL");
   }
-  ESLEV_RETURN_NOT_OK(primary_.wal_->Flush());
-  const uint64_t wal_end = primary_.wal_->next_lsn() - 1;
+  ESLEV_ASSIGN_OR_RETURN(const uint64_t wal_end, primary_.front_.FlushWal());
   ESLEV_RETURN_NOT_OK(shipper_->Ship());
   ESLEV_RETURN_NOT_OK(sb->Apply(standby_wal_path_));
   if (sb->applied_lsn() != wal_end) {
@@ -361,7 +358,9 @@ void ReplicatedShardedEngine::AppendReplicationMetrics(MetricsSnapshot* snap) {
   uint64_t wal_end = 0;
   {
     std::lock_guard<std::mutex> wal_lock(primary_.wal_mu_);
-    if (primary_.wal_ != nullptr) wal_end = primary_.wal_->next_lsn() - 1;
+    if (WalWriter* wal = primary_.front_.wal(); wal != nullptr) {
+      wal_end = wal->next_lsn() - 1;
+    }
   }
   const Timestamp low = primary_.low_watermark();
   int64_t standbys = 0;

@@ -156,8 +156,7 @@ void StandbyShard::AckDelivered(size_t sub, uint64_t delivered) {
 }
 
 Status StandbyShard::AlignClock(Timestamp low) {
-  if (low <= engine_->current_time()) return Status::OK();
-  Status st = engine_->AdvanceTime(low);
+  Status st = ApplyShardHeartbeat(*engine_, low);
   if (!st.ok()) return Fail(st);
   return Status::OK();
 }

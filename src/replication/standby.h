@@ -91,9 +91,10 @@ class StandbyShard {
 
   // ---- promotion ----------------------------------------------------------
 
-  /// \brief Advance the engine clock to the fanned low watermark (fires
-  /// any remaining active expiration, aligning the cut). Normally a
-  /// no-op: every watermark fan is also a logged heartbeat.
+  /// \brief Apply the fanned low watermark as one more shard heartbeat
+  /// (ApplyShardHeartbeat: a tick behind the clock is dropped), firing
+  /// any remaining active expiration at the cut. Normally a repeat of the
+  /// last logged heartbeat, which emits nothing new.
   Status AlignClock(Timestamp low);
 
   /// \brief Drain the buffer, dropping emissions the primary already

@@ -71,10 +71,8 @@ Result<Session> QueryServer::OpenSession(const std::string& tenant,
   }
   TenantState state;
   state.quotas = quotas;
-  size_t max_pending = quotas.max_pending_emissions != 0
-                           ? quotas.max_pending_emissions
-                           : options_.default_max_pending;
-  dispatcher_.AddTenant(tenant, max_pending, quotas.backpressure);
+  dispatcher_.AddTenant(tenant, quotas.max_pending_emissions,
+                        quotas.backpressure);
   tenants_.emplace(tenant, std::move(state));
   return Session(this, tenant);
 }
@@ -569,10 +567,7 @@ Status QueryServer::DecodeAndReplayRegistry(const std::string& bytes) {
   for (const TenantRecord& record : tenant_records) {
     TenantState state;
     state.quotas = record.quotas;
-    size_t max_pending = record.quotas.max_pending_emissions != 0
-                             ? record.quotas.max_pending_emissions
-                             : options_.default_max_pending;
-    dispatcher_.AddTenant(record.id, max_pending,
+    dispatcher_.AddTenant(record.id, record.quotas.max_pending_emissions,
                           record.quotas.backpressure);
     for (size_t j = 0; j < record.queries.size(); ++j) {
       ServedQueryInfo info = record.queries[j];

@@ -49,9 +49,6 @@ struct QueryServerOptions {
   /// matches (the tentpole optimisation). Off = every registration
   /// compiles its own pipeline (the E18 baseline).
   bool share_plans = true;
-  /// Default outbox capacity for tenants whose quotas leave
-  /// max_pending_emissions at 0. 0 = unbounded.
-  size_t default_max_pending = 0;
 };
 
 class QueryServer {

@@ -139,6 +139,32 @@ TEST_F(LintRulesTest, WindowedSeqIsClean) {
   EXPECT_EQ(Find(diags, "unbounded-retention"), nullptr);
 }
 
+TEST_F(LintRulesTest, UnrestrictedSeqUnderNonEvictingWindowIsError) {
+  // A FOLLOWING window checks a match but never evicts history: the
+  // matcher evicts only by a PRECEDING side anchored at the last position.
+  const auto diags = Lint(
+      "SELECT R2.tagid FROM R1, R2 WHERE SEQ(R1, R2) OVER [5 SECONDS "
+      "FOLLOWING R1] AND R1.tagid = R2.tagid;");
+  const Diagnostic* d = Find(diags, "unbounded-retention");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kError);
+  ExpectSpan(*d, 1, 35, 41);  // SEQ(R1, R2) OVER [5 SECONDS FOLLOWING R1]
+  EXPECT_NE(d->message.find("never evicts"), std::string::npos)
+      << d->ToString();
+}
+
+TEST_F(LintRulesTest, ChronicleUnderWindowAnchoredBeforeLastPositionWarns) {
+  const auto diags = Lint(
+      "SELECT R3.tagid FROM R1, R2, R3 WHERE SEQ(R1, R2, R3) OVER "
+      "[5 SECONDS PRECEDING R2] MODE CHRONICLE AND R1.tagid = R2.tagid AND "
+      "R2.tagid = R3.tagid;");
+  const Diagnostic* d = Find(diags, "unbounded-retention");
+  ASSERT_NE(d, nullptr);
+  EXPECT_EQ(d->severity, Severity::kWarning);
+  EXPECT_NE(d->message.find("CHRONICLE"), std::string::npos)
+      << d->ToString();
+}
+
 // ---------------------------------------------------------------------------
 // unsatisfiable-window
 // ---------------------------------------------------------------------------

@@ -583,21 +583,6 @@ TEST(EngineErrorTest, Validation) {
   EXPECT_TRUE(engine.AdvanceTime(Seconds(1)).IsOutOfRange());
 }
 
-TEST(EngineErrorTest, OutOfOrderAllowedWhenDisabled) {
-  EngineOptions options;
-  options.enforce_monotonic_time = false;
-  Engine engine(options);
-  ASSERT_TRUE(engine.ExecuteScript("CREATE STREAM s(a, t_time);").ok());
-  ASSERT_TRUE(engine
-                  .Push("s", {Value::String("x"), Value::Time(Seconds(5))},
-                        Seconds(5))
-                  .ok());
-  EXPECT_TRUE(engine
-                  .Push("s", {Value::String("x"), Value::Time(Seconds(4))},
-                        Seconds(4))
-                  .ok());
-}
-
 TEST(EngineErrorTest, InsertArityChecked) {
   Engine engine;
   ASSERT_TRUE(engine.ExecuteScript(R"sql(

@@ -87,6 +87,56 @@ TEST_F(ShardApplyOrderTest, InterleavedLateTuplesAndStaleTicksStayOrdered) {
   EXPECT_EQ(engine_.current_time(), max_seen);
 }
 
+TEST(ShardHeartbeatTest, RepeatedTickAtTheClockEmitsNothingNew) {
+  // ApplyShardHeartbeat applies a tick at the engine clock (a promoted
+  // standby's alignment tick included), so a second AdvanceTime at the
+  // current time must emit nothing: no SEQ window expiry, EXCEPTION_SEQ
+  // deadline or windowed NOT EXISTS release fires twice.
+  Engine engine;
+  ASSERT_TRUE(engine.ExecuteScript(R"sql(
+    CREATE STREAM C1(readerid, tagid, tagtime);
+    CREATE STREAM C2(readerid, tagid, tagtime);
+    CREATE STREAM C3(readerid, tagid, tagtime);
+  )sql")
+                  .ok());
+  const std::vector<std::string> queries = {
+      "SELECT C1.tagid, C2.tagid FROM C1, C2 WHERE SEQ(C1, C2) OVER "
+      "[10 SECONDS PRECEDING C2] AND C1.tagid = C2.tagid",
+      "SELECT C1.tagid, C2.tagid, C3.tagid FROM C1, C2, C3 WHERE "
+      "EXCEPTION_SEQ(C1, C2, C3) OVER [5 SECONDS FOLLOWING C1]",
+      "SELECT * FROM C1 AS a WHERE NOT EXISTS (SELECT * FROM C1 AS b OVER "
+      "[2 SECONDS PRECEDING AND FOLLOWING a] WHERE b.tagid = a.tagid)"};
+  std::vector<size_t> emitted(queries.size(), 0);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto q = engine.RegisterQuery(queries[i]);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ASSERT_TRUE(engine
+                    .Subscribe(q->output_stream,
+                               [&emitted, i](const Tuple&) { ++emitted[i]; })
+                    .ok());
+  }
+  const auto push = [&](const std::string& stream, Timestamp ts) {
+    ASSERT_TRUE(engine
+                    .Push(stream,
+                          {Value::String("r"), Value::String("a"),
+                           Value::Time(ts)},
+                          ts)
+                    .ok());
+  };
+  push("C1", Seconds(1));
+  push("C2", Seconds(2));
+  // Ticks at the NOT EXISTS window end (3 s), the EXCEPTION_SEQ deadline
+  // (6 s) and past the SEQ window (13 s), each applied twice.
+  for (const Timestamp tick : {Seconds(3), Seconds(6), Seconds(13)}) {
+    ASSERT_TRUE(engine.AdvanceTime(tick).ok());
+    const std::vector<size_t> before = emitted;
+    ASSERT_TRUE(engine.AdvanceTime(tick).ok());
+    ASSERT_TRUE(ApplyShardHeartbeat(engine, tick).ok());
+    EXPECT_EQ(emitted, before) << "second tick at " << tick;
+  }
+  EXPECT_EQ(emitted, (std::vector<size_t>{1, 1, 1}));
+}
+
 StreamRoute Route(size_t key_index, bool single_shard = false) {
   StreamRoute route;
   route.name = "readings";

@@ -100,26 +100,6 @@ TEST(ReorderStageTest, EventExactlyAtBoundIsAccepted) {
   EXPECT_EQ(stage.max_disorder_us(), 101);
 }
 
-TEST(ReorderStageTest, LateHandlerReceivesDrops) {
-  Collected out;
-  IngestDelivery sink;
-  BindSink(&sink, &out);
-  ReorderStage stage(10);
-  stage.set_next(&sink);
-  std::vector<std::pair<size_t, Timestamp>> late;
-  stage.set_late_handler([&](size_t port, const Tuple& t) {
-    late.emplace_back(port, t.ts());
-    return Status::OK();
-  });
-
-  ASSERT_TRUE(stage.OnTuple(3, Read("r", "a", 1000)).ok());
-  ASSERT_TRUE(stage.OnTuple(3, Read("r", "b", 500)).ok());
-  ASSERT_EQ(late.size(), 1u);
-  EXPECT_EQ(late[0].first, 3u);
-  EXPECT_EQ(late[0].second, 500);
-  EXPECT_EQ(stage.late_dropped(), 1u);
-}
-
 TEST(ReorderStageTest, HeartbeatForwardsHeldBackFrontier) {
   Collected out;
   IngestDelivery sink;

@@ -434,14 +434,46 @@ TEST_P(SeqOracleDifferentialTest, ExceptionSeqDeadlines) {
 
 // ---- randomized query generator ----------------------------------------
 
-// Random SEQ query from parametric templates: the rng picks position
-// count (2-4), star placement, negation, mode, window shape/length/
-// anchor, and pairwise constraints. Everything composes from grammar the
-// planner accepts, so a planning failure is itself a test failure.
+// Draw weights (percent) of one pairing mode. RECENT purges only when
+// candidates qualify by time order alone (RecentPurgeApplies): no
+// pairwise condition and no negation before a stored position. So
+// RECENT is drawn most often, with pairwise links rarely and negations
+// often, over more positions: its random rounds land on both sides of
+// that rule.
+struct ModeDraws {
+  const char* clause;
+  int weight;          // share of the rounds
+  int four_positions;  // else two (30 %) or three positions
+  int star;
+  int negation;  // interior; needs three positions
+  int tag_links;
+  int reader_link;
+};
+
+constexpr ModeDraws kModeDraws[] = {
+    {"", 20, 35, 35, 30, 60, 25},
+    {" MODE RECENT", 40, 60, 15, 60, 15, 5},
+    {" MODE CHRONICLE", 20, 35, 35, 30, 60, 25},
+    // CONSECUTIVE + negation never completes (any negated arrival ends
+    // the run); keep the generated queries satisfiable.
+    {" MODE CONSECUTIVE", 20, 35, 35, 0, 60, 25},
+};
+
+// Random SEQ query from parametric templates: the rng picks the mode,
+// then with that mode's weights the position count (2-4), star
+// placement, negation, window shape/length/anchor, and pairwise
+// constraints. Everything composes from grammar the planner accepts, so
+// a planning failure is itself a test failure.
 Scenario RandomScenario(std::mt19937& rng) {
   std::uniform_int_distribution<int> pct(0, 99);
+  const ModeDraws* draws = kModeDraws;
+  for (int mode_draw = pct(rng); mode_draw >= draws->weight; ++draws) {
+    mode_draw -= draws->weight;
+  }
+  const std::string mode = draws->clause;
   const int size_draw = pct(rng);
-  const int npos = size_draw < 30 ? 2 : (size_draw < 65 ? 3 : 4);
+  const int npos =
+      size_draw < 30 ? 2 : (size_draw < 100 - draws->four_positions ? 3 : 4);
   // Numeric tags: each stream's tagid is INT or DOUBLE, so keys compare
   // an INT with an equal-valued DOUBLE across streams.
   const bool numeric_tags = pct(rng) < 30;
@@ -460,17 +492,11 @@ Scenario RandomScenario(std::mt19937& rng) {
   int star_at = -1;
   int neg_at = -1;
   const int feature = pct(rng);
-  if (feature < 35) {
+  if (feature < draws->star) {
     star_at = std::uniform_int_distribution<int>(0, npos - 1)(rng);
-  } else if (feature < 65 && npos >= 3) {
+  } else if (feature < draws->star + draws->negation && npos >= 3) {
     neg_at = std::uniform_int_distribution<int>(1, npos - 2)(rng);
   }
-  const char* modes[] = {"", " MODE RECENT", " MODE CHRONICLE",
-                         " MODE CONSECUTIVE"};
-  // CONSECUTIVE + negation never completes (any negated arrival ends
-  // the run); keep the generated queries satisfiable.
-  std::string mode = modes[std::uniform_int_distribution<int>(
-      0, neg_at >= 0 ? 2 : 3)(rng)];
 
   std::string args;
   for (int i = 0; i < npos; ++i) {
@@ -509,7 +535,7 @@ Scenario RandomScenario(std::mt19937& rng) {
   }
   std::vector<std::pair<int, int>> tag_links;  // (earlier, later)
   bool full_chain = false;
-  if (plain.size() >= 2 && pct(rng) < 60) {
+  if (plain.size() >= 2 && pct(rng) < draws->tag_links) {
     const int shape = pct(rng) % 3;
     if (shape == 2 && plain.size() >= 3) {
       const size_t unlinked = std::uniform_int_distribution<size_t>(
@@ -528,7 +554,7 @@ Scenario RandomScenario(std::mt19937& rng) {
   }
   int num_readers = 1;
   std::vector<std::pair<int, int>> links = tag_links;
-  if (pct(rng) < 25) {
+  if (pct(rng) < draws->reader_link) {
     int a = std::uniform_int_distribution<int>(0, npos - 2)(rng);
     if (a == neg_at) a = 0;
     const int b = a + 1 == neg_at ? a + 2 : a + 1;
