@@ -110,8 +110,8 @@ Result<std::vector<Diagnostic>> QueryAnalyzer::Analyze(
   std::optional<QueryCostReport> cost_report;
   if (planned.ok()) {
     ctx.plan = &*planned;
-    // Cost analysis reuses the plan; a failure here leaves ctx.cost null
-    // and rules fall back to their unquantified messages.
+    // Cost analysis reuses the plan; a failure here leaves ctx.cost null,
+    // which silences unbounded-retention and unquantifies other rules.
     CostAnalyzer cost_analyzer(catalog_);
     Result<QueryCostReport> cost = cost_analyzer.AnalyzeFromPlan(stmt, *planned);
     if (cost.ok()) {

@@ -9,8 +9,8 @@
 // never blocks on the analyzer's own limitations.
 //
 // Built-in rules (registered for every analyzer; see rules.cc):
-//   unbounded-retention   SEQ state with no purge license (§4 modes, §5
-//                         windows)
+//   unbounded-retention   SEQ-family state the cost model's bound calls
+//                         unbounded (§16), rendered per growth term
 //   unsatisfiable-window  zero-length or vacuously anchored windows
 //   star-aggregate-misuse FIRST/LAST/COUNT(S*) or `.previous.` on a
 //                         non-star event
@@ -59,8 +59,9 @@ struct LintContext {
   const PlannedQuery* plan = nullptr;
   Status plan_status = Status::OK();
   /// Static cost & state-bound report for the planned statement, or
-  /// nullptr when planning (or cost analysis) failed. Rules use it to
-  /// quantify their findings (DESIGN.md §16).
+  /// nullptr when planning (or cost analysis) failed. unbounded-retention
+  /// renders its SEQ-family row; other rules quantify their findings
+  /// with it (DESIGN.md §16).
   const QueryCostReport* cost = nullptr;
 };
 

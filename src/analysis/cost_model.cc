@@ -1,7 +1,6 @@
 #include "analysis/cost_model.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 
 #include "analysis/analyzer.h"
@@ -17,38 +16,6 @@
 namespace eslev {
 
 namespace {
-
-void EscapeJson(const std::string& in, std::string* out) {
-  out->push_back('"');
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 /// Unwrap EXPLAIN wrappers down to the SELECT / INSERT statement.
 const Statement* Unwrap(const Statement& stmt) {
@@ -351,15 +318,15 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
 
 std::string QueryCostReport::ToJson() const {
   std::string out = "{\"cost_model_version\":2,\"statement\":";
-  EscapeJson(statement, &out);
+  AppendJsonString(statement, &out);
   out += ",\"operators\":[";
   for (size_t i = 0; i < operators.size(); ++i) {
     const OperatorCost& op = operators[i];
     if (i > 0) out += ",";
     out += "{\"op\":";
-    EscapeJson(op.op, &out);
+    AppendJsonString(op.op, &out);
     out += ",\"label\":";
-    EscapeJson(op.label, &out);
+    AppendJsonString(op.label, &out);
     out += ",\"in_rate\":" + FormatCostNumber(op.in_rate);
     out += ",\"out_rate\":" + FormatCostNumber(op.out_rate);
     out += ",\"cpu_cost\":" + FormatCostNumber(op.cpu_cost);
@@ -368,11 +335,11 @@ std::string QueryCostReport::ToJson() const {
     out += ",\"tuples\":" + FormatCostNumber(op.state.tuples);
     out += ",\"growth_per_sec\":" + FormatCostNumber(op.state.growth_per_sec);
     out += ",\"formula\":";
-    EscapeJson(op.state.formula, &out);
+    AppendJsonString(op.state.formula, &out);
     out += "},\"state_gauges\":[";
     for (size_t g = 0; g < op.state_gauges.size(); ++g) {
       if (g > 0) out += ",";
-      EscapeJson(op.state_gauges[g], &out);
+      AppendJsonString(op.state_gauges[g], &out);
     }
     out += "]}";
   }
@@ -383,7 +350,7 @@ std::string QueryCostReport::ToJson() const {
   out += ",\"state_growth_per_sec\":" +
          FormatCostNumber(total_state_growth_per_sec);
   out += "},\"sharding\":{\"verdict\":";
-  EscapeJson(partitioning, &out);
+  AppendJsonString(partitioning, &out);
   out += ",\"assumed_shards\":" + std::to_string(assumed_shards);
   out += ",\"single_shard_cost\":" + FormatCostNumber(single_shard_cost);
   out += ",\"per_shard_cost\":" + FormatCostNumber(per_shard_cost);

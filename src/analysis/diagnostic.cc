@@ -1,43 +1,8 @@
 #include "analysis/diagnostic.h"
 
+#include "common/string_util.h"
+
 namespace eslev {
-
-namespace {
-
-void AppendJsonString(const std::string& in, std::string* out) {
-  out->push_back('"');
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          *out += "\\u00";
-          out->push_back(kHex[(c >> 4) & 0xF]);
-          out->push_back(kHex[c & 0xF]);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 const char* SeverityToString(Severity s) {
   switch (s) {

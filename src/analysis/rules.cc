@@ -10,7 +10,6 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/cost_model.h"
-#include "cep/seq_operator.h"
 #include "common/string_util.h"
 #include "expr/binder.h"
 #include "expr/bound_expr.h"
@@ -32,14 +31,6 @@ Diagnostic Make(Severity severity, std::string rule, std::string message,
   return d;
 }
 
-/// The pairing mode the planner will actually run: SEQ defaults to
-/// UNRESTRICTED, EXCEPTION_SEQ / CLEVEL_SEQ track one consecutive run.
-PairingMode EffectiveMode(const SeqExpr& seq) {
-  if (seq.mode_explicit) return seq.mode;
-  return seq.seq_kind == SeqKind::kSeq ? PairingMode::kUnrestricted
-                                       : PairingMode::kConsecutive;
-}
-
 bool ContainsAnyKind(const Expr& expr, std::initializer_list<ExprKind> kinds) {
   bool found = false;
   ForEachExprIn(expr, [&](const Expr& e) {
@@ -50,103 +41,118 @@ bool ContainsAnyKind(const Expr& expr, std::initializer_list<ExprKind> kinds) {
   return found;
 }
 
-/// " (estimated growth N tuples/s at declared input rates)" when the
-/// cost model confirmed unbounded state, else "".
-std::string GrowthNote(const LintContext& ctx) {
-  if (ctx.cost == nullptr || ctx.cost->total_state_growth_per_sec <= 0) {
-    return "";
+/// The cost-model row for the first operator whose kind matches `op`,
+/// or nullptr (no cost report / no such operator).
+const OperatorCost* FindCostRow(const LintContext& ctx,
+                                const std::string& op) {
+  if (ctx.cost == nullptr) return nullptr;
+  for (const OperatorCost& row : ctx.cost->operators) {
+    if (row.op == op) return &row;
   }
-  return " (estimated growth " +
-         FormatCostNumber(ctx.cost->total_state_growth_per_sec) +
-         " tuples/s at declared input rates)";
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
 // unbounded-retention
 // ---------------------------------------------------------------------------
 
-/// The planned SeqOperator's configuration, or nullptr when the statement
-/// did not plan (plan-error reports that) or planned no SEQ. The planner
-/// builds at most one SEQ operator per query.
-const SeqOperatorConfig* PlannedSeqConfig(const LintContext& ctx) {
-  if (ctx.plan == nullptr) return nullptr;
-  for (const auto& op : ctx.plan->operators) {
-    if (const auto* seq = dynamic_cast<const SeqOperator*>(op.get())) {
-      return &seq->config();
-    }
+// The rule renders the SEQ-family row of the state bound (DESIGN.md
+// §16), the verdict EXPLAIN COST and admission read too, so it keeps no
+// purge rule of its own.
+
+/// Why a term's position grows, and the fix, per reason.
+struct ReasonText {
+  const char* why;
+  const char* hint;
+};
+
+ReasonText TextOf(GrowthReason reason) {
+  switch (reason) {
+    case GrowthReason::kNoPurgeLicense:
+      return {"no purge license drops its tuples (UNRESTRICTED pairing and "
+              "RECENT outside its purge rule purge nothing, and an OVER "
+              "window never evicts unless it has a PRECEDING side anchored "
+              "at the last position)",
+              "anchor an OVER [n unit PRECEDING] window at the last SEQ "
+              "position, or use a MODE clause that licenses purging (RECENT "
+              "with candidates that qualify by time order alone, CHRONICLE "
+              "or CONSECUTIVE)"};
+    case GrowthReason::kUnmatchedRetention:
+      return {"CHRONICLE pairing drops a tuple only when a match consumes "
+              "it and no OVER window evicts, so unmatched tuples stay",
+              "anchor an OVER [n unit PRECEDING] window at the last SEQ "
+              "position to bound unmatched-tuple retention"};
+    case GrowthReason::kOpenStarGroup:
+      return {"its open star group grows until a later position closes it, "
+              "and no window evicts an open group",
+              "make sure a later position or a failing .previous. gate "
+              "closes the group in time; an EXCEPTION_SEQ OVER window "
+              "expires the run with its group"};
+    case GrowthReason::kNegationEvidence:
+      return {"the negation keeps its history as interval evidence, which "
+              "only an evicting OVER window drops",
+              "anchor an OVER [n unit PRECEDING] window at the last SEQ "
+              "position: its eviction is the only license that drops "
+              "negation evidence"};
   }
-  return nullptr;
+  return {"", ""};
+}
+
+/// The reason that grades a term: retention nothing ever drops (a
+/// star's closed groups included) is an error; a match, a closing
+/// position or an evicting window can still end the other kinds.
+GrowthReason Gravest(const GrowthTerm& t) {
+  return t.closed_groups == GrowthReason::kNoPurgeLicense
+             ? GrowthReason::kNoPurgeLicense
+             : t.reason;
+}
+
+Severity SeverityOf(GrowthReason reason) {
+  return reason == GrowthReason::kNoPurgeLicense ? Severity::kError
+                                                 : Severity::kWarning;
+}
+
+/// "'R1*' grows 1000 tuples/s: <why>", naming the argument as written.
+std::string Clause(const SeqExpr& seq, const GrowthTerm& t) {
+  const SeqArg& arg = seq.args[t.position];
+  std::string out = arg.negated ? "'!" : "'";
+  out += arg.stream + (arg.star ? "*" : "") + "' grows " +
+         FormatCostNumber(t.per_sec) + " tuples/s: " + TextOf(t.reason).why;
+  if (t.closed_groups) {
+    out += "; its closed groups stay too: ";
+    out += TextOf(*t.closed_groups).why;
+  }
+  return out;
 }
 
 void UnboundedRetentionRule(const LintContext& ctx,
                             std::vector<Diagnostic>* out) {
-  const SeqOperatorConfig* config = PlannedSeqConfig(ctx);
-  for (const SeqExpr* seq : ctx.seqs) {
-    // A window bounds retention only where the matcher evicts by it
-    // (SeqWindowEvicts: a PRECEDING side anchored at the last position).
-    // A statement that did not plan is taken at its word.
-    if (config != nullptr ? SeqWindowEvicts(*config)
-                          : seq->window.has_value()) {
-      continue;
-    }
-    const std::string no_window =
-        seq->window.has_value()
-            ? "under an OVER window that never evicts (only a PRECEDING "
-              "window anchored at the last position does)"
-            : "with no OVER window";
-    const char* window_hint =
-        "anchor an OVER [n unit PRECEDING] window at the last SEQ position";
-    const PairingMode mode = EffectiveMode(*seq);
-    if (mode == PairingMode::kUnrestricted) {
-      out->push_back(Make(
-          Severity::kError, "unbounded-retention",
-          std::string(SeqKindToString(seq->seq_kind)) +
-              " pairs in UNRESTRICTED mode " + no_window +
-              ": every tuple of every argument stream is retained forever" +
-              GrowthNote(ctx),
-          seq->span,
-          std::string(window_hint) +
-              ", or use a MODE clause that licenses purging (RECENT, "
-              "CHRONICLE or CONSECUTIVE)"));
-      continue;  // the star buffers below are subsumed by this error
-    }
-    if (mode == PairingMode::kChronicle) {
-      out->push_back(Make(
-          Severity::kWarning, "unbounded-retention",
-          "CHRONICLE pairing consumes tuples only when they match; unmatched "
-          "tuples are retained forever " +
-              no_window + GrowthNote(ctx),
-          seq->span, std::string(window_hint) +
-                         " to bound unmatched-tuple retention"));
-      for (const SeqArg& arg : seq->args) {
-        if (!arg.star) continue;
-        out->push_back(Make(
-            Severity::kWarning, "unbounded-retention",
-            "star buffer of '" + arg.stream +
-                "*' accumulates until a later position closes the group; " +
-                no_window + " an open group grows with the input",
-            arg.span, std::string(window_hint) + " to bound the star group"));
-      }
-    }
-    if (mode == PairingMode::kRecent) {
-      // RECENT purges by the matcher's own rule (RecentPurgeApplies);
-      // outside it, it purges nothing, exactly like UNRESTRICTED.
-      if (config != nullptr && !RecentPurgeApplies(*config)) {
-        out->push_back(Make(
-            Severity::kError, "unbounded-retention",
-            "RECENT pairing purges history only when candidates qualify by "
-            "time order alone; with a pairwise condition, a negation "
-            "before a stored position or a window anchored before the "
-            "last position, and " +
-                no_window +
-                ", every tuple of every argument stream is retained "
-                "forever" +
-                GrowthNote(ctx),
-            seq->span, window_hint));
-      }
-    }
-    // CONSECUTIVE purges superseded history on every arrival; no window
-    // is needed for bounded state.
+  const OperatorCost* row = FindCostRow(ctx, "SeqOperator");
+  if (row == nullptr) row = FindCostRow(ctx, "ExceptionSeqOperator");
+  // The planner lowers the statement's one SEQ-family conjunct, so a
+  // SEQ row comes with exactly one SEQ in the WHERE clause.
+  if (row == nullptr || row->state.growth.empty() || ctx.seqs.size() != 1) {
+    return;
+  }
+  const SeqExpr& seq = *ctx.seqs[0];
+  GrowthReason gravest = Gravest(row->state.growth.front());
+  std::string clauses;
+  for (const GrowthTerm& t : row->state.growth) {
+    clauses += (clauses.empty() ? "" : "; ") + Clause(seq, t);
+    if (Gravest(t) == GrowthReason::kNoPurgeLicense) gravest = Gravest(t);
+  }
+  out->push_back(Make(SeverityOf(gravest), "unbounded-retention",
+                      std::string(SeqKindToString(seq.seq_kind)) +
+                          " retains state without a static bound "
+                          "(estimated growth " +
+                          FormatCostNumber(row->state.growth_per_sec) +
+                          " tuples/s at declared input rates): " + clauses,
+                      seq.span, TextOf(gravest).hint));
+  for (const GrowthTerm& t : row->state.growth) {
+    if (t.reason != GrowthReason::kOpenStarGroup) continue;
+    out->push_back(Make(SeverityOf(Gravest(t)), "unbounded-retention",
+                        Clause(seq, t), seq.args[t.position].span,
+                        TextOf(Gravest(t)).hint));
   }
 }
 
@@ -527,17 +533,6 @@ void ShardFallbackRule(const LintContext& ctx, std::vector<Diagnostic>* out) {
 // durability-hazard
 // ---------------------------------------------------------------------------
 
-/// The cost-model row for the first operator whose kind matches `op`,
-/// or nullptr (no cost report / no such operator).
-const OperatorCost* FindCostRow(const LintContext& ctx,
-                                const std::string& op) {
-  if (ctx.cost == nullptr) return nullptr;
-  for (const OperatorCost& row : ctx.cost->operators) {
-    if (row.op == op) return &row;
-  }
-  return nullptr;
-}
-
 void DurabilityHazardRule(const LintContext& ctx,
                           std::vector<Diagnostic>* out) {
   if (!ctx.insert_target.empty() &&
@@ -592,9 +587,8 @@ void DurabilityHazardRule(const LintContext& ctx,
 /// *neighbouring matched* positions (NegationOk, DESIGN.md §14). In a
 /// 4+-position SEQ a mid-sequence negation therefore guards only one of
 /// several inter-position gaps — authors often expect "never during the
-/// whole sequence" — and its forbidden-event history is exempt from
-/// every purge license (even RECENT keeps all of it as evidence), so it
-/// is scanned in full per candidate match.
+/// whole sequence". Whether its history stays bounded is the state
+/// bound's call, which unbounded-retention reports.
 void SeqNegationCoverageRule(const LintContext& ctx,
                              std::vector<Diagnostic>* out) {
   for (const SeqExpr* seq : ctx.seqs) {
@@ -609,8 +603,7 @@ void SeqNegationCoverageRule(const LintContext& ctx,
               std::to_string(i + 1) + " of " + std::to_string(n) +
               ") only forbids '" + arg.stream +
               "' between its neighbouring matched positions, not across "
-              "the whole sequence; its event history is retained without "
-              "purge as interval evidence and scanned per candidate match",
+              "the whole sequence",
           arg.span,
           "if '" + arg.stream +
               "' must never occur during the whole sequence, split the "

@@ -29,6 +29,7 @@ struct Term {
   bool bounded = true;
   double value = 0;  // tuples when bounded, tuples/sec otherwise
   std::string text;
+  GrowthTerm growth;  // position and reasons, when unbounded
 };
 
 StateBound Sum(const std::vector<Term>& terms, const std::string& prefix) {
@@ -44,6 +45,7 @@ StateBound Sum(const std::vector<Term>& terms, const std::string& prefix) {
     } else {
       b.bounded = false;
       b.growth_per_sec += t.value;
+      b.growth.push_back(t.growth);
     }
   }
   if (terms.empty()) b.formula += "0";
@@ -59,12 +61,18 @@ Term WindowTerm(const std::string& alias, double rate, double window_secs) {
   return t;
 }
 
-Term GrowthTerm(const std::string& alias, double rate,
-                const std::string& why) {
+Term Growth(size_t position, const std::string& alias, double rate,
+            GrowthReason reason,
+            std::optional<GrowthReason> closed_groups = std::nullopt) {
+  const char* why = reason == GrowthReason::kOpenStarGroup ? "open star group"
+                    : reason == GrowthReason::kNegationEvidence
+                        ? "negation evidence"
+                        : "no purge license";
   Term t;
   t.bounded = false;
   t.value = rate;
   t.text = "unbounded +r(" + alias + ")/s [" + why + "]";
+  t.growth = {position, rate, reason, closed_groups};
   return t;
 }
 
@@ -78,6 +86,14 @@ StateBound SeqStateBound(const SeqOperatorConfig& config,
   const double window_secs =
       purging_window ? WindowSeconds(config.window->length) : 0;
   const bool recent_purge = RecentPurgeApplies(config);
+  // Why an entry stays when no license drops it: CHRONICLE frees only
+  // what a match consumes, UNRESTRICTED and RECENT outside its license
+  // free nothing. CONSECUTIVE supersedes every entry.
+  const GrowthReason unlicensed = config.mode == PairingMode::kChronicle
+                                      ? GrowthReason::kUnmatchedRetention
+                                      : GrowthReason::kNoPurgeLicense;
+  const bool licensed = purging_window || recent_purge ||
+                        config.mode == PairingMode::kConsecutive;
 
   std::vector<Term> terms;
   for (size_t i = 0; i < n; ++i) {
@@ -88,8 +104,11 @@ StateBound SeqStateBound(const SeqOperatorConfig& config,
     const double rate = i < rates.size() ? rates[i] : 0;
     if (pos.star) {
       // An open star group extends while its gate passes and is never
-      // window-evicted, so no static license bounds it.
-      terms.push_back(GrowthTerm(pos.alias, rate, "open star group"));
+      // window-evicted, so no static license bounds it; without a
+      // license its closed groups stay as well.
+      terms.push_back(Growth(i, pos.alias, rate, GrowthReason::kOpenStarGroup,
+                             licensed ? std::nullopt
+                                      : std::optional(unlicensed)));
       continue;
     }
     if (config.mode == PairingMode::kConsecutive) {
@@ -120,9 +139,9 @@ StateBound SeqStateBound(const SeqOperatorConfig& config,
     // UNRESTRICTED, CHRONICLE and RECENT outside its purge license,
     // without a purging window, retain without bound; so does RECENT
     // negation evidence, which PurgeRecent never drops.
-    terms.push_back(GrowthTerm(
-        pos.alias, rate,
-        pos.negated ? "negation evidence" : "no purge license"));
+    terms.push_back(Growth(
+        i, pos.alias, rate,
+        pos.negated ? GrowthReason::kNegationEvidence : unlicensed));
   }
   return Sum(terms, "");
 }
@@ -143,8 +162,8 @@ StateBound ExceptionSeqStateBound(const ExceptionSeqConfig& config,
       terms.push_back(WindowTerm(config.positions[i].alias, rate,
                                  WindowSeconds(config.window->length)));
     } else {
-      terms.push_back(GrowthTerm(config.positions[i].alias, rate,
-                                 "open star group"));
+      terms.push_back(Growth(i, config.positions[i].alias, rate,
+                             GrowthReason::kOpenStarGroup));
     }
   }
   return Sum(terms, "");
@@ -223,6 +242,8 @@ StateBound CombineBounds(const StateBound& a, const StateBound& b) {
   out.formula = a.formula.empty() ? b.formula
                 : b.formula.empty() ? a.formula
                                     : a.formula + " + " + b.formula;
+  out.growth = a.growth;
+  out.growth.insert(out.growth.end(), b.growth.begin(), b.growth.end());
   return out;
 }
 

@@ -29,7 +29,9 @@
 //
 // Rates come from catalog-declared StreamStats (see CostModelParams for
 // the documented defaults). "+1" terms account for the tuple at the
-// inclusive window boundary.
+// inclusive window boundary. An unbounded SEQ-family bound also lists
+// its growth terms (position, rate, reason): EXPLAIN COST, admission and
+// the unbounded-retention lint all read this one verdict.
 
 #ifndef ESLEV_ANALYSIS_STATE_BOUNDS_H_
 #define ESLEV_ANALYSIS_STATE_BOUNDS_H_
@@ -43,6 +45,37 @@
 
 namespace eslev {
 
+/// \brief Why a position of a SEQ-family operator retains without a
+/// static bound. The `unbounded-retention` lint (DESIGN.md §11) grades
+/// its severity by it.
+enum class GrowthReason {
+  /// Nothing drops the position's tuples: UNRESTRICTED pairing, or
+  /// RECENT outside its purge license, under no evicting window. The
+  /// formula calls it "no purge license".
+  kNoPurgeLicense,
+  /// CHRONICLE under no evicting window: a tuple leaves only when a
+  /// match consumes it. The formula calls it "no purge license" too.
+  kUnmatchedRetention,
+  /// A star position's open group, which no window evicts.
+  kOpenStarGroup,
+  /// A negated position's history, kept as interval evidence: only an
+  /// evicting window drops it (RECENT's purge keeps all of it).
+  kNegationEvidence,
+};
+
+/// \brief One unbounded term of a bound: which position grows, how fast
+/// and why.
+struct GrowthTerm {
+  /// Operator position == SEQ argument index.
+  size_t position = 0;
+  double per_sec = 0;
+  GrowthReason reason = GrowthReason::kNoPurgeLicense;
+  /// Set on an open star group whose closed groups no license drops
+  /// either (kNoPurgeLicense or kUnmatchedRetention), so the position
+  /// has both reasons.
+  std::optional<GrowthReason> closed_groups;
+};
+
 /// \brief Static bound on one operator's retained state.
 struct StateBound {
   /// True when the retained tuple count has a static upper bound.
@@ -53,6 +86,8 @@ struct StateBound {
   double growth_per_sec = 0;
   /// Symbolic derivation, e.g. "r(C1)*1800s+1 [window] + ...".
   std::string formula;
+  /// The SEQ-family terms that make it unbounded, in position order.
+  std::vector<GrowthTerm> growth;
 };
 
 /// \brief Bound for a SEQ operator; `rates[i]` is the arrival rate of

@@ -1,39 +1,10 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "common/string_util.h"
 
 namespace eslev {
-
-namespace {
-
-void AppendJsonString(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 size_t Histogram::BucketIndex(uint64_t v) {
   if (v == 0) return 0;

@@ -75,6 +75,39 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
+void AppendJsonString(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          *out += "\\u00";
+          out->push_back(kHex[(c >> 4) & 0xF]);
+          out->push_back(kHex[c & 0xF]);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 namespace {
 
 // Iterative LIKE matcher: linear scan with backtracking to the last '%'.

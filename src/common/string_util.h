@@ -1,4 +1,5 @@
-// Small string helpers shared across the lexer, EPC handling, and tests.
+// Small string helpers shared across the lexer, EPC handling, the JSON
+// writers, and tests.
 
 #ifndef ESLEV_COMMON_STRING_UTIL_H_
 #define ESLEV_COMMON_STRING_UTIL_H_
@@ -30,6 +31,11 @@ std::string_view Trim(std::string_view s);
 
 /// \brief True iff `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// \brief Append `s` to `out` as a quoted JSON string: `"` and `\`
+/// backslash-escaped, newline, CR and tab as `\n`, `\r`, `\t`, every
+/// other byte below 0x20 as `\u00XX`, everything else verbatim.
+void AppendJsonString(std::string_view s, std::string* out);
 
 /// \brief SQL LIKE match with '%' (any run) and '_' (any single char).
 /// No escape character (matches the subset used in the paper).

@@ -168,6 +168,7 @@ Status ShardedEngine::RefreshRoutes() {
 
 Status ShardedEngine::ExecuteScript(const std::string& sql) {
   ESLEV_RETURN_NOT_OK(init_error_);
+  ESLEV_RETURN_NOT_OK(Flush());
   ESLEV_RETURN_NOT_OK(RunOnAllShards(
       [&sql](size_t, Engine& engine) { return engine.ExecuteScript(sql); }));
   return RefreshRoutes();
@@ -175,6 +176,7 @@ Status ShardedEngine::ExecuteScript(const std::string& sql) {
 
 Result<QueryInfo> ShardedEngine::RegisterQuery(const std::string& sql) {
   ESLEV_RETURN_NOT_OK(init_error_);
+  ESLEV_RETURN_NOT_OK(Flush());
   std::mutex mu;
   std::vector<QueryInfo> infos;
   ESLEV_RETURN_NOT_OK(RunOnAllShards([&](size_t, Engine& engine) {
@@ -198,9 +200,6 @@ Result<QueryInfo> ShardedEngine::RegisterQuery(const std::string& sql) {
 
 Status ShardedEngine::UnregisterQuery(int id) {
   ESLEV_RETURN_NOT_OK(init_error_);
-  // Quiesce: every shard must have processed all routed tuples before
-  // the topology changes, so the cut lands at the same stream position
-  // on every shard.
   ESLEV_RETURN_NOT_OK(Flush());
   ESLEV_RETURN_NOT_OK(RunOnAllShards(
       [id](size_t, Engine& engine) { return engine.UnregisterQuery(id); }));
@@ -234,6 +233,7 @@ Status ShardedEngine::PruneDeadRoutes() {
 
 Status ShardedEngine::Subscribe(const std::string& stream,
                                 TupleCallback callback) {
+  ESLEV_RETURN_NOT_OK(Flush());
   const size_t sub_id = callbacks_.size();
   callbacks_.push_back(std::move(callback));
   Status st = Status::OK();

@@ -77,6 +77,10 @@ class ShardedEngine {
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
   // ---- setup (broadcast; complete before producers push) -----------------
+  //
+  // ExecuteScript, RegisterQuery, UnregisterQuery and Subscribe change
+  // the topology. Each quiesces every shard queue first (Flush), so the
+  // change lands at the same stream position on every shard.
 
   /// \brief Run a script on every shard (DDL + continuous queries).
   Status ExecuteScript(const std::string& sql);
@@ -86,9 +90,8 @@ class ShardedEngine {
   Result<QueryInfo> RegisterQuery(const std::string& sql);
 
   /// \brief Unregister a continuous query on every shard (DESIGN.md
-  /// §17). Quiesces all shard queues first (Flush), so the topology
-  /// change lands at the same stream position everywhere, then prunes
-  /// routes whose `_q<id>` stream the unregistration dropped.
+  /// §17), then prune routes whose `_q<id>` stream the unregistration
+  /// dropped.
   Status UnregisterQuery(int id);
 
   /// \brief Broadcast Engine::SetNextQueryId to every shard — the

@@ -6,10 +6,10 @@
 // by DrainEmissions).
 //
 // Adapters are non-owning: the caller constructs and owns the engine;
-// the host only mediates. The sharded adapter quiesces all shards
-// (Flush) before any topology change, so a runtime registration lands
-// at the same stream position on every shard — the property the
-// multi-tenant differential proof relies on.
+// the host only forwards. ShardedEngine quiesces all shards (Flush)
+// before any topology change, so a runtime registration lands at the
+// same stream position on every shard — the property the multi-tenant
+// differential proof relies on.
 
 #ifndef ESLEV_SERVE_SERVE_HOST_H_
 #define ESLEV_SERVE_SERVE_HOST_H_
@@ -110,30 +110,26 @@ class EngineHost : public ServeHost {
   Engine* engine_;
 };
 
-/// \brief Serving over a caller-owned ShardedEngine. Topology changes
-/// quiesce every shard first so all shard engines mutate at the same
-/// stream position.
+/// \brief Serving over a caller-owned ShardedEngine, which quiesces its
+/// shards itself before every topology change.
 class ShardedHost : public ServeHost {
  public:
   explicit ShardedHost(ShardedEngine* engine) : engine_(engine) {}
 
   Status ExecuteScript(const std::string& sql) override {
-    ESLEV_RETURN_NOT_OK(engine_->Flush());
     return engine_->ExecuteScript(sql);
   }
   Result<QueryInfo> RegisterQuery(const std::string& sql) override {
-    ESLEV_RETURN_NOT_OK(engine_->Flush());
     return engine_->RegisterQuery(sql);
   }
   Status UnregisterQuery(int id) override {
-    return engine_->UnregisterQuery(id);  // flushes internally
+    return engine_->UnregisterQuery(id);
   }
   Status SetNextQueryId(int id) override {
     return engine_->SetNextQueryId(id);
   }
   Status Subscribe(const std::string& stream,
                    TupleCallback callback) override {
-    ESLEV_RETURN_NOT_OK(engine_->Flush());
     return engine_->Subscribe(stream, std::move(callback));
   }
   Result<std::string> Explain(const std::string& sql) override {

@@ -1,6 +1,7 @@
 // Estimate-vs-actual validation of the static cost & state-bound
-// analyzer (DESIGN.md §16): every corpus query is registered on a live
-// engine, the engine is driven with a synthetic load whose rates and
+// analyzer (DESIGN.md §16): every corpus query, and two queries that
+// keep negation evidence under an evicting window, is registered on a
+// live engine, the engine is driven with a synthetic load whose rates and
 // key cardinality are declared to the analyzer via DeclareStreamStats,
 // and the peak of each operator's live state gauges (the exact gauge
 // names the cost report lists in `state_gauges`) must stay at or below
@@ -137,12 +138,48 @@ std::vector<Value> MakeTuple(const SchemaPtr& schema, Timestamp ts,
   return values;
 }
 
+/// Inputs beyond the corpus: negation evidence under an evicting window,
+/// which only window eviction bounds (RECENT's purge keeps all of it).
+/// At the default 1000/s the CHRONICLE query's bound is 15003 tuples.
+constexpr char kNegationDdl[] = R"sql(
+  CREATE STREAM R1(readerid, tagid, tagtime);
+  CREATE STREAM R2(readerid, tagid, tagtime);
+  CREATE STREAM R3(readerid, tagid, tagtime);
+)sql";
+
+struct ValidationInput {
+  std::string name;
+  std::string sql;
+  LoadParams load;
+  size_t bounded_rows = 0;  // at least this many rows are checked
+};
+
 TEST(CostValidationTest, MeasuredPeakStateStaysWithinStaticBounds) {
-  size_t validated_rows = 0;
+  std::vector<ValidationInput> inputs;
   for (const std::string& path : CorpusFiles()) {
-    SCOPED_TRACE(path);
-    const std::string sql = ReadFile(path);
-    const LoadParams load = ParamsFor(Stem(path));
+    inputs.push_back({path, ReadFile(path), ParamsFor(Stem(path))});
+  }
+  inputs.push_back(
+      {"chronicle_negation",
+       std::string(kNegationDdl) +
+           "CREATE STREAM R4(readerid, tagid, tagtime);"
+           "SELECT R4.tagid FROM R1, R2, R3, R4 WHERE SEQ(R1, !R2, R3, R4) "
+           "OVER [5 SECONDS PRECEDING R4] MODE CHRONICLE AND R1.tagid = "
+           "R4.tagid AND R3.tagid = R4.tagid;",
+       {20, 10, 10},
+       1});
+  inputs.push_back({"recent_negation",
+                    std::string(kNegationDdl) +
+                        "SELECT R3.tagid FROM R1, R2, R3 WHERE SEQ(R1, !R2, "
+                        "R3) OVER [3 SECONDS PRECEDING R3] MODE RECENT;",
+                    {20, 10, 10},
+                    1});
+  size_t validated_rows = 0;
+  for (const ValidationInput& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const std::string& sql = input.sql;
+    const LoadParams& load = input.load;
+    const size_t validated_before = validated_rows;
 
     Engine engine;
     ASSERT_TRUE(engine.ExecuteScript(sql).ok());
@@ -211,6 +248,7 @@ TEST(CostValidationTest, MeasuredPeakStateStaysWithinStaticBounds) {
         ++validated_rows;
       }
     }
+    EXPECT_GE(validated_rows - validated_before, input.bounded_rows);
   }
   // The harness must not be vacuous: the corpus contains bounded SEQ,
   // EXCEPTION_SEQ, anti-join and aggregate operators.

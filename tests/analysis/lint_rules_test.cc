@@ -165,6 +165,23 @@ TEST_F(LintRulesTest, ChronicleUnderWindowAnchoredBeforeLastPositionWarns) {
       << d->ToString();
 }
 
+TEST_F(LintRulesTest, ChronicleStarUnderEvictingWindowWarnsAtTheStar) {
+  // The window evicts closed history, but no window evicts an open star
+  // group, so the state bound is unbounded at R1*.
+  const auto diags = Lint(
+      "SELECT R2.tagid FROM R1, R2 WHERE SEQ(R1*, R2) OVER [5 SECONDS "
+      "PRECEDING R2] MODE CHRONICLE AND R1.tagid = R2.tagid;");
+  ASSERT_EQ(CountRule(diags, "unbounded-retention"), 2u);
+  EXPECT_EQ(diags[0].rule, "unbounded-retention");
+  EXPECT_EQ(diags[0].severity, Severity::kWarning);
+  ExpectSpan(diags[0], 1, 35, 57);  // SEQ(R1*, R2) OVER [...] MODE CHRONICLE
+  EXPECT_EQ(diags[1].rule, "unbounded-retention");
+  EXPECT_EQ(diags[1].severity, Severity::kWarning);
+  ExpectSpan(diags[1], 1, 39, 3);  // R1*
+  EXPECT_NE(diags[1].message.find("open star group"), std::string::npos)
+      << diags[1].ToString();
+}
+
 // ---------------------------------------------------------------------------
 // unsatisfiable-window
 // ---------------------------------------------------------------------------

@@ -20,6 +20,20 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
   EXPECT_FALSE(AsciiEqualsIgnoreCase("abc", "abd"));
 }
 
+TEST(StringUtilTest, AppendJsonStringEscapesControlBytesQuoteAndBackslash) {
+  std::string in;
+  for (int c = 0; c < 0x20; ++c) in.push_back(static_cast<char>(c));
+  in += "\"\\a\xc3\xa9";  // quote, backslash, then verbatim bytes
+  std::string out = "prefix:";
+  AppendJsonString(in, &out);
+  EXPECT_EQ(out,
+            R"(prefix:"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007)"
+            R"(\u0008\t\n\u000b\u000c\r\u000e\u000f\u0010\u0011\u0012)"
+            R"(\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a\u001b)"
+            R"(\u001c\u001d\u001e\u001f\"\\a)"
+            "\xc3\xa9\"");
+}
+
 TEST(StringUtilTest, Split) {
   auto parts = Split("20.57.9000", '.');
   ASSERT_EQ(parts.size(), 3u);

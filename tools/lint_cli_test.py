@@ -9,6 +9,10 @@ Covers the three documented exit codes (eslev_lint --help):
   2  a file could not be read, parsed or executed — and the message
      must name the offending file as `eslev_lint: <path>: <reason>`
      so multi-file invocations are debuggable from stderr alone.
+
+It also runs `eslev_lint --cost --json=DIR` on a script and then
+tools/lint_schema_check.py on DIR, whose cross-check needs the lint's
+unbounded-retention verdict to match the cost report's.
 """
 
 import os
@@ -29,7 +33,16 @@ ERROR_SQL = DDL + (
     "SELECT R1.tagid FROM R1, R2 WHERE SEQ(R1, R2) "
     "AND R1.tagid = R2.tagid;\n")
 
+# A CHRONICLE star under an evicting window: the window never evicts the
+# open star group, so the state bound is unbounded and lint must say so.
+STAR_SQL = DDL + (
+    "SELECT R2.tagid FROM R1, R2 WHERE SEQ(R1*, R2) OVER "
+    "[5 SECONDS PRECEDING R2] MODE CHRONICLE AND R1.tagid = R2.tagid;\n")
+
 MALFORMED_SQL = "SELECT FROM WHERE;\n"
+
+SCHEMA_CHECK = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "lint_schema_check.py")
 
 
 def run(lint, *argv):
@@ -64,6 +77,9 @@ def main():
             f.write(ERROR_SQL)
         with open(malformed, "w", encoding="utf-8") as f:
             f.write(MALFORMED_SQL)
+        star = os.path.join(tmp, "star.sql")
+        with open(star, "w", encoding="utf-8") as f:
+            f.write(STAR_SQL)
 
         # Exit 0: clean script, findings may exist but none error-level.
         proc = run(lint, clean)
@@ -94,6 +110,19 @@ def main():
                            "parse-failure message names the file", proc)
         failures += expect(missing not in proc.stderr,
                            "only the offending file is named", proc)
+
+        # Lint and cost agree on retention in the JSON artifacts.
+        json_dir = os.path.join(tmp, "json")
+        os.mkdir(json_dir)
+        proc = run(lint, "--cost", f"--json={json_dir}", star)
+        failures += expect(proc.returncode == 0,
+                           "open star group lints with warnings only", proc)
+        proc = subprocess.run(
+            [sys.executable, SCHEMA_CHECK, "--json-dir", json_dir],
+            capture_output=True, text=True)
+        failures += expect(proc.returncode == 0,
+                           "lint and cost agree on the open star group",
+                           proc)
 
         # Exit 2: no input files at all.
         proc = run(lint)

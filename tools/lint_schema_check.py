@@ -9,6 +9,11 @@ This script re-checks the *artifacts* CI actually uploads, so a drift
 that only shows up on real corpus queries (a conditional field, a
 scientific-notation float, a renamed verdict) still fails the build.
 
+It also checks that lint and cost agree on retention: a script has an
+`unbounded-retention` diagnostic exactly when one of its cost reports
+has a SeqOperator or ExceptionSeqOperator row whose state is unbounded
+(the lint renders that bound, DESIGN.md §11).
+
 Usage:
   python3 tools/lint_schema_check.py --json-dir bench-json
 
@@ -103,6 +108,26 @@ def check_cost_file(path: pathlib.Path, errors: list) -> None:
                     f"{where}: verdict {report['sharding']['verdict']!r}")
 
 
+SEQ_OPS = {"SeqOperator", "ExceptionSeqOperator"}
+
+
+def check_retention_agreement(lint_path: pathlib.Path,
+                              cost_path: pathlib.Path, errors: list) -> None:
+    lint = json.loads(lint_path.read_text())
+    cost = json.loads(cost_path.read_text())
+    flagged = any(d.get("rule") == "unbounded-retention"
+                  for d in lint.get("diagnostics", []))
+    unbounded = any(op.get("op") in SEQ_OPS
+                    and not op.get("state", {}).get("bounded", True)
+                    for report in cost for op in report.get("operators", []))
+    if flagged != unbounded:
+        errors.append(
+            f"{lint_path.name}: unbounded-retention "
+            f"{'reported' if flagged else 'not reported'}, but "
+            f"{cost_path.name} has "
+            f"{'an unbounded' if unbounded else 'no unbounded'} SEQ row")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json-dir", default="bench-json",
@@ -127,6 +152,15 @@ def main() -> int:
             check_cost_file(path, errors)
         except json.JSONDecodeError as e:
             errors.append(f"{path.name}: invalid JSON ({e})")
+    for lint_path in lint_files:
+        stem = lint_path.name[:-len(".lint.json")]
+        cost_path = root / f"{stem}.cost.json"
+        if not cost_path.exists():
+            continue
+        try:
+            check_retention_agreement(lint_path, cost_path, errors)
+        except (json.JSONDecodeError, AttributeError, TypeError):
+            pass  # the schema checks above already report the file
 
     for err in errors:
         print(f"SCHEMA DRIFT: {err}")
