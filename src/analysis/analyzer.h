@@ -97,24 +97,6 @@ class QueryAnalyzer {
 /// the QueryAnalyzer constructor (defined in rules.cc).
 void RegisterBuiltinLintRules(QueryAnalyzer* analyzer);
 
-// ---------------------------------------------------------------------------
-// AST walkers shared by rules (and usable by future external rules)
-// ---------------------------------------------------------------------------
-
-/// \brief Preorder visit of `expr` and every nested expression,
-/// including expressions inside EXISTS subqueries.
-void ForEachExprIn(const Expr& expr,
-                   const std::function<void(const Expr&)>& fn);
-
-/// \brief Visit every expression of `select` (select list, WHERE, GROUP
-/// BY, HAVING, ORDER BY), recursing into subqueries.
-void ForEachExpr(const SelectStmt& select,
-                 const std::function<void(const Expr&)>& fn);
-
-/// \brief Visit `select` and every EXISTS subquery nested inside it.
-void ForEachSelect(const SelectStmt& select,
-                   const std::function<void(const SelectStmt&)>& fn);
-
 }  // namespace eslev
 
 #endif  // ESLEV_ANALYSIS_ANALYZER_H_

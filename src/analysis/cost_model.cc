@@ -26,23 +26,27 @@ const Statement* Unwrap(const Statement& stmt) {
   return s;
 }
 
-bool ContainsKind(const Expr& expr, ExprKind kind) {
-  bool found = false;
-  ForEachExprIn(expr, [&](const Expr& e) {
-    if (e.kind == kind) found = true;
-  });
-  return found;
-}
-
-bool ContainsPrevious(const Expr& expr) {
-  bool found = false;
-  ForEachExprIn(expr, [&](const Expr& e) {
-    if (e.kind == ExprKind::kColumnRef &&
-        static_cast<const ColumnRefExpr&>(e).previous) {
-      found = true;
+/// A conjunct the filter's selectivity covers: it reads a column and
+/// holds no EXISTS, SEQ, star aggregate or `.previous` reference.
+bool IsPlainFilter(const Expr& conjunct) {
+  bool reads_column = false;
+  bool special = false;
+  ForEachExprIn(conjunct, [&](const Expr& e) {
+    switch (e.kind) {
+      case ExprKind::kExists:
+      case ExprKind::kSeq:
+      case ExprKind::kStarAgg:
+        special = true;
+        break;
+      case ExprKind::kColumnRef:
+        reads_column = true;
+        if (static_cast<const ColumnRefExpr&>(e).previous) special = true;
+        break;
+      default:
+        break;
     }
   });
-  return found;
+  return reads_column && !special;
 }
 
 }  // namespace
@@ -154,13 +158,7 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
 
   double filter_selectivity = 1.0;
   for (const Expr* c : conjuncts) {
-    if (ContainsKind(*c, ExprKind::kExists) ||
-        ContainsKind(*c, ExprKind::kSeq) ||
-        ContainsKind(*c, ExprKind::kStarAgg) || ContainsPrevious(*c) ||
-        !ContainsKind(*c, ExprKind::kColumnRef)) {
-      continue;
-    }
-    filter_selectivity *= selectivity_of(*c);
+    if (IsPlainFilter(*c)) filter_selectivity *= selectivity_of(*c);
   }
   filter_selectivity = std::clamp(filter_selectivity, 0.0, 1.0);
 
@@ -171,7 +169,7 @@ Result<QueryCostReport> CostAnalyzer::AnalyzeFromPlan(
   }
 
   const PartitionVerdict verdict =
-      ClassifyPartitioning(*catalog_, *select, conjuncts, seqs);
+      ClassifyPartitioning(*catalog_, *select, conjuncts, seqs).verdict;
 
   // Distinct keys of the NOT EXISTS sub-query's stream, which a keyed
   // window probe divides its buffer by.

@@ -434,15 +434,32 @@ void DeadPredicateRule(const LintContext& ctx, std::vector<Diagnostic>* out) {
 // shard-fallback
 // ---------------------------------------------------------------------------
 
-// Partition-key resolution and union-find linkage live in
-// plan/partitioning.h (shared with the cost model's per-shard split).
+// The rule renders the partitioning verdict (plan/partitioning.h), the
+// one the cost model's sharding split reads too: one finding per
+// construct that forces single-shard routing.
 
 void ShardFallbackRule(const LintContext& ctx, std::vector<Diagnostic>* out) {
-  const auto warn = [&](const std::string& what, const SourceSpan& span) {
-    std::string message =
-        what + " — matches can pair tuples with different partition keys, "
-               "so ShardedEngine must route the source streams to a single "
-               "shard (SetSingleShard), forfeiting parallelism";
+  const PartitionClassification verdict = ClassifyPartitioning(
+      *ctx.catalog, *ctx.select, ctx.conjuncts, ctx.seqs);
+  for (const ShardFallbackCause& cause : verdict.causes) {
+    std::string message;
+    switch (cause.kind) {
+      case ShardFallbackCause::Kind::kSeqPositions:
+        message =
+            "SEQ positions are not pairwise joined on their partition keys";
+        break;
+      case ShardFallbackCause::Kind::kJoin:
+        message = "joined streams are not equated on their partition keys";
+        break;
+      case ShardFallbackCause::Kind::kExists:
+        message = "the EXISTS subquery does not correlate with '" +
+                  cause.outer->alias + "' on the partition key";
+        break;
+    }
+    message +=
+        " — matches can pair tuples with different partition keys, "
+        "so ShardedEngine must route the source streams to a single "
+        "shard (SetSingleShard), forfeiting parallelism";
     if (ctx.cost != nullptr) {
       // Quantify the fallback with the cost model's per-shard split.
       message += "; estimated " +
@@ -454,79 +471,13 @@ void ShardFallbackRule(const LintContext& ctx, std::vector<Diagnostic>* out) {
                  " shards (fallback delta +" +
                  FormatCostNumber(ctx.cost->fallback_delta) + "/s)";
     }
+    const SourceSpan span =
+        cause.expr != nullptr ? cause.expr->span : ctx.statement->span;
     out->push_back(Make(
         Severity::kWarning, "shard-fallback", std::move(message), span,
         "join every position on the partition key (e.g. a.tagid = b.tagid), "
         "or accept single-shard routing"));
-  };
-
-  // SEQ queries: every non-negated position must be key-linked.
-  if (ctx.seqs.size() == 1 && !ctx.select->from.empty()) {
-    const SeqExpr& seq = *ctx.seqs[0];
-    std::vector<const TableRef*> refs;
-    for (const SeqArg& arg : seq.args) {
-      if (arg.negated) continue;  // carries no tuple
-      const TableRef* found = nullptr;
-      for (const TableRef& ref : ctx.select->from) {
-        if (AsciiEqualsIgnoreCase(ref.alias, arg.stream)) {
-          found = &ref;
-          break;
-        }
-      }
-      if (found == nullptr) return;  // unknown alias: planner reports it
-      refs.push_back(found);
-    }
-    std::vector<PartitionPos> positions;
-    if (!ResolvePartitionPositions(refs, *ctx.catalog, &positions)) return;
-    if (!PartitionKeyLinked(positions, ctx.conjuncts)) {
-      warn("SEQ positions are not pairwise joined on their partition keys",
-           seq.span);
-    }
-    return;
   }
-  if (!ctx.seqs.empty()) return;  // multi-SEQ shapes: undecided
-
-  // Multi-stream joins (windowed self-joins, Example 8 shapes).
-  std::vector<const TableRef*> stream_refs;
-  for (const TableRef& ref : ctx.select->from) {
-    if (ctx.catalog->FindStream(ref.name) != nullptr) {
-      stream_refs.push_back(&ref);
-    }
-  }
-  if (stream_refs.size() >= 2) {
-    std::vector<PartitionPos> positions;
-    if (ResolvePartitionPositions(stream_refs, *ctx.catalog, &positions) &&
-        !PartitionKeyLinked(positions, ctx.conjuncts)) {
-      warn("joined streams are not equated on their partition keys",
-           ctx.statement->span);
-    }
-    return;
-  }
-
-  // Correlated [NOT] EXISTS against a stream: the subquery must
-  // correlate with the outer stream on the partition key, or the
-  // anti-join sees only the local shard's slice.
-  if (stream_refs.size() != 1 || ctx.select->where == nullptr) return;
-  const TableRef* outer_ref = stream_refs[0];
-  ForEachExprIn(*ctx.select->where, [&](const Expr& e) {
-    if (e.kind != ExprKind::kExists) return;
-    const auto& exists = static_cast<const ExistsExpr&>(e);
-    const SelectStmt& sub = *exists.subquery;
-    if (sub.from.size() != 1) return;
-    if (ctx.catalog->FindStream(sub.from[0].name) == nullptr) return;
-    std::vector<PartitionPos> positions;
-    if (!ResolvePartitionPositions({outer_ref, &sub.from[0]}, *ctx.catalog,
-                                   &positions)) {
-      return;
-    }
-    std::vector<const Expr*> sub_conjuncts;
-    FlattenConjuncts(sub.where.get(), &sub_conjuncts);
-    if (!PartitionKeyLinked(positions, sub_conjuncts)) {
-      warn("the EXISTS subquery does not correlate with '" +
-               outer_ref->alias + "' on the partition key",
-           e.span);
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------

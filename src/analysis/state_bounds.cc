@@ -234,17 +234,4 @@ StateBound StatelessStateBound() {
   return b;
 }
 
-StateBound CombineBounds(const StateBound& a, const StateBound& b) {
-  StateBound out;
-  out.bounded = a.bounded && b.bounded;
-  out.tuples = out.bounded ? a.tuples + b.tuples : 0;
-  out.growth_per_sec = a.growth_per_sec + b.growth_per_sec;
-  out.formula = a.formula.empty() ? b.formula
-                : b.formula.empty() ? a.formula
-                                    : a.formula + " + " + b.formula;
-  out.growth = a.growth;
-  out.growth.insert(out.growth.end(), b.growth.begin(), b.growth.end());
-  return out;
-}
-
 }  // namespace eslev

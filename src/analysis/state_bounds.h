@@ -117,10 +117,6 @@ StateBound TableInsertStateBound(double in_rate);
 /// \brief Bound for stateless operators (filter, project, table probe).
 StateBound StatelessStateBound();
 
-/// \brief Sum of bounds: bounded parts add tuples, unbounded parts add
-/// growth; the sum is bounded only when every part is.
-StateBound CombineBounds(const StateBound& a, const StateBound& b);
-
 /// \brief Window length in seconds (0 for row-based windows — use
 /// `length` rows directly in that case).
 double WindowSeconds(Duration length);

@@ -462,10 +462,6 @@ Status Engine::Tick(Timestamp now, bool log) {
   if (now < (front_.ingest_enabled() ? ingest_input_clock_ : clock_)) {
     return Status::OutOfRange("time cannot move backwards");
   }
-  // A repeat of the last tick carries nothing new: it is neither logged
-  // nor delivered, as the sharded coordinator's watermark drops it too.
-  if (now == last_tick_) return Status::OK();
-  last_tick_ = now;
   if (front_.ingest_enabled()) ingest_input_clock_ = now;
   return front_.Tick(now, log);
 }

@@ -272,7 +272,6 @@ class Engine : public Catalog {
   std::vector<PlannedQuery> queries_;
   std::vector<std::unique_ptr<Operator>> sinks_;
   Timestamp clock_ = kMinTimestamp;
-  Timestamp last_tick_ = kMinTimestamp;  // last tick accepted (Tick)
   int next_query_id_ = 1;
 
   // The WAL and ingest ahead of the pipelines (DESIGN.md §10, §15).

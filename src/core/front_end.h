@@ -17,10 +17,14 @@
 //   Replay        Skip records at or below the restored LSN; a tuple
 //                 re-enters through the host's offer path and a tick
 //                 through its tick path, both unlogged.
+//   Repeated tick A tick equal to the last tick passed on is dropped,
+//                 neither logged nor delivered, live or replayed.
 //
 // The module takes no lock. A host that is called from several threads
 // serializes every call itself (the coordinator holds its WAL mutex
-// across a logged call and its ingest mutex around each pipeline call).
+// across a logged call and its ingest mutex around each pipeline call);
+// the last tick is atomic, because a coordinator with neither a WAL nor
+// ingest passes its producers' ticks on without a lock.
 //
 // A host `H` with stream handle `T*` provides, to its FrontEnd<H, T>:
 //   Status Offer(const std::string& stream, const Tuple&, bool log);
@@ -34,12 +38,14 @@
 #define ESLEV_CORE_FRONT_END_H_
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
+#include "common/time.h"
 #include "ingest/ingest_pipeline.h"
 #include "recovery/wal.h"
 
@@ -104,6 +110,7 @@ class FrontEndBase {
   uint64_t restored_lsn_ = 0;
   uint64_t records_replayed_ = 0;
   uint64_t truncated_frames_ = 0;
+  std::atomic<Timestamp> last_tick_{kMinTimestamp};  // last tick passed on
 };
 
 /// \brief One host's input front end: the rules of the file comment over
@@ -145,8 +152,16 @@ class FrontEnd : public FrontEndBase {
   /// \brief The one tick path: log the raw tick first when `log`, then
   /// drive the ingest frontiers, or hand it to the host when ingest is
   /// off. Ingest hands the host its held-back frontier once no in-bound
-  /// arrival can precede it.
+  /// arrival can precede it. A repeat of the last tick passed on is
+  /// dropped, neither logged nor delivered; replay passes ticks on here
+  /// too, so a recovered host drops a repeat of its last replayed tick.
   Status Tick(Timestamp now, bool log) {
+    // Relaxed: live ticks that race come from the coordinator's
+    // watermark, which never hands two callers the same time.
+    if (last_tick_.load(std::memory_order_relaxed) == now) {
+      return Status::OK();
+    }
+    last_tick_.store(now, std::memory_order_relaxed);
     if (log && wal_ != nullptr) {
       ESLEV_ASSIGN_OR_RETURN(uint64_t lsn, wal_->AppendHeartbeat(now));
       (void)lsn;

@@ -31,8 +31,7 @@ Result<AggregateOperator::GroupKey> AggregateOperator::KeyOf(
   scratch_.SetTuple(0, &tuple);
   for (const auto& e : group_by_) {
     ESLEV_ASSIGN_OR_RETURN(Value v, e->Eval(scratch_.Row()));
-    // Prefix with the type so 1 (INT) and "1" (VARCHAR) group separately.
-    key.push_back(std::string(TypeIdToString(v.type())) + ":" + v.ToString());
+    key.push_back(v.GroupKey());
   }
   return key;
 }

@@ -79,41 +79,16 @@ bool PartitionKeyLinked(const std::vector<PartitionPos>& positions,
   return true;
 }
 
-namespace {
-
-/// Preorder walk collecting every EXISTS subquery of `expr` (one level
-/// is enough: the planner supports a single subquery nesting depth).
-void CollectExists(const Expr& expr, std::vector<const ExistsExpr*>* out) {
-  switch (expr.kind) {
-    case ExprKind::kExists:
-      out->push_back(static_cast<const ExistsExpr*>(&expr));
-      return;
-    case ExprKind::kUnary:
-      CollectExists(*static_cast<const UnaryExpr&>(expr).operand, out);
-      return;
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(expr);
-      CollectExists(*b.lhs, out);
-      CollectExists(*b.rhs, out);
-      return;
-    }
-    case ExprKind::kFuncCall: {
-      for (const ExprPtr& a : static_cast<const FuncCallExpr&>(expr).args) {
-        CollectExists(*a, out);
-      }
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-}  // namespace
-
-PartitionVerdict ClassifyPartitioning(
+PartitionClassification ClassifyPartitioning(
     const Catalog& catalog, const SelectStmt& select,
     const std::vector<const Expr*>& conjuncts,
     const std::vector<const SeqExpr*>& seqs) {
+  const PartitionClassification undecided{PartitionVerdict::kUndecided, {}};
+  PartitionClassification out;
+  const auto single_shard = [&out](ShardFallbackCause cause) {
+    out.verdict = PartitionVerdict::kSingleShard;
+    out.causes.push_back(cause);
+  };
   // SEQ queries: every non-negated position must be key-linked.
   if (seqs.size() == 1 && !select.from.empty()) {
     const SeqExpr& seq = *seqs[0];
@@ -127,18 +102,19 @@ PartitionVerdict ClassifyPartitioning(
           break;
         }
       }
-      if (found == nullptr) return PartitionVerdict::kUndecided;
+      if (found == nullptr) return undecided;
       refs.push_back(found);
     }
     std::vector<PartitionPos> positions;
     if (!ResolvePartitionPositions(refs, catalog, &positions)) {
-      return PartitionVerdict::kUndecided;
+      return undecided;
     }
-    return PartitionKeyLinked(positions, conjuncts)
-               ? PartitionVerdict::kPartitionable
-               : PartitionVerdict::kSingleShard;
+    if (!PartitionKeyLinked(positions, conjuncts)) {
+      single_shard({ShardFallbackCause::Kind::kSeqPositions, &seq});
+    }
+    return out;
   }
-  if (!seqs.empty()) return PartitionVerdict::kUndecided;
+  if (!seqs.empty()) return undecided;
 
   // Multi-stream joins (windowed self-joins, Example 8 shapes).
   std::vector<const TableRef*> stream_refs;
@@ -150,38 +126,36 @@ PartitionVerdict ClassifyPartitioning(
   if (stream_refs.size() >= 2) {
     std::vector<PartitionPos> positions;
     if (!ResolvePartitionPositions(stream_refs, catalog, &positions)) {
-      return PartitionVerdict::kUndecided;
+      return undecided;
     }
-    return PartitionKeyLinked(positions, conjuncts)
-               ? PartitionVerdict::kPartitionable
-               : PartitionVerdict::kSingleShard;
+    if (!PartitionKeyLinked(positions, conjuncts)) {
+      single_shard({ShardFallbackCause::Kind::kJoin});
+    }
+    return out;
   }
 
   // Correlated [NOT] EXISTS against a stream: the subquery must
   // correlate with the outer stream on the partition key, or the
   // anti-join sees only the local shard's slice.
-  if (stream_refs.size() != 1 || select.where == nullptr) {
-    return PartitionVerdict::kPartitionable;
-  }
+  if (stream_refs.size() != 1 || select.where == nullptr) return out;
   const TableRef* outer_ref = stream_refs[0];
-  std::vector<const ExistsExpr*> exists;
-  CollectExists(*select.where, &exists);
-  for (const ExistsExpr* e : exists) {
-    const SelectStmt& sub = *e->subquery;
-    if (sub.from.size() != 1) continue;
-    if (catalog.FindStream(sub.from[0].name) == nullptr) continue;
+  ForEachExprIn(*select.where, [&](const Expr& e) {
+    if (e.kind != ExprKind::kExists) return;
+    const SelectStmt& sub = *static_cast<const ExistsExpr&>(e).subquery;
+    if (sub.from.size() != 1) return;
+    if (catalog.FindStream(sub.from[0].name) == nullptr) return;
     std::vector<PartitionPos> positions;
     if (!ResolvePartitionPositions({outer_ref, &sub.from[0]}, catalog,
                                    &positions)) {
-      continue;
+      return;
     }
     std::vector<const Expr*> sub_conjuncts;
     FlattenConjuncts(sub.where.get(), &sub_conjuncts);
     if (!PartitionKeyLinked(positions, sub_conjuncts)) {
-      return PartitionVerdict::kSingleShard;
+      single_shard({ShardFallbackCause::Kind::kExists, &e, outer_ref});
     }
-  }
-  return PartitionVerdict::kPartitionable;
+  });
+  return out;
 }
 
 }  // namespace eslev

@@ -54,11 +54,33 @@ enum class PartitionVerdict {
   kUndecided,      // unresolvable aliases / multi-SEQ shapes: no claim
 };
 
-/// \brief Classify one SELECT body (the analysis behind the
-/// shard-fallback lint rule and the cost model's sharding split):
-/// SEQ positions, multi-stream joins, and correlated EXISTS subqueries
-/// must all correlate on the partition key to stay partitionable.
-PartitionVerdict ClassifyPartitioning(
+/// \brief A construct that can pair tuples with different partition
+/// keys, so ShardedEngine must route the query's streams to one shard.
+struct ShardFallbackCause {
+  enum class Kind {
+    kSeqPositions,  // SEQ positions not pairwise joined on their keys
+    kJoin,          // joined streams not equated on their keys
+    kExists,        // an EXISTS subquery not correlated on the key
+  };
+  Kind kind = Kind::kSeqPositions;
+  /// The SEQ or EXISTS expression; null for a join (the whole SELECT).
+  const Expr* expr = nullptr;
+  /// kExists: the outer stream the subquery fails to correlate with.
+  const TableRef* outer = nullptr;
+};
+
+/// \brief A partitioning verdict; `causes` lists every construct that
+/// forces kSingleShard, and is empty for the other verdicts.
+struct PartitionClassification {
+  PartitionVerdict verdict = PartitionVerdict::kPartitionable;
+  std::vector<ShardFallbackCause> causes;
+};
+
+/// \brief Classify one SELECT body (the verdict the shard-fallback lint
+/// rule renders and the cost model's sharding split reads): SEQ
+/// positions, multi-stream joins, and correlated EXISTS subqueries must
+/// all correlate on the partition key to stay partitionable.
+PartitionClassification ClassifyPartitioning(
     const Catalog& catalog, const SelectStmt& select,
     const std::vector<const Expr*>& conjuncts,
     const std::vector<const SeqExpr*>& seqs);

@@ -225,8 +225,7 @@ Result<std::vector<Tuple>> SnapshotExecutor::ExecuteInternal(
       std::vector<std::string> key;
       for (const auto& g : group_by) {
         ESLEV_ASSIGN_OR_RETURN(Value v, g->Eval(scratch.Row()));
-        key.push_back(std::string(TypeIdToString(v.type())) + ":" +
-                      v.ToString());
+        key.push_back(v.GroupKey());
       }
       auto it = groups.find(key);
       if (it == groups.end()) {

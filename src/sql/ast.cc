@@ -227,4 +227,58 @@ std::string InsertStmt::ToString() const {
   return "INSERT INTO " + target + " " + select->ToString();
 }
 
+// ---------------------------------------------------------------------------
+// Walkers
+// ---------------------------------------------------------------------------
+
+
+void ForEachExprIn(const Expr& expr,
+                   const std::function<void(const Expr&)>& fn) {
+  fn(expr);
+  switch (expr.kind) {
+    case ExprKind::kFuncCall:
+      for (const ExprPtr& a : static_cast<const FuncCallExpr&>(expr).args) {
+        ForEachExprIn(*a, fn);
+      }
+      break;
+    case ExprKind::kUnary:
+      ForEachExprIn(*static_cast<const UnaryExpr&>(expr).operand, fn);
+      break;
+    case ExprKind::kBinary: {
+      const auto& b = static_cast<const BinaryExpr&>(expr);
+      ForEachExprIn(*b.lhs, fn);
+      ForEachExprIn(*b.rhs, fn);
+      break;
+    }
+    case ExprKind::kExists:
+      ForEachExpr(*static_cast<const ExistsExpr&>(expr).subquery, fn);
+      break;
+    default:
+      break;  // leaves: literal, column ref, star agg, SEQ
+  }
+}
+
+void ForEachExpr(const SelectStmt& select,
+                 const std::function<void(const Expr&)>& fn) {
+  for (const SelectItem& item : select.items) {
+    if (item.expr != nullptr) ForEachExprIn(*item.expr, fn);
+  }
+  if (select.where != nullptr) ForEachExprIn(*select.where, fn);
+  for (const ExprPtr& g : select.group_by) ForEachExprIn(*g, fn);
+  if (select.having != nullptr) ForEachExprIn(*select.having, fn);
+  for (const OrderKey& k : select.order_by) ForEachExprIn(*k.expr, fn);
+}
+
+void ForEachSelect(const SelectStmt& select,
+                   const std::function<void(const SelectStmt&)>& fn) {
+  fn(select);
+  ForEachExpr(select, [&fn](const Expr& e) {
+    if (e.kind == ExprKind::kExists) {
+      // ForEachExpr already recursed into the subquery's expressions;
+      // here we only surface the subquery statement itself.
+      fn(*static_cast<const ExistsExpr&>(e).subquery);
+    }
+  });
+}
+
 }  // namespace eslev

@@ -15,6 +15,7 @@
 #ifndef ESLEV_SQL_AST_H_
 #define ESLEV_SQL_AST_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -402,6 +403,25 @@ struct ExplainStmt : Statement {
   ExplainMode mode;
   StatementPtr inner;  // kSelect or kInsert
 };
+
+// ---------------------------------------------------------------------------
+// Walkers, shared by the planner's partitioning verdict, the cost model
+// and the lint rules
+// ---------------------------------------------------------------------------
+
+/// \brief Preorder visit of `expr` and every nested expression,
+/// including expressions inside EXISTS subqueries.
+void ForEachExprIn(const Expr& expr,
+                   const std::function<void(const Expr&)>& fn);
+
+/// \brief Visit every expression of `select` (select list, WHERE, GROUP
+/// BY, HAVING, ORDER BY), recursing into subqueries.
+void ForEachExpr(const SelectStmt& select,
+                 const std::function<void(const Expr&)>& fn);
+
+/// \brief Visit `select` and every EXISTS subquery nested inside it.
+void ForEachSelect(const SelectStmt& select,
+                   const std::function<void(const SelectStmt&)>& fn);
 
 }  // namespace eslev
 

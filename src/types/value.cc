@@ -1,6 +1,8 @@
 #include "types/value.h"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 
 #include "common/string_util.h"
@@ -201,6 +203,19 @@ size_t Value::Hash() const {
       return std::hash<int64_t>{}(time_value()) ^ 0x517cc1b727220a95ULL;
   }
   return 0;
+}
+
+std::string Value::GroupKey() const {
+  std::string text = ToString();
+  if (type() == TypeId::kDouble) {
+    const double d = double_value();
+    if (!std::isnan(d) && std::strtod(text.c_str(), nullptr) != d) {
+      char exact[32];
+      std::snprintf(exact, sizeof(exact), "%.17g", d);
+      text = exact;
+    }
+  }
+  return std::string(TypeIdToString(type())) + ":" + text;
 }
 
 }  // namespace eslev

@@ -86,6 +86,13 @@ class Value {
   /// \brief Render for output rows and debugging.
   std::string ToString() const;
 
+  /// \brief The GROUP BY key of this value: its type name, ':' and a
+  /// spelling that tells distinct values apart. That spelling is
+  /// ToString, except for a DOUBLE that ToString's six decimals do not
+  /// spell exactly, which gets 17 significant digits (so 0.1234561 and
+  /// 0.1234562, or 1e-7 and 0.0, are two groups).
+  std::string GroupKey() const;
+
   /// \brief Hash compatible with operator== (for group-by keys).
   size_t Hash() const;
 

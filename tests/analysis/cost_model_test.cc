@@ -296,20 +296,6 @@ TEST(StateBoundTest, FormatCostNumberAvoidsScientificNotation) {
   EXPECT_EQ(FormatCostNumber(1e15), "1000000000000000");
 }
 
-TEST(StateBoundTest, CombineBoundsSumsAndConcatenates) {
-  StateBound a;
-  a.tuples = 3;
-  a.formula = "a";
-  StateBound b;
-  b.bounded = false;
-  b.growth_per_sec = 7;
-  b.formula = "b";
-  const StateBound c = CombineBounds(a, b);
-  EXPECT_FALSE(c.bounded);
-  EXPECT_DOUBLE_EQ(c.growth_per_sec, 7);
-  EXPECT_EQ(c.formula, "a + b");
-}
-
 // ---------------------------------------------------------------------------
 // CostAnalyzer through the Engine surface
 // ---------------------------------------------------------------------------

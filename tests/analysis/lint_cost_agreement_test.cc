@@ -5,7 +5,10 @@
 // `unbounded-retention` lint fires exactly when the state bound of the
 // SEQ-family operator is unbounded, since the rule renders that bound,
 // and once more on each argument whose open star group the bound's
-// formula names.
+// formula names. Over the same grid plus joins and correlated NOT
+// EXISTS shapes, the `shard-fallback` lint fires exactly when the cost
+// report's sharding verdict is "single-shard", since both read one
+// partitioning verdict.
 
 #include <gtest/gtest.h>
 
@@ -203,6 +206,55 @@ TEST(LintCostAgreementTest, UnboundedRetentionFiresExactlyWhenTheBoundDoes) {
   EXPECT_GT(bounded[1], 0u);
   EXPECT_GT(errors, 0u);
   EXPECT_GT(warnings, 0u);
+}
+
+TEST(LintCostAgreementTest, ShardFallbackFiresExactlyWhenTheVerdictDoes) {
+  Engine engine;
+  ASSERT_TRUE(engine
+                  .ExecuteScript("CREATE STREAM R1(readerid, tagid, tagtime);"
+                                 "CREATE STREAM R2(readerid, tagid, tagtime);"
+                                 "CREATE STREAM R3(readerid, tagid, tagtime);"
+                                 "CREATE STREAM R4(readerid, tagid, tagtime);")
+                  .ok());
+  std::vector<std::string> statements;
+  for (const GridStatement& g : Grid()) statements.push_back(g.sql);
+  for (const char* key : {"tagid", "readerid"}) {
+    const std::string k = key;
+    statements.push_back(
+        "SELECT * FROM R1 AS a WHERE NOT EXISTS (SELECT * FROM R2 AS b OVER "
+        "[1 SECONDS PRECEDING a] WHERE b." +
+        k + " = a." + k + ");");
+    statements.push_back(
+        "SELECT * FROM R1 AS a WHERE a.readerid = 'r1' AND NOT EXISTS "
+        "(SELECT * FROM R1 AS b OVER [1 SECONDS PRECEDING AND FOLLOWING a] "
+        "WHERE b." +
+        k + " = a." + k + ");");
+    statements.push_back("SELECT a.tagid FROM R1 AS a, R2 AS b WHERE a." + k +
+                         " = b." + k + ";");
+  }
+
+  size_t verdicts[2] = {0, 0};  // by verdict: other, single-shard
+  for (const std::string& sql : statements) {
+    SCOPED_TRACE(sql);
+    const Result<std::vector<Diagnostic>> diags = engine.Lint(sql);
+    ASSERT_TRUE(diags.ok()) << diags.status();
+    bool plans = true;
+    size_t findings = 0;
+    for (const Diagnostic& d : *diags) {
+      if (d.rule == "plan-error") plans = false;
+      if (d.rule == "shard-fallback") ++findings;
+    }
+    if (!plans) continue;
+    const Result<std::vector<QueryCostReport>> cost = engine.AnalyzeCost(sql);
+    ASSERT_TRUE(cost.ok()) << cost.status();
+    ASSERT_EQ(cost->size(), 1u);
+    const bool single_shard = cost->front().partitioning == "single-shard";
+    EXPECT_EQ(findings > 0, single_shard) << cost->front().partitioning;
+    ++verdicts[single_shard ? 1 : 0];
+  }
+  // Not vacuous: both outcomes occur.
+  EXPECT_GT(verdicts[0], 0u);
+  EXPECT_GT(verdicts[1], 0u);
 }
 
 }  // namespace

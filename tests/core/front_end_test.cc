@@ -1,8 +1,8 @@
 // The input front end (core/front_end.h) that Engine and the
 // ShardedEngine coordinator share: one rule for a push into a query's
 // output stream while ingest is on, one rule for an ingest port whose
-// stream is gone, one rule for a repeated tick, and the same WAL bytes
-// from both hosts.
+// stream is gone, one rule for a repeated tick (live or after a
+// recovery), and the same WAL bytes from both hosts.
 
 #include <gtest/gtest.h>
 
@@ -256,6 +256,61 @@ TEST(FrontEndTest, RepeatedTickIsDroppedAlikeOnBothHosts) {
   }
   // Neither host logs the repeat, so the WALs match byte for byte.
   EXPECT_EQ(engine.wal.size(), sharded.wal.size());
+  EXPECT_TRUE(engine.wal == sharded.wal);
+}
+
+uint64_t WalAppends(Engine& host) {
+  return host.Metrics().counters.at("wal.records_appended");
+}
+uint64_t WalAppends(ShardedEngine& host) {
+  auto metrics = host.Metrics();
+  EXPECT_TRUE(metrics.ok()) << metrics.status();
+  return metrics.ok() ? metrics->counters.at("sharded.wal.records_appended")
+                      : 0;
+}
+
+struct RecoveredTickRun {
+  uint64_t repeat_appends = 0;
+  std::string wal;
+};
+
+// Checkpoint, log a tick at 5 s, crash, recover (replaying that tick),
+// then tick 5 s again.
+template <typename Host>
+RecoveredTickRun RepeatLastReplayedTick(const std::string& name) {
+  const std::string dir = FreshDir(name);
+  std::filesystem::create_directories(dir);
+  {
+    auto host = MakeHost<Host>(1);
+    EXPECT_TRUE(host->ExecuteScript(kSourceDdl).ok());
+    EXPECT_TRUE(host->Checkpoint(dir).ok());
+    EXPECT_TRUE(host->EnableWal(dir + "/" + kWalFileName).ok());
+    EXPECT_TRUE(host->AdvanceTime(Seconds(5)).ok());
+  }
+  RecoveredTickRun run;
+  {
+    auto host = MakeHost<Host>(1);
+    EXPECT_TRUE(host->ExecuteScript(kSourceDdl).ok());
+    const Status recovered = host->RecoverFrom(dir);
+    EXPECT_TRUE(recovered.ok()) << recovered;
+    const uint64_t before = WalAppends(*host);
+    EXPECT_TRUE(host->AdvanceTime(Seconds(5)).ok());
+    run.repeat_appends = WalAppends(*host) - before;
+  }
+  auto wal = ReadFileAll(dir + "/" + kWalFileName);
+  EXPECT_TRUE(wal.ok()) << wal.status();
+  if (wal.ok()) run.wal = *wal;
+  return run;
+}
+
+TEST(FrontEndTest, RecoveredHostsDropARepeatOfTheLastReplayedTick) {
+  const RecoveredTickRun engine =
+      RepeatLastReplayedTick<Engine>("recovered_engine");
+  const RecoveredTickRun sharded =
+      RepeatLastReplayedTick<ShardedEngine>("recovered_sharded");
+  EXPECT_EQ(engine.repeat_appends, 0u);
+  EXPECT_EQ(sharded.repeat_appends, 0u);
+  EXPECT_FALSE(engine.wal.empty());
   EXPECT_TRUE(engine.wal == sharded.wal);
 }
 

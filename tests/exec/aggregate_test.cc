@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/engine.h"
 #include "exec/basic_ops.h"
 #include "expr/binder.h"
 #include "sql/parser.h"
@@ -210,6 +213,32 @@ TEST_F(AggregateTest, SumAndAvg) {
   ASSERT_EQ(out.tuples().size(), 2u);
   EXPECT_EQ(out.tuples()[1].value(0).int_value(), 30);
   EXPECT_DOUBLE_EQ(out.tuples()[1].value(1).double_value(), 15.0);
+}
+
+// A continuous GROUP BY a DOUBLE groups by exact value: keys that agree
+// to six decimals, or that print as 0.000000, stay apart.
+TEST(AggregateGroupKeyTest, DoubleKeysGroupByExactValue) {
+  Engine engine;
+  ASSERT_TRUE(engine.ExecuteScript("CREATE STREAM s(v DOUBLE, seen_time);")
+                  .ok());
+  auto q = engine.RegisterQuery("SELECT v, COUNT(*) FROM s GROUP BY v");
+  ASSERT_TRUE(q.ok()) << q.status();
+  std::vector<int64_t> counts;
+  ASSERT_TRUE(engine
+                  .Subscribe(q->output_stream,
+                             [&](const Tuple& t) {
+                               counts.push_back(t.value(1).int_value());
+                             })
+                  .ok());
+  const std::vector<double> values = {0.1234561, 0.1234562, 1e-7, 0.0};
+  for (size_t i = 0; i < values.size(); ++i) {
+    const Timestamp ts = Seconds(static_cast<int64_t>(i) + 1);
+    ASSERT_TRUE(engine
+                    .Push("s", {Value::Double(values[i]), Value::Time(ts)},
+                          ts)
+                    .ok());
+  }
+  EXPECT_EQ(counts, (std::vector<int64_t>{1, 1, 1, 1}));
 }
 
 }  // namespace

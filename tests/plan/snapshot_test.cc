@@ -180,5 +180,35 @@ TEST(SnapshotNanTest, OrderBySortsNanAboveEveryNumber) {
             (std::vector<std::string>{"s5"}));
 }
 
+// GROUP BY a DOUBLE groups by exact value: keys that agree to six
+// decimals, or that print as 0.000000, stay apart.
+TEST(SnapshotGroupKeyTest, DoubleKeysGroupByExactValue) {
+  EngineOptions options;
+  options.default_retention = Hours(1);
+  Engine engine(options);
+  ASSERT_TRUE(
+      engine.ExecuteScript("CREATE STREAM temps(sensor, v DOUBLE, seen_time);")
+          .ok());
+  const std::vector<double> values = {0.1234561, 0.1234562, 1e-7, 0.0};
+  for (size_t i = 0; i < values.size(); ++i) {
+    const Timestamp ts = Seconds(static_cast<int64_t>(i) + 1);
+    ASSERT_TRUE(engine
+                    .Push("temps",
+                          {Value::String("s"), Value::Double(values[i]),
+                           Value::Time(ts)},
+                          ts)
+                    .ok());
+  }
+  auto rows = engine.ExecuteSnapshot(
+      "SELECT v, COUNT(*) FROM temps GROUP BY v ORDER BY v");
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  ASSERT_EQ(rows->size(), 4u);
+  const std::vector<double> sorted = {0.0, 1e-7, 0.1234561, 0.1234562};
+  for (size_t i = 0; i < rows->size(); ++i) {
+    EXPECT_EQ((*rows)[i].value(0).double_value(), sorted[i]) << i;
+    EXPECT_EQ((*rows)[i].value(1).int_value(), 1) << i;
+  }
+}
+
 }  // namespace
 }  // namespace eslev

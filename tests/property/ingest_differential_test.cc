@@ -18,16 +18,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/sharded_engine.h"
-#include "recovery/checkpoint.h"
 #include "rfid/workloads.h"
+#include "tests/property/differential_harness.h"
 
 namespace eslev {
 namespace {
@@ -39,43 +37,36 @@ using rfid::Workload;
 
 const Duration kMaxShift = Milliseconds(400);
 const Duration kSmoothing = Milliseconds(1);
-const size_t kRouteBatchSizes[] = {1, 7, 64};
 
-struct Scenario {
-  std::string ddl;
-  std::string query;
-  std::vector<std::string> streams;
-  std::vector<std::string> single_shard_streams;  // empty: partitioned
-};
+Trace ToTrace(const Workload& w) {
+  Trace events;
+  for (const auto& ev : w.events) {
+    events.push_back({ev.stream, ev.tuple.values(), ev.tuple.ts()});
+  }
+  return events;
+}
 
-// Clean trace as an rfid::Workload so the noise injector applies
+// The clean trace as an rfid::Workload, so the noise injector applies
 // directly. Inter-arrival >= 50 ms keeps distinct same-key reads far
 // outside the 1 ms smoothing window, so cleaning is an identity on the
 // clean events once each is duplicated past min_read_count.
 Workload MakeCleanWorkload(uint32_t seed, size_t num_events,
                            const std::vector<std::string>& streams,
                            int num_tags) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<size_t> pick_stream(0, streams.size() - 1);
-  std::uniform_int_distribution<int> pick_tag(0, num_tags - 1);
-  std::uniform_int_distribution<Duration> step(Milliseconds(50), Seconds(2));
+  TraceOptions options;
+  options.tag_first = true;
   Workload w;
-  Timestamp now = Seconds(1);
-  for (size_t i = 0; i < num_events; ++i) {
-    auto t = MakeTuple(rfid::ReaderSchema(),
-                       {Value::String("r"),
-                        Value::String("tag" + std::to_string(pick_tag(rng))),
-                        Value::Time(now)},
-                       now);
+  for (const Event& e :
+       MakeTrace(seed, num_events, streams, num_tags, options)) {
+    auto t = MakeTuple(rfid::ReaderSchema(), e.values, e.ts);
     EXPECT_TRUE(t.ok());
-    w.events.push_back({streams[pick_stream(rng)], std::move(t).ValueUnsafe()});
-    now += step(rng);
+    w.events.push_back({e.stream, std::move(t).ValueUnsafe()});
   }
   rfid::NormalizeUniqueTimestamps(&w);
   return w;
 }
 
-Workload MakeNoisy(const Workload& clean, uint32_t seed, NoiseStats* stats) {
+Trace MakeNoisy(const Workload& clean, uint32_t seed) {
   Workload noisy = clean;
   NoiseOptions noise;
   noise.max_shift = kMaxShift;
@@ -84,10 +75,10 @@ Workload MakeNoisy(const Workload& clean, uint32_t seed, NoiseStats* stats) {
   noise.spurious_rate = 0.25;
   noise.drop_rate = 0.0;  // byte-identity: nothing may go missing
   noise.seed = seed;
-  *stats = InjectNoise(&noisy, noise);
-  EXPECT_LE(stats->max_disorder, kMaxShift);
-  EXPECT_GT(stats->duplicates_added, 0u);
-  return noisy;
+  const NoiseStats stats = InjectNoise(&noisy, noise);
+  EXPECT_LE(stats.max_disorder, kMaxShift);
+  EXPECT_GT(stats.duplicates_added, 0u);
+  return ToTrace(noisy);
 }
 
 EngineOptions NoisyOptions() {
@@ -98,149 +89,39 @@ EngineOptions NoisyOptions() {
   return options;
 }
 
-Timestamp LastTs(const Workload& w) {
-  Timestamp last = kMinTimestamp;
-  for (const auto& ev : w.events) last = std::max(last, ev.tuple.ts());
-  return last;
+// Bounded disorder through a covering lateness bound loses nothing.
+void ExpectNoLateDrops(Engine& engine) {
+  EXPECT_EQ(engine.ingest_pipeline()->reorder()->late_dropped(), 0u);
 }
 
-void PushAll(Engine& engine, const Workload& w) {
-  for (const auto& ev : w.events) {
-    ASSERT_TRUE(
-        engine.Push(ev.stream, ev.tuple.values(), ev.tuple.ts()).ok());
-  }
-}
-
-// Exact emission order: single-engine equivalence is byte-for-byte.
-std::vector<std::string> RunSingle(const Scenario& scenario,
-                                   const Workload& w,
-                                   const EngineOptions& options) {
-  Engine engine(options);
-  EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
-  auto q = engine.RegisterQuery(scenario.query);
-  EXPECT_TRUE(q.ok()) << q.status();
-  std::vector<std::string> rows;
-  EXPECT_TRUE(
-      engine
-          .Subscribe(q->output_stream,
-                     [&](const Tuple& t) { rows.push_back(t.ToString()); })
-          .ok());
-  PushAll(engine, w);
-  EXPECT_TRUE(engine.AdvanceTime(LastTs(w) + Minutes(10)).ok());
-  if (engine.ingest_enabled()) {
-    // Bounded disorder through a covering lateness bound loses nothing.
-    EXPECT_EQ(engine.ingest_pipeline()->reorder()->late_dropped(), 0u);
-    EXPECT_GT(engine.ingest_pipeline()->cleaning()->dups_suppressed(), 0u);
-  }
-  return rows;
-}
-
-std::vector<std::string> RunSharded(const Scenario& scenario,
-                                    const Workload& w, size_t num_shards,
-                                    size_t route_batch_size, bool with_ingest) {
-  ShardedEngineOptions options;
-  options.num_shards = num_shards;
-  options.engine = with_ingest ? NoisyOptions() : EngineOptions{};
-  options.route_batch_size = route_batch_size;
-  ShardedEngine engine(options);
-  EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
-  auto q = engine.RegisterQuery(scenario.query);
-  EXPECT_TRUE(q.ok()) << q.status();
-  for (const std::string& s : scenario.single_shard_streams) {
-    EXPECT_TRUE(engine.SetSingleShard(s).ok());
-  }
-  std::vector<std::string> rows;
-  EXPECT_TRUE(
-      engine
-          .Subscribe(q->output_stream,
-                     [&](const Tuple& t) { rows.push_back(t.ToString()); })
-          .ok());
-  for (const auto& ev : w.events) {
-    EXPECT_TRUE(
-        engine.Push(ev.stream, ev.tuple.values(), ev.tuple.ts()).ok());
-  }
-  EXPECT_TRUE(engine.AdvanceTime(LastTs(w) + Minutes(10)).ok());
-  EXPECT_TRUE(engine.Flush().ok());
-  engine.DrainOutputs();
-  std::sort(rows.begin(), rows.end());
-  return rows;
+void ExpectCleanRelease(Engine& engine) {
+  ExpectNoLateDrops(engine);
+  EXPECT_GT(engine.ingest_pipeline()->cleaning()->dups_suppressed(), 0u);
 }
 
 void ExpectIngestEquivalence(const Scenario& scenario, uint32_t seed,
                              size_t num_events, int num_tags) {
   const Workload clean =
       MakeCleanWorkload(seed, num_events, scenario.streams, num_tags);
-  NoiseStats stats;
-  const Workload noisy = MakeNoisy(clean, seed * 2654435761u + 1, &stats);
+  const Trace noisy = MakeNoisy(clean, seed * 2654435761u + 1);
 
-  const auto reference = RunSingle(scenario, clean, EngineOptions{});
-  EXPECT_EQ(RunSingle(scenario, noisy, NoisyOptions()), reference)
+  // Exact emission order: single-engine equivalence is byte-for-byte.
+  const Rows reference = RunEngine(scenario, ToTrace(clean));
+  EXPECT_EQ(RunEngine(scenario, noisy, NoisyOptions(), ExpectCleanRelease),
+            reference)
       << "seed " << seed;
 
-  auto sorted_reference = reference;
-  std::sort(sorted_reference.begin(), sorted_reference.end());
+  const Rows sorted_reference = Sorted(reference);
   std::mt19937 rng(seed * 2246822519u + 7);
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t route_batch_size =
-        kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
-    EXPECT_EQ(RunSharded(scenario, noisy, shards, route_batch_size,
-                         /*with_ingest=*/true),
+    const size_t route_batch_size = DrawRouteBatchSize(rng);
+    EXPECT_EQ(Sorted(RunSharded(
+                  scenario, noisy,
+                  ShardOptions(shards, route_batch_size, NoisyOptions()))),
               sorted_reference)
         << "seed " << seed << " shards " << shards << " route_batch_size "
         << route_batch_size;
   }
-}
-
-constexpr char kSeqDdl[] = R"sql(
-  CREATE STREAM C1(readerid, tagid, tagtime);
-  CREATE STREAM C2(readerid, tagid, tagtime);
-  CREATE STREAM C3(readerid, tagid, tagtime);
-)sql";
-
-Scenario SeqScenario(const std::string& mode_clause) {
-  Scenario s;
-  s.ddl = kSeqDdl;
-  s.query = "SELECT C3.tagid, C1.tagtime, C3.tagtime FROM C1, C2, C3 "
-            "WHERE SEQ(C1, C2, C3)" +
-            mode_clause + " AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid";
-  s.streams = {"C1", "C2", "C3"};
-  return s;
-}
-
-Scenario DedupScenario() {
-  Scenario s;
-  s.ddl = R"sql(
-    CREATE STREAM readings(reader_id, tag_id, read_time);
-    CREATE STREAM cleaned(reader_id, tag_id, read_time);
-  )sql";
-  s.query = R"sql(
-    INSERT INTO cleaned
-    SELECT * FROM readings AS r1
-    WHERE NOT EXISTS
-      (SELECT * FROM TABLE( readings OVER
-          (RANGE 2 seconds PRECEDING CURRENT)) AS r2
-       WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id)
-  )sql";
-  s.streams = {"readings"};
-  return s;
-}
-
-Scenario StarScenario() {
-  Scenario s;
-  s.ddl = R"sql(
-    CREATE STREAM R1(readerid, tagid, tagtime);
-    CREATE STREAM R2(readerid, tagid, tagtime);
-  )sql";
-  s.query = R"sql(
-    SELECT FIRST(R1*).tagtime, COUNT(R1*), R2.tagid, R2.tagtime
-    FROM R1, R2
-    WHERE SEQ(R1*, R2) MODE CHRONICLE
-      AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS
-      AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS
-  )sql";
-  s.streams = {"R1", "R2"};
-  s.single_shard_streams = s.streams;
-  return s;
 }
 
 class IngestDifferentialTest : public ::testing::TestWithParam<uint32_t> {};
@@ -250,11 +131,8 @@ TEST_P(IngestDifferentialTest, SeqAcrossPairingModes) {
   int i = 0;
   for (const char* mode :
        {"", " MODE RECENT", " MODE CHRONICLE", " MODE CONSECUTIVE"}) {
-    Scenario s = SeqScenario(mode);
-    if (std::string(mode) == " MODE CONSECUTIVE") {
-      s.single_shard_streams = s.streams;
-    }
-    ExpectIngestEquivalence(s, seed * 31u + static_cast<uint32_t>(i++), 160, 5);
+    ExpectIngestEquivalence(SeqScenario(mode),
+                            seed * 31u + static_cast<uint32_t>(i++), 160, 5);
   }
 }
 
@@ -268,99 +146,43 @@ TEST_P(IngestDifferentialTest, TrailingStarGroups) {
 
 // ---- kill/recover with a non-empty reorder buffer -----------------------
 
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "ingest_diff_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
 // Crash with events buffered inside the ingest chain: raw arrivals are
 // WAL-logged before they enter the pipeline, so recovery re-offers them
 // through the restored ingest state and re-derives the identical
-// release sequence. `deliver_after` carries the consumer's durable
-// emission count, so the concatenation of pre-crash and post-recovery
+// release sequence. The consumer's durable emission count rides in
+// `deliver_after`, so the concatenation of pre-crash and post-recovery
 // deliveries must equal the clean uninterrupted run byte for byte.
-std::vector<std::string> RunKilledMidIngest(const Scenario& scenario,
-                                            const Workload& noisy,
-                                            size_t ckpt_at, size_t kill_at,
-                                            const std::string& dir) {
-  WalOptions wal_options;
-  wal_options.group_commit_bytes = 0;  // every append durable at the kill
-  std::vector<std::string> rows;
-  std::string output_stream;
-  {
-    Engine a(NoisyOptions());
-    EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
-    auto qa = a.RegisterQuery(scenario.query);
-    EXPECT_TRUE(qa.ok()) << qa.status();
-    output_stream = qa->output_stream;
-    EXPECT_TRUE(
-        a.Subscribe(qa->output_stream,
-                    [&](const Tuple& t) { rows.push_back(t.ToString()); })
-            .ok());
-    EXPECT_TRUE(a.EnableWal(dir + "/" + kWalFileName, wal_options).ok());
-    for (size_t i = 0; i < ckpt_at; ++i) {
-      const auto& ev = noisy.events[i];
-      EXPECT_TRUE(a.Push(ev.stream, ev.tuple.values(), ev.tuple.ts()).ok());
-    }
-    EXPECT_TRUE(a.Checkpoint(dir).ok());
-    for (size_t i = ckpt_at; i < kill_at; ++i) {
-      const auto& ev = noisy.events[i];
-      EXPECT_TRUE(a.Push(ev.stream, ev.tuple.values(), ev.tuple.ts()).ok());
-    }
-    // The kill target of this suite: the engine dies while the reorder
-    // stage still holds undelivered events (any pushed event within the
-    // lateness bound of the frontier is held back, so after at least
-    // one push the buffer is never empty).
-    if (kill_at > 0) {
-      EXPECT_GT(a.Metrics().gauges.at("ingest.reorder.depth"), 0)
-          << "kill_at " << kill_at;
-    }
-  }  // crash
-
-  ReplayOptions replay;
-  replay.deliver_after[output_stream] = rows.size();
-  Engine b(NoisyOptions());
-  EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
-  auto qb = b.RegisterQuery(scenario.query);
-  EXPECT_TRUE(qb.ok()) << qb.status();
-  EXPECT_TRUE(
-      b.Subscribe(qb->output_stream,
-                  [&](const Tuple& t) { rows.push_back(t.ToString()); })
-          .ok());
-  Status recovered = b.RecoverFrom(dir, replay);
-  EXPECT_TRUE(recovered.ok()) << recovered;
-  for (size_t i = kill_at; i < noisy.events.size(); ++i) {
-    const auto& ev = noisy.events[i];
-    EXPECT_TRUE(b.Push(ev.stream, ev.tuple.values(), ev.tuple.ts()).ok());
-  }
-  EXPECT_TRUE(b.AdvanceTime(LastTs(noisy) + Minutes(10)).ok());
-  EXPECT_EQ(b.ingest_pipeline()->reorder()->late_dropped(), 0u);
-  return rows;
-}
-
 TEST_P(IngestDifferentialTest, KillRecoverWithBufferedReorder) {
   const uint32_t seed = GetParam();
   const Scenario scenario = SeqScenario(" MODE CHRONICLE");
   const Workload clean =
       MakeCleanWorkload(seed + 59, 160, scenario.streams, 4);
-  NoiseStats stats;
-  const Workload noisy = MakeNoisy(clean, seed * 40503u + 13, &stats);
-  const auto reference = RunSingle(scenario, clean, EngineOptions{});
+  const Trace noisy = MakeNoisy(clean, seed * 40503u + 13);
+  const Rows reference = RunEngine(scenario, ToTrace(clean));
   std::mt19937 rng(seed * 40503u + 11);
   for (int round = 0; round < 3; ++round) {
-    const size_t ckpt_at = std::uniform_int_distribution<size_t>(
-        1, noisy.events.size() - 1)(rng);
-    const size_t kill_at = std::uniform_int_distribution<size_t>(
-        ckpt_at, noisy.events.size())(rng);
-    const std::string dir = FreshDir("kill_s" + std::to_string(seed) + "_r" +
+    KillPlan plan;
+    plan.checkpoint_at =
+        std::uniform_int_distribution<size_t>(1, noisy.size() - 1)(rng);
+    plan.kill_at = std::uniform_int_distribution<size_t>(plan.checkpoint_at,
+                                                         noisy.size())(rng);
+    const std::string dir = FreshDir("ingest_diff_kill_s" +
+                                     std::to_string(seed) + "_r" +
                                      std::to_string(round));
-    const auto killed =
-        RunKilledMidIngest(scenario, noisy, ckpt_at, kill_at, dir);
+    // The kill target of this suite: the engine dies while the reorder
+    // stage still holds undelivered events (any pushed event within the
+    // lateness bound of the frontier is held back, so after at least
+    // one push the buffer is never empty).
+    const auto buffered_at_kill = [&plan](Engine& engine) {
+      EXPECT_GT(engine.Metrics().gauges.at("ingest.reorder.depth"), 0)
+          << "kill_at " << plan.kill_at;
+    };
+    const Rows killed =
+        RunKilled<Engine>(scenario, noisy, NoisyOptions(), NoisyOptions(),
+                          plan, dir, buffered_at_kill, ExpectNoLateDrops);
     EXPECT_EQ(killed, reference)
-        << "seed " << seed << " ckpt_at " << ckpt_at << " kill_at "
-        << kill_at;
+        << "seed " << seed << " ckpt_at " << plan.checkpoint_at
+        << " kill_at " << plan.kill_at;
     std::filesystem::remove_all(dir);
   }
 }
@@ -368,90 +190,32 @@ TEST_P(IngestDifferentialTest, KillRecoverWithBufferedReorder) {
 // Sharded front-end ingest: the pipeline sits ahead of hash
 // partitioning and checkpoints into <dir>/ingest.state; the kill lands
 // with raw arrivals buffered ahead of the shards.
-std::vector<std::string> RunShardedKilledMidIngest(const Scenario& scenario,
-                                                   const Workload& noisy,
-                                                   size_t num_shards,
-                                                   size_t route_batch_size,
-                                                   size_t ckpt_at,
-                                                   size_t kill_at,
-                                                   const std::string& dir) {
-  ShardedEngineOptions options;
-  options.num_shards = num_shards;
-  options.engine = NoisyOptions();
-  options.route_batch_size = route_batch_size;
-  WalOptions wal_options;
-  wal_options.group_commit_bytes = 0;
-  std::vector<std::string> rows;
-  auto push = [](ShardedEngine& engine, const rfid::TimedReading& ev) {
-    ASSERT_TRUE(
-        engine.Push(ev.stream, ev.tuple.values(), ev.tuple.ts()).ok());
-  };
-  {
-    ShardedEngine a(options);
-    EXPECT_TRUE(a.ExecuteScript(scenario.ddl).ok());
-    auto qa = a.RegisterQuery(scenario.query);
-    EXPECT_TRUE(qa.ok()) << qa.status();
-    EXPECT_TRUE(
-        a.Subscribe(qa->output_stream,
-                    [&](const Tuple& t) { rows.push_back(t.ToString()); })
-            .ok());
-    EXPECT_TRUE(a.EnableWal(dir + "/" + kWalFileName, wal_options).ok());
-    for (size_t i = 0; i < ckpt_at; ++i) push(a, noisy.events[i]);
-    EXPECT_TRUE(a.Checkpoint(dir).ok());
-    for (size_t i = ckpt_at; i < kill_at; ++i) push(a, noisy.events[i]);
-    // The consumer drained everything delivered so far; the crash loses
-    // only in-flight state (including the ingest buffers), which
-    // recovery must regenerate.
-    EXPECT_TRUE(a.Flush().ok());
-    a.DrainOutputs();
-  }  // crash
-
-  ShardedEngine b(options);
-  EXPECT_TRUE(b.ExecuteScript(scenario.ddl).ok());
-  auto qb = b.RegisterQuery(scenario.query);
-  EXPECT_TRUE(qb.ok()) << qb.status();
-  EXPECT_TRUE(
-      b.Subscribe(qb->output_stream,
-                  [&](const Tuple& t) { rows.push_back(t.ToString()); })
-          .ok());
-  Status recovered = b.RecoverFrom(dir);
-  EXPECT_TRUE(recovered.ok()) << recovered;
-  for (size_t i = kill_at; i < noisy.events.size(); ++i) {
-    push(b, noisy.events[i]);
-  }
-  EXPECT_TRUE(b.AdvanceTime(LastTs(noisy) + Minutes(10)).ok());
-  EXPECT_TRUE(b.Flush().ok());
-  b.DrainOutputs();
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
-
 TEST_P(IngestDifferentialTest, ShardedKillRecoverWithIngest) {
   const uint32_t seed = GetParam();
   const Scenario scenario = SeqScenario(" MODE CHRONICLE");
   const Workload clean =
       MakeCleanWorkload(seed + 97, 140, scenario.streams, 4);
-  NoiseStats stats;
-  const Workload noisy = MakeNoisy(clean, seed * 69621u + 29, &stats);
-  auto reference = RunSingle(scenario, clean, EngineOptions{});
-  std::sort(reference.begin(), reference.end());
+  const Trace noisy = MakeNoisy(clean, seed * 69621u + 29);
+  const Rows reference = Sorted(RunEngine(scenario, ToTrace(clean)));
   std::mt19937 rng(seed * 69621u + 31);
   std::mt19937 route_rng(seed * 2246822519u + 7);
   for (size_t shards : {2u, 4u}) {
-    const size_t route_batch_size =
-        kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(route_rng)];
-    const size_t ckpt_at = std::uniform_int_distribution<size_t>(
-        1, noisy.events.size() - 1)(rng);
-    const size_t kill_at = std::uniform_int_distribution<size_t>(
-        ckpt_at, noisy.events.size())(rng);
-    const std::string dir = FreshDir("shard_s" + std::to_string(seed) + "_n" +
+    const ShardedEngineOptions options =
+        ShardOptions(shards, DrawRouteBatchSize(route_rng), NoisyOptions());
+    KillPlan plan;
+    plan.checkpoint_at =
+        std::uniform_int_distribution<size_t>(1, noisy.size() - 1)(rng);
+    plan.kill_at = std::uniform_int_distribution<size_t>(plan.checkpoint_at,
+                                                         noisy.size())(rng);
+    const std::string dir = FreshDir("ingest_diff_shard_s" +
+                                     std::to_string(seed) + "_n" +
                                      std::to_string(shards));
-    const auto killed = RunShardedKilledMidIngest(
-        scenario, noisy, shards, route_batch_size, ckpt_at, kill_at, dir);
+    const Rows killed = Sorted(RunKilled<ShardedEngine>(
+        scenario, noisy, options, options, plan, dir));
     EXPECT_EQ(killed, reference)
         << "seed " << seed << " shards " << shards << " route_batch_size "
-        << route_batch_size << " ckpt_at " << ckpt_at << " kill_at "
-        << kill_at;
+        << options.route_batch_size << " ckpt_at " << plan.checkpoint_at
+        << " kill_at " << plan.kill_at;
     std::filesystem::remove_all(dir);
   }
 }

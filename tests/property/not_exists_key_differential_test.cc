@@ -14,15 +14,14 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/sharded_engine.h"
+#include "tests/property/differential_harness.h"
 
 namespace eslev {
 namespace {
@@ -32,22 +31,16 @@ constexpr const char* kDdl = R"sql(
   CREATE STREAM b(tag, k1 DOUBLE, k2, v DOUBLE);
 )sql";
 
-struct Event {
-  std::string stream;
-  std::vector<Value> values;
-  Timestamp ts;
-};
-
 // Small key domains so probes find matches often; about 10 % NULLs, and
 // NaN or -0.0 in a few DOUBLE values.
-std::vector<Event> MakeTrace(uint32_t seed, size_t num_events) {
+Trace MakeKeyTrace(uint32_t seed, size_t num_events) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> pct(0, 99);
   std::uniform_int_distribution<int> small(0, 3);
   std::uniform_int_distribution<Duration> step(Milliseconds(20),
                                                Milliseconds(400));
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<Event> events;
+  Trace events;
   Timestamp now = Seconds(1);
   for (size_t i = 0; i < num_events; ++i) {
     Event e;
@@ -91,118 +84,16 @@ std::string Sql(const Query& q, bool hide_keys) {
          q.inner + " AS i OVER [" + q.window + "] WHERE " + where + ")";
 }
 
-template <typename Host>
-void PushAll(Host& host, const std::vector<Event>& events, size_t from,
-             size_t to) {
-  for (size_t i = from; i < to; ++i) {
-    const Event& e = events[i];
-    ASSERT_TRUE(host.Push(e.stream, e.values, e.ts).ok());
-  }
-}
-
-// The reference: the key-hidden query on one Engine, uninterrupted.
-std::vector<std::string> RunReference(const Query& q,
-                                      const std::vector<Event>& events) {
-  Engine engine;
-  EXPECT_TRUE(engine.ExecuteScript(kDdl).ok());
-  auto reg = engine.RegisterQuery(Sql(q, /*hide_keys=*/true));
-  EXPECT_TRUE(reg.ok()) << reg.status();
-  std::vector<std::string> rows;
-  EXPECT_TRUE(engine
-                  .Subscribe(reg->output_stream,
-                             [&](const Tuple& t) { rows.push_back(t.ToString()); })
-                  .ok());
-  PushAll(engine, events, 0, events.size());
-  EXPECT_TRUE(engine.AdvanceTime(events.back().ts + Minutes(1)).ok());
-  return rows;
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "not_exists_key_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
-
-// The keyed query on one Engine, checkpointed at `cut` and restored into
-// a fresh engine that finishes the trace.
-std::vector<std::string> RunKeyedEngine(const Query& q,
-                                        const std::vector<Event>& events,
-                                        size_t cut, const std::string& dir) {
-  std::filesystem::create_directories(dir);
-  std::vector<std::string> rows;
-  const auto build = [&](Engine& engine) {
-    EXPECT_TRUE(engine.ExecuteScript(kDdl).ok());
-    auto reg = engine.RegisterQuery(Sql(q, /*hide_keys=*/false));
-    EXPECT_TRUE(reg.ok()) << reg.status();
-    EXPECT_TRUE(
-        engine
-            .Subscribe(reg->output_stream,
-                       [&](const Tuple& t) { rows.push_back(t.ToString()); })
-            .ok());
-  };
-  {
-    Engine first;
-    build(first);
-    PushAll(first, events, 0, cut);
-    EXPECT_TRUE(first.Checkpoint(dir).ok());
-  }
-  Engine second;
-  build(second);
-  const Status restored = second.Restore(dir);
-  EXPECT_TRUE(restored.ok()) << restored;
-  PushAll(second, events, cut, events.size());
-  EXPECT_TRUE(second.AdvanceTime(events.back().ts + Minutes(1)).ok());
-  return rows;
-}
-
-// The keyed query on a ShardedEngine, checkpointed and restored likewise.
-// Queries that do not link the tag, and ROWS windows (which count per
-// shard), route both streams to one shard.
-std::vector<std::string> RunKeyedSharded(const Query& q,
-                                         const std::vector<Event>& events,
-                                         size_t num_shards, size_t cut,
-                                         const std::string& dir) {
-  std::filesystem::create_directories(dir);
-  std::vector<std::string> rows;
-  ShardedEngineOptions options;
-  options.num_shards = num_shards;
-  const auto build = [&](ShardedEngine& engine) {
-    EXPECT_TRUE(engine.ExecuteScript(kDdl).ok());
-    auto reg = engine.RegisterQuery(Sql(q, /*hide_keys=*/false));
-    EXPECT_TRUE(reg.ok()) << reg.status();
-    if (!q.partitionable) {
-      EXPECT_TRUE(engine.SetSingleShard("a").ok());
-      EXPECT_TRUE(engine.SetSingleShard("b").ok());
-    }
-    EXPECT_TRUE(
-        engine
-            .Subscribe(reg->output_stream,
-                       [&](const Tuple& t) { rows.push_back(t.ToString()); })
-            .ok());
-  };
-  {
-    ShardedEngine first(options);
-    build(first);
-    PushAll(first, events, 0, cut);
-    EXPECT_TRUE(first.Checkpoint(dir).ok());
-    EXPECT_TRUE(first.Flush().ok());
-    first.DrainOutputs();
-  }
-  ShardedEngine second(options);
-  build(second);
-  const Status restored = second.Restore(dir);
-  EXPECT_TRUE(restored.ok()) << restored;
-  PushAll(second, events, cut, events.size());
-  EXPECT_TRUE(second.AdvanceTime(events.back().ts + Minutes(1)).ok());
-  EXPECT_TRUE(second.Flush().ok());
-  second.DrainOutputs();
-  return rows;
-}
-
-std::vector<std::string> Sorted(std::vector<std::string> rows) {
-  std::sort(rows.begin(), rows.end());
-  return rows;
+// The query as a scenario. Queries that do not link the tag, and ROWS
+// windows (which count per shard), route both streams to one shard.
+Scenario KeyScenario(const Query& q, bool hide_keys) {
+  Scenario s;
+  s.ddl = kDdl;
+  s.query = Sql(q, hide_keys);
+  s.streams = {"a", "b"};
+  if (!q.partitionable) s.single_shard_streams = s.streams;
+  s.tail_advance = Minutes(1);
+  return s;
 }
 
 // Predicate forms over inner alias i and outer alias o.
@@ -232,7 +123,7 @@ class NotExistsKeyDifferentialTest
 TEST_P(NotExistsKeyDifferentialTest, KeyedMatchesScan) {
   const uint32_t seed = GetParam();
   std::mt19937 rng(seed * 7919u + 11u);
-  const auto events = MakeTrace(seed, 160);
+  const Trace events = MakeKeyTrace(seed, 160);
   // Streams, window and tag link are drawn per seed; every predicate
   // form runs on them.
   const auto& streams =
@@ -244,9 +135,14 @@ TEST_P(NotExistsKeyDifferentialTest, KeyedMatchesScan) {
     Query q{streams.first, streams.second, window,
             link_tag ? std::string("i.tag = o.tag AND ") + where : where,
             link_tag && window.rfind("ROWS", 0) != 0};
-    const size_t cut =
+    // The keyed query, checkpointed at `cut` and restored into a fresh
+    // host that finishes the trace.
+    KillPlan plan;
+    plan.checkpoint_at = plan.kill_at =
         std::uniform_int_distribution<size_t>(1, events.size() - 1)(rng);
-    SCOPED_TRACE(Sql(q, false) + " | cut " + std::to_string(cut));
+    plan.wal = false;
+    SCOPED_TRACE(Sql(q, false) + " | cut " +
+                 std::to_string(plan.checkpoint_at));
     {
       Engine explain;
       ASSERT_TRUE(explain.ExecuteScript(kDdl).ok());
@@ -256,18 +152,26 @@ TEST_P(NotExistsKeyDifferentialTest, KeyedMatchesScan) {
       EXPECT_NE(keyed->find("keyed on"), std::string::npos) << *keyed;
       EXPECT_EQ(hidden->find("keyed on"), std::string::npos) << *hidden;
     }
-    const auto reference = RunReference(q, events);
-    const std::string dir = FreshDir(std::to_string(seed));
-    EXPECT_EQ(RunKeyedEngine(q, events, cut, dir + "/engine"), reference);
-    const auto sorted_reference = Sorted(reference);
+    // The reference: the key-hidden query on one Engine, uninterrupted.
+    const Rows reference =
+        RunEngine(KeyScenario(q, /*hide_keys=*/true), events);
+    const Scenario keyed = KeyScenario(q, /*hide_keys=*/false);
+    const std::string dir = "not_exists_key_" + std::to_string(seed);
+    EXPECT_EQ(RunKilled<Engine>(keyed, events, EngineOptions{}, EngineOptions{},
+                                plan, FreshDir(dir + "/engine")),
+              reference);
+    const Rows sorted_reference = Sorted(reference);
     for (size_t shards : {1, 2, 4}) {
       SCOPED_TRACE("shards " + std::to_string(shards));
-      EXPECT_EQ(Sorted(RunKeyedSharded(
-                    q, events, shards, cut,
-                    dir + "/sharded" + std::to_string(shards))),
+      const std::string sharded_dir =
+          FreshDir(dir + "/sharded" + std::to_string(shards));
+      EXPECT_EQ(Sorted(RunKilled<ShardedEngine>(keyed, events,
+                                                ShardOptions(shards),
+                                                ShardOptions(shards), plan,
+                                                sharded_dir)),
                 sorted_reference);
     }
-    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(::testing::TempDir() + dir);
   }
 }
 

@@ -17,7 +17,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -26,97 +25,19 @@
 #include "cep/exception_seq_operator.h"
 #include "cep/seq_operator.h"
 #include "common/string_util.h"
-#include "core/engine.h"
-#include "core/sharded_engine.h"
 #include "oracle/seq_oracle.h"
 #include "plan/planner.h"
-#include "recovery/checkpoint.h"
 #include "sql/parser.h"
-#include "tests/property/lateness_draw.h"
+#include "tests/property/differential_harness.h"
 
 namespace eslev {
 namespace {
-
-const size_t kRouteBatchSizes[] = {1, 7, 64};
-
-struct Event {
-  std::string stream;  // empty: a heartbeat (AdvanceTime)
-  Value reader;
-  Value tag;
-  Timestamp ts;
-};
-
-// Random trace over `streams`; with heartbeats interleaved the sweep
-// also drives active expiration. Numeric tags are INT values (about
-// 10 % NULL) that a DOUBLE `tagid` column stores as the equal-valued
-// DOUBLE; with more than one reader the readerid varies too.
-std::vector<Event> MakeTrace(uint32_t seed, size_t num_events,
-                             const std::vector<std::string>& streams,
-                             int num_tags, bool with_heartbeats,
-                             bool numeric_tags = false, int num_readers = 1) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<size_t> pick_stream(0, streams.size() - 1);
-  std::uniform_int_distribution<int> pick_tag(0, num_tags - 1);
-  std::uniform_int_distribution<Duration> step(Milliseconds(50), Seconds(2));
-  std::uniform_int_distribution<int> pct(0, 99);
-  std::uniform_int_distribution<int> pick_reader(0, num_readers - 1);
-  std::vector<Event> events;
-  Timestamp now = Seconds(1);
-  for (size_t i = 0; i < num_events; ++i) {
-    if (with_heartbeats && pct(rng) < 8) {
-      now += step(rng) * 4;
-      events.push_back({"", Value(), Value(), now});
-      continue;
-    }
-    const std::string& stream = streams[pick_stream(rng)];
-    const int tag = pick_tag(rng);
-    Value tag_value = Value::String("tag" + std::to_string(tag));
-    if (numeric_tags) {
-      tag_value = pct(rng) < 10 ? Value::Null() : Value::Int(tag);
-    }
-    Value reader = Value::String("r");
-    if (num_readers > 1) {
-      reader = Value::String("r" + std::to_string(pick_reader(rng)));
-    }
-    events.push_back({stream, std::move(reader), std::move(tag_value), now});
-    now += step(rng);
-  }
-  return events;
-}
-
-struct Scenario {
-  std::string ddl;
-  std::string query;
-  std::vector<std::string> streams;
-  std::vector<std::string> single_shard_streams;  // empty: partitioned
-  // Trace shape: numeric tags run on one engine only, because
-  // ShardedEngine routes by the structural Value::Hash (an INT 5 and a
-  // DOUBLE 5.0 land on different shards).
-  bool numeric_tags = false;
-  int num_readers = 1;
-  // Randomized scenarios: the query with every key conjunct wrapped as
-  // `(... OR 1 = 0)`, which keyed matching cannot see through, and
-  // whether the query itself should be keyed.
-  std::string unkeyed_query;
-  bool expect_keyed = false;
-};
-
-template <typename EngineT>
-void PushEvent(EngineT& engine, const Event& e) {
-  if (e.stream.empty()) {
-    ASSERT_TRUE(engine.AdvanceTime(e.ts).ok());
-    return;
-  }
-  ASSERT_TRUE(
-      engine.Push(e.stream, {e.reader, e.tag, Value::Time(e.ts)}, e.ts).ok());
-}
 
 // The oracle's rows for the trace. The query is planned over a catalog
 // holding the scenario's streams, and the oracle reads the planned
 // operator's configuration; each source tuple is built as Engine::Push
 // builds it and fed on every port its stream subscribes.
-std::vector<std::string> RunOracle(const Scenario& scenario,
-                                   const std::vector<Event>& events) {
+Rows RunOracle(const Scenario& scenario, const Trace& events) {
   Engine catalog;
   EXPECT_TRUE(catalog.ExecuteScript(scenario.ddl).ok());
   auto stmt = ParseStatement(scenario.query);
@@ -133,13 +54,13 @@ std::vector<std::string> RunOracle(const Scenario& scenario,
     }
     for (const PlannedQuery::Subscription& sub : plan->subscriptions) {
       if (AsciiToLower(sub.stream->name()) != AsciiToLower(e.stream)) continue;
-      auto tuple = MakeTuple(sub.stream->schema(),
-                             {e.reader, e.tag, Value::Time(e.ts)}, e.ts);
+      auto tuple = MakeTuple(sub.stream->schema(), e.values, e.ts);
       EXPECT_TRUE(tuple.ok()) << tuple.status();
       inputs.push_back(SeqInput::Arrival(sub.port, *tuple));
     }
   }
-  inputs.push_back(SeqInput::Heartbeat(events.back().ts + Minutes(10)));
+  inputs.push_back(
+      SeqInput::Heartbeat(LastTs(events) + scenario.tail_advance));
   Result<std::vector<Tuple>> out = Status::Invalid("no sequence operator");
   for (const auto& op : plan->operators) {
     if (const auto* seq = dynamic_cast<const SeqOperator*>(op.get())) {
@@ -150,125 +71,43 @@ std::vector<std::string> RunOracle(const Scenario& scenario,
     }
   }
   EXPECT_TRUE(out.ok()) << out.status() << "\n" << scenario.query;
-  std::vector<std::string> rows;
+  Rows rows;
   if (!out.ok()) return rows;
   for (const Tuple& t : *out) rows.push_back(t.ToString());
-  return rows;
-}
-
-// Unsorted: single-engine equivalence is exact, including emission order.
-std::vector<std::string> RunSingle(const Scenario& scenario,
-                                   const std::vector<Event>& events,
-                                   Duration lateness_bound) {
-  Engine engine(IngestOptionsWith(lateness_bound));
-  EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
-  auto q = engine.RegisterQuery(scenario.query);
-  EXPECT_TRUE(q.ok()) << q.status() << "\n" << scenario.query;
-  std::vector<std::string> rows;
-  EXPECT_TRUE(
-      engine
-          .Subscribe(q->output_stream,
-                     [&](const Tuple& t) { rows.push_back(t.ToString()); })
-          .ok());
-  for (const Event& e : events) PushEvent(engine, e);
-  EXPECT_TRUE(engine.AdvanceTime(events.back().ts + Minutes(10)).ok());
-  return rows;
-}
-
-std::vector<std::string> RunSharded(const Scenario& scenario,
-                                    const std::vector<Event>& events,
-                                    size_t num_shards,
-                                    size_t route_batch_size,
-                                    Duration lateness_bound) {
-  ShardedEngineOptions options;
-  options.num_shards = num_shards;
-  options.engine = IngestOptionsWith(lateness_bound);
-  options.route_batch_size = route_batch_size;
-  ShardedEngine engine(options);
-  EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
-  auto q = engine.RegisterQuery(scenario.query);
-  EXPECT_TRUE(q.ok()) << q.status() << "\n" << scenario.query;
-  for (const std::string& s : scenario.single_shard_streams) {
-    EXPECT_TRUE(engine.SetSingleShard(s).ok());
-  }
-  std::vector<std::string> rows;
-  EXPECT_TRUE(
-      engine
-          .Subscribe(q->output_stream,
-                     [&](const Tuple& t) { rows.push_back(t.ToString()); })
-          .ok());
-  for (const Event& e : events) {
-    if (e.stream.empty()) {
-      EXPECT_TRUE(engine.AdvanceTime(e.ts).ok());
-      continue;
-    }
-    EXPECT_TRUE(
-        engine.Push(e.stream, {e.reader, e.tag, Value::Time(e.ts)}, e.ts)
-            .ok());
-  }
-  EXPECT_TRUE(engine.AdvanceTime(events.back().ts + Minutes(10)).ok());
-  EXPECT_TRUE(engine.Flush().ok());
-  engine.DrainOutputs();
-  std::sort(rows.begin(), rows.end());
   return rows;
 }
 
 // The full matrix for one scenario: the history matcher against the
 // oracle on one engine (exact order) and on 1/2/4 shards at a drawn
 // route batch size (sorted — shard interleaving is nondeterministic).
+// Numeric tags run on one engine only, because ShardedEngine routes by
+// the structural Value::Hash (an INT 5 and a DOUBLE 5.0 land on
+// different shards).
 void ExpectMatchesOracle(const Scenario& scenario, uint32_t seed,
                          size_t num_events, int num_tags,
-                         bool with_heartbeats = false) {
-  const auto events =
-      MakeTrace(seed, num_events, scenario.streams, num_tags, with_heartbeats,
-                scenario.numeric_tags, scenario.num_readers);
+                         const TraceOptions& trace = {}) {
+  const Trace events =
+      MakeTrace(seed, num_events, scenario.streams, num_tags, trace);
   const Duration lateness_bound = LatenessBoundFor(seed);
-  const auto reference = RunOracle(scenario, events);
-  EXPECT_EQ(RunSingle(scenario, events, lateness_bound), reference)
+  const Rows reference = RunOracle(scenario, events);
+  EXPECT_EQ(RunEngine(scenario, events, IngestOptionsWith(lateness_bound)),
+            reference)
       << "seed " << seed << " lateness_bound " << lateness_bound << "\n"
       << scenario.query;
-  if (scenario.numeric_tags) return;
-  auto sorted_reference = reference;
-  std::sort(sorted_reference.begin(), sorted_reference.end());
+  if (trace.numeric_tags) return;
+  const Rows sorted_reference = Sorted(reference);
   std::mt19937 rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t route_batch_size =
-        kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
-    EXPECT_EQ(RunSharded(scenario, events, shards, route_batch_size,
-                         lateness_bound),
+    const size_t route_batch_size = DrawRouteBatchSize(rng);
+    EXPECT_EQ(Sorted(RunSharded(
+                  scenario, events,
+                  ShardOptions(shards, route_batch_size,
+                               IngestOptionsWith(lateness_bound)))),
               sorted_reference)
         << "seed " << seed << " shards " << shards << " route_batch_size "
         << route_batch_size << " lateness_bound " << lateness_bound << "\n"
         << scenario.query;
   }
-}
-
-constexpr char kSeqDdl[] = R"sql(
-  CREATE STREAM C1(readerid, tagid, tagtime);
-  CREATE STREAM C2(readerid, tagid, tagtime);
-  CREATE STREAM C3(readerid, tagid, tagtime);
-)sql";
-
-Scenario SeqScenario(const std::string& mode_clause,
-                     const std::string& window_clause,
-                     bool with_pairwise = true) {
-  Scenario s;
-  s.ddl = kSeqDdl;
-  s.query = "SELECT C3.tagid, C1.tagtime, C3.tagtime FROM C1, C2, C3 "
-            "WHERE SEQ(C1, C2, C3)" +
-            window_clause + mode_clause;
-  if (with_pairwise) {
-    s.query += " AND C1.tagid=C2.tagid AND C1.tagid=C3.tagid";
-  }
-  s.streams = {"C1", "C2", "C3"};
-  // Without a full pairwise chain there is no shard routing key, and
-  // CONSECUTIVE is order-dependent across streams: either way, sharded
-  // runs must keep these streams together to match a single engine.
-  if (!with_pairwise ||
-      mode_clause.find("CONSECUTIVE") != std::string::npos) {
-    s.single_shard_streams = s.streams;
-  }
-  return s;
 }
 
 Scenario TrailingStarScenario(const std::string& mode_clause) {
@@ -281,22 +120,6 @@ Scenario TrailingStarScenario(const std::string& mode_clause) {
             "FROM R1, R2 WHERE SEQ(R1, R2*)" +
             mode_clause +
             " AND R2.tagtime - R2.previous.tagtime <= 1 SECONDS";
-  s.streams = {"R1", "R2"};
-  s.single_shard_streams = s.streams;
-  return s;
-}
-
-Scenario LeadingStarScenario(const std::string& mode_clause) {
-  Scenario s;
-  s.ddl = R"sql(
-    CREATE STREAM R1(readerid, tagid, tagtime);
-    CREATE STREAM R2(readerid, tagid, tagtime);
-  )sql";
-  s.query = "SELECT FIRST(R1*).tagtime, COUNT(R1*), R2.tagid, R2.tagtime "
-            "FROM R1, R2 WHERE SEQ(R1*, R2)" +
-            mode_clause +
-            " AND R2.tagtime - LAST(R1*).tagtime <= 5 SECONDS"
-            " AND R1.tagtime - R1.previous.tagtime <= 1 SECONDS";
   s.streams = {"R1", "R2"};
   s.single_shard_streams = s.streams;
   return s;
@@ -363,8 +186,8 @@ TEST_P(SeqOracleDifferentialTest, AllPairingModes) {
   int i = 0;
   for (const char* mode :
        {"", " MODE RECENT", " MODE CHRONICLE", " MODE CONSECUTIVE"}) {
-    ExpectMatchesOracle(SeqScenario(mode, ""),
-                             seed * 31u + static_cast<uint32_t>(i++), 240, 5);
+    ExpectMatchesOracle(SeqScenario(mode),
+                        seed * 31u + static_cast<uint32_t>(i++), 240, 5);
   }
 }
 
@@ -375,9 +198,8 @@ TEST_P(SeqOracleDifferentialTest, PairingModesWithoutConstraints) {
   const uint32_t seed = GetParam();
   int i = 0;
   for (const char* mode : {"", " MODE RECENT", " MODE CHRONICLE"}) {
-    ExpectMatchesOracle(
-        SeqScenario(mode, "", /*with_pairwise=*/false),
-        seed * 97u + static_cast<uint32_t>(i++), 120, 4);
+    ExpectMatchesOracle(SeqScenario(mode, "", /*with_pairwise=*/false),
+                        seed * 97u + static_cast<uint32_t>(i++), 120, 4);
   }
 }
 
@@ -388,9 +210,8 @@ TEST_P(SeqOracleDifferentialTest, WindowedSeq) {
        {" OVER [30 SECONDS PRECEDING C3]", " OVER [20 SECONDS FOLLOWING C1]",
         " OVER [15 SECONDS PRECEDING AND FOLLOWING C2]"}) {
     for (const char* mode : {"", " MODE RECENT", " MODE CHRONICLE"}) {
-      ExpectMatchesOracle(
-          SeqScenario(mode, window),
-          seed * 131u + static_cast<uint32_t>(i++), 200, 5);
+      ExpectMatchesOracle(SeqScenario(mode, window),
+                          seed * 131u + static_cast<uint32_t>(i++), 200, 5);
     }
   }
 }
@@ -400,9 +221,9 @@ TEST_P(SeqOracleDifferentialTest, TrailingStarGroups) {
   int i = 0;
   for (const char* mode : {"", " MODE RECENT", " MODE CHRONICLE"}) {
     ExpectMatchesOracle(TrailingStarScenario(mode),
-                             seed * 173u + static_cast<uint32_t>(i++), 160, 4);
-    ExpectMatchesOracle(LeadingStarScenario(mode),
-                             seed * 181u + static_cast<uint32_t>(i++), 160, 4);
+                        seed * 173u + static_cast<uint32_t>(i++), 160, 4);
+    ExpectMatchesOracle(StarScenario(mode),
+                        seed * 181u + static_cast<uint32_t>(i++), 160, 4);
   }
 }
 
@@ -411,7 +232,7 @@ TEST_P(SeqOracleDifferentialTest, NegatedPositions) {
   int i = 0;
   for (const char* mode : {"", " MODE RECENT", " MODE CHRONICLE"}) {
     ExpectMatchesOracle(NegationScenario(mode),
-                             seed * 193u + static_cast<uint32_t>(i++), 200, 4);
+                        seed * 193u + static_cast<uint32_t>(i++), 200, 4);
   }
   for (const char* mode : {"", " MODE RECENT", " MODE CHRONICLE"}) {
     ExpectMatchesOracle(NegationBeforeStoredScenario(mode),
@@ -427,8 +248,8 @@ TEST_P(SeqOracleDifferentialTest, ExceptionSeqDeadlines) {
         " OVER [4 SECONDS FOLLOWING A2]"}) {
     // Heartbeats interleaved: active expiration must fire as in the oracle.
     ExpectMatchesOracle(ExceptionScenario(window),
-                             seed * 211u + static_cast<uint32_t>(i++), 220, 4,
-                             /*with_heartbeats=*/true);
+                        seed * 211u + static_cast<uint32_t>(i++), 220, 4,
+                        {.heartbeats = true});
   }
 }
 
@@ -459,12 +280,23 @@ constexpr ModeDraws kModeDraws[] = {
     {" MODE CONSECUTIVE", 20, 35, 35, 0, 60, 25},
 };
 
+// A drawn query: its scenario, the shape of the trace it reads, the
+// query with every key conjunct wrapped as `(... OR 1 = 0)`, which
+// keyed matching cannot see through, and whether the query itself
+// should be keyed.
+struct RandomQuery {
+  Scenario scenario;
+  TraceOptions trace;
+  std::string unkeyed_query;
+  bool expect_keyed = false;
+};
+
 // Random SEQ query from parametric templates: the rng picks the mode,
 // then with that mode's weights the position count (2-4), star
 // placement, negation, window shape/length/anchor, and pairwise
 // constraints. Everything composes from grammar the planner accepts, so
 // a planning failure is itself a test failure.
-Scenario RandomScenario(std::mt19937& rng) {
+RandomQuery RandomScenario(std::mt19937& rng) {
   std::uniform_int_distribution<int> pct(0, 99);
   const ModeDraws* draws = kModeDraws;
   for (int mode_draw = pct(rng); mode_draw >= draws->weight; ++draws) {
@@ -580,7 +412,8 @@ Scenario RandomScenario(std::mt19937& rng) {
     }
   }
 
-  Scenario s;
+  RandomQuery r;
+  Scenario& s = r.scenario;
   s.ddl = ddl;
   std::string from;
   for (const auto& st : streams) {
@@ -589,97 +422,71 @@ Scenario RandomScenario(std::mt19937& rng) {
   }
   s.query =
       "SELECT " + projection + " FROM " + from + " WHERE " + query_where;
-  s.unkeyed_query =
+  r.unkeyed_query =
       "SELECT " + projection + " FROM " + from + " WHERE " + unkeyed_where;
-  s.numeric_tags = numeric_tags;
-  s.num_readers = num_readers;
+  r.trace.numeric_tags = numeric_tags;
+  r.trace.num_readers = num_readers;
   // Keyed when a plain equality ties the trigger to a non-star position.
   const bool consecutive = mode.find("CONSECUTIVE") != std::string::npos;
   for (const auto& [a, b] : links) {
     if (b == npos - 1 && a != star_at && star_at != npos - 1 &&
         !consecutive) {
-      s.expect_keyed = true;
+      r.expect_keyed = true;
     }
   }
   s.streams = streams;
   // Stars, negation, CONSECUTIVE, and queries without a routing key are
   // order-dependent across streams: keep them on a single shard.
-  if (star_at >= 0 || neg_at >= 0 || !full_chain ||
-      mode.find("CONSECUTIVE") != std::string::npos) {
+  if (star_at >= 0 || neg_at >= 0 || !full_chain || consecutive) {
     s.single_shard_streams = streams;
   }
-  return s;
+  return r;
 }
 
 TEST_P(SeqOracleDifferentialTest, RandomizedQueries) {
   const uint32_t seed = GetParam();
   std::mt19937 rng(seed * 747796405u + 2891336453u);
   for (int round = 0; round < 16; ++round) {
-    const Scenario s = RandomScenario(rng);
-    ExpectMatchesOracle(s, seed * 1013u + static_cast<uint32_t>(round), 150,
-                        4);
+    const RandomQuery r = RandomScenario(rng);
+    ExpectMatchesOracle(r.scenario,
+                        seed * 1013u + static_cast<uint32_t>(round), 150, 4,
+                        r.trace);
   }
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "seq_oracle_diff_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
 }
 
 // Keyed matching against the interpreter (DESIGN.md §5): the keyed
 // query, checkpointed at `cut` and restored into a fresh engine, must
 // emit exactly what its `(... OR 1 = 0)` form emits uninterrupted — same
 // rows, same order.
-void ExpectKeyedMatchesInterpreted(const Scenario& scenario, uint32_t seed,
+void ExpectKeyedMatchesInterpreted(const RandomQuery& r, uint32_t seed,
                                    size_t num_events, int num_tags,
                                    size_t cut, const std::string& dir) {
-  const auto events =
-      MakeTrace(seed, num_events, scenario.streams, num_tags,
-                /*with_heartbeats=*/true, scenario.numeric_tags,
-                scenario.num_readers);
-  Scenario unkeyed = scenario;
-  unkeyed.query = scenario.unkeyed_query;
-  const Duration lateness_bound = LatenessBoundFor(seed);
-  const auto reference = RunSingle(unkeyed, events, lateness_bound);
+  TraceOptions trace = r.trace;
+  trace.heartbeats = true;
+  const Trace events =
+      MakeTrace(seed, num_events, r.scenario.streams, num_tags, trace);
+  Scenario unkeyed = r.scenario;
+  unkeyed.query = r.unkeyed_query;
+  const EngineOptions engine = IngestOptionsWith(LatenessBoundFor(seed));
+  const Rows reference = RunEngine(unkeyed, events, engine);
   {
     Engine explain;
-    ASSERT_TRUE(explain.ExecuteScript(scenario.ddl).ok());
-    auto keyed = explain.Explain(scenario.query);
-    auto hidden = explain.Explain(scenario.unkeyed_query);
+    ASSERT_TRUE(explain.ExecuteScript(r.scenario.ddl).ok());
+    auto keyed = explain.Explain(r.scenario.query);
+    auto hidden = explain.Explain(r.unkeyed_query);
     ASSERT_TRUE(keyed.ok() && hidden.ok());
-    EXPECT_EQ(keyed->find("keyed on") != std::string::npos,
-              scenario.expect_keyed)
+    EXPECT_EQ(keyed->find("keyed on") != std::string::npos, r.expect_keyed)
         << *keyed;
     EXPECT_EQ(hidden->find("keyed on"), std::string::npos) << *hidden;
   }
-  std::vector<std::string> rows;
-  const auto build = [&](Engine& engine) {
-    EXPECT_TRUE(engine.ExecuteScript(scenario.ddl).ok());
-    auto q = engine.RegisterQuery(scenario.query);
-    EXPECT_TRUE(q.ok()) << q.status();
-    EXPECT_TRUE(
-        engine
-            .Subscribe(q->output_stream,
-                       [&](const Tuple& t) { rows.push_back(t.ToString()); })
-            .ok());
-  };
-  {
-    Engine first(IngestOptionsWith(lateness_bound));
-    build(first);
-    for (size_t i = 0; i < cut; ++i) PushEvent(first, events[i]);
-    EXPECT_TRUE(first.Checkpoint(dir).ok());
-  }
-  Engine second(IngestOptionsWith(lateness_bound));
-  build(second);
-  const Status restored = second.Restore(dir);
-  EXPECT_TRUE(restored.ok()) << restored;
-  for (size_t i = cut; i < events.size(); ++i) PushEvent(second, events[i]);
-  EXPECT_TRUE(second.AdvanceTime(events.back().ts + Minutes(10)).ok());
-  EXPECT_EQ(rows, reference) << "seed " << seed << " cut " << cut
-                             << " lateness_bound " << lateness_bound << "\n"
-                             << scenario.query;
+  KillPlan plan;
+  plan.checkpoint_at = plan.kill_at = cut;
+  plan.wal = false;
+  EXPECT_EQ(RunKilled<Engine>(r.scenario, events, engine, engine, plan, dir),
+            reference)
+      << "seed " << seed << " cut " << cut << " lateness_bound "
+      << engine.ingest.lateness_bound << "\n"
+      << r.scenario.query;
 }
 
 TEST_P(SeqOracleDifferentialTest, KeyedMatchesInterpretedAcrossRestore) {
@@ -688,14 +495,15 @@ TEST_P(SeqOracleDifferentialTest, KeyedMatchesInterpretedAcrossRestore) {
   // About a third of the drawn queries are keyed; 32 rounds per seed
   // cover each pairing mode and key shape.
   for (int round = 0; round < 32; ++round) {
-    const Scenario s = RandomScenario(rng);
+    const RandomQuery r = RandomScenario(rng);
     const size_t num_events = 150;
     const size_t cut =
         std::uniform_int_distribution<size_t>(1, num_events - 1)(rng);
-    const std::string dir = FreshDir("keyed_s" + std::to_string(seed) + "_" +
-                                     std::to_string(round));
+    const std::string dir =
+        FreshDir("seq_oracle_diff_keyed_s" + std::to_string(seed) + "_" +
+                 std::to_string(round));
     ExpectKeyedMatchesInterpreted(
-        s, seed * 7919u + static_cast<uint32_t>(round), num_events, 4, cut,
+        r, seed * 7919u + static_cast<uint32_t>(round), num_events, 4, cut,
         dir);
     std::filesystem::remove_all(dir);
   }

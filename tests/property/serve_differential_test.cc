@@ -12,16 +12,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <random>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/sharded_engine.h"
-#include "recovery/checkpoint.h"
 #include "serve/server.h"
+#include "tests/property/differential_harness.h"
 
 namespace eslev {
 namespace {
@@ -30,33 +27,6 @@ constexpr char kDdl[] = R"sql(
   CREATE STREAM R1(readerid, tagid, tagtime);
   CREATE STREAM R2(readerid, tagid, tagtime);
 )sql";
-
-struct Event {
-  std::string stream;
-  std::string tag;
-  Timestamp ts;
-};
-
-std::vector<Event> MakeTrace(uint32_t seed, size_t num_events) {
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> pick_stream(0, 1);
-  std::uniform_int_distribution<int> pick_tag(0, 4);
-  std::uniform_int_distribution<Duration> step(Milliseconds(50), Seconds(2));
-  std::vector<Event> events;
-  Timestamp now = Seconds(1);
-  for (size_t i = 0; i < num_events; ++i) {
-    events.push_back({pick_stream(rng) == 0 ? "R1" : "R2",
-                      "tag" + std::to_string(pick_tag(rng)), now});
-    now += step(rng);
-  }
-  return events;
-}
-
-Status PushEvent(QueryServer& server, const Event& e) {
-  return server.Push(
-      e.stream, {Value::String("r"), Value::String(e.tag), Value::Time(e.ts)},
-      e.ts);
-}
 
 /// One tenant registration in the serve run. `register_at` is the trace
 /// index before which the query is registered (0 = before any event;
@@ -92,32 +62,15 @@ std::vector<Registration> Workload() {
 }
 
 /// Dedicated single-tenant reference: one Engine, one query, the trace
-/// suffix from `from_index` on.
-std::vector<std::string> RunDedicated(const std::string& sql,
-                                      const std::vector<Event>& events,
-                                      size_t from_index) {
-  Engine engine;
-  EXPECT_TRUE(engine.ExecuteScript(kDdl).ok());
-  auto q = engine.RegisterQuery(sql);
-  EXPECT_TRUE(q.ok()) << q.status();
-  std::vector<std::string> rows;
-  EXPECT_TRUE(engine
-                  .Subscribe(q->output_stream,
-                             [&](const Tuple& t) {
-                               rows.push_back(t.ToString());
-                             })
-                  .ok());
-  for (size_t i = from_index; i < events.size(); ++i) {
-    const Event& e = events[i];
-    EXPECT_TRUE(engine
-                    .Push(e.stream,
-                          {Value::String("r"), Value::String(e.tag),
-                           Value::Time(e.ts)},
-                          e.ts)
-                    .ok());
-  }
-  std::sort(rows.begin(), rows.end());
-  return rows;
+/// suffix from `from_index` on, sorted.
+Rows RunDedicated(const std::string& sql, const Trace& events,
+                  size_t from_index) {
+  Scenario s;
+  s.ddl = kDdl;
+  s.query = sql;
+  return Sorted(RunEngine(
+      s, Trace(events.begin() + static_cast<std::ptrdiff_t>(from_index),
+               events.end())));
 }
 
 using ServedOutputs = std::map<std::pair<std::string, std::string>,
@@ -142,7 +95,7 @@ void DrainInto(QueryServer& server, const std::vector<Registration>& regs,
 
 /// Serve run over `host`; registers the workload (respecting
 /// register_at), pushes the trace, drains per tenant.
-void RunServed(ServeHost* host, bool share, const std::vector<Event>& events,
+void RunServed(ServeHost* host, bool share, const Trace& events,
                const std::vector<Registration>& regs, ServedOutputs* out) {
   QueryServerOptions options;
   options.share_plans = share;
@@ -178,15 +131,13 @@ void RunServed(ServeHost* host, bool share, const std::vector<Event>& events,
 }
 
 void ExpectMatchesDedicated(const ServedOutputs& served,
-                            const std::vector<Event>& events,
+                            const Trace& events,
                             const std::vector<Registration>& regs,
                             const std::string& label) {
   for (const Registration& r : regs) {
-    const auto reference = RunDedicated(r.sql, events, r.register_at);
+    const Rows reference = RunDedicated(r.sql, events, r.register_at);
     auto it = served.find({r.tenant, r.name});
-    std::vector<std::string> got =
-        it == served.end() ? std::vector<std::string>{} : it->second;
-    std::sort(got.begin(), got.end());
+    const Rows got = it == served.end() ? Rows{} : Sorted(it->second);
     EXPECT_EQ(got, reference)
         << label << ": tenant " << r.tenant << " query " << r.name;
   }
@@ -195,7 +146,7 @@ void ExpectMatchesDedicated(const ServedOutputs& served,
 class ServeDifferentialTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ServeDifferentialTest, EngineHostMatchesDedicatedEngines) {
-  const auto events = MakeTrace(GetParam(), 250);
+  const Trace events = MakeTrace(GetParam(), 250, {"R1", "R2"}, 5);
   const auto regs = Workload();
   for (bool share : {true, false}) {
     Engine engine;
@@ -208,16 +159,14 @@ TEST_P(ServeDifferentialTest, EngineHostMatchesDedicatedEngines) {
 }
 
 TEST_P(ServeDifferentialTest, ShardedHostMatchesDedicatedEngines) {
-  const auto events = MakeTrace(GetParam() ^ 0x5bd1e995u, 250);
+  const Trace events =
+      MakeTrace(GetParam() ^ 0x5bd1e995u, 250, {"R1", "R2"}, 5);
   const auto regs = Workload();
-  const size_t kRouteBatchSizes[] = {1, 7, 64};
   std::mt19937 rng(GetParam() * 2246822519u + 3);
   for (bool share : {true, false}) {
     for (size_t shards : {2u, 4u}) {
-      ShardedEngineOptions options;
-      options.num_shards = shards;
-      options.route_batch_size =
-          kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
+      const ShardedEngineOptions options =
+          ShardOptions(shards, DrawRouteBatchSize(rng));
       ShardedEngine engine(options);
       ShardedHost host(&engine);
       ServedOutputs served;
@@ -232,12 +181,9 @@ TEST_P(ServeDifferentialTest, ShardedHostMatchesDedicatedEngines) {
 }
 
 TEST_P(ServeDifferentialTest, RecoveredServerMatchesDedicatedEngines) {
-  const std::string dir = ::testing::TempDir() + "serve_diff_" +
-                          std::to_string(GetParam());
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-
-  const auto events = MakeTrace(GetParam() + 7, 200);
+  const std::string dir =
+      FreshDir("serve_diff_" + std::to_string(GetParam()));
+  const Trace events = MakeTrace(GetParam() + 7, 200, {"R1", "R2"}, 5);
   // All registrations up front: recovery must reproduce the full
   // registry, and stateful queries must resume from restored state.
   std::vector<Registration> regs = Workload();
@@ -264,14 +210,10 @@ TEST_P(ServeDifferentialTest, RecoveredServerMatchesDedicatedEngines) {
       auto info = session->Register(r.name, r.sql);
       ASSERT_TRUE(info.ok()) << info.status();
     }
-    for (size_t i = 0; i < ckpt_at; ++i) {
-      ASSERT_TRUE(PushEvent(server, events[i]).ok());
-    }
+    PushEvents(server, events, 0, ckpt_at);
     DrainInto(server, regs, &served);
     ASSERT_TRUE(server.Checkpoint(dir).ok());
-    for (size_t i = ckpt_at; i < crash_at; ++i) {
-      ASSERT_TRUE(PushEvent(server, events[i]).ok());
-    }
+    PushEvents(server, events, ckpt_at, crash_at);
     DrainInto(server, regs, &served);
   }  // crash: emissions after the last drain are re-derived from WAL
 
@@ -281,9 +223,7 @@ TEST_P(ServeDifferentialTest, RecoveredServerMatchesDedicatedEngines) {
     QueryServer server(&host);
     const Status recovered = server.RecoverFrom(dir);
     ASSERT_TRUE(recovered.ok()) << recovered;
-    for (size_t i = crash_at; i < events.size(); ++i) {
-      ASSERT_TRUE(PushEvent(server, events[i]).ok());
-    }
+    PushEvents(server, events, crash_at, events.size());
     auto poll = server.Poll();
     ASSERT_TRUE(poll.ok()) << poll.status();
     DrainInto(server, regs, &served);

@@ -12,7 +12,10 @@ scientific-notation float, a renamed verdict) still fails the build.
 It also checks that lint and cost agree on retention: a script has an
 `unbounded-retention` diagnostic exactly when one of its cost reports
 has a SeqOperator or ExceptionSeqOperator row whose state is unbounded
-(the lint renders that bound, DESIGN.md §11).
+(the lint renders that bound, DESIGN.md §11). Likewise on sharding: a
+script has a `shard-fallback` diagnostic exactly when one of its cost
+reports has the sharding verdict "single-shard" (both read one
+partitioning verdict).
 
 Usage:
   python3 tools/lint_schema_check.py --json-dir bench-json
@@ -128,6 +131,22 @@ def check_retention_agreement(lint_path: pathlib.Path,
             f"{'an unbounded' if unbounded else 'no unbounded'} SEQ row")
 
 
+def check_sharding_agreement(lint_path: pathlib.Path,
+                             cost_path: pathlib.Path, errors: list) -> None:
+    lint = json.loads(lint_path.read_text())
+    cost = json.loads(cost_path.read_text())
+    flagged = any(d.get("rule") == "shard-fallback"
+                  for d in lint.get("diagnostics", []))
+    single_shard = any(report.get("sharding", {}).get("verdict")
+                       == "single-shard" for report in cost)
+    if flagged != single_shard:
+        errors.append(
+            f"{lint_path.name}: shard-fallback "
+            f"{'reported' if flagged else 'not reported'}, but "
+            f"{cost_path.name} has "
+            f"{'a' if single_shard else 'no'} single-shard verdict")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json-dir", default="bench-json",
@@ -159,6 +178,7 @@ def main() -> int:
             continue
         try:
             check_retention_agreement(lint_path, cost_path, errors)
+            check_sharding_agreement(lint_path, cost_path, errors)
         except (json.JSONDecodeError, AttributeError, TypeError):
             pass  # the schema checks above already report the file
 
