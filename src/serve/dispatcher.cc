@@ -1,6 +1,7 @@
 #include "serve/dispatcher.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace eslev {
@@ -11,6 +12,12 @@ void Dispatcher::AddTenant(const std::string& tenant, size_t max_pending,
   Outbox& box = outboxes_[tenant];
   box.max_pending = max_pending;
   box.policy = policy;
+  for (auto& [entry_id, routes] : routes_) {
+    (void)entry_id;
+    for (Route& route : routes) {
+      if (route.tenant == tenant) route.box = &box;
+    }
+  }
 }
 
 void Dispatcher::RemoveTenant(const std::string& tenant) {
@@ -29,7 +36,9 @@ void Dispatcher::RemoveTenant(const std::string& tenant) {
 void Dispatcher::AddRoute(int entry_id, const std::string& tenant,
                           const std::string& query) {
   std::lock_guard<std::mutex> lock(mu_);
-  routes_[entry_id].push_back(Route{tenant, query});
+  auto box = outboxes_.find(tenant);
+  routes_[entry_id].push_back(Route{
+      tenant, query, box == outboxes_.end() ? nullptr : &box->second});
 }
 
 void Dispatcher::RemoveRoute(int entry_id, const std::string& tenant,
@@ -54,12 +63,11 @@ void Dispatcher::OnEmission(int entry_id, const Tuple& tuple) {
     return;
   }
   for (const Route& route : it->second) {
-    auto box_it = outboxes_.find(route.tenant);
-    if (box_it == outboxes_.end()) {
+    if (route.box == nullptr) {
       ++orphan_emissions_;
       continue;
     }
-    Outbox& box = box_it->second;
+    Outbox& box = *route.box;
     ++box.emitted;
     if (box.max_pending != 0 && box.pending.size() >= box.max_pending) {
       ++box.dropped;
@@ -84,21 +92,25 @@ size_t Dispatcher::Drain(const std::string& tenant,
                          size_t max) {
   // Move the deliverable prefix out under the lock, then run the
   // consumer callback outside it: the callback may re-enter the server
-  // (e.g. unregister a query from inside a result handler).
+  // (e.g. unregister a query from inside a result handler). An empty
+  // outbox returns before a deque is built (a std::deque allocates on
+  // construction).
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = outboxes_.find(tenant);
+  if (it == outboxes_.end() || it->second.pending.empty()) return 0;
+  Outbox& box = it->second;
+  const size_t take =
+      max == 0 ? box.pending.size() : std::min(box.pending.size(), max);
   std::deque<ServedEmission> batch;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = outboxes_.find(tenant);
-    if (it == outboxes_.end()) return 0;
-    Outbox& box = it->second;
-    size_t take = box.pending.size();
-    if (max != 0) take = std::min(take, max);
-    for (size_t i = 0; i < take; ++i) {
-      batch.push_back(std::move(box.pending.front()));
-      box.pending.pop_front();
-    }
-    box.delivered += take;
+  if (take == box.pending.size()) {
+    batch.swap(box.pending);
+  } else {
+    batch.insert(batch.end(), std::make_move_iterator(box.pending.begin()),
+                 std::make_move_iterator(box.pending.begin() + take));
+    box.pending.erase(box.pending.begin(), box.pending.begin() + take);
   }
+  box.delivered += take;
+  lock.unlock();
   for (const ServedEmission& emission : batch) fn(emission);
   return batch.size();
 }

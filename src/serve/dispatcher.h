@@ -74,9 +74,14 @@ class Dispatcher {
   void AppendMetrics(MetricsSnapshot* out) const;
 
  private:
+  struct Outbox;
+  /// A subscriber. `box` is the tenant's outbox, resolved when the route
+  /// or the tenant is added (map nodes do not move), or null while the
+  /// tenant has none; RemoveTenant drops the tenant's routes with it.
   struct Route {
     std::string tenant;
     std::string query;
+    Outbox* box = nullptr;
   };
   struct Outbox {
     std::deque<ServedEmission> pending;

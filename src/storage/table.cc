@@ -63,7 +63,13 @@ Result<size_t> Table::Update(const std::function<bool(const Tuple&)>& pred,
   size_t n = 0;
   for (Tuple& row : rows_) {
     if (pred(row)) {
-      row.mutable_value(col) = set_value;
+      // Rows are immutable and may be shared with earlier readers, so
+      // the update builds a new row and leaves theirs as it was.
+      std::vector<Value> values = row.values();
+      values[col] = set_value;
+      Tuple updated(row.schema(), std::move(values), row.ts());
+      updated.set_synthesized(row.synthesized());
+      row = std::move(updated);
       ++n;
     }
   }

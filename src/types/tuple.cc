@@ -3,20 +3,20 @@
 namespace eslev {
 
 Result<Value> Tuple::ValueByName(const std::string& name) const {
-  if (!schema_) return Status::Invalid("tuple has no schema");
-  ESLEV_ASSIGN_OR_RETURN(size_t i, schema_->FieldIndex(name));
-  return values_[i];
+  if (!schema()) return Status::Invalid("tuple has no schema");
+  ESLEV_ASSIGN_OR_RETURN(size_t i, schema()->FieldIndex(name));
+  return value(i);
 }
 
 bool Tuple::Equals(const Tuple& other) const {
-  return ts_ == other.ts_ && values_ == other.values_;
+  return ts_ == other.ts_ && values() == other.values();
 }
 
 std::string Tuple::ToString() const {
   std::string out = "(";
-  for (size_t i = 0; i < values_.size(); ++i) {
+  for (size_t i = 0; i < size(); ++i) {
     if (i > 0) out += ", ";
-    out += values_[i].ToString();
+    out += value(i).ToString();
   }
   out += ")@";
   out += FormatTimestamp(ts_);

@@ -3,6 +3,7 @@
 #ifndef ESLEV_TYPES_TUPLE_H_
 #define ESLEV_TYPES_TUPLE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,20 +19,29 @@ namespace eslev {
 /// The timestamp is carried out-of-band (every stream tuple has one, per
 /// the standard DSMS model); workload generators typically also mirror it
 /// into a column such as `read_time` so queries can reference it.
+///
+/// A Tuple is a handle on one shared, immutable row (DESIGN.md §5 "One
+/// row per event"): the schema and values are built once, and copying a
+/// tuple (into a window, a SEQ history, an outbox) adds one reference to
+/// that row. The timestamp and the provenance bit live in the handle, so
+/// setting them on one copy leaves every other copy as it was.
 class Tuple {
  public:
   Tuple() = default;
   Tuple(SchemaPtr schema, std::vector<Value> values, Timestamp ts)
-      : schema_(std::move(schema)), values_(std::move(values)), ts_(ts) {}
+      : row_(std::make_shared<const Row>(
+            Row{std::move(schema), std::move(values)})),
+        ts_(ts) {}
 
-  const SchemaPtr& schema() const { return schema_; }
-  const std::vector<Value>& values() const { return values_; }
-  size_t size() const { return values_.size(); }
+  const SchemaPtr& schema() const { return row_ ? row_->schema : kNoSchema; }
+  const std::vector<Value>& values() const {
+    return row_ ? row_->values : kNoValues;
+  }
+  size_t size() const { return row_ ? row_->values.size() : 0; }
   Timestamp ts() const { return ts_; }
   void set_ts(Timestamp ts) { ts_ = ts; }
 
-  const Value& value(size_t i) const { return values_[i]; }
-  Value& mutable_value(size_t i) { return values_[i]; }
+  const Value& value(size_t i) const { return row_->values[i]; }
 
   /// \brief Provenance bit (DESIGN.md §15): true for reads synthesized by
   /// the ingest cleaning stage's missed-read interpolation, false for
@@ -52,8 +62,14 @@ class Tuple {
   std::string ToString() const;
 
  private:
-  SchemaPtr schema_;
-  std::vector<Value> values_;
+  struct Row {
+    SchemaPtr schema;
+    std::vector<Value> values;
+  };
+  static inline const SchemaPtr kNoSchema;
+  static inline const std::vector<Value> kNoValues;
+
+  std::shared_ptr<const Row> row_;
   Timestamp ts_ = 0;
   bool synthesized_ = false;
 };

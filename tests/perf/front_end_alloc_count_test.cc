@@ -14,71 +14,24 @@
 // each replay are a warm-up, so buffers that grow to their steady size
 // once are not counted.
 //
-// ASan and TSan replace `operator new` themselves, so under them the
-// counting operator is compiled out and only the allocation assertions
-// are skipped; the replays and their output checks still run.
+// The counting operator is tests/perf/alloc_counter.h's; under ASan and
+// TSan only the allocation assertions are skipped.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 
 #include "core/engine.h"
 #include "ingest/ingest_pipeline.h"
 #include "recovery/wal.h"
 #include "rfid/workloads.h"
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define ESLEV_COUNT_ALLOCATIONS 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define ESLEV_COUNT_ALLOCATIONS 0
-#endif
-#endif
-#ifndef ESLEV_COUNT_ALLOCATIONS
-#define ESLEV_COUNT_ALLOCATIONS 1
-#endif
-
-namespace {
-
-std::atomic<bool> g_counting{false};
-std::atomic<uint64_t> g_allocations{0};
-
-}  // namespace
-
-#if ESLEV_COUNT_ALLOCATIONS
-// GCC matches the free() below against the operator new it can see
-// inlined at a call site and reports a mismatch; both are this pair.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-#endif
+#include "tests/perf/alloc_counter.h"
 
 namespace eslev {
 namespace {
-
-constexpr bool kCountingAllocations = ESLEV_COUNT_ALLOCATIONS != 0;
 
 // Inputs replayed before counting starts.
 constexpr size_t kWarmupInputs = 1000;
@@ -86,18 +39,8 @@ constexpr size_t kHeartbeatEvery = 64;
 
 // The pins (allocations per unit, counted after the warm-up).
 constexpr double kMaxPerWalRecord = 0.0;
-constexpr double kMaxPerOfferedTuple = 1.5;
-constexpr double kMaxPerEngineInput = 3.0;
-
-void StartCounting() {
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
-}
-
-uint64_t StopCounting() {
-  g_counting.store(false, std::memory_order_relaxed);
-  return g_allocations.load(std::memory_order_relaxed);
-}
+constexpr double kMaxPerOfferedTuple = 0.0;
+constexpr double kMaxPerEngineInput = 0.05;
 
 rfid::Workload FullpathTrace() {
   rfid::DuplicateWorkloadOptions o;
@@ -127,26 +70,12 @@ IngestOptions FullpathIngest() {
   return options;
 }
 
-/// Allocations and units counted after the warm-up of one replay.
-struct Count {
-  uint64_t allocations = 0;
-  uint64_t units = 0;
-  double PerUnit() const {
-    return units == 0 ? 0.0
-                      : static_cast<double>(allocations) /
-                            static_cast<double>(units);
-  }
-  bool operator==(const Count& o) const {
-    return allocations == o.allocations && units == o.units;
-  }
-};
-
 /// Drives `push(i)` for every input and `tick(max_ts)` every
 /// kHeartbeatEvery inputs; counts allocations from input kWarmupInputs
 /// on. `units` is the number of counted inputs.
 template <typename Push, typename Tick>
-Count Replay(const rfid::Workload& trace, Push push, Tick tick) {
-  Count count;
+AllocCount Replay(const rfid::Workload& trace, Push push, Tick tick) {
+  AllocCount count;
   Timestamp max_ts = kMinTimestamp;
   for (size_t i = 0; i < trace.events.size(); ++i) {
     if (i == kWarmupInputs) StartCounting();
@@ -160,9 +89,9 @@ Count Replay(const rfid::Workload& trace, Push push, Tick tick) {
 }
 
 struct FrontEndCounts {
-  Count wal;     // units: WAL records (tuples and heartbeats)
-  Count ingest;  // units: tuples offered to the pipeline
-  Count engine;  // units: Engine inputs (PushTuple calls)
+  AllocCount wal;     // units: WAL records (tuples and heartbeats)
+  AllocCount ingest;  // units: tuples offered to the pipeline
+  AllocCount engine;  // units: Engine inputs (PushTuple calls)
   uint64_t released = 0;
   uint64_t emitted = 0;
   double wal_bytes_per_record = 0;

@@ -65,6 +65,24 @@ TEST_F(SnapshotTest, OrderByTimestampDescending) {
   EXPECT_EQ(rows[2].value(0).string_value(), "ward-1");
 }
 
+// A snapshot's rows are the values read when it ran: a later UPDATE of
+// the table leaves them as they were.
+TEST_F(SnapshotTest, ResultRowsKeepTheirValuesAcrossATableUpdate) {
+  const auto before = Run("SELECT * FROM wards WHERE ward = 'icu'");
+  ASSERT_EQ(before.size(), 1u);
+  ASSERT_TRUE(engine_->FindTable("wards")
+                  ->Update(
+                      [](const Tuple& r) {
+                        return r.value(0).string_value() == "icu";
+                      },
+                      "floor", Value::Int(4))
+                  .ok());
+  EXPECT_EQ(before[0].value(1).int_value(), 3);
+  const auto after = Run("SELECT * FROM wards WHERE ward = 'icu'");
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].value(1).int_value(), 4);
+}
+
 TEST_F(SnapshotTest, LimitCapsOutput) {
   auto rows = Run(
       "SELECT loc FROM sightings WHERE patient = 'alice' "

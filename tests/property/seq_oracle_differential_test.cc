@@ -10,10 +10,11 @@
 // analyzer reads it. The oracle is unkeyed, so it is also the reference
 // for the matcher's keyed SEQ matching (DESIGN.md §5): the randomized
 // queries draw chained, all-against-the-first and partial tag-equality
-// shapes, a second readerid class, and INT/DOUBLE/NULL tags; a second
-// sweep compares each keyed query with its `(... OR 1 = 0)` form across
-// a checkpoint and restore. Every seeded run draws the ingest reorder
-// stage's lateness bound from {0, 400 ms}, which must not change a byte.
+// shapes, a second readerid class, and INT/DOUBLE/NULL tags, and a fixed
+// scenario keys a DOUBLE tag against an INT one; a second sweep compares
+// each keyed query with its `(... OR 1 = 0)` form across a checkpoint
+// and restore. Every seeded run draws the ingest reorder stage's
+// lateness bound from {0, 400 ms}, which must not change a byte.
 
 #include <gtest/gtest.h>
 
@@ -178,6 +179,22 @@ Scenario ExceptionScenario(const std::string& window_clause) {
   return s;
 }
 
+// SEQ(A, B) keyed on a DOUBLE tag against an INT one. SQL equality
+// makes an INT 5 equal a DOUBLE 5.0, so keyed matching must put both in
+// one key class (Value::KeyHash, DESIGN.md §5); the structural
+// Value::Hash tells them apart and would drop every such match.
+Scenario MixedTypeKeyScenario(const std::string& mode_clause) {
+  Scenario s;
+  s.ddl = R"sql(
+    CREATE STREAM A(readerid, tagid DOUBLE, tagtime);
+    CREATE STREAM B(readerid, tagid INT, tagtime);
+  )sql";
+  s.query = "SELECT A.tagid, B.tagid FROM A, B WHERE SEQ(A, B)" +
+            mode_clause + " AND A.tagid = B.tagid";
+  s.streams = {"A", "B"};
+  return s;
+}
+
 class SeqOracleDifferentialTest
     : public ::testing::TestWithParam<uint32_t> {};
 
@@ -250,6 +267,28 @@ TEST_P(SeqOracleDifferentialTest, ExceptionSeqDeadlines) {
     ExpectMatchesOracle(ExceptionScenario(window),
                         seed * 211u + static_cast<uint32_t>(i++), 220, 4,
                         {.heartbeats = true});
+  }
+}
+
+TEST_P(SeqOracleDifferentialTest, MixedTypeKeys) {
+  const uint32_t seed = GetParam();
+  int i = 0;
+  for (const char* mode :
+       {"", " MODE RECENT", " MODE CHRONICLE", " MODE CONSECUTIVE"}) {
+    const Scenario scenario = MixedTypeKeyScenario(mode);
+    // A(5) then B(5): the INT tag read into A's DOUBLE column matches.
+    const Trace pair = {
+        {"A", {Value::String("r"), Value::Int(5), Value::Time(Seconds(1))},
+         Seconds(1)},
+        {"B", {Value::String("r"), Value::Int(5), Value::Time(Seconds(2))},
+         Seconds(2)}};
+    const Rows expected = {"(5.000000, 5)@" + FormatTimestamp(Seconds(2))};
+    EXPECT_EQ(RunOracle(scenario, pair), expected) << scenario.query;
+    EXPECT_EQ(RunEngine(scenario, pair), expected) << scenario.query;
+    // Numeric traces: every tag is an INT (or NULL) widened to DOUBLE on
+    // A, so each match pairs an INT with an equal-valued DOUBLE.
+    ExpectMatchesOracle(scenario, seed * 223u + static_cast<uint32_t>(i++),
+                        160, 4, {.numeric_tags = true});
   }
 }
 
@@ -518,6 +557,7 @@ static_assert(RunsBothBounds([](uint32_t s) { return s * 173u; }));
 static_assert(RunsBothBounds([](uint32_t s) { return s * 181u; }));
 static_assert(RunsBothBounds([](uint32_t s) { return s * 193u; }));
 static_assert(RunsBothBounds([](uint32_t s) { return s * 211u; }));
+static_assert(RunsBothBounds([](uint32_t s) { return s * 223u; }));
 static_assert(RunsBothBounds([](uint32_t s) { return s * 1013u; }));
 static_assert(RunsBothBounds([](uint32_t s) { return s * 7919u; }));
 

@@ -107,6 +107,26 @@ TEST_F(TableTest, UpdateRewritesMatchingRows) {
   EXPECT_EQ(gates, 1);
 }
 
+// Rows are shared, immutable values: a row copied out of a Scan before
+// an UPDATE keeps the values it was read with.
+TEST_F(TableTest, RowsCopiedBeforeUpdateKeepTheirValues) {
+  ASSERT_TRUE(Insert("t1", "dock", Seconds(1)).ok());
+  Tuple copied;
+  table_->Scan(nullptr, [&](const Tuple& r) { copied = r; });
+  ASSERT_TRUE(table_
+                  ->Update([](const Tuple&) { return true; }, "location",
+                           Value::String("gate"))
+                  .ok());
+  EXPECT_EQ(copied.value(1).string_value(), "dock");
+  EXPECT_EQ(copied.ts(), Seconds(1));
+  std::vector<std::string> locations;
+  table_->Scan(nullptr, [&](const Tuple& r) {
+    locations.push_back(r.value(1).string_value());
+    EXPECT_EQ(r.ts(), Seconds(1));
+  });
+  EXPECT_EQ(locations, (std::vector<std::string>{"gate"}));
+}
+
 TEST_F(TableTest, UpdateMaintainsIndexOnIndexedColumn) {
   ASSERT_TRUE(Insert("t1", "dock", 0).ok());
   ASSERT_TRUE(table_->CreateIndex("location").ok());

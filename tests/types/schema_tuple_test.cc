@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "types/schema.h"
 #include "types/tuple.h"
 
@@ -84,6 +89,82 @@ TEST(TupleTest, Equals) {
       s, {Value::String("r"), Value::String("t"), Value::Time(1)}, 2);
   EXPECT_TRUE(a.Equals(b));
   EXPECT_FALSE(a.Equals(c));
+}
+
+TEST(TupleTest, DefaultTupleIsEmpty) {
+  const Tuple t;
+  EXPECT_EQ(t.size(), 0u);
+  EXPECT_TRUE(t.values().empty());
+  EXPECT_EQ(t.schema(), nullptr);
+  EXPECT_EQ(t.ts(), 0);
+  EXPECT_FALSE(t.synthesized());
+  EXPECT_TRUE(t.Equals(Tuple()));
+}
+
+// The timestamp and the provenance bit belong to each copy: setting them
+// on one copy leaves the others, and the values they share, unchanged.
+TEST(TupleTest, CopiesKeepTheirOwnTimestampAndProvenance) {
+  auto s = ReadingsSchema();
+  const Tuple original = *MakeTuple(
+      s, {Value::String("r1"), Value::String("tagA"), Value::Time(Seconds(2))},
+      Seconds(2));
+  Tuple clamped = original;
+  clamped.set_ts(Seconds(5));
+  Tuple synthesized = original;
+  synthesized.set_synthesized(true);
+
+  EXPECT_EQ(original.ts(), Seconds(2));
+  EXPECT_FALSE(original.synthesized());
+  EXPECT_EQ(clamped.ts(), Seconds(5));
+  EXPECT_FALSE(clamped.synthesized());
+  EXPECT_EQ(synthesized.ts(), Seconds(2));
+  EXPECT_TRUE(synthesized.synthesized());
+  for (const Tuple* t : {&original, static_cast<const Tuple*>(&clamped),
+                         static_cast<const Tuple*>(&synthesized)}) {
+    EXPECT_EQ(t->schema(), s);
+    EXPECT_EQ(t->value(1).string_value(), "tagA");
+  }
+  EXPECT_EQ(clamped.ToString(), "(r1, tagA, 2.000000s)@5.000000s");
+  EXPECT_TRUE(synthesized.Equals(original));
+  EXPECT_FALSE(clamped.Equals(original));
+}
+
+// Handles to one row cross threads: each worker copies, reads and drops
+// handles while the creator drops its own, and the row lives until the
+// last handle goes (run under TSan in CI).
+TEST(TupleTest, RowOutlivesItsCreatorAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kCopies = 5000;
+  auto s = ReadingsSchema();
+  std::optional<Tuple> creator = *MakeTuple(
+      s, {Value::String("r1"), Value::String("tagA"), Value::Time(Seconds(2))},
+      Seconds(2));
+  std::vector<Tuple> handed(kThreads, *creator);
+  std::vector<int> intact(kThreads, 0);
+  std::atomic<int> started{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      const Tuple mine = std::move(handed[w]);
+      started.fetch_add(1);
+      std::vector<Tuple> held;
+      for (int i = 0; i < kCopies; ++i) {
+        Tuple copy = mine;
+        copy.set_ts(i);
+        if (copy.size() == 3 && copy.schema() == s &&
+            copy.value(1).string_value() == "tagA" &&
+            copy.values()[0].string_value() == "r1") {
+          ++intact[w];
+        }
+        held.push_back(std::move(copy));
+        if (held.size() == 16) held.clear();
+      }
+    });
+  }
+  while (started.load() < kThreads) std::this_thread::yield();
+  creator.reset();
+  for (std::thread& t : workers) t.join();
+  for (int w = 0; w < kThreads; ++w) EXPECT_EQ(intact[w], kCopies);
 }
 
 }  // namespace
