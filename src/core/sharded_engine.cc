@@ -11,14 +11,7 @@ namespace eslev {
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(options), front_(this, options.engine.ingest) {
   if (options_.num_shards == 0) options_.num_shards = 1;
-  if (options_.route_batch_size < 1 ||
-      options_.route_batch_size > kMaxRouteBatchSize) {
-    init_error_ = Status::Invalid(
-        "route_batch_size=" + std::to_string(options_.route_batch_size) +
-        " is out of range; accepted range is [1, " +
-        std::to_string(kMaxRouteBatchSize) + "]");
-  }
-  if (init_error_.ok()) init_error_ = front_.init_status();
+  init_error_ = front_.init_status();
   // Ingest runs once, in the front end ahead of hash partitioning
   // (per-shard reordering could not restore cross-shard input order, and
   // the front-end WAL must keep raw arrival order). Shard engines are
@@ -26,7 +19,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   EngineOptions shard_options = options_.engine;
   shard_options.ingest = IngestOptions{};
   routing_.num_shards = options_.num_shards;
-  pending_.resize(options_.num_shards);
   shards_.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -59,11 +51,6 @@ void ShardedEngine::WorkerLoop(Shard* shard) {
       switch (item.kind) {
         case Item::Kind::kTuple:
           push(*item.stream, item.tuple);
-          break;
-        case Item::Kind::kBatch:
-          // A route batch is only a cheaper queue crossing: its tuples
-          // enter the shard engine exactly as separate kTuple items would.
-          for (const Tuple& t : item.batch) push(*item.stream, t);
           break;
         case Item::Kind::kHeartbeat: {
           Status st = ApplyShardHeartbeat(engine, item.ts);
@@ -107,22 +94,19 @@ Status ShardedEngine::RunOnShard(size_t shard,
   // A dead shard's queue is closed: a command pushed there is dropped and
   // its promise never resolves, so fail fast instead of hanging.
   ESLEV_RETURN_NOT_OK(CheckAlive(shard));
-  // Commands must not overtake tuples buffered at the routing layer.
-  FlushRouteBatches();
   std::promise<Status> done;
   std::future<Status> future = done.get_future();
   Item item;
   item.kind = Item::Kind::kCommand;
   item.command = fn;
   item.done = &done;
-  shards_[shard]->queue.Push(std::move(item));
+  shards_[shard]->queue.PushControl(std::move(item));
   return future.get();
 }
 
 Status ShardedEngine::RunOnAllShards(
     const std::function<Status(size_t, Engine&)>& fn) {
   ESLEV_RETURN_NOT_OK(CheckAllAlive());
-  FlushRouteBatches();
   std::vector<std::promise<Status>> done(shards_.size());
   std::vector<std::future<Status>> futures;
   futures.reserve(shards_.size());
@@ -133,7 +117,7 @@ Status ShardedEngine::RunOnAllShards(
     // `fn` outlives the command: every future is awaited below.
     item.command = [&fn, i](Engine& engine) { return fn(i, engine); };
     item.done = &done[i];
-    shards_[i]->queue.Push(std::move(item));
+    shards_[i]->queue.PushControl(std::move(item));
   }
   Status first = Status::OK();
   for (auto& f : futures) {
@@ -336,10 +320,8 @@ Status ShardedEngine::PushTuple(const std::string& stream,
 template <typename Fn>
 Status ShardedEngine::WithFrontEnd(bool log, Fn&& fn) {
   // Append + enqueue under one mutex: the WAL's total order is then a
-  // linearization consistent with the shard's queue order (a route batch
-  // buffers in WAL order too, so a crash with a pending batch loses
-  // nothing), and replaying the log front to back reproduces the
-  // identical per-shard history.
+  // linearization consistent with the shard's queue order, and replaying
+  // the log front to back reproduces the identical per-shard history.
   std::unique_lock<std::mutex> wal_lock(wal_mu_, std::defer_lock);
   log = log && wal_enabled_.load(std::memory_order_acquire);
   if (log) wal_lock.lock();
@@ -382,10 +364,6 @@ Status ShardedEngine::DeliverHeartbeat(Timestamp now) {
 void ShardedEngine::EnqueueRouted(size_t shard, const std::string* stream,
                                   Tuple tuple) {
   shards_[shard]->tuples_routed.fetch_add(1, std::memory_order_relaxed);
-  if (options_.route_batch_size > 1) {
-    BufferRouted(shard, stream, std::move(tuple));
-    return;
-  }
   Item item;
   item.kind = Item::Kind::kTuple;
   item.stream = stream;  // stable: route nodes are never moved
@@ -393,62 +371,12 @@ void ShardedEngine::EnqueueRouted(size_t shard, const std::string* stream,
   shards_[shard]->queue.Push(std::move(item));
 }
 
-void ShardedEngine::BufferRouted(size_t shard, const std::string* stream,
-                                 Tuple tuple) {
-  // A dead shard's mailbox drops enqueues (its queue is closed); the
-  // route buffer must mirror that, or tuples buffered in the dark
-  // window would outlive a promotion and be processed twice. The tuple
-  // is already in the WAL — the standby replays it (DESIGN.md §12).
-  // Checked under pending_mu_: KillShard clears the slot under the
-  // same lock after flipping `alive`, so either order drops the tuple.
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  if (!shards_[shard]->alive.load(std::memory_order_acquire)) return;
-  PendingBatch& p = pending_[shard];
-  // Pointer comparison is exact: route nodes are stable and
-  // ShardRouting::Find returns the same node for the same stream.
-  if (p.stream != nullptr && p.stream != stream) FlushShardLocked(shard);
-  p.stream = stream;
-  p.tuples.push_back(std::move(tuple));
-  if (p.tuples.size() >= options_.route_batch_size) FlushShardLocked(shard);
-}
-
-void ShardedEngine::FlushShardLocked(size_t shard) {
-  PendingBatch& p = pending_[shard];
-  if (p.tuples.empty()) {
-    p.stream = nullptr;
-    return;
-  }
-  Item item;
-  item.kind = Item::Kind::kBatch;
-  item.stream = p.stream;
-  item.batch = std::move(p.tuples);
-  p.tuples.clear();
-  p.stream = nullptr;
-  route_batches_enqueued_.fetch_add(1, std::memory_order_relaxed);
-  route_tuples_batched_.fetch_add(item.batch.size(),
-                                  std::memory_order_relaxed);
-  shards_[shard]->queue.Push(std::move(item));
-}
-
-void ShardedEngine::DropRoutePending(size_t shard) {
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  pending_[shard].tuples.clear();
-  pending_[shard].stream = nullptr;
-}
-
-void ShardedEngine::FlushRouteBatches() {
-  if (options_.route_batch_size <= 1) return;
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  for (size_t i = 0; i < pending_.size(); ++i) FlushShardLocked(i);
-}
-
 void ShardedEngine::FanHeartbeat(Timestamp now) {
-  FlushRouteBatches();
   for (auto& shard : shards_) {
     Item item;
     item.kind = Item::Kind::kHeartbeat;
     item.ts = now;
-    shard->queue.Push(std::move(item));
+    shard->queue.PushControl(std::move(item));
   }
 }
 
@@ -476,7 +404,6 @@ Status ShardedEngine::AdvanceTime(Timestamp now) {
 }
 
 Status ShardedEngine::Flush() {
-  FlushRouteBatches();
   for (auto& shard : shards_) shard->queue.WaitIdle();
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->err_mu);
@@ -486,6 +413,9 @@ Status ShardedEngine::Flush() {
 }
 
 size_t ShardedEngine::DrainOutputs() {
+  // A consumer sees results only when it drains, so a drain is where
+  // queued input must start moving.
+  for (auto& shard : shards_) shard->queue.Publish();
   std::vector<Emission> merged;
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->out_mu);
@@ -566,6 +496,18 @@ Result<std::vector<Timestamp>> ShardedEngine::shard_clocks() {
 
 Result<MetricsSnapshot> ShardedEngine::Metrics() {
   MetricsSnapshot snap;
+  // Sharded-runtime gauges first: the round trips below wake every
+  // shard, which then drains its mailbox.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    const std::string prefix = "sharded.shard" + std::to_string(i) + ".";
+    snap.gauges[prefix + "queue_depth"] =
+        static_cast<int64_t>(shards_[i]->queue.ApproxSize());
+    snap.counters[prefix + "wakeups"] = shards_[i]->queue.wakeups();
+    snap.counters[prefix + "tuples_routed"] =
+        shards_[i]->tuples_routed.load(std::memory_order_relaxed);
+    snap.gauges[prefix + "alive"] =
+        shards_[i]->alive.load(std::memory_order_acquire) ? 1 : 0;
+  }
   // Per-shard engine metrics, read on each worker thread (serialized
   // against that shard's processing). Dead shards (killed worker awaiting
   // promotion) are skipped rather than failing the whole snapshot.
@@ -577,31 +519,6 @@ Result<MetricsSnapshot> ShardedEngine::Metrics() {
       return Status::OK();
     }));
     snap.Merge("shard" + std::to_string(i) + ".", shard_snap);
-  }
-  // Sharded-runtime gauges.
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::string prefix = "sharded.shard" + std::to_string(i) + ".";
-    snap.gauges[prefix + "queue_depth"] =
-        static_cast<int64_t>(shards_[i]->queue.ApproxSize());
-    snap.counters[prefix + "tuples_routed"] =
-        shards_[i]->tuples_routed.load(std::memory_order_relaxed);
-    snap.gauges[prefix + "alive"] =
-        shards_[i]->alive.load(std::memory_order_acquire) ? 1 : 0;
-  }
-  // Route batching (DESIGN.md §8).
-  snap.gauges["sharded.batch.route_batch_size"] =
-      static_cast<int64_t>(options_.route_batch_size);
-  snap.counters["sharded.batch.batches_enqueued"] =
-      route_batches_enqueued_.load(std::memory_order_relaxed);
-  snap.counters["sharded.batch.tuples_batched"] =
-      route_tuples_batched_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> pending_lock(pending_mu_);
-    int64_t pending = 0;
-    for (const PendingBatch& p : pending_) {
-      pending += static_cast<int64_t>(p.tuples.size());
-    }
-    snap.gauges["sharded.batch.pending"] = pending;
   }
   snap.gauges["sharded.watermark.low"] =
       static_cast<int64_t>(watermark_.low_watermark());

@@ -57,16 +57,7 @@ struct ShardedEngineOptions {
   size_t num_shards = 4;
   /// Options applied to every shard engine.
   EngineOptions engine;
-  /// Route batching (DESIGN.md §8): consecutive same-stream tuples bound
-  /// for the same shard accumulate into one queue item of up to this
-  /// many tuples, so each MPSC crossing amortizes over many events. 1
-  /// (the default) enqueues every tuple on its own. Values outside
-  /// [1, kMaxRouteBatchSize] are an error from the first API call.
-  size_t route_batch_size = 1;
 };
-
-/// \brief Upper bound accepted for ShardedEngineOptions::route_batch_size.
-inline constexpr size_t kMaxRouteBatchSize = size_t{1} << 20;
 
 class ShardedEngine {
  public:
@@ -120,7 +111,9 @@ class ShardedEngine {
   // ---- data plane (thread-safe) ------------------------------------------
 
   /// \brief Route a tuple to its shard's queue. Returns immediately;
-  /// pipeline errors surface on Flush().
+  /// pipeline errors surface on Flush(). The shard processes it by the
+  /// next heartbeat, worker command, Flush() or DrainOutputs(), or once
+  /// its mailbox holds 64 items, whichever comes first (DESIGN.md §8).
   Status Push(const std::string& stream, std::vector<Value> values,
               Timestamp ts);
   Status PushTuple(const std::string& stream, const Tuple& tuple);
@@ -179,9 +172,11 @@ class ShardedEngine {
   /// return the first sticky pipeline error (if any).
   Status Flush();
 
-  /// \brief Merge buffered emissions from all shards by (timestamp,
-  /// shard, sequence) and invoke the subscription callbacks on the
-  /// calling thread. Returns the number of tuples delivered.
+  /// \brief Wake every shard with queued input, then merge buffered
+  /// emissions from all shards by (timestamp, shard, sequence) and invoke
+  /// the subscription callbacks on the calling thread. Returns the number
+  /// of tuples delivered. What the woken shards emit arrives at the next
+  /// call.
   size_t DrainOutputs();
 
   /// \brief Ad-hoc snapshot: flushes, executes on every shard, and
@@ -203,9 +198,6 @@ class ShardedEngine {
   const IngestOptions& ingest_options() const {
     return front_.ingest_options();
   }
-  /// \brief The routing-layer batch size; 1 means tuple-at-a-time
-  /// enqueueing.
-  size_t route_batch_size() const { return options_.route_batch_size; }
   Timestamp low_watermark() const { return watermark_.low_watermark(); }
   /// \brief How far the fanned-out low watermark trails the fastest
   /// producer clock (0 when no producer registered yet).
@@ -224,22 +216,20 @@ class ShardedEngine {
   Result<std::vector<Timestamp>> shard_clocks();
 
   /// \brief Merged snapshot: every shard engine's metrics under a
-  /// `shard<i>.` prefix, plus sharded-runtime gauges (per-shard queue
-  /// depth and routed-tuple counts, watermark low/max/lag) and the
-  /// drain-merge reorder-distance histogram (DESIGN.md §9).
+  /// `shard<i>.` prefix, plus sharded-runtime gauges (per-shard mailbox
+  /// depth, wake-ups, routed-tuple counts and liveness, read before the
+  /// snapshot's own round trips drain the mailboxes; watermark
+  /// low/max/lag) and the drain-merge reorder-distance histogram
+  /// (DESIGN.md §9).
   Result<MetricsSnapshot> Metrics();
 
  private:
   struct Item {
-    enum class Kind { kTuple, kBatch, kHeartbeat, kCommand };
+    enum class Kind { kTuple, kHeartbeat, kCommand };
     Kind kind = Kind::kTuple;
-    // kTuple / kBatch: pre-resolved stream name (stable; owned by
-    // routing_).
+    // kTuple: pre-resolved stream name (stable; owned by routing_).
     const std::string* stream = nullptr;
     Tuple tuple;
-    // kBatch: an ordered same-stream run, pushed into the shard engine
-    // one tuple at a time.
-    std::vector<Tuple> batch;
     // kHeartbeat
     Timestamp ts = 0;
     // kCommand: executed on the worker thread with exclusive engine
@@ -297,8 +287,7 @@ class ShardedEngine {
   // The host side of the front end (core/front_end.h), which takes no
   // lock: Offer and Tick hold `wal_mu_` when they log (WAL order is then
   // every shard's queue order) and `ingest_mu_` around the pipeline.
-  // Lock order: routes_mu_ (shared) -> wal_mu_ -> ingest_mu_ ->
-  // pending_mu_.
+  // Lock order: routes_mu_ (shared) -> wal_mu_ -> ingest_mu_.
   friend class FrontEnd<ShardedEngine, const StreamRoute>;
   /// \brief Resolve the route and pass the tuple to the front end,
   /// logged when `log` and the WAL is on (replay passes false: replayed
@@ -319,27 +308,14 @@ class ShardedEngine {
   /// \brief Fan an ordered heartbeat to every shard, remembering it as
   /// the last one the front end released.
   Status DeliverHeartbeat(Timestamp now);
-  /// \brief Enqueue a heartbeat item on every shard. Flushes pending
-  /// route batches first — heartbeats are batch boundaries, so a shard
-  /// never observes a tick ahead of tuples routed before it.
+  /// \brief Enqueue a heartbeat item on every shard: a control item, so
+  /// it wakes the worker, which processes the tuples queued before it
+  /// first.
   void FanHeartbeat(Timestamp now);
 
-  /// \brief Enqueue one routed tuple on its shard: into the pending
-  /// route batch when batching, else as its own queue item.
+  /// \brief Enqueue one routed tuple on its shard as a data item, which
+  /// does not wake the worker (DESIGN.md §8).
   void EnqueueRouted(size_t shard, const std::string* stream, Tuple tuple);
-  /// \brief Append to the shard's pending route batch, flushing it first
-  /// when the stream changes, and enqueueing it once full. Serialized by
-  /// `pending_mu_` (taken after `wal_mu_` when both are held, so buffer
-  /// order equals WAL order).
-  void BufferRouted(size_t shard, const std::string* stream, Tuple tuple);
-  /// \brief Enqueue every non-empty pending route batch. Called before
-  /// heartbeat fan-out, worker commands, Flush(), and checkpoint cuts —
-  /// anything that must observe all routed tuples.
-  void FlushRouteBatches();
-  void FlushShardLocked(size_t shard);  // pending_mu_ held
-  // Discard a shard's route-buffered tuples (kill = crash: in-flight
-  // input is lost the same way the closed mailbox loses its backlog).
-  void DropRoutePending(size_t shard);
 
   /// \brief Fail fast when the shard's worker has been killed (its queue
   /// is closed, so a command pushed there would never resolve).
@@ -362,19 +338,9 @@ class ShardedEngine {
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Route batching (DESIGN.md §8): one pending same-stream run per
-  // shard, enqueued as a single Item::Kind::kBatch when full or at any
-  // batch boundary. `init_error_` holds an invalid option, surfaced
-  // lazily (the constructor cannot return a Status).
-  struct PendingBatch {
-    const std::string* stream = nullptr;  // owned by routing_
-    std::vector<Tuple> tuples;
-  };
+  // An invalid ingest option, surfaced lazily (the constructor cannot
+  // return a Status).
   Status init_error_ = Status::OK();
-  std::mutex pending_mu_;
-  std::vector<PendingBatch> pending_;  // one slot per shard
-  std::atomic<uint64_t> route_batches_enqueued_{0};
-  std::atomic<uint64_t> route_tuples_batched_{0};
 
   mutable std::shared_mutex routes_mu_;
   ShardRouting routing_;  // guarded by routes_mu_

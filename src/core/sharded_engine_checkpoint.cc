@@ -45,13 +45,11 @@ Status ShardedEngine::Checkpoint(const std::string& dir) {
   // The cut: producers block on this mutex (WAL path) or must be paused
   // by the caller (no WAL) while the shards drain and snapshot.
   std::lock_guard<std::mutex> wal_lock(wal_mu_);
-  // Tuples buffered at the routing layer are already in the WAL; enqueue
-  // them now so the quiesced shard checkpoints cover everything the
-  // truncation below assumes they cover.
-  FlushRouteBatches();
 
   // Quiesce barrier: align every shard at the current low watermark via
-  // the existing heartbeat fan-out, then wait for the queues to empty.
+  // the existing heartbeat fan-out, then wait for the queues to empty
+  // (Flush wakes every worker, so tuples queued without a wake-up are
+  // covered too).
   // With front-end ingest the shards must align at the pipeline's last
   // RELEASED heartbeat instead — fanning the raw watermark would run
   // shard clocks past the held-back release frontier and clamp future

@@ -18,8 +18,7 @@ ReplicatedShardedEngine::ReplicatedShardedEngine(
       ckpt_dir_(options_.dir + "/checkpoint"),
       standby_wal_path_(options_.dir + "/standby/" + kWalFileName),
       standby_ckpt_dir_(options_.dir + "/standby/checkpoint"),
-      primary_({options_.num_shards, options_.engine,
-                options_.route_batch_size}),
+      primary_({options_.num_shards, options_.engine}),
       standbys_(primary_.num_shards()) {}
 
 Result<std::unique_ptr<ReplicatedShardedEngine>> ReplicatedShardedEngine::Open(
@@ -238,12 +237,12 @@ Status ReplicatedShardedEngine::KillShard(size_t shard) {
   ShardedEngine::Shard* s = primary_.shards_[shard].get();
   if (!s->alive.load(std::memory_order_acquire)) return Status::OK();
   // Mark dead first so control-plane calls fail fast instead of racing
-  // the closing queue; then drop the mailbox backlog (a crash loses
-  // in-flight input the same way — but every routed tuple hit the WAL
-  // before its enqueue, so the standby replays what the worker lost).
+  // the closing queue; then drop the mailbox backlog, tuples queued
+  // without a wake-up included (a crash loses in-flight input the same
+  // way — but every routed tuple hit the WAL before its enqueue, so the
+  // standby replays what the worker lost).
   s->alive.store(false, std::memory_order_release);
   s->queue.CloseNow();
-  primary_.DropRoutePending(shard);
   if (s->worker.joinable()) s->worker.join();
   s->engine.reset();
   return Status::OK();

@@ -42,8 +42,6 @@ struct ReplicatedShardedEngineOptions {
   size_t num_shards = 4;
   /// Options for every shard engine (primary and standby alike).
   EngineOptions engine;
-  /// The primary's route batch size (ShardedEngineOptions).
-  size_t route_batch_size = 1;
   /// Root directory for the WAL, checkpoints, and shipped copies.
   std::string dir;
   /// Primary WAL options. segment_bytes == 0 is overridden to 64 KiB:

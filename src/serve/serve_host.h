@@ -40,7 +40,7 @@ class ServeHost {
                       Timestamp ts) = 0;
   virtual Status PushTuple(const std::string& stream, const Tuple& tuple) = 0;
   virtual Status AdvanceTime(Timestamp now) = 0;
-  /// \brief Settle all in-flight work (route batches / shard queues).
+  /// \brief Settle all in-flight work (shard queues).
   virtual Status Flush() = 0;
   /// \brief Deliver buffered emissions to subscription callbacks on the
   /// calling thread; returns the count. Engines that dispatch

@@ -1,17 +1,20 @@
-// Route batching (DESIGN.md §8): ShardedEngine may carry a run of
-// same-stream tuples bound for one shard as a single queue item. That
-// must be observationally identical to enqueueing them one by one — same
-// emissions in the same drain order — while the sharded.batch.* metrics
-// expose what the routing layer actually did.
+// Mailbox batching (DESIGN.md §8): a tuple routed to a ShardedEngine
+// shard is queued without waking its worker. The worker takes its whole
+// backlog when a boundary wakes it — a heartbeat, a worker command,
+// Flush(), DrainOutputs() — or once 64 items wait. These tests pin which
+// calls wake a worker through the `sharded.shard<i>.wakeups` counter,
+// not through timing: Metrics() reads it (and `queue_depth`) before its
+// own round trip through every shard, and a Flush() right after leaves
+// every worker asleep on an empty mailbox.
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sharded_engine.h"
-#include "replication/replicated_engine.h"
 
 namespace eslev {
 namespace {
@@ -27,10 +30,9 @@ constexpr char kDedupScript[] = R"sql(
      WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id);
 )sql";
 
-ShardedEngineOptions RouteOptions(size_t num_shards, size_t route_batch_size) {
+ShardedEngineOptions Shards(size_t num_shards) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.route_batch_size = route_batch_size;
   return options;
 }
 
@@ -41,10 +43,45 @@ Status PushReading(ShardedEngine& engine, const std::string& tag,
                      ts);
 }
 
-// Feed the dedup pipeline a fixed trace and collect emissions in drain
-// order.
-std::vector<std::string> RunDedup(size_t route_batch_size) {
-  ShardedEngine engine(RouteOptions(2, route_batch_size));
+std::string ShardKey(size_t shard, const std::string& stat) {
+  return "sharded.shard" + std::to_string(shard) + "." + stat;
+}
+
+/// Each shard's wake-up count, read before the snapshot's own round
+/// trip wakes every shard once.
+std::vector<uint64_t> Wakeups(ShardedEngine& engine) {
+  auto snap = engine.Metrics();
+  EXPECT_TRUE(snap.ok()) << snap.status();
+  std::vector<uint64_t> counts(engine.num_shards(), 0);
+  if (!snap.ok()) return counts;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = snap->counters.at(ShardKey(i, "wakeups"));
+  }
+  return counts;
+}
+
+/// Leave every worker asleep on an empty mailbox; returns each shard's
+/// wake-up count at that point.
+std::vector<uint64_t> SleepAll(ShardedEngine& engine) {
+  EXPECT_TRUE(engine.Flush().ok());
+  std::vector<uint64_t> counts = Wakeups(engine);
+  for (uint64_t& c : counts) ++c;  // the snapshot's round trip
+  EXPECT_TRUE(engine.Flush().ok());
+  return counts;
+}
+
+/// Example 1's dedup on `engine`; emission timestamps land in `ts`.
+void SetUpDedup(ShardedEngine& engine, std::vector<Timestamp>* ts) {
+  ASSERT_TRUE(engine.ExecuteScript(kDedupScript).ok());
+  ASSERT_TRUE(
+      engine.Subscribe("cleaned", [ts](const Tuple& t) { ts->push_back(t.ts()); })
+          .ok());
+}
+
+// Feed the dedup pipeline a fixed trace, flushing after every
+// `flush_every` reads, and collect emissions in drain order.
+std::vector<std::string> RunDedup(size_t flush_every) {
+  ShardedEngine engine(Shards(2));
   EXPECT_TRUE(engine.ExecuteScript(kDedupScript).ok());
   std::vector<std::string> rows;
   EXPECT_TRUE(engine
@@ -52,9 +89,13 @@ std::vector<std::string> RunDedup(size_t route_batch_size) {
                              [&](const Tuple& t) { rows.push_back(t.ToString()); })
                   .ok());
   int sec = 1;
-  for (int round = 0; round < 10; ++round) {
+  size_t pushed = 0;
+  for (int round = 0; round < 40; ++round) {
     for (const char* tag : {"a", "b", "a", "c", "b", "a"}) {
       EXPECT_TRUE(PushReading(engine, tag, Seconds(sec)).ok());
+      if (++pushed % flush_every == 0) {
+        EXPECT_TRUE(engine.Flush().ok());
+      }
       sec += (round % 3 == 0) ? 1 : 0;  // mix duplicates and fresh reads
     }
     ++sec;
@@ -65,31 +106,30 @@ std::vector<std::string> RunDedup(size_t route_batch_size) {
   return rows;
 }
 
+// How many tuples one wake-up carries (one per flush, up to the 64-item
+// wake, or everything the rule alone wakes for) never changes a byte.
 TEST(BatchPipelineTest, DedupByteIdenticalAcrossBatchSizes) {
   const std::vector<std::string> reference = RunDedup(1);
   ASSERT_FALSE(reference.empty());
-  for (size_t route_batch_size : {2u, 3u, 7u, 64u, 1024u}) {
-    EXPECT_EQ(RunDedup(route_batch_size), reference)
-        << "divergence at route_batch_size=" << route_batch_size;
+  for (size_t flush_every : {2u, 3u, 7u, 63u, 64u, 65u, 1024u}) {
+    EXPECT_EQ(RunDedup(flush_every), reference)
+        << "divergence at flush_every=" << flush_every;
   }
 }
 
 TEST(BatchPipelineTest, PendingBatchFlushesOnHeartbeat) {
-  ShardedEngine engine(RouteOptions(1, 8));
-  ASSERT_TRUE(engine.ExecuteScript(kDedupScript).ok());
+  ShardedEngine engine(Shards(1));
   std::vector<Timestamp> emitted;
-  ASSERT_TRUE(
-      engine.Subscribe("cleaned", [&](const Tuple& t) { emitted.push_back(t.ts()); })
-          .ok());
+  SetUpDedup(engine, &emitted);
+  const std::vector<uint64_t> asleep = SleepAll(engine);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
         PushReading(engine, "t" + std::to_string(i), Seconds(i + 1)).ok());
   }
-  // Below the route size: held at the router, never enqueued.
-  EXPECT_EQ(engine.DrainOutputs(), 0u);
-  // The heartbeat enqueues the pending run ahead of the tick, so the
-  // shard sees the tuples first and none is clamped forward to 10s.
+  // The heartbeat is a control item: it wakes the worker, which takes
+  // the tuples queued ahead of it first, so none is clamped to 10 s.
   ASSERT_TRUE(engine.AdvanceTime(Seconds(10)).ok());
+  EXPECT_EQ(Wakeups(engine)[0], asleep[0] + 1);
   ASSERT_TRUE(engine.Flush().ok());
   engine.DrainOutputs();
   EXPECT_EQ(emitted,
@@ -97,20 +137,95 @@ TEST(BatchPipelineTest, PendingBatchFlushesOnHeartbeat) {
 }
 
 TEST(BatchPipelineTest, ExplicitFlushDeliversPendingBatch) {
-  ShardedEngine engine(RouteOptions(1, 100));
-  ASSERT_TRUE(engine.ExecuteScript(kDedupScript).ok());
-  size_t emitted = 0;
-  ASSERT_TRUE(
-      engine.Subscribe("cleaned", [&](const Tuple&) { ++emitted; }).ok());
+  ShardedEngine engine(Shards(1));
+  std::vector<Timestamp> emitted;
+  SetUpDedup(engine, &emitted);
+  const std::vector<uint64_t> asleep = SleepAll(engine);
   ASSERT_TRUE(PushReading(engine, "x", Seconds(1)).ok());
-  EXPECT_EQ(engine.DrainOutputs(), 0u);
   ASSERT_TRUE(engine.Flush().ok());
   EXPECT_EQ(engine.DrainOutputs(), 1u);
-  EXPECT_EQ(emitted, 1u);
+  EXPECT_EQ(emitted, std::vector<Timestamp>{Seconds(1)});
+  EXPECT_EQ(Wakeups(engine)[0], asleep[0] + 1);
 }
 
-TEST(BatchPipelineTest, StreamSwitchIsABatchBoundary) {
-  ShardedEngine engine(RouteOptions(1, 100));
+// A worker command queues behind the tuples, so it sees them applied.
+TEST(BatchPipelineTest, WorkerCommandDeliversPendingBatch) {
+  ShardedEngine engine(Shards(1));
+  std::vector<Timestamp> emitted;
+  SetUpDedup(engine, &emitted);
+  const std::vector<uint64_t> asleep = SleepAll(engine);
+  ASSERT_TRUE(PushReading(engine, "x", Seconds(7)).ok());
+  auto clocks = engine.shard_clocks();
+  ASSERT_TRUE(clocks.ok()) << clocks.status();
+  EXPECT_EQ((*clocks)[0], Seconds(7));
+  EXPECT_EQ(Wakeups(engine)[0], asleep[0] + 1);
+}
+
+// DrainOutputs wakes the workers first, so what they emit arrives at a
+// later drain with no other boundary in between.
+TEST(BatchPipelineTest, DrainOutputsDeliversPendingBatchAtTheNextDrain) {
+  ShardedEngine engine(Shards(2));
+  std::vector<Timestamp> emitted;
+  SetUpDedup(engine, &emitted);
+  const std::vector<uint64_t> asleep = SleepAll(engine);
+  ASSERT_TRUE(PushReading(engine, "x", Seconds(1)).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  size_t drained = engine.DrainOutputs();
+  while (drained == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    drained += engine.DrainOutputs();
+  }
+  EXPECT_EQ(drained, 1u) << "no drain delivered the queued read";
+  const std::vector<uint64_t> now = Wakeups(engine);
+  // Only the shard that holds the read had something to wake for.
+  EXPECT_EQ(now[0] + now[1], asleep[0] + asleep[1] + 1);
+}
+
+// queue_depth is read before Metrics() wakes the shards, so it shows the
+// reads queued without a wake-up, on the shard they were routed to.
+TEST(BatchPipelineTest, QueueDepthShowsUnwokenBacklog) {
+  ShardedEngine engine(Shards(2));
+  std::vector<Timestamp> emitted;
+  SetUpDedup(engine, &emitted);
+  ASSERT_TRUE(engine.Flush().ok());
+  const std::vector<uint64_t> routed_before = engine.shard_tuple_counts();
+  constexpr int kQueued = 5;
+  for (int i = 0; i < kQueued; ++i) {
+    ASSERT_TRUE(PushReading(engine, "same-tag", Seconds(i + 1)).ok());
+  }
+  const std::vector<uint64_t> routed = engine.shard_tuple_counts();
+  const size_t shard = routed[0] > routed_before[0] ? 0 : 1;
+  auto snap = engine.Metrics();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->gauges.at(ShardKey(shard, "queue_depth")), kQueued);
+  EXPECT_EQ(snap->gauges.at(ShardKey(1 - shard, "queue_depth")), 0);
+  // The snapshot's round trip processed them.
+  snap = engine.Metrics();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  EXPECT_EQ(snap->gauges.at(ShardKey(shard, "queue_depth")), 0);
+}
+
+// With no boundary at all, the 64th queued item wakes the worker.
+TEST(BatchPipelineTest, SixtyFourthQueuedTupleWakesTheWorker) {
+  ShardedEngine engine(Shards(1));
+  std::vector<Timestamp> emitted;
+  SetUpDedup(engine, &emitted);
+  std::vector<uint64_t> asleep = SleepAll(engine);
+  for (int i = 0; i < 63; ++i) {
+    ASSERT_TRUE(PushReading(engine, "t" + std::to_string(i), Seconds(1)).ok());
+  }
+  EXPECT_EQ(Wakeups(engine)[0], asleep[0]);
+  asleep = SleepAll(engine);
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(PushReading(engine, "u" + std::to_string(i), Seconds(2)).ok());
+  }
+  EXPECT_EQ(Wakeups(engine)[0], asleep[0] + 1);
+}
+
+// One backlog holds items of every stream in arrival order, so the
+// shard sees the joint history as pushed.
+TEST(BatchPipelineTest, MixedStreamBacklogKeepsArrivalOrder) {
+  ShardedEngine engine(Shards(1));
   ASSERT_TRUE(engine.ExecuteScript(R"sql(
     CREATE STREAM a(v, t_time);
     CREATE STREAM b(v, t_time);
@@ -124,6 +239,7 @@ TEST(BatchPipelineTest, StreamSwitchIsABatchBoundary) {
                   .Subscribe(q->output_stream,
                              [&](const Tuple& t) { rows.push_back(t.ToString()); })
                   .ok());
+  const std::vector<uint64_t> asleep = SleepAll(engine);
   int sec = 1;
   for (const char* stream : {"a", "b", "a", "b"}) {
     ASSERT_TRUE(engine
@@ -136,17 +252,13 @@ TEST(BatchPipelineTest, StreamSwitchIsABatchBoundary) {
   }
   ASSERT_TRUE(engine.Flush().ok());
   engine.DrainOutputs();
-  // Each switch closed the previous run, so the shard saw the joint
-  // history in arrival order and paired every a with the next b.
+  // CHRONICLE paired every a with the next b.
   ASSERT_EQ(rows.size(), 2u);
-  auto snap = engine.Metrics();
-  ASSERT_TRUE(snap.ok()) << snap.status();
-  EXPECT_EQ(snap->counters.at("sharded.batch.batches_enqueued"), 4u);
-  EXPECT_EQ(snap->counters.at("sharded.batch.tuples_batched"), 4u);
+  EXPECT_EQ(Wakeups(engine)[0], asleep[0] + 1);
 }
 
 TEST(BatchPipelineTest, BatchMetricsAndAnalyzeCounters) {
-  ShardedEngine engine(RouteOptions(1, 4));
+  ShardedEngine engine(Shards(1));
   ASSERT_TRUE(engine.ExecuteScript(R"sql(
     CREATE STREAM readings(reader_id, tid, read_time);
   )sql")
@@ -155,6 +267,7 @@ TEST(BatchPipelineTest, BatchMetricsAndAnalyzeCounters) {
       "SELECT reader_id, tid FROM readings WHERE tid = 'keep'";
   auto q = engine.RegisterQuery(sql);
   ASSERT_TRUE(q.ok()) << q.status();
+  const std::vector<uint64_t> asleep = SleepAll(engine);
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(engine
                     .Push("readings",
@@ -163,66 +276,26 @@ TEST(BatchPipelineTest, BatchMetricsAndAnalyzeCounters) {
                           Seconds(i + 1))
                     .ok());
   }
-  ASSERT_TRUE(engine.Flush().ok());
-
   auto snap = engine.Metrics();
   ASSERT_TRUE(snap.ok()) << snap.status();
-  EXPECT_EQ(snap->gauges.at("sharded.batch.route_batch_size"), 4);
-  EXPECT_EQ(snap->counters.at("sharded.batch.batches_enqueued"), 2u);
-  EXPECT_EQ(snap->counters.at("sharded.batch.tuples_batched"), 8u);
-  EXPECT_EQ(snap->gauges.at("sharded.batch.pending"), 0);
+  EXPECT_EQ(snap->gauges.at("sharded.shard0.queue_depth"), 8);
+  EXPECT_EQ(snap->counters.at("sharded.shard0.wakeups"), asleep[0]);
+  EXPECT_EQ(snap->counters.at("sharded.shard0.tuples_routed"), 8u);
+  // The mailbox is the one batching point: no routing-layer batch family.
+  for (const auto& [key, value] : snap->counters) {
+    EXPECT_NE(key.rfind("sharded.batch.", 0), 0u) << key;
+  }
+  for (const auto& [key, value] : snap->gauges) {
+    EXPECT_NE(key.rfind("sharded.batch.", 0), 0u) << key;
+  }
 
-  // The shard's operators saw every tuple of both route batches.
+  // The shard's operators saw every queued tuple, one at a time: the
+  // plan reports no batch counters.
   auto analyzed = engine.Explain("EXPLAIN ANALYZE " + sql);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status();
   EXPECT_NE(analyzed->find("tuples_in=8 tuples_out=4"), std::string::npos)
       << *analyzed;
-}
-
-TEST(BatchPipelineTest, TupleModeAnalyzeOmitsBatchCounters) {
-  ShardedEngine engine(RouteOptions(1, 1));
-  ASSERT_TRUE(engine.ExecuteScript(R"sql(
-    CREATE STREAM readings(reader_id, tid, read_time);
-  )sql")
-                  .ok());
-  const std::string sql = "SELECT reader_id FROM readings";
-  auto q = engine.RegisterQuery(sql);
-  ASSERT_TRUE(q.ok()) << q.status();
-  ASSERT_TRUE(engine
-                  .Push("readings",
-                        {Value::String("r"), Value::String("t"),
-                         Value::Time(Seconds(1))},
-                        Seconds(1))
-                  .ok());
-  ASSERT_TRUE(engine.Flush().ok());
-  auto snap = engine.Metrics();
-  ASSERT_TRUE(snap.ok()) << snap.status();
-  EXPECT_EQ(snap->gauges.at("sharded.batch.route_batch_size"), 1);
-  EXPECT_EQ(snap->counters.at("sharded.batch.batches_enqueued"), 0u);
-  auto analyzed = engine.Explain("EXPLAIN ANALYZE " + sql);
-  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-  EXPECT_NE(analyzed->find("tuples_in=1"), std::string::npos) << *analyzed;
   EXPECT_EQ(analyzed->find("batch"), std::string::npos) << *analyzed;
-}
-
-TEST(BatchPipelineTest, InvalidConfiguredSizeRejected) {
-  for (size_t bad : {size_t{0}, kMaxRouteBatchSize + 1}) {
-    ShardedEngine engine(RouteOptions(2, bad));
-    Status st = engine.ExecuteScript("CREATE STREAM s(v, t_time);");
-    EXPECT_FALSE(st.ok()) << "accepted route_batch_size=" << bad;
-    EXPECT_NE(st.message().find("route_batch_size"), std::string::npos) << st;
-
-    ReplicatedShardedEngineOptions replicated;
-    replicated.num_shards = 2;
-    replicated.route_batch_size = bad;
-    replicated.dir = ::testing::TempDir() + "batch_pipeline_invalid";
-    std::filesystem::remove_all(replicated.dir);
-    EXPECT_FALSE(ReplicatedShardedEngine::Open(replicated).ok())
-        << "accepted route_batch_size=" << bad;
-    std::filesystem::remove_all(replicated.dir);
-  }
-  ShardedEngine largest(RouteOptions(2, kMaxRouteBatchSize));
-  EXPECT_TRUE(largest.ExecuteScript("CREATE STREAM s(v, t_time);").ok());
 }
 
 }  // namespace

@@ -7,12 +7,10 @@
 // pins allocations per WAL record, per tuple offered to ingest, and per
 // input of one Engine running ingest, the WAL and the Example 1 dedup.
 //
-// The trace has E19 `sharded_fullpath`'s shape at a tenth of its size:
-// every read duplicated, 25 % ghost reads, arrival displaced by up to
-// 400 ms, a heartbeat every 64 inputs; ingest reorders within 400 ms and
-// cleans with a 1 ms window and `min_read_count` 2. The first inputs of
-// each replay are a warm-up, so buffers that grow to their steady size
-// once are not counted.
+// The trace has E19 `sharded_fullpath`'s shape at a tenth of its size
+// (tests/perf/fullpath_trace.h), with a heartbeat every 64 inputs. The
+// first inputs of each replay are a warm-up, so buffers that grow to
+// their steady size once are not counted.
 //
 // The counting operator is tests/perf/alloc_counter.h's; under ASan and
 // TSan only the allocation assertions are skipped.
@@ -29,6 +27,7 @@
 #include "recovery/wal.h"
 #include "rfid/workloads.h"
 #include "tests/perf/alloc_counter.h"
+#include "tests/perf/fullpath_trace.h"
 
 namespace eslev {
 namespace {
@@ -41,34 +40,6 @@ constexpr size_t kHeartbeatEvery = 64;
 constexpr double kMaxPerWalRecord = 0.0;
 constexpr double kMaxPerOfferedTuple = 0.0;
 constexpr double kMaxPerEngineInput = 0.05;
-
-rfid::Workload FullpathTrace() {
-  rfid::DuplicateWorkloadOptions o;
-  o.num_distinct = 3000;
-  o.duplicates_per_read = 0;  // the noise owns duplication
-  o.inter_arrival = Milliseconds(100);
-  o.num_readers = 4;
-  o.num_tags = 100;
-  o.seed = 1;
-  rfid::Workload trace = rfid::MakeDuplicateWorkload(o);
-  rfid::NormalizeUniqueTimestamps(&trace);
-  rfid::NoiseOptions noise;
-  noise.max_shift = Milliseconds(400);
-  noise.duplicate_rate = 1.0;  // every real read reaches min_read_count
-  noise.duplicate_copies = 1;
-  noise.spurious_rate = 0.25;
-  noise.seed = 2;
-  rfid::InjectNoise(&trace, noise);
-  return trace;
-}
-
-IngestOptions FullpathIngest() {
-  IngestOptions options;
-  options.lateness_bound = Milliseconds(400);
-  options.smoothing_window = Milliseconds(1);
-  options.min_read_count = 2;
-  return options;
-}
 
 /// Drives `push(i)` for every input and `tick(max_ts)` every
 /// kHeartbeatEvery inputs; counts allocations from input kWarmupInputs
@@ -156,18 +127,7 @@ FrontEndCounts ReplayFrontEnd(const rfid::Workload& trace) {
     EngineOptions options;
     options.ingest = FullpathIngest();
     Engine engine(options);
-    EXPECT_TRUE(engine
-                    .ExecuteScript(R"sql(
-      CREATE STREAM readings(reader_id, tag_id, read_time);
-      CREATE STREAM cleaned_readings(reader_id, tag_id, read_time);
-      INSERT INTO cleaned_readings
-      SELECT * FROM readings AS r1
-      WHERE NOT EXISTS
-        (SELECT * FROM TABLE( readings OVER
-            (RANGE 1 seconds PRECEDING CURRENT)) AS r2
-         WHERE r2.reader_id = r1.reader_id AND r2.tag_id = r1.tag_id);
-    )sql")
-                    .ok());
+    EXPECT_TRUE(engine.ExecuteScript(kFullpathDedupScript).ok());
     EXPECT_TRUE(engine
                     .Subscribe("cleaned_readings",
                                [&out](const Tuple&) { ++out.emitted; })

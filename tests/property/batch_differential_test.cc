@@ -1,15 +1,19 @@
-// Route-batching differential sweep (DESIGN.md §8): on seeded random
-// traces, ShardedEngine at 1/2/4 shards must emit the single-engine
-// output, and at every route batch size — 7, 64, 1024 — exactly the
-// drain sequence it emits at route size 1, across dedup, SEQ pairing
-// modes, windows, and trailing stars. The same holds for a crash with
-// tuples still in a pending route batch: the WAL is written before
-// buffering, so recovery at another route size regenerates them. Every
-// seeded run draws the ingest reorder stage's lateness bound from
-// {0, 400 ms}, which must not change a byte either.
+// Mailbox-batching differential sweep (DESIGN.md §8): a routed tuple
+// does not wake its shard's worker, which takes its whole backlog at
+// the next heartbeat, command, Flush or drain, or at 64 queued items, so
+// how many tuples one wake-up carries depends on when those come. On
+// seeded random traces, ShardedEngine at 1/2/4 shards must emit the
+// single-engine output, and with a Flush every 7, 64 or 1024 events
+// exactly the drain sequence it emits with a Flush after every event
+// (each tuple processed alone), across dedup, SEQ pairing modes, windows
+// and trailing stars. Every seeded run draws the ingest reorder stage's
+// lateness bound from {0, 400 ms}, which must not change a byte either.
+// A killed shard drops the tuples queued in its mailbox that no wake-up
+// reached; the WAL holds them, so its promoted standby replays them.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -19,6 +23,30 @@
 namespace eslev {
 namespace {
 
+/// Flush cadences: after every event, one that splits runs unevenly, the
+/// wake threshold, and one longer than any trace (only the mailbox's own
+/// 64-item wake-ups and the closing flush).
+constexpr size_t kFlushEvery[] = {1, 7, 64, 1024};
+
+/// The scenario on a ShardedEngine that flushes after every
+/// `flush_every` events; rows in drain order.
+Rows RunFlushingEvery(const Scenario& s, const Trace& events,
+                      const ShardedEngineOptions& options,
+                      size_t flush_every) {
+  ShardedEngine host(options);
+  Rows rows;
+  Attach(host, s, &rows);
+  for (size_t i = 0; i < events.size(); ++i) {
+    const Status pushed = PushEvent(host, events[i]);
+    EXPECT_TRUE(pushed.ok()) << "event " << i << ": " << pushed;
+    if ((i + 1) % flush_every == 0) {
+      EXPECT_TRUE(host.Flush().ok());
+    }
+  }
+  Close(host, s, events);
+  return rows;
+}
+
 void ExpectBatchEquivalence(const Scenario& scenario, uint32_t seed,
                             size_t num_events, int num_tags) {
   const Trace events = MakeTrace(seed, num_events, scenario.streams, num_tags);
@@ -27,23 +55,21 @@ void ExpectBatchEquivalence(const Scenario& scenario, uint32_t seed,
   const Rows reference = Sorted(RunEngine(scenario, events, engine));
   std::mt19937 rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
+    const ShardedEngineOptions options = ShardOptions(shards, engine);
     // Unsorted: the drain order of one shard count does not depend on
-    // the route batch size.
-    const Rows unbatched =
-        RunSharded(scenario, events, ShardOptions(shards, 1, engine));
-    EXPECT_EQ(Sorted(unbatched), reference)
+    // how many tuples a wake-up carries.
+    const Rows one_at_a_time = RunFlushingEvery(scenario, events, options, 1);
+    EXPECT_EQ(Sorted(one_at_a_time), reference)
         << "seed " << seed << " shards " << shards << " lateness_bound "
         << engine.ingest.lateness_bound;
-    // One randomized route size per shard count keeps the sweep cheap
-    // while still crossing sharding with batching on every run.
-    const size_t route_batch_size =
-        kRouteBatchSizes[std::uniform_int_distribution<size_t>(1, 3)(rng)];
-    EXPECT_EQ(RunSharded(scenario, events,
-                         ShardOptions(shards, route_batch_size, engine)),
-              unbatched)
-        << "seed " << seed << " shards " << shards << " route_batch_size "
-        << route_batch_size << " lateness_bound "
-        << engine.ingest.lateness_bound;
+    // One drawn cadence per shard count keeps the sweep cheap while
+    // still crossing sharding with batching on every run.
+    const size_t flush_every =
+        kFlushEvery[std::uniform_int_distribution<size_t>(1, 3)(rng)];
+    EXPECT_EQ(RunFlushingEvery(scenario, events, options, flush_every),
+              one_at_a_time)
+        << "seed " << seed << " shards " << shards << " flush_every "
+        << flush_every << " lateness_bound " << engine.ingest.lateness_bound;
   }
 }
 
@@ -73,56 +99,100 @@ TEST_P(BatchDifferentialTest, TrailingStarGroups) {
   ExpectBatchEquivalence(StarScenario(), GetParam() + 101, 200, 4);
 }
 
-// Crash mid-batch: the sharded engine dies with tuples in a pending
-// route batch — WAL-appended (durability precedes buffering) but never
-// enqueued to their shard. The consumer acknowledged everything up to
-// the checkpoint, so recovery at another route size re-delivers every
-// emission after the cut, the never-enqueued tuples' included; the
-// concatenation must equal the uninterrupted single-engine run.
+uint64_t Counter(const MetricsSnapshot& snap, const std::string& key) {
+  auto it = snap.counters.find(key);
+  EXPECT_NE(it, snap.counters.end()) << key;
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// Kill mid-batch: a ReplicatedShardedEngine flushes, then routes a short
+// tail of reads (fewer than 64, no heartbeat), so the tail sits in the
+// mailboxes with no wake-up, and the shard of the tail's first read is
+// killed. KillShard drops its mailbox; the tail is in the WAL, so the
+// promoted standby replays it along with the reads of the dark window.
+// The victim's wake-up counter shows that nothing but the kill woke it
+// after the flush, and the output must equal the single-engine run.
 TEST_P(BatchDifferentialTest, KillRecoverMidBatch) {
   const uint32_t seed = GetParam();
   const Scenario scenario = SeqScenario(" MODE CHRONICLE");
   const Trace events = MakeTrace(seed + 59, 200, scenario.streams, 4);
-  const EngineOptions engine = IngestOptionsWith(LatenessBoundFor(seed + 59));
-  const Rows reference = Sorted(RunEngine(scenario, events, engine));
+  const Rows reference = Sorted(RunEngine(scenario, events));
   std::mt19937 rng(seed * 40503u + 11);
   int round = 0;
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t pick = std::uniform_int_distribution<size_t>(1, 3)(rng);
-    const size_t route_batch_size = kRouteBatchSizes[pick];
-    // Recover at a different route size, tuple-at-a-time included.
-    const size_t recover_route_batch_size =
-        kRouteBatchSizes[(pick + std::uniform_int_distribution<size_t>(
-                                     1, 3)(rng)) % 4];
-    KillPlan plan;
-    plan.checkpoint_at =
-        std::uniform_int_distribution<size_t>(0, events.size() - 2)(rng);
-    plan.kill_at = std::uniform_int_distribution<size_t>(plan.checkpoint_at + 1,
-                                                         events.size())(rng);
-    plan.consumer = Consumer::kHoldsCheckpoint;
+    const size_t checkpoint_at =
+        std::uniform_int_distribution<size_t>(1, events.size() / 2)(rng);
+    const size_t flush_at = std::uniform_int_distribution<size_t>(
+        checkpoint_at, events.size() - 2)(rng);
+    const size_t kill_at = std::min(
+        events.size(),
+        flush_at + std::uniform_int_distribution<size_t>(1, 16)(rng));
+    const size_t resume_at =
+        std::uniform_int_distribution<size_t>(kill_at, events.size())(rng);
+    // The tail's first read routes by its tag, the default partition key.
+    const size_t victim = events[flush_at].values[1].Hash() % shards;
+    const std::string context =
+        "seed " + std::to_string(seed) + " shards " + std::to_string(shards) +
+        " ckpt_at " + std::to_string(checkpoint_at) + " flush_at " +
+        std::to_string(flush_at) + " kill_at " + std::to_string(kill_at) +
+        " resume_at " + std::to_string(resume_at) + " victim " +
+        std::to_string(victim);
+
     const std::string dir = FreshDir("batch_diff_kill_s" +
                                      std::to_string(seed) + "_r" +
                                      std::to_string(round++));
-    const Rows killed = Sorted(RunKilled<ShardedEngine>(
-        scenario, events, ShardOptions(shards, route_batch_size, engine),
-        ShardOptions(shards, recover_route_batch_size, engine), plan, dir));
-    EXPECT_EQ(killed, reference)
-        << "seed " << seed << " shards " << shards << " route_batch "
-        << route_batch_size << " recover_route_batch "
-        << recover_route_batch_size << " ckpt_at " << plan.checkpoint_at
-        << " kill_at " << plan.kill_at << " lateness_bound "
-        << engine.ingest.lateness_bound;
+    ReplicatedShardedEngineOptions options;
+    options.num_shards = shards;
+    options.dir = dir;
+    options.wal.group_commit_bytes = 0;  // every append durable at the kill
+    auto opened = ReplicatedShardedEngine::Open(options);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    ReplicatedShardedEngine& engine = **opened;
+    Rows rows;
+    Attach(engine, scenario, &rows);
+    PushEvents(engine, events, 0, checkpoint_at);
+    const Status ckpt = engine.Checkpoint();
+    ASSERT_TRUE(ckpt.ok()) << ckpt;
+    PushEvents(engine, events, checkpoint_at, flush_at);
+    Settle(engine);
+    // Metrics() reads the wake-up counters before its own round trip
+    // wakes every shard once; the Flush after it leaves every worker
+    // asleep on an empty mailbox.
+    auto before = engine.Metrics();
+    ASSERT_TRUE(before.ok()) << before.status();
+    ASSERT_TRUE(engine.Flush().ok());
+    PushEvents(engine, events, flush_at, kill_at);
+    ASSERT_TRUE(engine.KillShard(victim).ok());
+    auto after = engine.Metrics();
+    ASSERT_TRUE(after.ok()) << after.status();
+    const std::string prefix = "sharded.shard" + std::to_string(victim) + ".";
+    EXPECT_GT(Counter(*after, prefix + "tuples_routed"),
+              Counter(*before, prefix + "tuples_routed"))
+        << context;
+    EXPECT_EQ(Counter(*after, prefix + "wakeups"),
+              Counter(*before, prefix + "wakeups") + 2)
+        << "the round trip and the kill should be the victim's only "
+           "wake-ups; "
+        << context;
+
+    PushEvents(engine, events, kill_at, resume_at);
+    auto healed = engine.HealFailures();
+    ASSERT_TRUE(healed.ok()) << healed.status();
+    EXPECT_EQ(*healed, 1u) << context;
+    PushEvents(engine, events, resume_at, events.size());
+    Close(engine, scenario, events);
+    EXPECT_EQ(Sorted(rows), reference) << context;
     std::filesystem::remove_all(dir);
   }
 }
 
-// Every test's seed derivation runs at both lateness bounds
+// Every equivalence test's seed derivation runs at both lateness bounds
 // (a loop index added to a derivation shifts all three seeds alike).
+// The kill test runs without ingest: ReplicatedShardedEngine rejects it.
 static_assert(RunsBothBounds([](uint32_t s) { return s ^ 0x85ebca6bu; }));
 static_assert(RunsBothBounds([](uint32_t s) { return s * 31u; }));
 static_assert(RunsBothBounds([](uint32_t s) { return s + 7; }));
 static_assert(RunsBothBounds([](uint32_t s) { return s + 101; }));
-static_assert(RunsBothBounds([](uint32_t s) { return s + 59; }));
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferentialTest,
                          ::testing::Values(1u, 2u, 3u));

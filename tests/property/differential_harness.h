@@ -138,21 +138,10 @@ inline EngineOptions IngestOptionsWith(Duration lateness_bound) {
   return options;
 }
 
-/// Route batch sizes: tuple at a time, a size that splits runs unevenly,
-/// a typical one, and one larger than any trace.
-inline constexpr size_t kRouteBatchSizes[] = {1, 7, 64, 1024};
-
-/// One of the first three route batch sizes.
-inline size_t DrawRouteBatchSize(std::mt19937& rng) {
-  return kRouteBatchSizes[std::uniform_int_distribution<size_t>(0, 2)(rng)];
-}
-
 inline ShardedEngineOptions ShardOptions(size_t num_shards,
-                                         size_t route_batch_size = 1,
                                          EngineOptions engine = {}) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.route_batch_size = route_batch_size;
   options.engine = std::move(engine);
   return options;
 }
@@ -307,8 +296,8 @@ std::string Attach(Host& host, const Scenario& s, Rows* rows) {
   return q->output_stream;
 }
 
-/// Deliver everything in flight: a sharded host flushes its route
-/// batches and shard queues, then drains; an Engine delivers
+/// Deliver everything in flight: a sharded host flushes its shard
+/// queues, which wakes every worker, then drains; an Engine delivers
 /// synchronously.
 template <typename Host>
 void Settle(Host& host) {
@@ -364,8 +353,9 @@ enum class Consumer {
   /// one drains everything before the crash and replay stays muted.
   kHoldsAll,
   /// Only what it drained right after the checkpoint (sharded hosts):
-  /// the host dies without a flush or a drain, with route batches
-  /// pending, and replay re-delivers every emission after the cut.
+  /// the host dies without a flush or a drain, with tuples still queued
+  /// in its shard mailboxes, and replay re-delivers every emission after
+  /// the cut.
   kHoldsCheckpoint,
 };
 
@@ -454,11 +444,10 @@ struct PromotePlan {
 /// so shipping and apply run incrementally rather than as one catch-up
 /// at promotion. Returns the emissions in drain order.
 inline Rows RunPromoted(const Scenario& s, const Trace& events,
-                        size_t num_shards, size_t route_batch_size,
-                        const PromotePlan& plan, const std::string& dir) {
+                        size_t num_shards, const PromotePlan& plan,
+                        const std::string& dir) {
   ReplicatedShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.route_batch_size = route_batch_size;
   options.dir = dir;
   options.wal.group_commit_bytes = 0;  // every append durable at the kill
   options.wal.segment_bytes = 2048;    // rotate mid-trace: sealed + live ship

@@ -112,15 +112,11 @@ void ExpectIngestEquivalence(const Scenario& scenario, uint32_t seed,
       << "seed " << seed;
 
   const Rows sorted_reference = Sorted(reference);
-  std::mt19937 rng(seed * 2246822519u + 7);
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t route_batch_size = DrawRouteBatchSize(rng);
-    EXPECT_EQ(Sorted(RunSharded(
-                  scenario, noisy,
-                  ShardOptions(shards, route_batch_size, NoisyOptions()))),
+    EXPECT_EQ(Sorted(RunSharded(scenario, noisy,
+                                ShardOptions(shards, NoisyOptions()))),
               sorted_reference)
-        << "seed " << seed << " shards " << shards << " route_batch_size "
-        << route_batch_size;
+        << "seed " << seed << " shards " << shards;
   }
 }
 
@@ -198,10 +194,8 @@ TEST_P(IngestDifferentialTest, ShardedKillRecoverWithIngest) {
   const Trace noisy = MakeNoisy(clean, seed * 69621u + 29);
   const Rows reference = Sorted(RunEngine(scenario, ToTrace(clean)));
   std::mt19937 rng(seed * 69621u + 31);
-  std::mt19937 route_rng(seed * 2246822519u + 7);
   for (size_t shards : {2u, 4u}) {
-    const ShardedEngineOptions options =
-        ShardOptions(shards, DrawRouteBatchSize(route_rng), NoisyOptions());
+    const ShardedEngineOptions options = ShardOptions(shards, NoisyOptions());
     KillPlan plan;
     plan.checkpoint_at =
         std::uniform_int_distribution<size_t>(1, noisy.size() - 1)(rng);
@@ -213,9 +207,8 @@ TEST_P(IngestDifferentialTest, ShardedKillRecoverWithIngest) {
     const Rows killed = Sorted(RunKilled<ShardedEngine>(
         scenario, noisy, options, options, plan, dir));
     EXPECT_EQ(killed, reference)
-        << "seed " << seed << " shards " << shards << " route_batch_size "
-        << options.route_batch_size << " ckpt_at " << plan.checkpoint_at
-        << " kill_at " << plan.kill_at;
+        << "seed " << seed << " shards " << shards << " ckpt_at "
+        << plan.checkpoint_at << " kill_at " << plan.kill_at;
     std::filesystem::remove_all(dir);
   }
 }

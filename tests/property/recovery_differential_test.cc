@@ -5,8 +5,7 @@
 // and post-recovery emissions to be byte-identical to an uninterrupted
 // run — across all four pairing modes, windowed SEQ, the trailing-star
 // extension, EXCEPTION_SEQ deadline anchors, and ShardedEngine at
-// 1/2/4 shards. Every sharded and replicated run draws its route batch
-// size from 1/7/64. Every kill-replay run (not the promote runs:
+// 1/2/4 shards. Every kill-replay run (not the promote runs:
 // ReplicatedShardedEngine rejects ingest) draws the ingest reorder
 // stage's lateness bound from {0, 400 ms}, so recovery also runs with
 // live reorder state.
@@ -89,12 +88,8 @@ TEST_P(RecoveryDifferentialTest, ShardedKillReplayAt124Shards) {
   const Trace events = MakeTrace(seed + 53, 160, scenario.streams, 4);
   const EngineOptions engine = IngestOptionsWith(LatenessBoundFor(seed + 53));
   std::mt19937 rng(seed * 40503u + 3);
-  // Route sizes come from their own generator, so drawing them leaves
-  // the checkpoint and kill points of every seed unchanged.
-  std::mt19937 route_rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const ShardedEngineOptions options =
-        ShardOptions(shards, DrawRouteBatchSize(route_rng), engine);
+    const ShardedEngineOptions options = ShardOptions(shards, engine);
     const Rows reference = Sorted(RunSharded(scenario, events, options));
     KillPlan plan;
     plan.checkpoint_at =
@@ -107,8 +102,7 @@ TEST_P(RecoveryDifferentialTest, ShardedKillReplayAt124Shards) {
     const Rows killed = Sorted(RunKilled<ShardedEngine>(
         scenario, events, options, options, plan, dir));
     EXPECT_EQ(killed, reference)
-        << shards << " shards, route_batch_size " << options.route_batch_size
-        << ", seed " << seed << " ckpt_at " << plan.checkpoint_at
+        << shards << " shards, seed " << seed << " ckpt_at " << plan.checkpoint_at
         << " kill_at " << plan.kill_at << " lateness_bound "
         << engine.ingest.lateness_bound;
     std::filesystem::remove_all(dir);
@@ -126,11 +120,9 @@ void ExpectKillPromoteEquivalence(Scenario scenario, uint32_t seed,
   scenario.single_shard_streams.clear();
   const Trace events = MakeTrace(seed, num_events, scenario.streams, num_tags);
   std::mt19937 rng(seed * 69621u + 5);
-  std::mt19937 route_rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t route_batch_size = DrawRouteBatchSize(route_rng);
-    const Rows reference = Sorted(
-        RunSharded(scenario, events, ShardOptions(shards, route_batch_size)));
+    const Rows reference =
+        Sorted(RunSharded(scenario, events, ShardOptions(shards)));
     PromotePlan plan;
     plan.checkpoint_at =
         std::uniform_int_distribution<size_t>(1, num_events / 2)(rng);
@@ -142,11 +134,10 @@ void ExpectKillPromoteEquivalence(Scenario scenario, uint32_t seed,
     const std::string dir =
         FreshDir("recovery_diff_promote_" + tag + "_s" + std::to_string(seed) +
                  "_n" + std::to_string(shards));
-    const Rows promoted = Sorted(
-        RunPromoted(scenario, events, shards, route_batch_size, plan, dir));
+    const Rows promoted =
+        Sorted(RunPromoted(scenario, events, shards, plan, dir));
     EXPECT_EQ(promoted, reference)
-        << tag << " shards " << shards << " route_batch_size "
-        << route_batch_size << " seed " << seed << " ckpt_at "
+        << tag << " shards " << shards << " seed " << seed << " ckpt_at "
         << plan.checkpoint_at << " kill_at " << plan.kill_at << " resume_at "
         << plan.resume_at << " victim " << plan.victim;
     std::filesystem::remove_all(dir);

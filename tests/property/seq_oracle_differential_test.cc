@@ -2,8 +2,8 @@
 // and randomized query shapes, the history matcher must emit what the
 // brute-force oracle written from the paper (src/oracle/seq_oracle.h)
 // emits — the same rows in the same order on one engine, and the same
-// rows after sorting on 1/2/4 shards at route batch sizes drawn from
-// 1/7/64 — across all four pairing modes, windowed SEQ, stars, negation
+// rows after sorting on 1/2/4 shards — across all four pairing modes,
+// windowed SEQ, stars, negation
 // (before the trigger and before a stored position), and EXCEPTION_SEQ
 // deadlines with heartbeat-driven active expiration.
 // Each query's configuration comes from planning it, the way the cost
@@ -79,8 +79,8 @@ Rows RunOracle(const Scenario& scenario, const Trace& events) {
 }
 
 // The full matrix for one scenario: the history matcher against the
-// oracle on one engine (exact order) and on 1/2/4 shards at a drawn
-// route batch size (sorted — shard interleaving is nondeterministic).
+// oracle on one engine (exact order) and on 1/2/4 shards (sorted —
+// shard interleaving is nondeterministic).
 // Numeric tags run on one engine only, because ShardedEngine routes by
 // the structural Value::Hash (an INT 5 and a DOUBLE 5.0 land on
 // different shards).
@@ -97,16 +97,13 @@ void ExpectMatchesOracle(const Scenario& scenario, uint32_t seed,
       << scenario.query;
   if (trace.numeric_tags) return;
   const Rows sorted_reference = Sorted(reference);
-  std::mt19937 rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t route_batch_size = DrawRouteBatchSize(rng);
     EXPECT_EQ(Sorted(RunSharded(
                   scenario, events,
-                  ShardOptions(shards, route_batch_size,
-                               IngestOptionsWith(lateness_bound)))),
+                  ShardOptions(shards, IngestOptionsWith(lateness_bound)))),
               sorted_reference)
-        << "seed " << seed << " shards " << shards << " route_batch_size "
-        << route_batch_size << " lateness_bound " << lateness_bound << "\n"
+        << "seed " << seed << " shards " << shards << " lateness_bound "
+        << lateness_bound << "\n"
         << scenario.query;
   }
 }

@@ -2,17 +2,15 @@
 // random traces, every (tenant, query) registered through QueryServer
 // must receive output byte-identical to a dedicated single-tenant
 // Engine running the same query alone — across shared-plan-cache
-// on/off, Engine and ShardedEngine hosts (each sharded run at a route
-// batch size drawn from 1/7/64), queries registered mid-stream and, for
-// the single-engine host, across a crash with checkpoint +
-// WAL recovery of the session registry.
+// on/off, Engine and ShardedEngine hosts, queries registered mid-stream
+// and, for the single-engine host, across a crash with checkpoint + WAL
+// recovery of the session registry.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <map>
-#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -162,20 +160,16 @@ TEST_P(ServeDifferentialTest, ShardedHostMatchesDedicatedEngines) {
   const Trace events =
       MakeTrace(GetParam() ^ 0x5bd1e995u, 250, {"R1", "R2"}, 5);
   const auto regs = Workload();
-  std::mt19937 rng(GetParam() * 2246822519u + 3);
   for (bool share : {true, false}) {
     for (size_t shards : {2u, 4u}) {
-      const ShardedEngineOptions options =
-          ShardOptions(shards, DrawRouteBatchSize(rng));
-      ShardedEngine engine(options);
+      ShardedEngine engine(ShardOptions(shards));
       ShardedHost host(&engine);
       ServedOutputs served;
       RunServed(&host, share, events, regs, &served);
       ExpectMatchesDedicated(
           served, events, regs,
           (share ? "sharded/shared/" : "sharded/unshared/") +
-              std::to_string(shards) + "/route" +
-              std::to_string(options.route_batch_size));
+              std::to_string(shards));
     }
   }
 }

@@ -1,7 +1,7 @@
 // Differential property sweep: on seeded random traces, a ShardedEngine
-// at 1, 2 and 4 shards, each run at a route batch size drawn from
-// 1/7/64, must emit byte-identical output (after a timestamp-stable
-// sort) to a single Engine, across pairing modes and windows.
+// at 1, 2 and 4 shards must emit byte-identical output (after a
+// timestamp-stable sort) to a single Engine, across pairing modes and
+// windows.
 // Tag-partitionable SEQ queries run fully sharded; CONSECUTIVE and
 // star-group queries depend on cross-tag adjacency in the joint history,
 // so their source streams use the single-shard fallback. Every seeded
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <string>
 
 #include "tests/property/differential_harness.h"
@@ -24,19 +23,16 @@ void ExpectDifferentialEquivalence(const Scenario& scenario, uint32_t seed,
   const Duration lateness_bound = LatenessBoundFor(seed);
   const Rows reference =
       Sorted(RunEngine(scenario, events, IngestOptionsWith(lateness_bound)));
-  std::mt19937 rng(seed * 2246822519u + 3);
   for (size_t shards : {1u, 2u, 4u}) {
-    const size_t route_batch_size = DrawRouteBatchSize(rng);
-    const Rows sharded = Sorted(
-        RunSharded(scenario, events,
-                   ShardOptions(shards, route_batch_size,
-                                IngestOptionsWith(lateness_bound))));
+    const Rows sharded = Sorted(RunSharded(
+        scenario, events,
+        ShardOptions(shards, IngestOptionsWith(lateness_bound))));
     ASSERT_EQ(sharded.size(), reference.size())
-        << "seed " << seed << " at " << shards << " shards, route_batch_size "
-        << route_batch_size << ", lateness_bound " << lateness_bound;
+        << "seed " << seed << " at " << shards << " shards, lateness_bound "
+        << lateness_bound;
     EXPECT_EQ(sharded, reference)
-        << "seed " << seed << " at " << shards << " shards, route_batch_size "
-        << route_batch_size << ", lateness_bound " << lateness_bound;
+        << "seed " << seed << " at " << shards << " shards, lateness_bound "
+        << lateness_bound;
   }
 }
 
