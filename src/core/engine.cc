@@ -18,29 +18,28 @@ Engine::Engine(EngineOptions options)
 Engine::~Engine() = default;
 
 Status Engine::CreateStream(const std::string& name, SchemaPtr schema) {
-  const std::string key = AsciiToLower(name);
-  if (streams_.count(key) || tables_.count(key)) {
+  if (streams_.count(name) || tables_.count(name)) {
     return Status::AlreadyExists("stream or table already exists: " + name);
   }
   auto stream = std::make_unique<Stream>(name, std::move(schema));
   if (options_.default_retention > 0) {
     stream->SetRetention(options_.default_retention);
   }
-  streams_.emplace(key, std::move(stream));
+  streams_.emplace(AsciiToLower(name), std::move(stream));
   return Status::OK();
 }
 
 Status Engine::CreateTable(const std::string& name, SchemaPtr schema) {
-  const std::string key = AsciiToLower(name);
-  if (streams_.count(key) || tables_.count(key)) {
+  if (streams_.count(name) || tables_.count(name)) {
     return Status::AlreadyExists("stream or table already exists: " + name);
   }
-  tables_.emplace(key, std::make_unique<Table>(name, std::move(schema)));
+  tables_.emplace(AsciiToLower(name),
+                  std::make_unique<Table>(name, std::move(schema)));
   return Status::OK();
 }
 
 Stream* Engine::FindStream(const std::string& name) const {
-  auto it = streams_.find(AsciiToLower(name));
+  auto it = streams_.find(name);
   return it == streams_.end() ? nullptr : it->second.get();
 }
 
@@ -54,7 +53,7 @@ std::vector<std::string> Engine::StreamNames() const {
 }
 
 Table* Engine::FindTable(const std::string& name) const {
-  auto it = tables_.find(AsciiToLower(name));
+  auto it = tables_.find(name);
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
@@ -192,7 +191,7 @@ Status Engine::UnregisterQuery(int id) {
   }
   queries_.erase(queries_.begin() + index);
   if (!owned_stream.empty()) {
-    streams_.erase(AsciiToLower(owned_stream));
+    streams_.erase(owned_stream);
     front_.RebindPorts(
         [this](const std::string& key) { return FindStream(key); });
   }
@@ -284,16 +283,16 @@ Result<std::vector<QueryCostReport>> Engine::AnalyzeCost(
 
 Status Engine::DeclareStreamStats(const std::string& stream,
                                   StreamStats stats) {
-  const std::string key = AsciiToLower(stream);
-  if (streams_.find(key) == streams_.end()) {
+  const auto found = streams_.find(stream);
+  if (found == streams_.end()) {
     return Status::NotFound("DeclareStreamStats: unknown stream " + stream);
   }
-  stream_stats_[key] = stats;
+  stream_stats_[found->first] = stats;
   return Status::OK();
 }
 
 const StreamStats* Engine::FindStreamStats(const std::string& name) const {
-  const auto it = stream_stats_.find(AsciiToLower(name));
+  const auto it = stream_stats_.find(name);
   return it == stream_stats_.end() ? nullptr : &it->second;
 }
 
@@ -424,17 +423,18 @@ Status Engine::Push(const std::string& stream, std::vector<Value> values,
   if (s == nullptr) return Status::NotFound("stream not found: " + stream);
   ESLEV_ASSIGN_OR_RETURN(Tuple tuple,
                          MakeTuple(s->schema(), std::move(values), ts));
-  return PushTuple(stream, tuple);
+  return OfferTo(s, tuple, /*log=*/true);
 }
 
 Status Engine::Offer(const std::string& stream, const Tuple& tuple,
                      bool log) {
+  Stream* s = FindStream(stream);
+  if (s == nullptr) return Status::NotFound("stream not found: " + stream);
+  return OfferTo(s, tuple, log);
+}
+
+Status Engine::OfferTo(Stream* s, const Tuple& tuple, bool log) {
   ESLEV_RETURN_NOT_OK(init_error_);
-  const auto found = streams_.find(AsciiToLower(stream));
-  if (found == streams_.end()) {
-    return Status::NotFound("stream not found: " + stream);
-  }
-  Stream* s = found->second.get();
   if (front_.ingest_enabled()) {
     // With a reorder stage, disorder up to the lateness bound is the
     // point — the stage owns the policy (buffer, or count as late).

@@ -32,6 +32,7 @@
 #include "analysis/cost_model.h"
 #include "analysis/diagnostic.h"
 #include "common/metrics.h"
+#include "common/string_util.h"
 #include "core/front_end.h"
 #include "plan/catalog.h"
 #include "plan/planner.h"
@@ -259,16 +260,19 @@ class Engine : public Catalog {
   // reorder stage takes disorder. DeliverTuple and DeliverHeartbeat take
   // ordered input into the pipelines (clock advance, dispatch).
   Status Offer(const std::string& stream, const Tuple& tuple, bool log);
+  /// Offer's policy and hand-off, for a stream already found.
+  Status OfferTo(Stream* s, const Tuple& tuple, bool log);
   Status Tick(Timestamp now, bool log);
   Status DeliverTuple(Stream* s, const Tuple& tuple);
   Status DeliverHeartbeat(Timestamp now);
 
   EngineOptions options_;
   FunctionRegistry registry_;
-  std::map<std::string, std::unique_ptr<Stream>> streams_;  // lower-case key
-  std::map<std::string, std::unique_ptr<Table>> tables_;
-  std::map<std::string, StreamStats> stream_stats_;  // lower-case key
-  std::map<std::string, bool> derived_;  // output streams of queries
+  // Name-keyed maps: lower-case keys, found by any spelling of a name.
+  std::map<std::string, std::unique_ptr<Stream>, AsciiCaseLess> streams_;
+  std::map<std::string, std::unique_ptr<Table>, AsciiCaseLess> tables_;
+  std::map<std::string, StreamStats, AsciiCaseLess> stream_stats_;
+  std::map<std::string, bool, AsciiCaseLess> derived_;  // query outputs
   std::vector<PlannedQuery> queries_;
   std::vector<std::unique_ptr<Operator>> sinks_;
   Timestamp clock_ = kMinTimestamp;

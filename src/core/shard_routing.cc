@@ -1,11 +1,9 @@
 #include "core/shard_routing.h"
 
-#include "common/string_util.h"
-
 namespace eslev {
 
 const StreamRoute* ShardRouting::Find(const std::string& stream) const {
-  auto it = routes.find(AsciiToLower(stream));
+  auto it = routes.find(stream);
   return it == routes.end() ? nullptr : &it->second;
 }
 

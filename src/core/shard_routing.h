@@ -12,6 +12,7 @@
 #include <map>
 #include <string>
 
+#include "common/string_util.h"
 #include "core/engine.h"
 
 namespace eslev {
@@ -30,9 +31,9 @@ struct StreamRoute {
 /// a standby takes a copy of the primary's table.
 struct ShardRouting {
   size_t num_shards = 1;
-  /// Keyed by lower-case stream name. Map nodes are stable, so route
-  /// pointers survive later inserts.
-  std::map<std::string, StreamRoute> routes;
+  /// Keyed by lower-case stream name, found by any spelling of it. Map
+  /// nodes are stable, so route pointers survive later inserts.
+  std::map<std::string, StreamRoute, AsciiCaseLess> routes;
 
   const StreamRoute* Find(const std::string& stream) const;
 

@@ -235,7 +235,7 @@ Status ShardedEngine::Subscribe(const std::string& stream,
 Status ShardedEngine::SetPartitionKey(const std::string& stream,
                                       const std::string& column) {
   std::unique_lock<std::shared_mutex> lock(routes_mu_);
-  auto it = routing_.routes.find(AsciiToLower(stream));
+  auto it = routing_.routes.find(stream);
   if (it == routing_.routes.end()) {
     return Status::NotFound("stream not found: " + stream);
   }
@@ -253,7 +253,7 @@ Status ShardedEngine::SetPartitionKey(const std::string& stream,
 
 Status ShardedEngine::SetSingleShard(const std::string& stream) {
   std::unique_lock<std::shared_mutex> lock(routes_mu_);
-  auto it = routing_.routes.find(AsciiToLower(stream));
+  auto it = routing_.routes.find(stream);
   if (it == routing_.routes.end()) {
     return Status::NotFound("stream not found: " + stream);
   }
@@ -298,18 +298,14 @@ Result<std::string> ShardedEngine::Explain(const std::string& sql) {
 
 Status ShardedEngine::Push(const std::string& stream,
                            std::vector<Value> values, Timestamp ts) {
-  SchemaPtr schema;
-  {
-    std::shared_lock<std::shared_mutex> lock(routes_mu_);
-    const StreamRoute* route = routing_.Find(stream);
-    if (route == nullptr) {
-      return Status::NotFound("stream not found: " + stream);
-    }
-    schema = route->schema;
+  std::shared_lock<std::shared_mutex> lock(routes_mu_);
+  const StreamRoute* route = routing_.Find(stream);
+  if (route == nullptr) {
+    return Status::NotFound("stream not found: " + stream);
   }
   ESLEV_ASSIGN_OR_RETURN(Tuple tuple,
-                         MakeTuple(schema, std::move(values), ts));
-  return PushTuple(stream, tuple);
+                         MakeTuple(route->schema, std::move(values), ts));
+  return OfferRoute(route, tuple, /*log=*/true);
 }
 
 Status ShardedEngine::PushTuple(const std::string& stream,
@@ -332,12 +328,17 @@ Status ShardedEngine::WithFrontEnd(bool log, Fn&& fn) {
 
 Status ShardedEngine::Offer(const std::string& stream, const Tuple& tuple,
                             bool log) {
-  ESLEV_RETURN_NOT_OK(init_error_);
   std::shared_lock<std::shared_mutex> lock(routes_mu_);
   const StreamRoute* route = routing_.Find(stream);
   if (route == nullptr) {
     return Status::NotFound("stream not found: " + stream);
   }
+  return OfferRoute(route, tuple, log);
+}
+
+Status ShardedEngine::OfferRoute(const StreamRoute* route, const Tuple& tuple,
+                                 bool log) {
+  ESLEV_RETURN_NOT_OK(init_error_);
   ESLEV_RETURN_NOT_OK(routing_.CheckKey(*route, tuple));
   return WithFrontEnd(log, [&](bool logged) {
     return front_.Push(route, route->name, tuple, logged);

@@ -293,6 +293,9 @@ class ShardedEngine {
   /// logged when `log` and the WAL is on (replay passes false: replayed
   /// records are already on disk).
   Status Offer(const std::string& stream, const Tuple& tuple, bool log);
+  /// \brief Offer for a route already found; the caller holds
+  /// `routes_mu_` shared.
+  Status OfferRoute(const StreamRoute* route, const Tuple& tuple, bool log);
   /// \brief Pass a tick to the front end, logged when `log`.
   Status Tick(Timestamp now, bool log);
   /// \brief Run `fn(log)` under the front end's locks: `wal_mu_` when

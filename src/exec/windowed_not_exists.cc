@@ -29,6 +29,8 @@ WindowedNotExistsOperator::WindowedNotExistsOperator(
                      window.direction ==
                          WindowDirection::kPrecedingAndFollowing),
       buffer_(window.row_based, window.length, KeyColumns(keys_)),
+      probe_key_(keys_.size()),
+      computed_key_(keys_.size()),
       scratch_(2) {}
 
 void WindowedNotExistsOperator::AppendStats(OperatorStatList* out) const {
@@ -38,24 +40,33 @@ void WindowedNotExistsOperator::AppendStats(OperatorStatList* out) const {
       {"probe_comparisons", static_cast<int64_t>(probe_comparisons_)});
 }
 
-Status WindowedNotExistsOperator::EvalKey(const Tuple& outer,
-                                          std::vector<Value>* key) {
-  key->clear();
+Status WindowedNotExistsOperator::EvalKey(const Tuple& outer) {
   scratch_.SetTuple(0, nullptr);
   scratch_.SetTuple(1, &outer);
-  for (const Key& k : keys_) {
-    ESLEV_ASSIGN_OR_RETURN(Value v, k.outer_expr->Eval(scratch_.Row()));
-    key->push_back(std::move(v));
+  const EvalRow row = scratch_.Row();
+  for (size_t i = 0; i < keys_.size(); ++i) {
+    probe_key_[i] = keys_[i].outer_expr->Peek(row);
+    if (probe_key_[i] == nullptr) {
+      ESLEV_ASSIGN_OR_RETURN(computed_key_[i], keys_[i].outer_expr->Eval(row));
+      probe_key_[i] = &computed_key_[i];
+    }
   }
   return Status::OK();
 }
 
-Result<bool> WindowedNotExistsOperator::Matches(
-    const Tuple& inner, const Tuple& outer,
-    const std::vector<Value>& outer_key) {
+std::vector<Value> WindowedNotExistsOperator::OwnedKey() const {
+  std::vector<Value> key;
+  key.reserve(probe_key_.size());
+  for (const Value* v : probe_key_) key.push_back(*v);
+  return key;
+}
+
+Result<bool> WindowedNotExistsOperator::Matches(const Tuple& inner,
+                                                const Tuple& outer,
+                                                const KeyRefs& outer_key) {
   ++probe_comparisons_;
   for (size_t i = 0; i < keys_.size(); ++i) {
-    if (!inner.value(keys_[i].inner_column).KeyEquals(outer_key[i])) {
+    if (!inner.value(keys_[i].inner_column).KeyEquals(*outer_key[i])) {
       return false;
     }
   }
@@ -92,7 +103,7 @@ Status WindowedNotExistsOperator::ProcessOuter(const Tuple& tuple,
   // with them: a buffered tuple, or a later arrival on the FOLLOWING side.
   bool have_key = false;
   if (buffer_.size() > 0) {
-    ESLEV_RETURN_NOT_OK(EvalKey(tuple, &probe_key_));
+    ESLEV_RETURN_NOT_OK(EvalKey(tuple));
     have_key = true;
     bool found = false;
     Status status;
@@ -110,8 +121,8 @@ Status WindowedNotExistsOperator::ProcessOuter(const Tuple& tuple,
     if (found) return Status::OK();  // EXISTS -> NOT EXISTS fails
   }
   if (has_following_) {
-    if (!have_key) ESLEV_RETURN_NOT_OK(EvalKey(tuple, &probe_key_));
-    pending_.push_back({tuple, tuple.ts() + window_.length, probe_key_});
+    if (!have_key) ESLEV_RETURN_NOT_OK(EvalKey(tuple));
+    pending_.push_back({tuple, tuple.ts() + window_.length, OwnedKey()});
     *held = true;
     return Status::OK();
   }
@@ -126,7 +137,9 @@ Status WindowedNotExistsOperator::ProcessInner(const Tuple& tuple,
     for (size_t i = 0; i < n;) {
       const Pending& p = pending_[i];
       if (tuple.ts() >= p.outer.ts() && tuple.ts() <= p.deadline) {
-        ESLEV_ASSIGN_OR_RETURN(bool m, Matches(tuple, p.outer, p.key));
+        // A pending entry owns its key values; Matches reads them in place.
+        for (size_t k = 0; k < p.key.size(); ++k) probe_key_[k] = &p.key[k];
+        ESLEV_ASSIGN_OR_RETURN(bool m, Matches(tuple, p.outer, probe_key_));
         if (m) {
           pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
           --n;
@@ -190,7 +203,8 @@ Status WindowedNotExistsOperator::RestoreState(BinaryDecoder* dec) {
     Pending p;
     ESLEV_ASSIGN_OR_RETURN(p.outer, dec->GetTuple());
     ESLEV_ASSIGN_OR_RETURN(p.deadline, dec->GetI64());
-    ESLEV_RETURN_NOT_OK(EvalKey(p.outer, &p.key));
+    ESLEV_RETURN_NOT_OK(EvalKey(p.outer));
+    p.key = OwnedKey();
     pending_.push_back(std::move(p));
   }
   return Status::OK();

@@ -18,7 +18,10 @@
 // PRECEDING buffer is chained by the key columns' SQL-equality hash, so
 // an outer tuple walks only its own bucket, compares the key columns
 // natively, and runs only the residual through the interpreter. Without
-// key pairs every buffered tuple shares one bucket.
+// key pairs every buffered tuple shares one bucket. The outer key is
+// read in place (BoundExpr::Peek): a key expression that is a column of
+// the outer tuple points into its row, and only a computed one, or the
+// key of a pending FOLLOWING entry, owns its values.
 //
 // FOLLOWING semantics: an outer tuple cannot be emitted before its
 // following-window closes, so it is held *pending* and either cancelled
@@ -92,6 +95,7 @@ class WindowedNotExistsOperator : public Operator {
     Timestamp deadline;
     std::vector<Value> key;  // the outer's key values (not checkpointed)
   };
+  using KeyRefs = std::vector<const Value*>;  // one per key pair
 
   /// Processes `tuple` as the outer tuple; sets `*held` when it was
   /// added to pending_.
@@ -100,10 +104,13 @@ class WindowedNotExistsOperator : public Operator {
   /// checked when `skip_last_pending` (the arrival's own entry).
   Status ProcessInner(const Tuple& tuple, bool skip_last_pending);
   Status FlushPending(Timestamp now);
-  /// Evaluates the outer key expressions over `outer` into `*key`.
-  Status EvalKey(const Tuple& outer, std::vector<Value>* key);
+  /// Points probe_key_ at the key values of `outer`: into its row where
+  /// the key expression is a column, else at computed_key_.
+  Status EvalKey(const Tuple& outer);
+  /// A copy of the values probe_key_ points at, for a pending entry.
+  std::vector<Value> OwnedKey() const;
   Result<bool> Matches(const Tuple& inner, const Tuple& outer,
-                       const std::vector<Value>& outer_key);
+                       const KeyRefs& outer_key);
 
   WindowSpec window_;
   BoundExprPtr residual_;
@@ -114,7 +121,8 @@ class WindowedNotExistsOperator : public Operator {
   bool has_following_;
   KeyedWindowBuffer buffer_;      // inner history for the PRECEDING side
   std::deque<Pending> pending_;   // outer tuples awaiting FOLLOWING close
-  std::vector<Value> probe_key_;  // the current outer tuple's key values
+  KeyRefs probe_key_;             // the key being probed, read in place
+  std::vector<Value> computed_key_;  // values of computed key expressions
   uint64_t probe_comparisons_ = 0;
   RowScratch scratch_;
 };

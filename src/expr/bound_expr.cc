@@ -18,9 +18,7 @@ Result<Value> BoundColumnRef::Eval(const EvalRow& row) const {
   if (slot_ >= row.num_slots) {
     return Status::ExecutionError("slot out of range for " + name_);
   }
-  const Tuple* t =
-      previous_ ? (row.prev_slots ? row.prev_slots[slot_] : nullptr)
-                : row.slots[slot_];
+  const Tuple* t = TupleIn(row);
   if (t == nullptr) {
     // `.previous.` on the first tuple of a star group, or an unbound
     // stream slot: SQL NULL.
@@ -30,6 +28,11 @@ Result<Value> BoundColumnRef::Eval(const EvalRow& row) const {
     return Status::ExecutionError("column index out of range for " + name_);
   }
   return t->value(column_);
+}
+
+const Value* BoundColumnRef::Peek(const EvalRow& row) const {
+  const Tuple* t = slot_ < row.num_slots ? TupleIn(row) : nullptr;
+  return t != nullptr && column_ < t->size() ? &t->value(column_) : nullptr;
 }
 
 Result<Value> BoundStarAgg::Eval(const EvalRow& row) const {
@@ -213,8 +216,20 @@ Result<Value> BoundBinary::Eval(const EvalRow& row) const {
     return EvalLogical(op_, l, r);
   }
 
-  ESLEV_ASSIGN_OR_RETURN(Value l, lhs_->Eval(row));
-  ESLEV_ASSIGN_OR_RETURN(Value r, rhs_->Eval(row));
+  // A column or literal operand is read in place; only a computed one
+  // is evaluated into a Value.
+  Value l_value;
+  const Value* l = lhs_->Peek(row);
+  if (l == nullptr) {
+    ESLEV_ASSIGN_OR_RETURN(l_value, lhs_->Eval(row));
+    l = &l_value;
+  }
+  Value r_value;
+  const Value* r = rhs_->Peek(row);
+  if (r == nullptr) {
+    ESLEV_ASSIGN_OR_RETURN(r_value, rhs_->Eval(row));
+    r = &r_value;
+  }
   switch (op_) {
     case BinaryOp::kEq:
     case BinaryOp::kNe:
@@ -222,16 +237,16 @@ Result<Value> BoundBinary::Eval(const EvalRow& row) const {
     case BinaryOp::kLe:
     case BinaryOp::kGt:
     case BinaryOp::kGe:
-      return EvalComparison(op_, l, r);
+      return EvalComparison(op_, *l, *r);
     case BinaryOp::kAdd:
     case BinaryOp::kSub:
     case BinaryOp::kMul:
     case BinaryOp::kDiv:
     case BinaryOp::kMod:
-      return EvalArithmetic(op_, l, r);
+      return EvalArithmetic(op_, *l, *r);
     case BinaryOp::kLike:
     case BinaryOp::kNotLike:
-      return EvalLike(op_, l, r);
+      return EvalLike(op_, *l, *r);
     default:
       return Status::ExecutionError("bad binary operator");
   }

@@ -121,11 +121,11 @@ class KeyedWindowBuffer {
     Rebuild(BucketsFor(buffer_.size()));
   }
 
-  /// \brief The bucket hash of a probe whose key values are `key`, in
-  /// key-column order.
-  static uint64_t ProbeHash(const std::vector<Value>& key) {
+  /// \brief The bucket hash of a probe whose key values are `*key[i]`,
+  /// in key-column order (read in place, not copied).
+  static uint64_t ProbeHash(const std::vector<const Value*>& key) {
     uint64_t h = kSeed;
-    for (const Value& v : key) h = Combine(h, v);
+    for (const Value* v : key) h = Combine(h, *v);
     return h;
   }
 

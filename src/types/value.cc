@@ -136,6 +136,24 @@ Result<int> Value::Compare(const Value& other) const {
 }
 
 bool Value::KeyEquals(const Value& other) const {
+  if (repr_.index() == other.repr_.index()) {
+    // One type: Compare's 0 is plain equality, except for DOUBLE (NaN
+    // equals NaN, -0.0 equals 0.0), which stays on Compare.
+    switch (type()) {
+      case TypeId::kNull:
+        return false;
+      case TypeId::kBool:
+        return bool_value() == other.bool_value();
+      case TypeId::kInt64:
+        return int_value() == other.int_value();
+      case TypeId::kString:
+        return string_value() == other.string_value();
+      case TypeId::kTimestamp:
+        return time_value() == other.time_value();
+      case TypeId::kDouble:
+        break;
+    }
+  }
   if (is_null() || other.is_null()) return false;
   const Result<int> cmp = Compare(other);
   return cmp.ok() && *cmp == 0;

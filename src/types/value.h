@@ -71,7 +71,8 @@ class Value {
   Result<int> Compare(const Value& other) const;
 
   /// \brief SQL `=` as a two-valued key match: false when either side is
-  /// NULL or the two types are incomparable, else `Compare() == 0`.
+  /// NULL or the two types are incomparable, else `Compare() == 0`. Two
+  /// values of one non-DOUBLE type are compared directly.
   bool KeyEquals(const Value& other) const;
 
   /// \brief Hash that agrees with KeyEquals: INT, DOUBLE and TIMESTAMP

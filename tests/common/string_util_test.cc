@@ -1,6 +1,11 @@
 #include "common/string_util.h"
 
+#include <algorithm>
+#include <map>
 #include <ostream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,6 +23,26 @@ TEST(StringUtilTest, EqualsIgnoreCase) {
   EXPECT_TRUE(AsciiEqualsIgnoreCase("", ""));
   EXPECT_FALSE(AsciiEqualsIgnoreCase("SEQ", "SEQUEL"));
   EXPECT_FALSE(AsciiEqualsIgnoreCase("abc", "abd"));
+}
+
+// A map over lower-case keys finds every spelling of a key and iterates
+// in std::string's order (bytes above 0x7f sort as unsigned).
+TEST(StringUtilTest, AsciiCaseLessFindsAnySpellingInStringOrder) {
+  const std::vector<std::string> keys = {"_q1", "c1", "readings", "r\xe9",
+                                         "read", "zz", "a"};
+  std::map<std::string, int, AsciiCaseLess> by_name;
+  std::map<std::string, int> plain;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    by_name.emplace(keys[i], static_cast<int>(i));
+    plain.emplace(keys[i], static_cast<int>(i));
+  }
+  EXPECT_TRUE(std::equal(by_name.begin(), by_name.end(), plain.begin(),
+                         plain.end()));
+  EXPECT_EQ(by_name.find("READINGS")->second, 2);
+  EXPECT_EQ(by_name.find("C1")->second, 1);
+  EXPECT_EQ(by_name.find("R\xe9")->second, 3);
+  EXPECT_EQ(by_name.count("REA"), 0u);
+  EXPECT_EQ(by_name.count(std::string_view("_Q1")), 1u);
 }
 
 TEST(StringUtilTest, AppendJsonStringEscapesControlBytesQuoteAndBackslash) {

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "expr/binder.h"
 #include "sql/parser.h"
@@ -231,6 +234,152 @@ TEST_F(BinderEvalTest, PreviousReferenceOnStarGroup) {
   // First tuple of a group: previous is NULL -> predicate is UNKNOWN.
   scratch.SetPrevious(0, nullptr);
   EXPECT_TRUE((*bound)->Eval(scratch.Row())->is_null());
+}
+
+// A comparison reads a column or literal operand in place
+// (BoundExpr::Peek) and evaluates any other operand. Every operator must
+// give the same result whichever form its operands take, and that result
+// must be SQL's: NULL when a side is NULL, else Value::Compare's verdict
+// or its TypeError.
+TEST_F(BinderEvalTest, ComparisonsAgreeAcrossOperandForms) {
+  const SchemaPtr schema = Schema::Make({{"i", TypeId::kInt64},
+                                         {"d", TypeId::kDouble},
+                                         {"s", TypeId::kString}});
+  BindScope scope;
+  scope.AddEntry({"a", schema, 0, false});
+  scope.AddEntry({"b", schema, 1, false});
+  const std::string epc = "urn:epc:id:sgtin:0614141.107346.0001";
+  struct Row {
+    Tuple tuple;
+    std::vector<std::string> literals;  // each column spelled as SQL
+  };
+  const auto row = [&](Value i, Value d, Value s,
+                       std::vector<std::string> literals) {
+    return Row{*MakeTuple(schema, {std::move(i), std::move(d), std::move(s)},
+                          0),
+               std::move(literals)};
+  };
+  const std::vector<Row> rows = {
+      row(Value::Int(0), Value::Double(0.0), Value::String(""),
+          {"0", "0.0", "''"}),
+      row(Value::Int(5), Value::Double(5.0), Value::String("t"),
+          {"5", "5.0", "'t'"}),
+      row(Value::Int(7), Value::Double(2.5), Value::String(epc),
+          {"7", "2.5", "'" + epc + "'"}),
+      row(Value::Null(), Value::Null(), Value::Null(),
+          {"NULL", "NULL", "NULL"}),
+  };
+  const std::vector<std::string> columns = {"i", "d", "s"};
+  const auto eval = [&](const std::string& text, const Tuple& x,
+                        const Tuple& y) -> Result<Value> {
+    auto parsed = ParseExpression(text);
+    if (!parsed.ok()) return parsed.status();
+    Binder binder(&scope, &registry_);
+    auto bound = binder.Bind(**parsed);
+    if (!bound.ok()) return bound.status();
+    RowScratch scratch(2);
+    scratch.SetTuple(0, &x);
+    scratch.SetTuple(1, &y);
+    return (*bound)->Eval(scratch.Row());
+  };
+  const auto reference = [](const std::string& op, const Value& l,
+                            const Value& r) -> Result<Value> {
+    if (l.is_null() || r.is_null()) return Value::Null();
+    ESLEV_ASSIGN_OR_RETURN(int c, l.Compare(r));
+    if (op == "=") return Value::Bool(c == 0);
+    if (op == "<>") return Value::Bool(c != 0);
+    if (op == "<") return Value::Bool(c < 0);
+    if (op == "<=") return Value::Bool(c <= 0);
+    if (op == ">") return Value::Bool(c > 0);
+    return Value::Bool(c >= 0);
+  };
+  size_t checked = 0;
+  for (const std::string op : {"=", "<>", "<", "<=", ">", ">="}) {
+    for (const Row& x : rows) {
+      for (const Row& y : rows) {
+        for (size_t ca = 0; ca < columns.size(); ++ca) {
+          for (size_t cb = 0; cb < columns.size(); ++cb) {
+            const std::string l = "a." + columns[ca];
+            const std::string r = "b." + columns[cb];
+            const Result<Value> want =
+                reference(op, x.tuple.value(ca), y.tuple.value(cb));
+            for (const std::string& form :
+                 {l + " " + op + " " + r, x.literals[ca] + " " + op + " " + r,
+                  l + " " + op + " " + y.literals[cb],
+                  x.literals[ca] + " " + op + " " + y.literals[cb],
+                  "coalesce(" + l + ") " + op + " coalesce(" + r + ")"}) {
+              const Result<Value> got = eval(form, x.tuple, y.tuple);
+              ++checked;
+              ASSERT_EQ(got.ok(), want.ok())
+                  << form << ": " << got.status().ToString();
+              if (want.ok()) {
+                EXPECT_TRUE(*got == *want)
+                    << form << ": " << got->ToString() << ", want "
+                    << want->ToString();
+              } else {
+                EXPECT_EQ(got.status().code(), want.status().code()) << form;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 6u * 4 * 4 * 3 * 3 * 5);
+}
+
+// `.previous.` on the first tuple of a star group is NULL, so a
+// comparison with it is UNKNOWN and the predicate rejects, whether the
+// other side is a column or a literal, and whether the row binds no
+// previous tuple for the slot or no previous tuples at all.
+TEST_F(BinderEvalTest, PreviousOnFirstTupleRejectsThroughComparisons) {
+  BindScope scope;
+  scope.AddEntry({"R1", readings_, 0, true});
+  Tuple prev = MakeReading("p", "tag1", Seconds(1));
+  Tuple cur = MakeReading("p", "tag2", Seconds(2));
+  for (const std::string text :
+       {"R1.previous.tag_id = R1.tag_id", "R1.previous.tag_id <> 'tag1'",
+        "'tag1' = R1.previous.tag_id", "R1.previous.read_time < R1.read_time"}) {
+    auto parsed = ParseExpression(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    Binder binder(&scope, &registry_);
+    auto bound = binder.Bind(**parsed);
+    ASSERT_TRUE(bound.ok()) << text << ": " << bound.status();
+
+    RowScratch scratch(1);
+    scratch.SetTuple(0, &cur);
+    EXPECT_TRUE((*bound)->Eval(scratch.Row())->is_null()) << text;
+    EXPECT_FALSE(*EvalPredicate(**bound, scratch.Row())) << text;
+
+    EvalRow no_prevs = scratch.Row();
+    no_prevs.prev_slots = nullptr;
+    EXPECT_TRUE((*bound)->Eval(no_prevs)->is_null()) << text;
+
+    scratch.SetPrevious(0, &prev);
+    EXPECT_FALSE((*bound)->Eval(scratch.Row())->is_null()) << text;
+  }
+}
+
+// A column reference the row cannot satisfy (a column beyond the tuple,
+// or a slot beyond the row) still fails with its ExecutionError when it
+// is a comparison operand, on either side.
+TEST_F(BinderEvalTest, OutOfRangeColumnErrorsThroughComparison) {
+  Tuple a = MakeReading("r", "t", 0);
+  RowScratch scratch(1);
+  scratch.SetTuple(0, &a);
+  const auto column = [](size_t slot, size_t col) {
+    return std::make_unique<BoundColumnRef>(slot, col, false, "r1.missing");
+  };
+  const auto literal = [] {
+    return std::make_unique<BoundLiteral>(Value::String("t"));
+  };
+  const BoundBinary left(BinaryOp::kEq, column(0, 5), literal());
+  const BoundBinary right(BinaryOp::kLt, literal(), column(0, 5));
+  const BoundBinary slot(BinaryOp::kGe, column(3, 0), column(0, 1));
+  for (const BoundBinary* cmp : {&left, &right, &slot}) {
+    EXPECT_TRUE(cmp->Eval(scratch.Row()).status().IsExecutionError());
+    EXPECT_TRUE(EvalPredicate(*cmp, scratch.Row()).status().IsExecutionError());
+  }
 }
 
 // NaN follows PostgreSQL's total order (DESIGN.md §5): it equals only

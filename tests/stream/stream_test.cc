@@ -137,7 +137,8 @@ TEST(WindowBufferTest, Clear) {
 std::vector<Timestamp> Bucket(const KeyedWindowBuffer& w,
                               const std::string& tag) {
   std::vector<Timestamp> out;
-  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({Value::String(tag)}),
+  const Value key = Value::String(tag);
+  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({&key}),
                     [&](const Tuple& t) {
                       if (t.value(0).string_value() == tag) {
                         out.push_back(t.ts());
@@ -179,14 +180,16 @@ TEST(KeyedWindowBufferTest, SqlEqualKeysShareABucket) {
   w.Add(*MakeTuple(schema, {Value::Double(5.0)}, 1));
   w.Add(*MakeTuple(schema, {Value::Double(-0.0)}, 2));
   size_t fives = 0;
-  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({Value::Int(5)}),
+  const Value five = Value::Int(5);
+  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({&five}),
                     [&](const Tuple& t) {
                       fives += t.value(0).KeyEquals(Value::Int(5));
                       return true;
                     });
   EXPECT_EQ(fives, 1u);
   size_t zeros = 0;
-  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({Value::Int(0)}),
+  const Value zero = Value::Int(0);
+  w.ForEachInBucket(KeyedWindowBuffer::ProbeHash({&zero}),
                     [&](const Tuple& t) {
                       zeros += t.value(0).KeyEquals(Value::Int(0));
                       return true;

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 namespace eslev {
 namespace {
@@ -135,6 +137,52 @@ TEST(ValueTest, KeyHashAgreesWithKeyEquals) {
       Value::Double(static_cast<double>(big))));
   EXPECT_EQ(Value::Int(big).KeyHash(),
             Value::Double(static_cast<double>(big)).KeyHash());
+}
+
+// KeyEquals reads two values of one non-DOUBLE type directly and sends
+// every other pair to Compare; over a matrix that crosses every type with
+// the double edge cases and an INT beyond 2^53 it must be exactly
+// "neither is NULL and Compare says 0", and KeyHash must agree with it.
+TEST(ValueTest, KeyEqualsMatchesCompareAndKeyHashAgrees) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const int64_t big = (int64_t{1} << 53) + 1;
+  const std::vector<Value> values = {
+      Value::Null(),
+      Value::Bool(false),
+      Value::Bool(true),
+      Value::Int(0),
+      Value::Int(5),
+      Value::Int(big),
+      Value::Int(big - 1),
+      Value::Double(5.0),
+      Value::Double(-0.0),
+      Value::Double(0.0),
+      Value::Double(std::numeric_limits<double>::quiet_NaN()),
+      Value::Double(inf),
+      Value::Double(-inf),
+      Value::Double(static_cast<double>(big)),
+      Value::Time(5),
+      Value::String(""),
+      Value::String("t"),
+      Value::String("urn:epc:id:sgtin:0614141.107346.0001"),
+  };
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      const Result<int> cmp = a.Compare(b);
+      const bool expected =
+          !a.is_null() && !b.is_null() && cmp.ok() && *cmp == 0;
+      EXPECT_EQ(a.KeyEquals(b), expected)
+          << TypeIdToString(a.type()) << " " << a.ToString() << " vs "
+          << TypeIdToString(b.type()) << " " << b.ToString();
+      if (expected) {
+        EXPECT_EQ(a.KeyHash(), b.KeyHash())
+            << a.ToString() << " vs " << b.ToString();
+      }
+    }
+  }
+  // A copy of a long string is a distinct buffer with the same bytes.
+  const Value epc = values.back();
+  EXPECT_TRUE(epc.KeyEquals(values.back()));
 }
 
 TEST(TypeNameTest, ParseTypeName) {
