@@ -14,9 +14,7 @@ std::string AsciiToUpper(std::string_view s) {
 
 std::string AsciiToLower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) {
-    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
-  }
+  for (char& c : out) c = static_cast<char>(AsciiCaseLess::Lower(c));
   return out;
 }
 
